@@ -33,15 +33,15 @@ print(f"  {dc}")
 
 print()
 print("What the test families see:")
-images = pullbacks(g, dc)
-print(f"  bridge pullback:   {images.bridge}")
+bridge, tails, degrees = pullbacks(g, dc)
+print(f"  bridge pullback:   {bridge}")
 print(f"  known bridge class: {bridge_pushforward('b', params)}")
-mu = images.bridge.relation_multiple(bridge_pushforward("b", params))
+mu = bridge.relation_multiple(bridge_pushforward("b", params))
 print(f"  they differ by {mu} x (10λ - δ0 - 2δ1) -- equal in the rank-3 quotient")
-print(f"  tails pullback vanishes: {images.tails.is_zero()}")
+print(f"  tails pullback vanishes: {not any(tails)}")
 print("  pencil degrees vs the known values:")
 for h in (1, 2, 5, 9):
-    print(f"    h={h}: {images.pencil_degrees[h - 1]} "
+    print(f"    h={h}: {degrees[h - 1]} "
           f"(known: {pencil_degree('b', params, h)})")
 
 print()

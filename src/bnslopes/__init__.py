@@ -15,45 +15,17 @@ The package computes, entirely in exact rational arithmetic:
   parameter test families, as an independent end-to-end verification.
 """
 
+# The names the demos import; everything else is imported from its module.
 from .divisors import (
     FamilyParams,
-    SlopeReport,
-    SlopeUndefinedError,
-    family_combo,
-    gp_combo,
     gp_slope_closed,
-    hypersurface_combo,
-    secant_plane_validate,
-    slope,
     slope_bound,
     slope_report,
     syzygy_combo,
-    syzygy_slope_closed,
 )
-from .families import (
-    CheckReport,
-    EpsilonVector,
-    M21Class,
-    PullbackImages,
-    ReconstructionError,
-    aspect_counts,
-    epsilon_matrix,
-    identity_castelnuovo,
-    identity_pieri,
-    identity_weierstrass_a,
-    identity_weierstrass_c,
-    pullbacks,
-    reconstruct,
-    suite_reports,
-)
-from .numeric import Rational, binomial, factorial, superfactorial
+from .families import pullbacks, reconstruct
 from .schubert import (
-    BalanceError,
-    ChowClass,
-    CodimensionError,
     GrassmannianSpec,
-    InvalidIndexError,
-    SchubertIndex,
     brute_zeta_integral,
     integral,
     make_index,
@@ -62,19 +34,6 @@ from .schubert import (
     zeta,
     zeta_power_integral,
 )
-from .tautpush import (
-    DivisorClass,
-    GrdParams,
-    ParameterError,
-    TautCombo,
-    castelnuovo_N,
-    push_a,
-    push_b,
-    push_c,
-    push_combo,
-    rho,
-    rho_zero_triples,
-    xi,
-)
+from .tautpush import GrdParams, TautCombo, castelnuovo_N, push_b, push_combo
 
 __version__ = "0.1.0"

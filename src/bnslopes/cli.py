@@ -4,7 +4,7 @@ the verification suites.
 Output is byte-deterministic for a fixed invocation: rows are sorted
 canonically, rationals always render as exact "p/q" strings, and the
 JSON emitters sort their keys.  Exit codes: 0 success, 1 verification
-failure, 2 usage or parameter error.
+failure, 2 usage, parameter or I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -24,8 +23,7 @@ from .divisors import (
     SlopeUndefinedError,
     slope_report,
 )
-from .families import SUITES, suite_reports
-from .numeric import format_rational, parse_rational
+from .families import SUITES, parallel_map, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
 from .tautpush import GrdParams, ParameterError, TautCombo, push, push_combo
 
@@ -33,13 +31,6 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 ROW_FIELDS = ["family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound"]
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BNSLOPES_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _span(text: str) -> Tuple[int, int]:
@@ -58,7 +49,7 @@ def _combo(text: str) -> TautCombo:
         raise argparse.ArgumentTypeError(
             f"combo needs four comma-separated rationals (p_a,p_b,p_c,p_lambda); got {text!r}"
         )
-    return TautCombo(*(parse_rational(p) for p in parts))
+    return TautCombo(*(Fraction(p) for p in parts))
 
 
 def _triples(text: str) -> List[Tuple[int, int, int]]:
@@ -86,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--k", type=_span, help="hypersurface degree value or range")
     sl.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     sl.add_argument("--output", help="write to this path instead of stdout")
-    sl.add_argument("--jobs", type=int, default=_default_jobs())
+    sl.add_argument("--jobs", type=int, default=1)
 
     pu = sub.add_parser("push", help="pushforward of a tautological class or combination")
     pu.add_argument("--g", type=int, required=True)
@@ -110,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--triples", type=_triples, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")
-    ve.add_argument("--jobs", type=int, default=_default_jobs())
+    ve.add_argument("--jobs", type=int, default=1)
 
     return p
 
@@ -174,27 +165,17 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
         lines.append(
             f"{rep.family:<14}{rep.r:>4}{rep.s:>4}"
             f"{'' if rep.extra is None else rep.extra:>6}{rep.g:>5}{rep.d:>5}  "
-            f"{format_rational(rep.slope):<16}≈{approx:<11}{format_rational(rep.bound):<10}"
+            f"{rep.slope!s:<16}≈{approx:<11}{rep.bound!s:<10}"
             f"{str(rep.below_bound).lower()}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _run_point(fp: FamilyParams) -> SlopeReport:
-    return slope_report(fp)
 
 
 def cmd_slope(args) -> int:
     points = _grid(args)
     if not points:
         raise ParameterError("empty parameter grid")
-    if args.jobs > 1 and len(points) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=args.jobs) as pool:
-            reports = pool.map(_run_point, points)
-    else:
-        reports = [_run_point(fp) for fp in points]
+    reports = parallel_map(slope_report, points, args.jobs)
     reports.sort(key=lambda rep: rep.sort_key())
     _emit(_slope_rows_text(reports, args.format), args.output)
     return 0
@@ -236,15 +217,31 @@ def cmd_verify(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # N has about g digits, and CPython (3.10.7 on) refuses to print an
+    # int of more than 4300 digits by default; lift that cap for this
+    # call only.  0 means no cap, also where the interpreter has none.
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
+    if max_digits:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "slope":
             return cmd_slope(args)
         if args.command == "push":
             return cmd_push(args)
         return cmd_verify(args)
-    except (ParameterError, SlopeUndefinedError, InvalidIndexError, CodimensionError, BalanceError) as exc:
+    except (
+        ParameterError,
+        SlopeUndefinedError,
+        InvalidIndexError,
+        CodimensionError,
+        BalanceError,
+        OSError,
+    ) as exc:
         print(f"bnslopes: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if max_digits:
+            sys.set_int_max_str_digits(max_digits)
 
 
 if __name__ == "__main__":

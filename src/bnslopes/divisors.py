@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .numeric import binomial, format_rational
+from .numeric import binomial
 from .tautpush import (
     DivisorClass,
     GrdParams,
@@ -314,44 +314,10 @@ class SlopeReport:
             "g": self.g,
             "d": self.d,
             "N": str(self.N),
-            "slope": format_rational(self.slope),
-            "bound": format_rational(self.bound),
+            "slope": str(self.slope),
+            "bound": str(self.bound),
             "below_bound": self.below_bound,
         }
-
-    def csv_row(self) -> List[object]:
-        """Split-rational CSV row: family, r, s, i_or_k, g, d, N,
-        slope_num, slope_den, bound_num, bound_den, below_bound."""
-        return [
-            self.family,
-            self.r,
-            self.s,
-            "" if self.extra is None else self.extra,
-            self.g,
-            self.d,
-            str(self.N),
-            self.slope.numerator,
-            self.slope.denominator,
-            self.bound.numerator,
-            self.bound.denominator,
-            self.below_bound,
-        ]
-
-
-CSV_FIELDS = [
-    "family",
-    "r",
-    "s",
-    "i_or_k",
-    "g",
-    "d",
-    "N",
-    "slope_num",
-    "slope_den",
-    "bound_num",
-    "bound_den",
-    "below_bound",
-]
 
 
 def slope_report(params: FamilyParams) -> SlopeReport:

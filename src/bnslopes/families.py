@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .numeric import binomial
 from .schubert import (
@@ -63,10 +63,7 @@ from .tautpush import (
 
 __all__ = [
     "CheckReport",
-    "EpsilonVector",
-    "LemmaData",
     "M21Class",
-    "PullbackImages",
     "ReconstructionError",
     "aspect_counts",
     "aspect_report",
@@ -77,8 +74,8 @@ __all__ = [
     "identity_pieri",
     "identity_weierstrass_a",
     "identity_weierstrass_c",
-    "lemma_data",
     "matrix_determinant",
+    "parallel_map",
     "pencil_degree",
     "pencil_matrix",
     "pullbacks",
@@ -133,35 +130,10 @@ class M21Class:
         )
 
 
-@dataclass(frozen=True)
-class EpsilonVector:
-    """Coefficients of eps_2, ..., eps_{g-2} on the tails-family base."""
-
-    coeffs: Tuple[Fraction, ...]
-
-    @property
-    def g(self) -> int:
-        return len(self.coeffs) + 3
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-
 Matrix = List[List[Fraction]]
 
-# Column order of every pullback matrix: (lambda, psi, delta_0, ..., delta_{g-1}).
-
-
-def _col_lambda() -> int:
-    return 0
-
-
-def _col_psi() -> int:
-    return 1
-
-
-def _col_delta(i: int) -> int:
-    return 2 + i
+# Column order of every pullback matrix: (lambda, psi, delta_0, ..., delta_{g-1}),
+# so delta_i sits in column 2 + i.
 
 
 def _zero_matrix(rows: int, cols: int) -> Matrix:
@@ -174,10 +146,10 @@ def bridge_matrix(g: int) -> Matrix:
     delta_{g-1} -> delta_1, everything else (psi, delta_1..delta_{g-3})
     to zero."""
     m = _zero_matrix(4, g + 2)
-    m[0][_col_lambda()] = Fraction(1)
-    m[1][_col_delta(g - 2)] = Fraction(-1)
-    m[2][_col_delta(0)] = Fraction(1)
-    m[3][_col_delta(g - 1)] = Fraction(1)
+    m[0][0] = Fraction(1)
+    m[1][2 + g - 2] = Fraction(-1)
+    m[2][2] = Fraction(1)
+    m[3][2 + g - 1] = Fraction(1)
     return m
 
 
@@ -193,9 +165,9 @@ def tails_matrix(g: int) -> Matrix:
     m = _zero_matrix(g - 3, g + 2)
     for i in range(2, g - 1):
         row = m[i - 2]
-        row[_col_delta(i)] = Fraction(1)
-        row[_col_delta(1)] = Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2))
-        row[_col_delta(g - 1)] = Fraction(-(g - i) * (i - 1), g - 2)
+        row[2 + i] = Fraction(1)
+        row[2 + 1] = Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2))
+        row[2 + g - 1] = Fraction(-(g - i) * (i - 1), g - 2)
     return m
 
 
@@ -207,9 +179,9 @@ def pencil_matrix(g: int) -> Matrix:
     m = _zero_matrix(g - 1, g + 2)
     for h in range(1, g):
         row = m[h - 1]
-        row[_col_psi()] = Fraction(2 * h - 1)
-        row[_col_delta(h)] += Fraction(-1)
-        row[_col_delta(g - h)] += Fraction(1)
+        row[1] = Fraction(2 * h - 1)
+        row[2 + h] += Fraction(-1)
+        row[2 + g - h] += Fraction(1)
     return m
 
 
@@ -217,24 +189,20 @@ def _apply(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
     return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in m]
 
 
-@dataclass(frozen=True)
-class PullbackImages:
-    """Images of one divisor class under the three family pullbacks."""
-
-    bridge: M21Class
-    tails: EpsilonVector
-    pencil_degrees: Tuple[Fraction, ...]  # h = 1..g-1
-
-
-def pullbacks(g: int, dc: DivisorClass) -> PullbackImages:
-    """Apply the three pullback tables to a divisor class."""
+def pullbacks(
+    g: int, dc: DivisorClass
+) -> Tuple[M21Class, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Apply the three pullback tables to a divisor class.  Returns
+    (bridge, tails, degrees): the class on the genus-2 base, the
+    coefficients of eps_2..eps_{g-2} on the tails base, and the pencil
+    degrees for h = 1..g-1."""
     if dc.g != g:
         raise ParameterError(f"class has genus {dc.g}, expected {g}")
     vec = dc.coefficients()
     bridge = M21Class(*_apply(bridge_matrix(g), vec))
-    tails = EpsilonVector(tuple(_apply(tails_matrix(g), vec)))
+    tails = tuple(_apply(tails_matrix(g), vec))
     degrees = tuple(_apply(pencil_matrix(g), vec))
-    return PullbackImages(bridge, tails, degrees)
+    return bridge, tails, degrees
 
 
 def bridge_pushforward(which: str, params: GrdParams) -> M21Class:
@@ -274,34 +242,6 @@ def pencil_degree(which: str, params: GrdParams, h: int) -> Fraction:
     if which == "c":
         return -(r * h + Fraction(r * (r + 1), 2)) * N
     raise ParameterError(f"unknown tautological class {which!r}")
-
-
-@dataclass(frozen=True)
-class LemmaData:
-    """Everything the reconstruction consumes for one (g, r, d): the
-    bridge pushforwards of a, b, c, the pencil degrees, and the three
-    pullback matrices."""
-
-    params: GrdParams
-    bridge_rhs: Dict[str, M21Class]
-    pencil_rhs: Dict[str, Tuple[Fraction, ...]]
-    bridge: Matrix
-    tails: Matrix
-    pencil: Matrix
-
-
-def lemma_data(params: GrdParams) -> LemmaData:
-    g = params.g
-    return LemmaData(
-        params=params,
-        bridge_rhs={w: bridge_pushforward(w, params) for w in "abc"},
-        pencil_rhs={
-            w: tuple(pencil_degree(w, params, h) for h in range(1, g)) for w in "abc"
-        },
-        bridge=bridge_matrix(g),
-        tails=tails_matrix(g),
-        pencil=pencil_matrix(g),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +324,7 @@ def _pattern_integral(
     return closed, br
 
 
-def identity_weierstrass_a(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
+def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
     """Weierstrass-fiber identity for a:
 
         -2(g-2) * integral(sigma_{(1,2,3,...,3)} zeta^{g-3})
@@ -396,7 +336,7 @@ def identity_weierstrass_a(g: int, r: int, d: int, *, brute: bool = True) -> Che
         raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
     spec = GrassmannianSpec(r, d)
     b = (1, 2) + (3,) * (r - 1) if r >= 2 else (1, 2)
-    closed, br = _pattern_integral(spec, b, g - 3, brute=brute)
+    closed, br = _pattern_integral(spec, b, g - 3, brute=True)
     lhs = -2 * (g - 2) * closed
     rhs = Fraction(-2 * d * (2 * g - 2 - d) * params.N, 3 * (g - 1))
     ok = lhs == rhs and (br is None or br == closed)
@@ -404,7 +344,7 @@ def identity_weierstrass_a(g: int, r: int, d: int, *, brute: bool = True) -> Che
     return _report("weierstrass_a", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
 
 
-def identity_weierstrass_c(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
+def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
     """Weierstrass-fiber identity for c:
 
         -( integral(sigma_{(0,1,2,...,2,3)} zeta^{g-2}) + N )
@@ -418,7 +358,7 @@ def identity_weierstrass_c(g: int, r: int, d: int, *, brute: bool = True) -> Che
         )
     spec = GrassmannianSpec(r, d)
     b = (0, 1) + (2,) * (r - 2) + (3,)
-    closed, br = _pattern_integral(spec, b, g - 2, brute=brute)
+    closed, br = _pattern_integral(spec, b, g - 2, brute=True)
     lhs = -(closed + params.N)
     rhs = Fraction(-params.N, 3 * (g - 1)) * params.xi
     ok = lhs == rhs and (br is None or br == closed)
@@ -489,7 +429,7 @@ def _aspect_ramification(r: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return b1, b2
 
 
-def aspect_report(g: int, r: int, d: int, *, cross_check: bool = True) -> CheckReport:
+def aspect_report(g: int, r: int, d: int) -> CheckReport:
     """Aspect counts: their sum must be N, and each count must equal the
     matching Schubert integral of zeta^{g-2} against the dual
     ramification index.  Integrality of the individual counts is only
@@ -497,22 +437,19 @@ def aspect_report(g: int, r: int, d: int, *, cross_check: bool = True) -> CheckR
     params = GrdParams(g, r, d)
     n1, n2 = aspect_counts(g, r, d)
     N = params.N
-    ok = n1 + n2 == N
-    detail_parts = [f"integral_counts={n1.denominator == 1 and n2.denominator == 1}"]
-    if cross_check:
-        spec = GrassmannianSpec(r, d)
-        b1, b2 = _aspect_ramification(r)
-        s1, _ = _pattern_integral(spec, b1, g - 2, brute=False)
-        s2, _ = _pattern_integral(spec, b2, g - 2, brute=False)
-        ok = ok and s1 == n1 and s2 == n2
-        detail_parts.append(f"schubert=({s1},{s2})")
+    spec = GrassmannianSpec(r, d)
+    b1, b2 = _aspect_ramification(r)
+    s1, _ = _pattern_integral(spec, b1, g - 2, brute=False)
+    s2, _ = _pattern_integral(spec, b2, g - 2, brute=False)
+    ok = n1 + n2 == N and s1 == n1 and s2 == n2
+    integral_counts = n1.denominator == 1 and n2.denominator == 1
     return _report(
         "aspects",
         {"g": g, "r": r, "d": d},
         f"({n1},{n2})",
         f"sum={N}",
         ok,
-        " ".join(detail_parts),
+        f"integral_counts={integral_counts} schubert=({s1},{s2})",
     )
 
 
@@ -546,58 +483,69 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     return frozen, matrix_determinant(frozen) != 0
 
 
-def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
+def _forward_eliminate(a: Matrix, ncols: int) -> Tuple[List[int], Fraction]:
+    """Reduce the rows of ``a`` in place to row echelon form over their
+    first ``ncols`` columns; entries past ``ncols`` (a right-hand side)
+    are carried along.
+
+    For each column the pivot is the first remaining row with a nonzero
+    entry, and only the nonzero entries of the pivot row are subtracted
+    from the rows below it that are nonzero in that column, so the
+    sparse test-family systems stay cheap.  Returns the pivot columns and
+    the signed product of the pivots, or 0 when some column has no pivot:
+    the determinant when ``a`` is square.
+    """
+    nrows = len(a)
+    pivots: List[int] = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, nrows) if a[i][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
             det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            f = a[i][col] * inv
-            if f:
-                for j in range(col, n):
-                    a[i][j] -= f * a[col][j]
-    return det
+        prow = a[rank]
+        det *= prow[col]
+        inv = 1 / prow[col]
+        tail = [(j, x) for j, x in enumerate(prow[col + 1 :], col + 1) if x != 0]
+        for row in a[rank + 1 :]:
+            if row[col] != 0:
+                f = row[col] * inv
+                row[col] = Fraction(0)
+                for j, x in tail:
+                    row[j] -= f * x
+        pivots.append(col)
+    return pivots, det
+
+
+def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix."""
+    a = [[Fraction(x) for x in row] for row in m]
+    return _forward_eliminate(a, len(a))[1]
 
 
 def _solve_unique(rows: Matrix, rhs: List[Fraction]) -> List[Fraction]:
     """Solve an (over-determined) exact linear system requiring a unique
     solution; raises ReconstructionError when singular or inconsistent."""
+    ncols = len(rows[0])
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if m[i][ncols] != 0:
-            raise ReconstructionError("linear system is inconsistent")
+    pivots, _ = _forward_eliminate(m, ncols)
+    rank = len(pivots)
+    if any(row[ncols] != 0 for row in m[rank:]):
+        raise ReconstructionError("linear system is inconsistent")
     if rank < ncols:
         raise ReconstructionError(
             f"linear system is underdetermined (rank {rank} < {ncols} unknowns)"
         )
+    # Full column rank: row i pivots on column i.
     sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][ncols]
+    for i in reversed(range(ncols)):
+        row = m[i]
+        known = sum((row[j] * sol[j] for j in range(i + 1, ncols) if row[j]), Fraction(0))
+        sol[i] = (row[ncols] - known) / row[i]
     return sol
 
 
@@ -624,7 +572,6 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
-    data = lemma_data(params)
     ncols = g + 3  # A, B_0..B_{g-1}, C, mu
     col_A, col_C, col_mu = 0, g + 1, g + 2
 
@@ -633,29 +580,29 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
         # into a row acting on the unknowns (A, B_*, C, mu), using
         # lambda = A, psi = C, delta_i = -B_i.
         out = [Fraction(0)] * ncols
-        out[col_A] = coeff_row[_col_lambda()]
-        out[col_C] = coeff_row[_col_psi()]
+        out[col_A] = coeff_row[0]
+        out[col_C] = coeff_row[1]
         for i in range(g):
-            out[1 + i] = -coeff_row[_col_delta(i)]
+            out[1 + i] = -coeff_row[2 + i]
         return out
 
     rows: Matrix = []
     rhs: List[Fraction] = []
 
-    for h in range(1, g):
-        rows.append(class_row(data.pencil[h - 1]))
-        rhs.append(data.pencil_rhs[which][h - 1])
+    for h, row in enumerate(pencil_matrix(g), start=1):
+        rows.append(class_row(row))
+        rhs.append(pencil_degree(which, params, h))
 
-    for row in data.tails:
+    for row in tails_matrix(g):
         rows.append(class_row(row))
         rhs.append(Fraction(0))
 
-    bridge_target = data.bridge_rhs[which].as_tuple()
-    for j, row in enumerate(data.bridge):
+    bridge_target = bridge_pushforward(which, params).as_tuple()
+    for row, relation, target in zip(bridge_matrix(g), _RELATION, bridge_target):
         r_ = class_row(row)
-        r_[col_mu] = -_RELATION[j]
+        r_[col_mu] = -relation
         rows.append(r_)
-        rhs.append(bridge_target[j])
+        rhs.append(target)
 
     sol = _solve_unique(rows, rhs)
     lam = sol[col_A]
@@ -724,7 +671,7 @@ def _bridge_quotient_report(g: int, r: int, d: int, which: str) -> CheckReport:
     genus-2 class by an exact multiple of the relation."""
     params = GrdParams(g, r, d)
     dc = push(which, params)
-    got = pullbacks(g, dc).bridge
+    got, _, _ = pullbacks(g, dc)
     want = bridge_pushforward(which, params)
     mu = got.relation_multiple(want)
     return _report(
@@ -793,6 +740,20 @@ def _structure_report(family: str, first: int, s: int) -> CheckReport:
         ok,
         "hyper(k=2) == syzygy(0)" if family == "hypersurface" and first == 2 * s + 2 else "",
     )
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> List:
+    """``[fn(x) for x in items]``, spread over ``jobs`` worker processes
+    when there is more than one job and item.  ``fn`` must be a
+    module-level function, so that workers can import it."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1; got {jobs}")
+    if jobs > 1 and len(items) > 1:
+        from multiprocessing import Pool
+
+        with Pool(processes=jobs) as pool:
+            return pool.map(fn, items)
+    return [fn(x) for x in items]
 
 
 DEFAULT_RECONSTRUCT_TRIPLES = ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24))
@@ -893,9 +854,4 @@ def suite_reports(
     tasks: List[Tuple] = []
     for name in names:
         tasks.extend(_suite_tasks(name, max_g=max_g, r_max=r_max, d_max=d_max, triples=triples))
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=jobs) as pool:
-            return pool.map(_run_task, tasks)
-    return [_run_task(t) for t in tasks]
+    return parallel_map(_run_task, tasks, jobs)

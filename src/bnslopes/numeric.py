@@ -9,20 +9,14 @@ is an exact integer or rational.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from math import factorial as _math_factorial
 
 __all__ = [
-    "Rational",
     "binomial",
     "factorial",
-    "format_rational",
-    "parse_rational",
     "superfactorial",
 ]
-
-Rational = Fraction
 
 
 def factorial(n: int) -> int:
@@ -55,13 +49,3 @@ def superfactorial(r: int) -> int:
         fact *= j
         out *= fact
     return out
-
-
-def format_rational(x: Fraction | int) -> str:
-    """Canonical "p/q" rendering; integers render as a bare "p"."""
-    return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(text)

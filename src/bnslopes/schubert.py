@@ -39,7 +39,6 @@ __all__ = [
     "balanced_pairs",
     "brute_zeta_integral",
     "fundamental_class",
-    "indices_of_codim",
     "integral",
     "make_index",
     "pieri_ek",
@@ -348,12 +347,6 @@ def all_indices(spec: GrassmannianSpec) -> Iterator[SchubertIndex]:
     """All valid indices on ``spec`` in lexicographic order."""
     for b in combinations_with_replacement(range(spec.box + 1), spec.r + 1):
         yield SchubertIndex(spec, b)
-
-
-def indices_of_codim(spec: GrassmannianSpec, codim: int) -> Iterator[SchubertIndex]:
-    for idx in all_indices(spec):
-        if idx.codim == codim:
-            yield idx
 
 
 def balanced_pairs(spec: GrassmannianSpec) -> Iterator[tuple[SchubertIndex, int]]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .numeric import factorial, format_rational, parse_rational, superfactorial
+from .numeric import factorial, superfactorial
 
 __all__ = [
     "DivisorClass",
@@ -178,17 +178,17 @@ class DivisorClass:
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
-            "lambda": format_rational(self.lam),
-            "psi": format_rational(self.psi),
-            "delta": [format_rational(x) for x in self.delta],
+            "lambda": str(self.lam),
+            "psi": str(self.psi),
+            "delta": [str(x) for x in self.delta],
         }
 
     @classmethod
     def from_json_dict(cls, obj: Dict[str, object]) -> "DivisorClass":
         return cls(
-            parse_rational(obj["lambda"]),
-            parse_rational(obj["psi"]),
-            tuple(parse_rational(x) for x in obj["delta"]),
+            Fraction(obj["lambda"]),
+            Fraction(obj["psi"]),
+            tuple(Fraction(x) for x in obj["delta"]),
         )
 
     def __str__(self) -> str:

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
 from bnslopes.cli import main
+from bnslopes.tautpush import castelnuovo_N
 
 
 def run(capsys, *argv):
@@ -71,6 +74,21 @@ class TestSlopeCommand:
         _, seq, _ = run(capsys, *args, "--jobs", "1")
         _, par, _ = run(capsys, *args, "--jobs", "2")
         assert seq == par
+        args = ("verify", "--suite", "all", "--max-g", "8", "--r-max", "2", "--d-max", "8")
+        code, seq, _ = run(capsys, *args, "--jobs", "1")
+        code2, par, _ = run(capsys, *args, "--jobs", "2")
+        assert code == code2 == 0
+        assert seq == par
+
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        for argv in (
+            ("slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "0"),
+            ("verify", "--suite", "pieri", "--max-g", "6", "--jobs", "-3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "jobs must be at least 1" in err
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "gp", "--r", "1")
@@ -91,6 +109,16 @@ class TestSlopeCommand:
         assert out == ""
         assert "17/2" in target.read_text()
 
+    def test_output_to_missing_directory_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1",
+                             "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bnslopes: error: ")
+        assert err.count("\n") == 1
+        assert "No such file or directory" in err
+
 
 class TestPushCommand:
     def test_class_b_psi(self, capsys):
@@ -108,6 +136,25 @@ class TestPushCommand:
         assert obj["lambda"] == "2459/95"
         assert obj["delta"][0] == "-377/95"
         assert obj["psi"] == "0"
+
+    def test_coefficients_beyond_int_str_digit_limit(self, capsys, tmp_path):
+        # the smallest rho = 0 triple whose N has more than 4300 digits,
+        # CPython's default cap on converting an int to or from a string
+        g, r, d = 3162, 50, 3150
+        N = castelnuovo_N(g, r, d)
+        assert N >= 10**4300
+        limit = sys.get_int_max_str_digits()
+        target = tmp_path / "push.json"
+        code, _, err = run(capsys, "push", "--g", str(g), "--r", str(r), "--d", str(d),
+                           "--class", "b", "--output", str(target))
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        lam = json.loads(target.read_text())["lambda"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(lam) == Fraction(6 * d * N, g - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_nonzero_rho_is_usage_error(self, capsys):
         code, _, err = run(capsys, "push", "--g", "3", "--r", "1", "--d", "2",

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from bnslopes.divisors import (
-    CSV_FIELDS,
     FamilyParams,
     SlopeUndefinedError,
     gp_combo,
@@ -188,10 +187,3 @@ class TestSlopeReport:
             "family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound",
         ]
         assert row["slope"] == "17/2"
-
-    def test_csv_row_schema(self):
-        rep = slope_report(FamilyParams.syzygy(0, 2))
-        row = rep.csv_row()
-        assert len(row) == len(CSV_FIELDS)
-        assert row[CSV_FIELDS.index("slope_num")] == 2459
-        assert row[CSV_FIELDS.index("slope_den")] == 377

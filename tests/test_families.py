@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from bnslopes.families import (
     M21Class,
     ReconstructionError,
+    _forward_eliminate,
     _solve_unique,
     aspect_counts,
     aspect_report,
@@ -14,12 +16,13 @@ from bnslopes.families import (
     identity_pieri,
     identity_weierstrass_a,
     identity_weierstrass_c,
-    lemma_data,
     matrix_determinant,
     pencil_degree,
+    pencil_matrix,
     pullbacks,
     reconstruct,
     suite_reports,
+    tails_matrix,
 )
 from bnslopes.tautpush import (
     DivisorClass,
@@ -43,28 +46,28 @@ def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
 class TestPullbackTables:
     def test_lambda_pulls_back_cleanly(self):
         g = 8
-        images = pullbacks(g, unit_class(g, "lam"))
-        assert images.bridge == M21Class(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        assert images.tails.is_zero()
-        assert all(x == 0 for x in images.pencil_degrees)
+        bridge, tails, degrees = pullbacks(g, unit_class(g, "lam"))
+        assert bridge == M21Class(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        assert not any(tails)
+        assert all(x == 0 for x in degrees)
 
     def test_delta_g_minus_2_hits_psi(self):
         g = 8
-        images = pullbacks(g, unit_class(g, "delta", g - 2))
-        assert images.bridge.psi == -1
-        assert images.bridge.lam == images.bridge.delta0 == images.bridge.delta1 == 0
+        bridge, _, _ = pullbacks(g, unit_class(g, "delta", g - 2))
+        assert bridge.psi == -1
+        assert bridge.lam == bridge.delta0 == bridge.delta1 == 0
 
     def test_psi_degrees(self):
         g = 8
-        images = pullbacks(g, unit_class(g, "psi"))
-        assert images.bridge == M21Class(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-        assert images.tails.is_zero()
-        assert images.pencil_degrees == tuple(Fraction(2 * h - 1) for h in range(1, g))
+        bridge, tails, degrees = pullbacks(g, unit_class(g, "psi"))
+        assert bridge == M21Class(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+        assert not any(tails)
+        assert degrees == tuple(Fraction(2 * h - 1) for h in range(1, g))
 
     def test_middle_delta_cancels_on_pencils(self):
         g = 8
-        images = pullbacks(g, unit_class(g, "delta", g // 2))
-        assert images.pencil_degrees[g // 2 - 1] == 0
+        _, _, degrees = pullbacks(g, unit_class(g, "delta", g // 2))
+        assert degrees[g // 2 - 1] == 0
 
 
 class TestEpsilonMatrix:
@@ -93,7 +96,7 @@ class TestBridgeQuotient:
     def test_push_b_differs_by_stated_multiple(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got = pullbacks(g, push_b(params)).bridge
+        got, _, _ = pullbacks(g, push_b(params))
         want = bridge_pushforward("b", params)
         mu = got.relation_multiple(want)
         assert mu == Fraction(d * params.N, 2 * (g - 1))  # = 28
@@ -101,7 +104,7 @@ class TestBridgeQuotient:
     def test_raw_comparison_fails_without_quotient(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got = pullbacks(g, push_b(params)).bridge
+        got, _, _ = pullbacks(g, push_b(params))
         assert got != bridge_pushforward("b", params)
         assert got.eq_mod_relation(bridge_pushforward("b", params))
 
@@ -109,7 +112,7 @@ class TestBridgeQuotient:
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                got = pullbacks(g, push(which, params)).bridge
+                got, _, _ = pullbacks(g, push(which, params))
                 assert got.eq_mod_relation(bridge_pushforward(which, params)), (g, which)
 
 
@@ -120,22 +123,23 @@ class TestLemmaConsistency:
         for g, r, d in ((6, 2, 6), (10, 4, 12)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                images = pullbacks(g, push(which, params))
+                _, _, degrees = pullbacks(g, push(which, params))
                 expected = tuple(pencil_degree(which, params, h) for h in range(1, g))
-                assert images.pencil_degrees == expected, (g, which)
+                assert degrees == expected, (g, which)
 
     def test_tails_pullback_vanishes(self):
         for g, r, d in ((6, 2, 6), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                assert pullbacks(g, push(which, params)).tails.is_zero(), (g, which)
+                _, tails, _ = pullbacks(g, push(which, params))
+                assert not any(tails), (g, which)
 
     def test_lemma_data_shape(self):
-        data = lemma_data(GrdParams(8, 3, 9))
-        assert set(data.bridge_rhs) == set("abc")
-        assert all(len(v) == 7 for v in data.pencil_rhs.values())
-        assert len(data.tails) == 5
-        assert len(data.pencil) == 7
+        # g-3 tails rows and g-1 pencil rows over the g+2 columns
+        # (lambda, psi, delta_0..delta_{g-1})
+        g = 8
+        assert [len(row) for row in tails_matrix(g)] == [g + 2] * 5
+        assert [len(row) for row in pencil_matrix(g)] == [g + 2] * 7
 
 
 class TestIdentities:
@@ -216,6 +220,36 @@ class TestSolver:
         rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
         with pytest.raises(ReconstructionError, match="underdetermined"):
             _solve_unique(rows, [Fraction(1), Fraction(2)])
+
+    def test_elimination_skips_zero_column_and_tracks_swaps(self):
+        rows = [[Fraction(x) for x in row] for row in ((0, 0, 3), (0, 2, 5), (0, 4, 1))]
+        assert _forward_eliminate(rows, 3) == ([1, 2], 0)
+        rows = [[Fraction(x) for x in row] for row in ((0, 2), (3, 1))]
+        assert _forward_eliminate(rows, 2) == ([0, 1], -6)
+        assert rows == [[3, 1], [0, 2]]
+
+    def test_against_cofactor_expansion_and_substitution(self):
+        def cofactor_det(m):
+            if not m:
+                return 1
+            return sum(
+                (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+                for j in range(len(m))
+                if m[0][j]
+            )
+
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            det = cofactor_det(m)
+            assert matrix_determinant(m) == det, m
+            if det:
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                # one redundant row keeps the system over-determined but consistent
+                rows = [[Fraction(a) for a in row] for row in m + [[sum(c) for c in zip(*m)]]]
+                rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+                assert _solve_unique(rows, rhs) == x, m
 
 
 class TestReconstruct:
