@@ -23,7 +23,7 @@ from .divisors import (
     SlopeUndefinedError,
     slope_report,
 )
-from .families import SUITES, parallel_map, suite_reports
+from .families import SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
 from .tautpush import GrdParams, ParameterError, TautCombo, push, push_combo
 
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--k", type=_span, help="hypersurface degree value or range")
     sl.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     sl.add_argument("--output", help="write to this path instead of stdout")
-    sl.add_argument("--jobs", type=int, default=1)
 
     pu = sub.add_parser("push", help="pushforward of a tautological class or combination")
     pu.add_argument("--g", type=int, required=True)
@@ -101,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--triples", type=_triples, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")
-    ve.add_argument("--jobs", type=int, default=1)
 
     return p
 
@@ -175,7 +173,7 @@ def cmd_slope(args) -> int:
     points = _grid(args)
     if not points:
         raise ParameterError("empty parameter grid")
-    reports = parallel_map(slope_report, points, args.jobs)
+    reports = [slope_report(p) for p in points]
     reports.sort(key=lambda rep: rep.sort_key())
     _emit(_slope_rows_text(reports, args.format), args.output)
     return 0
@@ -183,7 +181,6 @@ def cmd_slope(args) -> int:
 
 def cmd_push(args) -> int:
     params = GrdParams(args.g, args.r, args.d)
-    params.require_rho_zero()
     if args.cls:
         dc = push(args.cls, params)
     else:
@@ -201,7 +198,6 @@ def cmd_verify(args) -> int:
         r_max=args.r_max,
         d_max=args.d_max,
         triples=args.triples,
-        jobs=args.jobs,
     )
     if args.format == "json":
         text = json.dumps([r.as_json_dict() for r in reports], sort_keys=True, indent=2) + "\n"

@@ -39,8 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .divisors import (
+    FamilyParams,
+    gp_slope_closed,
+    hypersurface_combo,
+    slope_report,
+    syzygy_combo,
+    syzygy_slope_closed,
+)
 from .numeric import binomial
 from .schubert import (
     GrassmannianSpec,
@@ -75,7 +83,6 @@ __all__ = [
     "identity_weierstrass_a",
     "identity_weierstrass_c",
     "matrix_determinant",
-    "parallel_map",
     "pencil_degree",
     "pencil_matrix",
     "pullbacks",
@@ -214,7 +221,6 @@ def bridge_pushforward(which: str, params: GrdParams) -> M21Class:
         b -> U (lambda + delta_1 - 4 psi)
         c -> V (3 psi - lambda - delta_1)
     """
-    params.require_rho_zero()
     g, d, N = params.g, params.d, params.N
     U = Fraction(d * N, g - 1)
     if which == "b":
@@ -231,7 +237,6 @@ def bridge_pushforward(which: str, params: GrdParams) -> M21Class:
 def pencil_degree(which: str, params: GrdParams, h: int) -> Fraction:
     """Degree of the pushforward of a, b or c over the pencil family of
     type h:  a -> -d^2 N;  b -> -(2(g-h)-1) d N;  c -> -(rh + r(r+1)/2) N."""
-    params.require_rho_zero()
     g, r, d, N = params.g, params.r, params.d, params.N
     if not 1 <= h <= g - 1:
         raise ParameterError(f"pencil type needs 1 <= h <= g-1; got h={h}")
@@ -296,7 +301,6 @@ def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> Check
     """The Castelnuovo count equals the integral of zeta^g, via the
     closed form and (when tractable) the brute-force Pieri oracle."""
     params = GrdParams(g, r, d)
-    params.require_rho_zero()
     N = Fraction(params.N)
     spec = GrassmannianSpec(r, d)
     idx = make_index(spec, (0,) * (r + 1))
@@ -331,7 +335,6 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
             = -2d(2g-2-d) N / (3(g-1)).
     """
     params = GrdParams(g, r, d)
-    params.require_rho_zero()
     if g < 3:
         raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
     spec = GrassmannianSpec(r, d)
@@ -351,7 +354,6 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
             = -xi N / (3(g-1)).
     """
     params = GrdParams(g, r, d)
-    params.require_rho_zero()
     if g < 3 or r < 2:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
@@ -409,7 +411,6 @@ def aspect_counts(g: int, r: int, d: int) -> Tuple[Fraction, Fraction]:
 
     summing to N."""
     params = GrdParams(g, r, d)
-    params.require_rho_zero()
     N = params.N
     return (
         Fraction((2 * g - 2 - d) * N, 2 * (g - 1)),
@@ -568,7 +569,6 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     if which not in ("a", "b", "c"):
         raise ParameterError(f"unknown tautological class {which!r}")
     params = GrdParams(g, r, d)
-    params.require_rho_zero()
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
@@ -645,13 +645,19 @@ def _reconstruct_report(g: int, r: int, d: int, which: str) -> CheckReport:
     except ReconstructionError as exc:
         return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(exc))
     ok = got == expected
+    detail = "matches closed form"
+    names = ["λ", "ψ"] + [f"δ{i}" for i in range(g)]
+    for name, x, y in zip(names, got.coefficients(), expected.coefficients()):
+        if x != y:
+            detail = f"first mismatch at {name}: reconstructed {x}, closed form {y}"
+            break
     return _report(
         "reconstruct",
         {"g": g, "r": r, "d": d, "class": which},
         f"λ={got.lam}, δ0={got.delta0}, ψ={got.psi}",
         f"λ={expected.lam}, δ0={expected.delta0}, ψ={expected.psi}",
         ok,
-        "matches closed form" if ok else "mismatch",
+        detail,
     )
 
 
@@ -685,8 +691,6 @@ def _bridge_quotient_report(g: int, r: int, d: int, which: str) -> CheckReport:
 
 
 def _gp_symmetry_report(r: int, s: int) -> CheckReport:
-    from .divisors import FamilyParams, gp_slope_closed, slope_report
-
     rep = slope_report(FamilyParams.gp(r, s))
     closed = gp_slope_closed(r, s)
     mirrored = gp_slope_closed(s, r)
@@ -702,8 +706,6 @@ def _gp_symmetry_report(r: int, s: int) -> CheckReport:
 
 
 def _syzygy_slope_report(i: int, s: int) -> CheckReport:
-    from .divisors import FamilyParams, slope_report, syzygy_slope_closed
-
     rep = slope_report(FamilyParams.syzygy(i, s))
     closed = syzygy_slope_closed(i, s)
     ok = abs(rep.slope) == abs(closed)
@@ -714,8 +716,6 @@ def _structure_report(family: str, first: int, s: int) -> CheckReport:
     """psi vanishes for every family pushforward; the quadric-type
     instances (syzygy i = 0 and the matching hypersurface) are in
     addition symmetric in delta_i <-> delta_{g-i}."""
-    from .divisors import FamilyParams, slope_report, syzygy_combo, hypersurface_combo
-
     if family == "gp":
         fp = FamilyParams.gp(first, s)
         want_sym = False
@@ -742,99 +742,7 @@ def _structure_report(family: str, first: int, s: int) -> CheckReport:
     )
 
 
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> List:
-    """``[fn(x) for x in items]``, spread over ``jobs`` worker processes
-    when there is more than one job and item.  ``fn`` must be a
-    module-level function, so that workers can import it."""
-    if jobs < 1:
-        raise ParameterError(f"jobs must be at least 1; got {jobs}")
-    if jobs > 1 and len(items) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=jobs) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
-
-
 DEFAULT_RECONSTRUCT_TRIPLES = ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24))
-
-
-def _run_task(task: Tuple) -> CheckReport:
-    name, args = task
-    fn = _TASKS[name]
-    return fn(*args)
-
-
-_TASKS = {
-    "castelnuovo": identity_castelnuovo,
-    "weierstrass_a": identity_weierstrass_a,
-    "weierstrass_c": identity_weierstrass_c,
-    "aspects": aspect_report,
-    "pieri": identity_pieri,
-    "oracle_spec": _oracle_spec_report,
-    "reconstruct": _reconstruct_report,
-    "epsilon": _epsilon_report,
-    "bridge_quotient": _bridge_quotient_report,
-    "gp_slope": _gp_symmetry_report,
-    "syzygy_slope": _syzygy_slope_report,
-    "structure": _structure_report,
-}
-
-
-def _suite_tasks(
-    suite: str,
-    *,
-    max_g: int = 12,
-    r_max: int = 3,
-    d_max: int = 15,
-    triples: Optional[Sequence[Tuple[int, int, int]]] = None,
-) -> List[Tuple]:
-    tasks: List[Tuple] = []
-    if suite == "castelnuovo":
-        for g, r, d in rho_zero_triples(max_g):
-            tasks.append(("castelnuovo", (g, r, d)))
-    elif suite == "weierstrass":
-        for g, r, d in rho_zero_triples(max_g):
-            if g >= 3:
-                tasks.append(("weierstrass_a", (g, r, d)))
-            if g >= 3 and r >= 2:
-                tasks.append(("weierstrass_c", (g, r, d)))
-            tasks.append(("aspects", (g, r, d)))
-    elif suite == "pieri":
-        for g, r, d in rho_zero_triples(max_g):
-            if r >= 2:
-                tasks.append(("pieri", (g, r, d)))
-    elif suite == "schubert-oracle":
-        for r in range(1, r_max + 1):
-            for d in range(r, d_max + 1):
-                tasks.append(("oracle_spec", (r, d)))
-    elif suite == "reconstruct":
-        for g, r, d in triples or DEFAULT_RECONSTRUCT_TRIPLES:
-            for which in "abc":
-                tasks.append(("reconstruct", (g, r, d, which)))
-            for which in "abc":
-                tasks.append(("bridge_quotient", (g, r, d, which)))
-        tasks.append(("epsilon", (5, 30)))
-    elif suite == "symmetry":
-        for r in range(1, 5):
-            for s in range(1, 5):
-                tasks.append(("gp_slope", (r, s)))
-        for i in (0, 1, 3):
-            for s in (1, 2, 3):
-                tasks.append(("syzygy_slope", (i, s)))
-        for r in range(1, 5):
-            for s in range(1, 5):
-                tasks.append(("structure", ("gp", r, s)))
-        for i in (0, 1, 3):
-            for s in (1, 2, 3):
-                tasks.append(("structure", ("syzygy", i, s)))
-        for s in range(1, 5):
-            tasks.append(("structure", ("hypersurface", 2 * s + 2, s)))
-            tasks.append(("structure", ("hypersurface", 1, s)))
-    else:
-        raise ParameterError(f"unknown verification suite {suite!r}")
-    return tasks
-
 
 SUITES = ("schubert-oracle", "castelnuovo", "weierstrass", "pieri", "reconstruct", "symmetry")
 
@@ -846,12 +754,52 @@ def suite_reports(
     r_max: int = 3,
     d_max: int = 15,
     triples: Optional[Sequence[Tuple[int, int, int]]] = None,
-    jobs: int = 1,
 ) -> List[CheckReport]:
     """Run one named verification suite (or 'all') and return its
     reports in deterministic order."""
-    names = SUITES if suite == "all" else (suite,)
-    tasks: List[Tuple] = []
-    for name in names:
-        tasks.extend(_suite_tasks(name, max_g=max_g, r_max=r_max, d_max=d_max, triples=triples))
-    return parallel_map(_run_task, tasks, jobs)
+    if suite != "all" and suite not in SUITES:
+        raise ParameterError(f"unknown verification suite {suite!r}")
+    out: List[CheckReport] = []
+    for name in SUITES if suite == "all" else (suite,):
+        if name == "castelnuovo":
+            for g, r, d in rho_zero_triples(max_g):
+                out.append(identity_castelnuovo(g, r, d))
+        elif name == "weierstrass":
+            for g, r, d in rho_zero_triples(max_g):
+                if g >= 3:
+                    out.append(identity_weierstrass_a(g, r, d))
+                if g >= 3 and r >= 2:
+                    out.append(identity_weierstrass_c(g, r, d))
+                out.append(aspect_report(g, r, d))
+        elif name == "pieri":
+            for g, r, d in rho_zero_triples(max_g):
+                if r >= 2:
+                    out.append(identity_pieri(g, r, d))
+        elif name == "schubert-oracle":
+            for r in range(1, r_max + 1):
+                for d in range(r, d_max + 1):
+                    out.append(_oracle_spec_report(r, d))
+        elif name == "reconstruct":
+            for g, r, d in triples or DEFAULT_RECONSTRUCT_TRIPLES:
+                for which in "abc":
+                    out.append(_reconstruct_report(g, r, d, which))
+                for which in "abc":
+                    out.append(_bridge_quotient_report(g, r, d, which))
+            out.append(_epsilon_report(5, 30))
+        else:  # symmetry
+            for r in range(1, 5):
+                for s in range(1, 5):
+                    out.append(_gp_symmetry_report(r, s))
+            for i in (0, 1, 3):
+                for s in (1, 2, 3):
+                    out.append(_syzygy_slope_report(i, s))
+            for r in range(1, 5):
+                for s in range(1, 5):
+                    out.append(_structure_report("gp", r, s))
+            for i in (0, 1, 3):
+                for s in (1, 2, 3):
+                    out.append(_structure_report("syzygy", i, s))
+            for s in range(1, 5):
+                out.append(_structure_report("hypersurface", 2 * s + 2, s))
+                out.append(_structure_report("hypersurface", 1, s))
+    return out

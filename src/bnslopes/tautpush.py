@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .numeric import factorial, superfactorial
@@ -93,7 +94,8 @@ def xi(g: int, r: int, d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class GrdParams:
-    """A Brill-Noether triple (g, r, d) with its derived quantities."""
+    """A Brill-Noether triple (g, r, d) with rho = 0 and its derived
+    quantities; N is computed on first use and kept."""
 
     g: int
     r: int
@@ -102,22 +104,20 @@ class GrdParams:
     def __post_init__(self) -> None:
         if self.g < 1 or self.r < 0 or self.d < 0:
             raise ParameterError(f"need g >= 1 and r, d >= 0; got {self}")
+        if self.rho != 0:
+            raise ParameterError(f"rho({self.g},{self.r},{self.d}) = {self.rho} != 0")
 
     @property
     def rho(self) -> int:
         return rho(self.g, self.r, self.d)
 
-    @property
+    @cached_property
     def N(self) -> int:
         return castelnuovo_N(self.g, self.r, self.d)
 
     @property
     def xi(self) -> Fraction:
         return xi(self.g, self.r, self.d)
-
-    def require_rho_zero(self) -> None:
-        if self.rho != 0:
-            raise ParameterError(f"rho({self.g},{self.r},{self.d}) = {self.rho} != 0")
 
     def __str__(self) -> str:
         return f"(g,r,d)=({self.g},{self.r},{self.d})"
@@ -218,7 +218,6 @@ def push_a(params: GrdParams) -> DivisorClass:
                                   + 6 sum_i (g-i)(gd + 2ig - 2id - 2d) delta_i
                                   - 6d(g-2) psi ]
     """
-    params.require_rho_zero()
     g, d = params.g, params.d
     if g < 3:
         raise ParameterError(f"pushforward of a needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
@@ -238,7 +237,6 @@ def push_b(params: GrdParams) -> DivisorClass:
         (d N / (2(g-1))) * [ 12 lambda - delta_0
                              + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ]
     """
-    params.require_rho_zero()
     g, d = params.g, params.d
     if g < 2:
         raise ParameterError(f"pushforward of b needs g >= 2 ((g-1) vanishes at g={g})")
@@ -255,7 +253,6 @@ def push_c(params: GrdParams) -> DivisorClass:
                                 + (1/6)((g+1) xi - 3r(r+2)) delta_0
                                 + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ]
     """
-    params.require_rho_zero()
     g, r, d = params.g, params.r, params.d
     if g < 3:
         raise ParameterError(f"pushforward of c needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
@@ -310,7 +307,6 @@ def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
     evaluated, so e.g. a pure b-combination works at g = 2 where the
     a and c formulas are out of domain.
     """
-    params.require_rho_zero()
     out = _zero(params.g)
     if combo.p_a:
         out = out + combo.p_a * push_a(params)

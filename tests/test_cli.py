@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from bnslopes import families
 from bnslopes.cli import main
-from bnslopes.tautpush import castelnuovo_N
+from bnslopes.tautpush import DivisorClass, castelnuovo_N
 
 
 def run(capsys, *argv):
@@ -69,31 +70,15 @@ class TestSlopeCommand:
         keys = [(r["family"], r["r"], r["s"], r["extra"]) for r in rows]
         assert keys == sorted(keys)
 
-    def test_parallel_output_identical(self, capsys):
-        args = ("slope", "--family", "gp", "--r", "1:3", "--s", "1:2", "--format", "csv")
-        _, seq, _ = run(capsys, *args, "--jobs", "1")
-        _, par, _ = run(capsys, *args, "--jobs", "2")
-        assert seq == par
-        args = ("verify", "--suite", "all", "--max-g", "8", "--r-max", "2", "--d-max", "8")
-        code, seq, _ = run(capsys, *args, "--jobs", "1")
-        code2, par, _ = run(capsys, *args, "--jobs", "2")
-        assert code == code2 == 0
-        assert seq == par
-
-    def test_jobs_below_one_is_usage_error(self, capsys):
-        for argv in (
-            ("slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "0"),
-            ("verify", "--suite", "pieri", "--max-g", "6", "--jobs", "-3"),
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2, argv
-            assert out == ""
-            assert "jobs must be at least 1" in err
-
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "gp", "--r", "1")
         assert code == 2
         assert "--s" in err
+
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "2")
+        assert exc.value.code == 2
 
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",
@@ -178,6 +163,24 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
                            "--triples", "10,4,12")
         assert code == 0
+
+    def test_reconstruct_failure_names_coordinate(self, capsys, monkeypatch):
+        closed_form = families.push
+
+        def off_at_delta3(which, params):
+            dc = closed_form(which, params)
+            delta = list(dc.delta)
+            delta[3] += 1
+            return DivisorClass(dc.lam, dc.psi, tuple(delta))
+
+        monkeypatch.setattr(families, "push", off_at_delta3)
+        code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
+                           "--triples", "10,4,12")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert [line.split("(")[0] for line in failed] == ["[FAIL] reconstruct"] * 3
+        assert all("first mismatch at δ3:" in line for line in failed)
+        assert out.splitlines()[-1] == "7 checks, 3 failures"
 
     def test_schubert_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "schubert-oracle",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bnslopes import tautpush
 from bnslopes.families import (
     M21Class,
     ReconstructionError,
@@ -28,6 +29,7 @@ from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
     ParameterError,
+    castelnuovo_N,
     push,
     push_b,
     rho_zero_triples,
@@ -271,6 +273,17 @@ class TestReconstruct:
                 continue
             for which in "abc":
                 assert reconstruct(g, r, d, which) == push(which, GrdParams(g, r, d))
+
+    def test_computes_N_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        reconstruct(21, 6, 24, "c")
+        assert calls == [(21, 6, 24)]
 
     def test_needs_genus_at_least_5(self):
         with pytest.raises(ParameterError):

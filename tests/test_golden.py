@@ -5,6 +5,9 @@ of them changes what users see, so it has to be deliberate: rerun the
 invocation and commit the new file together with the reason.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,17 @@ def test_golden_output(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_module_entry_point_optimized():
+    # `python -O` strips assert statements; the checks must not rely on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bnslopes.cli", *_VERIFY],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "verify_all.txt").read_bytes()

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnslopes.schubert import (
     BalanceError,
@@ -216,3 +219,20 @@ def test_oracle_exhaustive_small():
                 assert zeta_power_integral(spec, idx, k) == brute_zeta_integral(
                     spec, idx, k
                 ), (r, d, idx.b, k)
+
+
+@lru_cache(maxsize=None)
+def _balanced(r, d):
+    spec = GrassmannianSpec(r, d)
+    return spec, tuple(balanced_pairs(spec))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_oracle_sampled_beyond_exhaustive_range(data):
+    # the exhaustive checks stop at r <= 3; sample r = 4, 5 up to d = r + 10
+    r = data.draw(st.sampled_from((4, 5)), label="r")
+    d = data.draw(st.integers(min_value=r, max_value=r + 10), label="d")
+    spec, pairs = _balanced(r, d)
+    idx, k = data.draw(st.sampled_from(pairs), label="(b, k)")
+    assert zeta_power_integral(spec, idx, k) == brute_zeta_integral(spec, idx, k)

@@ -26,6 +26,10 @@ class TestRho:
         assert rho(2, 1, 2) == 0
         assert rho(3, 1, 2) == -1
 
+    def test_params_reject_nonzero_rho(self):
+        with pytest.raises(ParameterError, match=r"rho\(3,1,2\) = -1 != 0"):
+            GrdParams(3, 1, 2)
+
 
 class TestCastelnuovo:
     def test_values(self):
