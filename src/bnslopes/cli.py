@@ -49,7 +49,12 @@ def _combo(text: str) -> TautCombo:
         raise argparse.ArgumentTypeError(
             f"combo needs four comma-separated rationals (p_a,p_b,p_c,p_lambda); got {text!r}"
         )
-    return TautCombo(*(Fraction(p) for p in parts))
+    try:
+        return TautCombo(*(Fraction(p) for p in parts))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"combo entries must be exact rationals p/q with q != 0; got {text!r}"
+        ) from None
 
 
 def _triples(text: str) -> List[Tuple[int, int, int]]:

@@ -193,7 +193,7 @@ def pencil_matrix(g: int) -> Matrix:
 
 
 def _apply(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in m]
+    return [sum((a * x for a, x in zip(row, vec) if a), Fraction(0)) for row in m]
 
 
 def pullbacks(
@@ -554,17 +554,22 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
     data alone, bypassing the closed-form coefficients.
 
-    Writing the unknown class as  A·lambda - sum_i B_i·delta_i + C·psi,
-    the system stacks, over the unknowns (A, B_0..B_{g-1}, C, mu):
+    The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
+    psi, and one more scalar mu.  Every row of a pullback table acts on
+    (lambda, psi, delta_*); moving its psi entry to the end and appending
+    a mu coefficient makes it a row of the system:
 
-    * for each pencil type h: the degree equation
-      B_h - B_{g-h} + (2h-1) C = (pencil degree of the class);
+    * for each pencil type h: the pencil degree of the class;
     * for each tails class eps_i: the pullback of the class vanishes,
       one equation per eps_i coefficient;
-    * the bridge pullback matches the known genus-2 class modulo mu
-      times the relation 10 lambda - delta_0 - 2 delta_1.
+    * the bridge pullback plus mu times the relation
+      10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class.
 
-    The solution must be unique; it is returned as a DivisorClass.
+    psi comes after the deltas because it sits in every pencil row:
+    pivoting on it early would copy the first pencil row's delta entries
+    into every other pencil row, while as the last class column it only
+    rides along.  The solution must be unique; it is returned as a
+    DivisorClass.
     """
     if which not in ("a", "b", "c"):
         raise ParameterError(f"unknown tautological class {which!r}")
@@ -572,43 +577,19 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
-    ncols = g + 3  # A, B_0..B_{g-1}, C, mu
-    col_A, col_C, col_mu = 0, g + 1, g + 2
-
-    def class_row(coeff_row: List[Fraction]) -> List[Fraction]:
-        # Translate a row acting on (lambda, psi, delta_*) coordinates
-        # into a row acting on the unknowns (A, B_*, C, mu), using
-        # lambda = A, psi = C, delta_i = -B_i.
-        out = [Fraction(0)] * ncols
-        out[col_A] = coeff_row[0]
-        out[col_C] = coeff_row[1]
-        for i in range(g):
-            out[1 + i] = -coeff_row[2 + i]
-        return out
-
-    rows: Matrix = []
-    rhs: List[Fraction] = []
-
-    for h, row in enumerate(pencil_matrix(g), start=1):
-        rows.append(class_row(row))
-        rhs.append(pencil_degree(which, params, h))
-
-    for row in tails_matrix(g):
-        rows.append(class_row(row))
-        rhs.append(Fraction(0))
-
+    zero = Fraction(0)
     bridge_target = bridge_pushforward(which, params).as_tuple()
-    for row, relation, target in zip(bridge_matrix(g), _RELATION, bridge_target):
-        r_ = class_row(row)
-        r_[col_mu] = -relation
-        rows.append(r_)
-        rhs.append(target)
+    pencils = enumerate(pencil_matrix(g), start=1)
+    system = (
+        [(row, zero, pencil_degree(which, params, h)) for h, row in pencils]
+        + [(row, zero, zero) for row in tails_matrix(g)]
+        + list(zip(bridge_matrix(g), _RELATION, bridge_target))
+    )
+    rows = [[row[0], *row[2:], row[1], mu] for row, mu, _ in system]
+    rhs = [target for _, _, target in system]
 
     sol = _solve_unique(rows, rhs)
-    lam = sol[col_A]
-    psi = sol[col_C]
-    delta = tuple(-sol[1 + i] for i in range(g))
-    return DivisorClass(lam, psi, delta)
+    return DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +618,8 @@ def _oracle_spec_report(r: int, d: int) -> CheckReport:
     )
 
 
-def _reconstruct_report(g: int, r: int, d: int, which: str) -> CheckReport:
-    params = GrdParams(g, r, d)
-    expected = push(which, params)
+def _reconstruct_report(params: GrdParams, which: str, expected: DivisorClass) -> CheckReport:
+    g, r, d = params.g, params.r, params.d
     try:
         got = reconstruct(g, r, d, which)
     except ReconstructionError as exc:
@@ -672,17 +652,15 @@ def _epsilon_report(g_lo: int, g_hi: int) -> CheckReport:
     )
 
 
-def _bridge_quotient_report(g: int, r: int, d: int, which: str) -> CheckReport:
+def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> CheckReport:
     """The bridge pullback of the pushforward differs from the known
     genus-2 class by an exact multiple of the relation."""
-    params = GrdParams(g, r, d)
-    dc = push(which, params)
-    got, _, _ = pullbacks(g, dc)
+    got, _, _ = pullbacks(params.g, dc)
     want = bridge_pushforward(which, params)
     mu = got.relation_multiple(want)
     return _report(
         "bridge_quotient",
-        {"g": g, "r": r, "d": d, "class": which},
+        {"g": params.g, "r": params.r, "d": params.d, "class": which},
         str(got),
         str(want),
         mu is not None,
@@ -781,10 +759,12 @@ def suite_reports(
                     out.append(_oracle_spec_report(r, d))
         elif name == "reconstruct":
             for g, r, d in triples or DEFAULT_RECONSTRUCT_TRIPLES:
-                for which in "abc":
-                    out.append(_reconstruct_report(g, r, d, which))
-                for which in "abc":
-                    out.append(_bridge_quotient_report(g, r, d, which))
+                params = GrdParams(g, r, d)
+                pushed = {which: push(which, params) for which in "abc"}
+                for which, dc in pushed.items():
+                    out.append(_reconstruct_report(params, which, dc))
+                for which, dc in pushed.items():
+                    out.append(_bridge_quotient_report(params, which, dc))
             out.append(_epsilon_report(5, 30))
         else:  # symmetry
             for r in range(1, 5):

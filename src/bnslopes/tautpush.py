@@ -36,7 +36,6 @@ __all__ = [
     "ParameterError",
     "TautCombo",
     "castelnuovo_N",
-    "lambda_class",
     "push",
     "push_a",
     "push_b",
@@ -201,15 +200,6 @@ class DivisorClass:
         return " + ".join(parts)
 
 
-def lambda_class(g: int, coeff: Fraction | int = 1) -> DivisorClass:
-    q = Fraction(coeff)
-    return DivisorClass(q, Fraction(0), (Fraction(0),) * g)
-
-
-def _zero(g: int) -> DivisorClass:
-    return DivisorClass(Fraction(0), Fraction(0), (Fraction(0),) * g)
-
-
 def push_a(params: GrdParams) -> DivisorClass:
     """Pushforward of a, as the stated prefactor times its bracket:
 
@@ -307,20 +297,19 @@ def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
     evaluated, so e.g. a pure b-combination works at g = 2 where the
     a and c formulas are out of domain.
     """
-    out = _zero(params.g)
+    lam = combo.p_lam * params.N if combo.p_lam else 0
+    out = DivisorClass(Fraction(lam), Fraction(0), (Fraction(0),) * params.g)
     if combo.p_a:
         out = out + combo.p_a * push_a(params)
     if combo.p_b:
         out = out + combo.p_b * push_b(params)
     if combo.p_c:
         out = out + combo.p_c * push_c(params)
-    if combo.p_lam:
-        out = out + lambda_class(params.g, combo.p_lam * params.N)
     return out
 
 
-def rho_zero_triples(max_g: int, *, min_g: int = 2) -> List[Tuple[int, int, int]]:
-    """All rho = 0 triples with r >= 1 and min_g <= g <= max_g.
+def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:
+    """All rho = 0 triples with r >= 1 and g <= max_g.
 
     They are parameterized by r >= 1 and m = g-d+r >= 1 through
     g = (r+1)m, d = g + r - m.  (r = 0 forces d = 0 and is degenerate.)
@@ -329,8 +318,6 @@ def rho_zero_triples(max_g: int, *, min_g: int = 2) -> List[Tuple[int, int, int]
     for r in range(1, max_g):
         for m in range(1, max_g // (r + 1) + 1):
             g = (r + 1) * m
-            if not min_g <= g <= max_g:
-                continue
             d = g + r - m
             assert rho(g, r, d) == 0
             out.append((g, r, d))

@@ -152,6 +152,14 @@ class TestPushCommand:
             run(capsys, "push", "--g", "10", "--r", "4", "--d", "12", "--combo", "1,2")
         assert exc.value.code == 2
 
+    def test_combo_zero_denominator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["push", "--g", "10", "--r", "4", "--d", "12", "--combo", "1/0,0,0,0"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        assert "q != 0" in err
+
 
 class TestVerifyCommand:
     def test_castelnuovo(self, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bnslopes import tautpush
+from bnslopes import families, tautpush
 from bnslopes.families import (
     M21Class,
     ReconstructionError,
@@ -298,6 +298,18 @@ class TestSuites:
     def test_all_suites_pass(self):
         reports = suite_reports("all", max_g=8, r_max=2, d_max=8)
         assert reports and all(r.passed for r in reports)
+
+    def test_reconstruct_suite_pushes_once(self, monkeypatch):
+        calls = []
+
+        def counted(which, params):
+            calls.append((params.g, which))
+            return push(which, params)
+
+        monkeypatch.setattr(families, "push", counted)
+        reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
+        assert calls == [(g, which) for g in (10, 21) for which in "abc"]
+        assert len(reports) == 13 and all(r.passed for r in reports)
 
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
