@@ -25,7 +25,15 @@ from .divisors import (
 )
 from .families import SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
-from .tautpush import GrdParams, ParameterError, TautCombo, push, push_combo
+from .tautpush import (
+    DivisorClass,
+    GrdParams,
+    ParameterError,
+    TautCombo,
+    per_N_coordinates,
+    push,
+    push_combo,
+)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -186,12 +194,13 @@ def cmd_slope(args) -> int:
 
 def cmd_push(args) -> int:
     params = GrdParams(args.g, args.r, args.d)
-    if args.cls:
+    if args.normalize == "N":
+        combo = args.combo or TautCombo.of(*(int(args.cls == x) for x in "abc"), 0)
+        dc = DivisorClass.from_coefficients(per_N_coordinates(combo, params))
+    elif args.cls:
         dc = push(args.cls, params)
     else:
         dc = push_combo(args.combo, params)
-    if args.normalize == "N":
-        dc = dc * Fraction(1, params.N)
     _emit(json.dumps(dc.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)
     return 0
 

@@ -20,7 +20,11 @@ p_c, p_lam), pushed forward, and reduced to slopes:
 The slope of a pushforward a·lambda - b0·delta_0 - ... on the
 irreducible-nodal locus is a/b0; only the lambda and delta_0
 coefficients enter, which is justified by the vanishing of the psi
-coefficient for every family here.
+coefficient for every family here.  Since N scales every coefficient
+and cancels in a/b0, :func:`slope_report` forms the slope from the
+N-free lambda and delta_0 alone (O(1) rational operations per instance,
+not O(g) operations on g-digit numbers); the full pushforward of a
+:class:`SlopeReport` is computed only when it is first read.
 
 Closed-form slope polynomials exist as oracles for the Gieseker-Petri
 family (:func:`gp_slope_closed`) and the syzygy family
@@ -34,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 from typing import Dict, Optional, Tuple
 
 from .numeric import binomial
@@ -42,8 +48,8 @@ from .tautpush import (
     GrdParams,
     ParameterError,
     TautCombo,
+    per_N_coordinates,
     push_combo,
-    rho,
 )
 
 __all__ = [
@@ -71,7 +77,6 @@ def _family_grd(r: int, s: int) -> Tuple[int, int]:
     """g = (r+1)(s+1), d = r(s+2); rho vanishes automatically."""
     g = (r + 1) * (s + 1)
     d = r * (s + 2)
-    assert rho(g, r, d) == 0
     return g, d
 
 
@@ -144,12 +149,18 @@ class SlopeUndefinedError(ValueError):
         )
 
 
+def _slope(lam: Fraction, delta0: Fraction, N: int) -> Fraction:
+    """-lam/delta0 for coefficients that are nonzero and of opposite sign.
+    They may be N-free; N > 0 scales the ones an error reports."""
+    if lam == 0 or delta0 == 0 or (lam > 0) == (delta0 > 0):
+        raise SlopeUndefinedError(lam * N, delta0 * N)
+    return -lam / delta0
+
+
 def slope(dc: DivisorClass) -> Fraction:
     """Slope -lambda/delta_0 of a class whose lambda and delta_0
     coefficients are nonzero and of opposite sign."""
-    if dc.lam == 0 or dc.delta0 == 0 or (dc.lam > 0) == (dc.delta0 > 0):
-        raise SlopeUndefinedError(dc.lam, dc.delta0)
-    return -dc.lam / dc.delta0
+    return _slope(dc.lam, dc.delta0, 1)
 
 
 def slope_bound(g: int) -> Fraction:
@@ -222,15 +233,11 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
 
 def secant_plane_validate(r: int, s: int, e: int, k: int) -> bool:
     """Whether an e-secant k-plane condition cuts a virtual divisor:
-    (e-k-1)(r-k) = e+1, equivalently rho(e, r-k-1, r) = -1.
+    (e-k-1)(r-k) = e+1, which is identically rho(e, r-k-1, r) = -1.
 
-    Both forms are evaluated; they agree identically, and the check
-    depends on (r, e, k) only (s just fixes the ambient family).
+    The check depends on (r, e, k) only (s just fixes the ambient family).
     """
-    codim_ok = (e - k - 1) * (r - k) == e + 1
-    rho_ok = rho(e, r - k - 1, r) == -1
-    assert codim_ok == rho_ok
-    return codim_ok
+    return (e - k - 1) * (r - k) == e + 1
 
 
 @dataclass(frozen=True)
@@ -285,8 +292,9 @@ def family_combo(params: FamilyParams) -> TautCombo:
 
 @dataclass(frozen=True)
 class SlopeReport:
-    """Pushforward and slope of one family instance, with the slope
-    bound 6 + 12/(g+1) and the strict below-bound verdict."""
+    """Slope of one family instance, with the slope bound 6 + 12/(g+1),
+    the strict below-bound verdict and, computed on first access, the
+    pushforward."""
 
     family: str
     r: int
@@ -295,10 +303,15 @@ class SlopeReport:
     g: int
     d: int
     N: int
-    pushforward: DivisorClass
     slope: Fraction
     bound: Fraction
     below_bound: bool
+    combo: TautCombo
+    grd: GrdParams
+
+    @cached_property
+    def pushforward(self) -> DivisorClass:
+        return push_combo(self.combo, self.grd)
 
     def sort_key(self) -> tuple:
         return (self.family, self.r, self.s, -1 if self.extra is None else self.extra)
@@ -321,12 +334,13 @@ class SlopeReport:
 
 
 def slope_report(params: FamilyParams) -> SlopeReport:
-    """Run the full pipeline for one family instance: combo, pushforward,
-    slope, bound comparison."""
+    """Run the pipeline for one family instance: combo, the N-free lambda
+    and delta_0 coefficients of its pushforward, slope, bound comparison.
+    This is O(1) rational work besides computing N for the report."""
     combo = family_combo(params)
     grd = params.grd()
-    pf = push_combo(combo, grd)
-    sl = slope(pf)
+    lam, _, delta0 = islice(per_N_coordinates(combo, grd), 3)
+    sl = _slope(lam, delta0, grd.N)
     bound = slope_bound(params.g)
     return SlopeReport(
         family=params.family,
@@ -336,8 +350,9 @@ def slope_report(params: FamilyParams) -> SlopeReport:
         g=params.g,
         d=params.d,
         N=grd.N,
-        pushforward=pf,
         slope=sl,
         bound=bound,
         below_bound=sl < bound,
+        combo=combo,
+        grd=grd,
     )

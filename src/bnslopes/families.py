@@ -655,7 +655,7 @@ def _epsilon_report(g_lo: int, g_hi: int) -> CheckReport:
 def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> CheckReport:
     """The bridge pullback of the pushforward differs from the known
     genus-2 class by an exact multiple of the relation."""
-    got, _, _ = pullbacks(params.g, dc)
+    got = M21Class(*_apply(bridge_matrix(params.g), dc.coefficients()))
     want = bridge_pushforward(which, params)
     mu = got.relation_multiple(want)
     return _report(

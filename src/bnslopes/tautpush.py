@@ -19,14 +19,22 @@ downstairs as exact :class:`DivisorClass` vectors.  The formulas are
 kept in their prefactored display shape (a stated prefactor times an
 integer-coefficient bracket) and divided symbolically, so each line can
 be audited term by term.
+
+Every prefactor is N times a number that does not depend on N, so every
+pushforward is N times an N-free class.  :func:`per_N_coordinates`
+yields that class's coordinates lazily, lambda and delta_0 first,
+without computing N; a slope -lambda/delta_0 reads only those and costs
+O(1) rational operations instead of O(g) operations on g-digit numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, Tuple
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add, mul
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .numeric import factorial, superfactorial
 
@@ -36,6 +44,7 @@ __all__ = [
     "ParameterError",
     "TautCombo",
     "castelnuovo_N",
+    "per_N_coordinates",
     "push",
     "push_a",
     "push_b",
@@ -72,7 +81,8 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
     for j in range(r + 1):
         den *= factorial(g - d + r + j)
     n, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Castelnuovo count at ({g},{r},{d}) is not an integer")
     return n
 
 
@@ -170,6 +180,12 @@ class DivisorClass:
         """Coordinates in the fixed order (lambda, psi, delta_0..delta_{g-1})."""
         return (self.lam, self.psi) + self.delta
 
+    @classmethod
+    def from_coefficients(cls, coords: Iterable[Fraction]) -> "DivisorClass":
+        """Inverse of :meth:`coefficients`."""
+        lam, psi, *delta = coords
+        return cls(lam, psi, tuple(delta))
+
     def is_delta_symmetric(self) -> bool:
         """Whether delta_i = delta_{g-i} for all 1 <= i <= g-1."""
         g = self.g
@@ -200,8 +216,14 @@ class DivisorClass:
         return " + ".join(parts)
 
 
-def push_a(params: GrdParams) -> DivisorClass:
-    """Pushforward of a, as the stated prefactor times its bracket:
+# A bracket is the N-free prefactor of a displayed pushforward formula and
+# an iterator over the bracket's coordinates in the order lambda, psi,
+# delta_0, ..., delta_{g-1}; only the delta_i with i >= 1 are produced lazily.
+Bracket = Tuple[Fraction, Iterator]
+
+
+def _bracket_a(params: GrdParams) -> Bracket:
+    """The prefactor over N and the bracket of the pushforward of a:
 
         (d N / (6(g-1)(g-2))) * [ 6(gd - 2g^2 + 8d - 8g + 4) lambda
                                   + (2g^2 - gd + 3g - 4d - 2) delta_0
@@ -211,18 +233,15 @@ def push_a(params: GrdParams) -> DivisorClass:
     g, d = params.g, params.d
     if g < 3:
         raise ParameterError(f"pushforward of a needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
-    pre = Fraction(d * params.N, 6 * (g - 1) * (g - 2))
     lam = 6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4)
-    deltas = [2 * g * g - g * d + 3 * g - 4 * d - 2]
-    deltas += [
-        6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d) for i in range(1, g)
-    ]
     psi = -6 * d * (g - 2)
-    return DivisorClass(pre * lam, pre * psi, tuple(pre * x for x in deltas))
+    delta0 = 2 * g * g - g * d + 3 * g - 4 * d - 2
+    deltas = (6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d) for i in range(1, g))
+    return Fraction(d, 6 * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
-def push_b(params: GrdParams) -> DivisorClass:
-    """Pushforward of b:
+def _bracket_b(params: GrdParams) -> Bracket:
+    """The prefactor over N and the bracket of the pushforward of b:
 
         (d N / (2(g-1))) * [ 12 lambda - delta_0
                              + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ]
@@ -230,13 +249,12 @@ def push_b(params: GrdParams) -> DivisorClass:
     g, d = params.g, params.d
     if g < 2:
         raise ParameterError(f"pushforward of b needs g >= 2 ((g-1) vanishes at g={g})")
-    pre = Fraction(d * params.N, 2 * (g - 1))
-    deltas = [-1] + [4 * (g - i) * (g - i - 1) for i in range(1, g)]
-    return DivisorClass(pre * 12, pre * (-2 * (g - 1)), tuple(pre * x for x in deltas))
+    deltas = (4 * (g - i) * (g - i - 1) for i in range(1, g))
+    return Fraction(d, 2 * (g - 1)), chain((12, -2 * (g - 1), -1), deltas)
 
 
-def push_c(params: GrdParams) -> DivisorClass:
-    """Pushforward of c:
+def _bracket_c(params: GrdParams) -> Bracket:
+    """The prefactor over N and the bracket of the pushforward of c:
 
         (N / (2(g-1)(g-2))) * [ (-(g+3) xi + 5r(r+2)) lambda
                                 - d(r+1)(g-2) psi
@@ -248,12 +266,32 @@ def push_c(params: GrdParams) -> DivisorClass:
         raise ParameterError(f"pushforward of c needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
     x = params.xi
     rr = r * (r + 2)
-    pre = Fraction(params.N, 2 * (g - 1) * (g - 2))
     lam = -(g + 3) * x + 5 * rr
-    deltas: List[Fraction] = [Fraction(1, 6) * ((g + 1) * x - 3 * rr)]
-    deltas += [(g - i) * (i * x + (g - i - 2) * rr) for i in range(1, g)]
-    psi = Fraction(-d * (r + 1) * (g - 2))
-    return DivisorClass(pre * lam, pre * psi, tuple(pre * q for q in deltas))
+    psi = -d * (r + 1) * (g - 2)
+    delta0 = Fraction(1, 6) * ((g + 1) * x - 3 * rr)
+    deltas = ((g - i) * (i * x + (g - i - 2) * rr) for i in range(1, g))
+    return Fraction(1, 2 * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
+
+
+def _scaled(bracket: Bracket, N: int) -> DivisorClass:
+    pre, coords = bracket
+    pre *= N
+    return DivisorClass.from_coefficients(pre * x for x in coords)
+
+
+def push_a(params: GrdParams) -> DivisorClass:
+    """Pushforward of a; the formula is in :func:`_bracket_a`."""
+    return _scaled(_bracket_a(params), params.N)
+
+
+def push_b(params: GrdParams) -> DivisorClass:
+    """Pushforward of b; the formula is in :func:`_bracket_b`."""
+    return _scaled(_bracket_b(params), params.N)
+
+
+def push_c(params: GrdParams) -> DivisorClass:
+    """Pushforward of c; the formula is in :func:`_bracket_c`."""
+    return _scaled(_bracket_c(params), params.N)
 
 
 _PUSHES = {"a": push_a, "b": push_b, "c": push_c}
@@ -289,23 +327,49 @@ class TautCombo:
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"
 
 
-def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
-    """Pushforward of a tautological combination, by linearity.
+def _fold(combo: TautCombo, params: GrdParams, scale: int) -> Iterator[Fraction]:
+    """Coordinates of scale/N times the pushforward of a combination, by
+    linearity, lazily in the order lambda, psi, delta_0..delta_{g-1}.
 
-    The pulled-back lambda term pushes to N·lambda because the covering
-    map has generic degree N.  Classes with zero coefficient are never
-    evaluated, so e.g. a pure b-combination works at g = 2 where the
-    a and c formulas are out of domain.
+    Each bracket enters with the weight p_X * prefactor * scale, computed
+    once.  The pulled-back lambda term pushes to N·lambda because the
+    covering map has generic degree N.  Classes with zero coefficient are
+    never evaluated, so e.g. a pure b-combination works at g = 2 where
+    the a and c formulas are out of domain; their domain checks raise
+    here, before any coordinate is produced.
     """
-    lam = combo.p_lam * params.N if combo.p_lam else 0
-    out = DivisorClass(Fraction(lam), Fraction(0), (Fraction(0),) * params.g)
-    if combo.p_a:
-        out = out + combo.p_a * push_a(params)
-    if combo.p_b:
-        out = out + combo.p_b * push_b(params)
-    if combo.p_c:
-        out = out + combo.p_c * push_c(params)
-    return out
+    weights, brackets = [], []
+    for p, bracket in (
+        (combo.p_a, _bracket_a),
+        (combo.p_b, _bracket_b),
+        (combo.p_c, _bracket_c),
+    ):
+        if p:
+            pre, coords = bracket(params)
+            weights.append(p * pre * scale)
+            brackets.append(coords)
+    if not brackets:
+        weights, brackets = [Fraction(0)], [repeat(0, params.g + 2)]
+    return _weighted_sums(combo.p_lam * scale, weights, brackets)
+
+
+def _weighted_sums(lam, weights, brackets) -> Iterator[Fraction]:
+    rows = zip(*brackets)
+    yield lam + reduce(add, map(mul, weights, next(rows)))
+    for row in rows:
+        yield reduce(add, map(mul, weights, row))
+
+
+def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:
+    """The coordinates of ``push_combo(combo, params)`` divided by N, lazily
+    in the order lambda, psi, delta_0..delta_{g-1}.  None of them depends
+    on N, which is never computed; the first three cost O(1) each."""
+    return _fold(combo, params, 1)
+
+
+def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
+    """Pushforward of a tautological combination, by linearity."""
+    return DivisorClass.from_coefficients(_fold(combo, params, params.N))
 
 
 def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:
@@ -319,7 +383,6 @@ def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:
         for m in range(1, max_g // (r + 1) + 1):
             g = (r + 1) * m
             d = g + r - m
-            assert rho(g, r, d) == 0
             out.append((g, r, d))
     out.sort()
     return out

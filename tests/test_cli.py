@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from bnslopes import families
+from bnslopes import families, tautpush
 from bnslopes.cli import main
-from bnslopes.tautpush import DivisorClass, castelnuovo_N
+from bnslopes.tautpush import DivisorClass, GrdParams, castelnuovo_N, push_c
 
 
 def run(capsys, *argv):
@@ -121,6 +121,27 @@ class TestPushCommand:
         assert obj["lambda"] == "2459/95"
         assert obj["delta"][0] == "-377/95"
         assert obj["psi"] == "0"
+
+    def test_normalized_combo_computes_no_N(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        code, out, _ = run(capsys, "push", "--g", "21", "--r", "6", "--d", "24",
+                           "--combo", "2,-1,-8,1", "--normalize", "N")
+        assert code == 0
+        assert json.loads(out)["lambda"] == "2459/95"
+        assert calls == []
+
+    def test_normalized_class(self, capsys):
+        code, out, _ = run(capsys, "push", "--g", "10", "--r", "4", "--d", "12",
+                           "--class", "c", "--normalize", "N")
+        assert code == 0
+        params = GrdParams(10, 4, 12)
+        assert DivisorClass.from_json_dict(json.loads(out)) == push_c(params) * Fraction(1, params.N)
 
     def test_coefficients_beyond_int_str_digit_limit(self, capsys, tmp_path):
         # the smallest rho = 0 triple whose N has more than 4300 digits,

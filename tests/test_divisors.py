@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from bnslopes import divisors, tautpush
 from bnslopes.divisors import (
     FamilyParams,
     SlopeUndefinedError,
+    family_combo,
     gp_combo,
     gp_slope_closed,
     hypersurface_combo,
@@ -20,6 +22,7 @@ from bnslopes.tautpush import (
     GrdParams,
     ParameterError,
     TautCombo,
+    castelnuovo_N,
     push_combo,
     rho,
 )
@@ -166,6 +169,45 @@ class TestSecantPlane:
                 for e in range(0, 13):
                     expected = rho(e, r - k - 1, r) == -1
                     assert secant_plane_validate(r, 1, e, k) is expected
+
+
+class TestTwoCoordinateSlope:
+    def test_matches_full_pushforward(self):
+        instances = [FamilyParams.gp(r, s) for r in range(1, 7) for s in range(1, 7)]
+        instances += [FamilyParams.syzygy(i, s) for i in range(0, 5) for s in range(0, 5)]
+        instances += [FamilyParams.hypersurface(*rsk) for rsk in ((3, 1, 3), (4, 1, 2), (6, 2, 2))]
+        for fp in instances:
+            full = slope(push_combo(family_combo(fp), fp.grd()))
+            assert slope_report(fp).slope == full, fp
+
+    def test_pushforward_on_demand(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("push_a", "push_b", "push_c", "push_combo"):
+            counted(tautpush, name)
+        counted(divisors, "push_combo")
+        rep = slope_report(FamilyParams.syzygy(0, 2))
+        assert rep.slope == Fraction(2459, 377)
+        assert calls == []
+        assert rep.pushforward.lam == Fraction(2459, 95) * rep.N
+        assert rep.pushforward is rep.pushforward
+        assert calls == ["push_combo"]
+
+    def test_undefined_slope_reports_scaled_coefficients(self, monkeypatch):
+        monkeypatch.setattr(divisors, "family_combo", lambda fp: TautCombo.of(0, 0, 0, 1))
+        with pytest.raises(SlopeUndefinedError) as err:
+            slope_report(FamilyParams.gp(2, 2))
+        assert err.value.lam == castelnuovo_N(9, 2, 8)
+        assert err.value.delta0 == 0
 
 
 class TestSlopeReport:

@@ -311,6 +311,15 @@ class TestSuites:
         assert calls == [(g, which) for g in (10, 21) for which in "abc"]
         assert len(reports) == 13 and all(r.passed for r in reports)
 
+    def test_bridge_quotient_skips_dense_tables(self, monkeypatch):
+        def dense(g, dc):
+            raise AssertionError("pullbacks builds the tails and pencil tables")
+
+        monkeypatch.setattr(families, "pullbacks", dense)
+        reports = suite_reports("reconstruct", triples=[(10, 4, 12)])
+        bridge = [r for r in reports if r.check == "bridge_quotient"]
+        assert len(bridge) == 3 and all(r.passed for r in bridge)
+
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
             suite_reports("nonsense")

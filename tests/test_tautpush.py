@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bnslopes import tautpush
 from bnslopes.schubert import GrassmannianSpec, brute_zeta_integral, make_index
 from bnslopes.tautpush import (
     DivisorClass,
@@ -9,6 +12,7 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
+    per_N_coordinates,
     push_a,
     push_b,
     push_c,
@@ -40,6 +44,11 @@ class TestCastelnuovo:
     def test_rejects_nonzero_rho(self):
         with pytest.raises(ParameterError):
             castelnuovo_N(3, 1, 2)
+
+    def test_non_integral_count_is_named_error(self, monkeypatch):
+        monkeypatch.setattr(tautpush, "superfactorial", lambda r: 1)
+        with pytest.raises(ArithmeticError, match=r"\(10,4,12\)"):
+            castelnuovo_N(10, 4, 12)
 
     def test_equals_brute_zeta_power(self):
         # acceptance runs the full g <= 12 sweep; spot-check the small ones here
@@ -120,6 +129,26 @@ class TestPushCombo:
         assert dc.delta[0] == Fraction(-377, 95) * p.N
         assert dc.psi == 0
         assert dc.is_delta_symmetric()
+
+
+_TRIPLES_3_60 = [t for t in rho_zero_triples(60) if t[0] >= 3]
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(_TRIPLES_3_60),
+    st.tuples(*[_SMALL_RATIONALS] * 4),
+)
+def test_per_N_coordinates_times_N_are_push_combo(triple, coeffs):
+    params = GrdParams(*triple)
+    combo = TautCombo.of(*coeffs)
+    dc = push_combo(combo, params)
+    per_N = list(per_N_coordinates(combo, params))
+    assert [params.N * x for x in per_N] == list(dc.coefficients())
+    # linearity, summed class by class as a reference for the fold
+    lam = DivisorClass(combo.p_lam * params.N, Fraction(0), (Fraction(0),) * params.g)
+    assert dc == lam + combo.p_a * push_a(params) + combo.p_b * push_b(params) + combo.p_c * push_c(params)
 
 
 class TestDivisorClass:
