@@ -20,7 +20,7 @@ Run:  python demos/reconstruction_walkthrough.py
 """
 
 from bnslopes import GrdParams, pullbacks, push_b, reconstruct
-from bnslopes.families import bridge_pushforward, pencil_degree
+from bnslopes.families import bridge_pushforward, pencil_degree, relation_multiple
 
 g, r, d = 10, 4, 12
 params = GrdParams(g, r, d)
@@ -36,7 +36,7 @@ print("What the test families see:")
 bridge, tails, degrees = pullbacks(g, dc)
 print(f"  bridge pullback:   {bridge}")
 print(f"  known bridge class: {bridge_pushforward('b', params)}")
-mu = bridge.relation_multiple(bridge_pushforward("b", params))
+mu = relation_multiple(bridge, bridge_pushforward("b", params))
 print(f"  they differ by {mu} x (10λ - δ0 - 2δ1) -- equal in the rank-3 quotient")
 print(f"  tails pullback vanishes: {not any(tails)}")
 print("  pencil degrees vs the known values:")

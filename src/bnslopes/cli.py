@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -38,7 +41,15 @@ from .tautpush import (
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-ROW_FIELDS = ["family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound"]
+# Slope grids are built in full before any slope is computed, so their size is capped.
+MAX_GRID_POINTS = 10**6
+
+# Each family's grid axes, in the order its constructor takes them.
+_GRIDS = {
+    "gp": ("r", "s", FamilyParams.gp),
+    "hypersurface": ("r", "s", "k", FamilyParams.hypersurface),
+    "syzygy": ("i", "s", FamilyParams.syzygy),
+}
 
 
 def _span(text: str) -> Tuple[int, int]:
@@ -75,7 +86,9 @@ def _triples(text: str) -> List[Tuple[int, int, int]]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use and kept for the process; parsing leaves no state in it."""
     p = argparse.ArgumentParser(
         prog="bnslopes",
         description="Exact divisor-class pushforwards and slopes on moduli of curves.",
@@ -83,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sl = sub.add_parser("slope", help="slope table for a divisor family over a parameter grid")
-    sl.add_argument("--family", required=True, choices=["gp", "hypersurface", "syzygy"])
+    sl.add_argument("--family", required=True, choices=list(_GRIDS))
     sl.add_argument("--r", type=_span, help="r value or inclusive range lo:hi")
     sl.add_argument("--s", type=_span, help="s value or inclusive range lo:hi")
     sl.add_argument("--i", type=_span, help="syzygy index value or range")
@@ -118,33 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(args) -> List[FamilyParams]:
-    def need(name, value):
-        if value is None:
+    *axes, make = _GRIDS[args.family]
+    spans = []
+    for name in axes:
+        span = getattr(args, name)
+        if span is None:
             raise ParameterError(f"--{name} is required for family {args.family}")
-        return value
-
-    points: List[FamilyParams] = []
-    if args.family == "gp":
-        r_lo, r_hi = need("r", args.r)
-        s_lo, s_hi = need("s", args.s)
-        for r in range(r_lo, r_hi + 1):
-            for s in range(s_lo, s_hi + 1):
-                points.append(FamilyParams.gp(r, s))
-    elif args.family == "hypersurface":
-        r_lo, r_hi = need("r", args.r)
-        s_lo, s_hi = need("s", args.s)
-        k_lo, k_hi = need("k", args.k)
-        for r in range(r_lo, r_hi + 1):
-            for s in range(s_lo, s_hi + 1):
-                for k in range(k_lo, k_hi + 1):
-                    points.append(FamilyParams.hypersurface(r, s, k))
-    else:
-        i_lo, i_hi = need("i", args.i)
-        s_lo, s_hi = need("s", args.s)
-        for i in range(i_lo, i_hi + 1):
-            for s in range(s_lo, s_hi + 1):
-                points.append(FamilyParams.syzygy(i, s))
-    return points
+        spans.append(span)
+    size = math.prod(hi - lo + 1 for lo, hi in spans)
+    if size > MAX_GRID_POINTS:
+        raise ParameterError(f"parameter grid has {size} points, more than {MAX_GRID_POINTS}")
+    ranges = [range(lo, hi + 1) for lo, hi in spans]
+    return [make(*point) for point in itertools.product(*ranges)]
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -162,9 +160,9 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ROW_FIELDS)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([str(row[f]).lower() if f == "below_bound" else row[f] for f in ROW_FIELDS])
+            writer.writerow([str(v).lower() if k == "below_bound" else v for k, v in row.items()])
         return buf.getvalue()
     # pretty: exact slope plus a clearly approximate 6-digit decimal column
     lines = []
@@ -183,10 +181,7 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
 
 
 def cmd_slope(args) -> int:
-    points = _grid(args)
-    if not points:
-        raise ParameterError("empty parameter grid")
-    reports = [slope_report(p) for p in points]
+    reports = [slope_report(p) for p in _grid(args)]
     reports.sort(key=lambda rep: rep.sort_key())
     _emit(_slope_rows_text(reports, args.format), args.output)
     return 0

@@ -60,7 +60,6 @@ __all__ = [
     "gp_combo",
     "gp_slope_closed",
     "hypersurface_combo",
-    "secant_plane_validate",
     "slope",
     "slope_bound",
     "slope_report",
@@ -229,15 +228,6 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
     t = s + 1
     value = Fraction(6 * _syzygy_f(i, t), t * (i + 2) * _syzygy_g(i, t))
     return -value if i < 2 else value
-
-
-def secant_plane_validate(r: int, s: int, e: int, k: int) -> bool:
-    """Whether an e-secant k-plane condition cuts a virtual divisor:
-    (e-k-1)(r-k) = e+1, which is identically rho(e, r-k-1, r) = -1.
-
-    The check depends on (r, e, k) only (s just fixes the ambient family).
-    """
-    return (e - k - 1) * (r - k) == e + 1
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ from .tautpush import (
 
 __all__ = [
     "CheckReport",
-    "M21Class",
     "ReconstructionError",
     "aspect_counts",
     "aspect_report",
@@ -87,6 +86,7 @@ __all__ = [
     "pencil_matrix",
     "pullbacks",
     "reconstruct",
+    "relation_multiple",
     "suite_reports",
     "tails_matrix",
 ]
@@ -100,41 +100,15 @@ class ReconstructionError(RuntimeError):
     """The reconstruction linear system was singular or inconsistent."""
 
 
-@dataclass(frozen=True)
-class M21Class:
-    """Divisor class on the bridge-family base (pointed genus-2 moduli),
-    coordinates (lambda, psi, delta_0, delta_1).
-
-    The Picard rank is 3, so classes are compared modulo the relation
-    10 lambda - delta_0 - 2 delta_1 = 0."""
-
-    lam: Fraction
-    psi: Fraction
-    delta0: Fraction
-    delta1: Fraction
-
-    def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.lam, self.psi, self.delta0, self.delta1)
-
-    def __sub__(self, other: "M21Class") -> "M21Class":
-        return M21Class(*(x - y for x, y in zip(self.as_tuple(), other.as_tuple())))
-
-    def relation_multiple(self, other: "M21Class") -> Optional[Fraction]:
-        """The scalar mu with self - other = mu * (10, 0, -1, -2), or
-        None when the difference is not proportional to the relation."""
-        diff = (self - other).as_tuple()
-        mu = diff[0] / _RELATION[0]
-        if all(x == mu * r for x, r in zip(diff, _RELATION)):
-            return mu
-        return None
-
-    def eq_mod_relation(self, other: "M21Class") -> bool:
-        return self.relation_multiple(other) is not None
-
-    def __str__(self) -> str:
-        return (
-            f"{self.lam}·λ + {self.psi}·ψ + {self.delta0}·δ0 + {self.delta1}·δ1"
-        )
+def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fraction]:
+    """The scalar mu with got - want = mu * (10 lambda - delta_0 - 2 delta_1)
+    for two classes on the genus-2 bridge base, or None when their
+    difference is not proportional to the relation."""
+    diff = [x - y for x, y in zip(got.coefficients(), want.coefficients())]
+    mu = diff[0] / _RELATION[0]
+    if all(x == mu * r for x, r in zip(diff, _RELATION)):
+        return mu
+    return None
 
 
 Matrix = List[List[Fraction]]
@@ -198,23 +172,23 @@ def _apply(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
 
 def pullbacks(
     g: int, dc: DivisorClass
-) -> Tuple[M21Class, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
     """Apply the three pullback tables to a divisor class.  Returns
-    (bridge, tails, degrees): the class on the genus-2 base, the
+    (bridge, tails, degrees): the genus-2 class on the bridge base, the
     coefficients of eps_2..eps_{g-2} on the tails base, and the pencil
     degrees for h = 1..g-1."""
     if dc.g != g:
         raise ParameterError(f"class has genus {dc.g}, expected {g}")
     vec = dc.coefficients()
-    bridge = M21Class(*_apply(bridge_matrix(g), vec))
+    bridge = DivisorClass.from_coefficients(_apply(bridge_matrix(g), vec))
     tails = tuple(_apply(tails_matrix(g), vec))
     degrees = tuple(_apply(pencil_matrix(g), vec))
     return bridge, tails, degrees
 
 
-def bridge_pushforward(which: str, params: GrdParams) -> M21Class:
-    """Pushforward of a, b or c over the bridge family, as a class on
-    the genus-2 base.  With T = 2dN(d-2g+2)/(3(g-1)), U = dN/(g-1) and
+def bridge_pushforward(which: str, params: GrdParams) -> DivisorClass:
+    """Pushforward of a, b or c over the bridge family, as a genus-2
+    class on the bridge base.  With T = 2dN(d-2g+2)/(3(g-1)), U = dN/(g-1) and
     V = -N xi/(3(g-1)):
 
         a -> T (3 psi - lambda - delta_1) + U (lambda + delta_1 - 4 psi)
@@ -224,13 +198,13 @@ def bridge_pushforward(which: str, params: GrdParams) -> M21Class:
     g, d, N = params.g, params.d, params.N
     U = Fraction(d * N, g - 1)
     if which == "b":
-        return M21Class(U, -4 * U, Fraction(0), U)
+        return DivisorClass(U, -4 * U, (Fraction(0), U))
     if which == "a":
         T = Fraction(2 * d * N * (d - 2 * g + 2), 3 * (g - 1))
-        return M21Class(U - T, 3 * T - 4 * U, Fraction(0), U - T)
+        return DivisorClass(U - T, 3 * T - 4 * U, (Fraction(0), U - T))
     if which == "c":
         V = Fraction(-params.N, 3 * (g - 1)) * params.xi
-        return M21Class(-V, 3 * V, Fraction(0), -V)
+        return DivisorClass(-V, 3 * V, (Fraction(0), -V))
     raise ParameterError(f"unknown tautological class {which!r}")
 
 
@@ -578,7 +552,7 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
     zero = Fraction(0)
-    bridge_target = bridge_pushforward(which, params).as_tuple()
+    bridge_target = bridge_pushforward(which, params).coefficients()
     pencils = enumerate(pencil_matrix(g), start=1)
     system = (
         [(row, zero, pencil_degree(which, params, h)) for h, row in pencils]
@@ -655,14 +629,15 @@ def _epsilon_report(g_lo: int, g_hi: int) -> CheckReport:
 def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> CheckReport:
     """The bridge pullback of the pushforward differs from the known
     genus-2 class by an exact multiple of the relation."""
-    got = M21Class(*_apply(bridge_matrix(params.g), dc.coefficients()))
+    got = DivisorClass.from_coefficients(_apply(bridge_matrix(params.g), dc.coefficients()))
     want = bridge_pushforward(which, params)
-    mu = got.relation_multiple(want)
+    mu = relation_multiple(got, want)
+    text = "{}·λ + {}·ψ + {}·δ0 + {}·δ1".format
     return _report(
         "bridge_quotient",
         {"g": params.g, "r": params.r, "d": params.d, "class": which},
-        str(got),
-        str(want),
+        text(*got.coefficients()),
+        text(*want.coefficients()),
         mu is not None,
         f"multiple={mu}" if mu is not None else "not proportional to relation",
     )

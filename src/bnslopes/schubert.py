@@ -38,11 +38,9 @@ __all__ = [
     "all_indices",
     "balanced_pairs",
     "brute_zeta_integral",
-    "fundamental_class",
     "integral",
     "make_index",
     "pieri_ek",
-    "point_class",
     "point_index",
     "schubert_class",
     "special_class",
@@ -149,9 +147,6 @@ class ChowClass:
     def coefficient(self, index: SchubertIndex) -> Fraction:
         return self.terms.get(index, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check_compatible(self, other: "ChowClass") -> None:
         if self.spec != other.spec:
             raise CodimensionError("classes live on different Grassmannians")
@@ -170,20 +165,6 @@ class ChowClass:
             else:
                 out.pop(idx, None)
         return ChowClass(self.spec, self.codim, out)
-
-    def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "ChowClass":
-        q = Fraction(scalar)
-        if q == 0:
-            return ChowClass(self.spec, self.codim, {})
-        return ChowClass(self.spec, self.codim, {i: q * c for i, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ChowClass":
-        return (-1) * self
 
     def sorted_terms(self) -> list[tuple[SchubertIndex, Fraction]]:
         """Terms in the canonical (lexicographic on ascending b) order."""
@@ -218,16 +199,8 @@ def zeta(spec: GrassmannianSpec) -> ChowClass:
     return special_class(spec, spec.r)
 
 
-def fundamental_class(spec: GrassmannianSpec) -> ChowClass:
-    return schubert_class(spec, (0,) * (spec.r + 1))
-
-
 def point_index(spec: GrassmannianSpec) -> SchubertIndex:
     return make_index(spec, (spec.box,) * (spec.r + 1))
-
-
-def point_class(spec: GrassmannianSpec) -> ChowClass:
-    return schubert_class(spec, (spec.box,) * (spec.r + 1))
 
 
 def zero_class(spec: GrassmannianSpec, codim: int) -> ChowClass:

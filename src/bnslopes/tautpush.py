@@ -152,30 +152,6 @@ class DivisorClass:
     def delta0(self) -> Fraction:
         return self.delta[0]
 
-    def _check(self, other: "DivisorClass") -> None:
-        if self.g != other.g:
-            raise ParameterError(f"cannot mix genus {self.g} and genus {other.g} classes")
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(
-            self.lam + other.lam,
-            self.psi + other.psi,
-            tuple(x + y for x, y in zip(self.delta, other.delta)),
-        )
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-1) * other
-
-    def __mul__(self, scalar) -> "DivisorClass":
-        q = Fraction(scalar)
-        return DivisorClass(q * self.lam, q * self.psi, tuple(q * x for x in self.delta))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DivisorClass":
-        return (-1) * self
-
     def coefficients(self) -> Tuple[Fraction, ...]:
         """Coordinates in the fixed order (lambda, psi, delta_0..delta_{g-1})."""
         return (self.lam, self.psi) + self.delta
@@ -197,14 +173,6 @@ class DivisorClass:
             "psi": str(self.psi),
             "delta": [str(x) for x in self.delta],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: Dict[str, object]) -> "DivisorClass":
-        return cls(
-            Fraction(obj["lambda"]),
-            Fraction(obj["psi"]),
-            tuple(Fraction(x) for x in obj["delta"]),
-        )
 
     def __str__(self) -> str:
         parts = [f"{self.lam}·λ"]
@@ -319,9 +287,6 @@ class TautCombo:
     @classmethod
     def of(cls, p_a, p_b, p_c, p_lam) -> "TautCombo":
         return cls(Fraction(p_a), Fraction(p_b), Fraction(p_c), Fraction(p_lam))
-
-    def as_tuple(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.p_a, self.p_b, self.p_c, self.p_lam)
 
     def __str__(self) -> str:
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"

@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bnslopes import families, tautpush
+from bnslopes import cli, families, tautpush
 from bnslopes.cli import main
-from bnslopes.tautpush import DivisorClass, GrdParams, castelnuovo_N, push_c
+from bnslopes.tautpush import DivisorClass, GrdParams, ParameterError, castelnuovo_N, push_c
 
 
 def run(capsys, *argv):
@@ -80,6 +83,23 @@ class TestSlopeCommand:
             run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "2")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "r, s, built",
+        [("1:1000000", "1:1000000", False), ("1:1000", "1:1001", False), ("1:1000", "1:1000", True)],
+    )
+    def test_grid_size_cap(self, capsys, monkeypatch, r, s, built):
+        # The first point built raises, so no grid here is built even
+        # without the cap; 10**6 points is the largest grid allowed.
+        def first_point(r, s):
+            raise ParameterError("first point built")
+
+        monkeypatch.setitem(cli._GRIDS, "gp", ("r", "s", first_point))
+        code, out, err = run(capsys, "slope", "--family", "gp", "--r", r, "--s", s)
+        assert (code, out) == (2, "")
+        assert err.startswith("bnslopes: error: ")
+        assert err.count("\n") == 1
+        assert ("first point built" in err) is built
+
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",
                            "--r", "2", "--s", "1", "--k", "2")
@@ -141,7 +161,9 @@ class TestPushCommand:
                            "--class", "c", "--normalize", "N")
         assert code == 0
         params = GrdParams(10, 4, 12)
-        assert DivisorClass.from_json_dict(json.loads(out)) == push_c(params) * Fraction(1, params.N)
+        obj = json.loads(out)
+        got = [Fraction(x) for x in (obj["lambda"], obj["psi"], *obj["delta"])]
+        assert got == [x / params.N for x in push_c(params).coefficients()]
 
     def test_coefficients_beyond_int_str_digit_limit(self, capsys, tmp_path):
         # the smallest rho = 0 triple whose N has more than 4300 digits,
@@ -211,6 +233,22 @@ class TestVerifyCommand:
         assert all("first mismatch at δ3:" in line for line in failed)
         assert out.splitlines()[-1] == "7 checks, 3 failures"
 
+    def test_bridge_failure_reads_not_proportional(self, capsys, monkeypatch):
+        closed_form = families.push
+
+        def off_at_lambda(which, params):
+            dc = closed_form(which, params)
+            return DivisorClass(dc.lam + 1, dc.psi, dc.delta)
+
+        monkeypatch.setattr(families, "push", off_at_lambda)
+        code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
+                           "--triples", "10,4,12")
+        assert code == 1
+        bridge = [line for line in out.splitlines() if "bridge_quotient" in line]
+        assert len(bridge) == 3
+        assert all(line.startswith("[FAIL]") for line in bridge)
+        assert all(line.endswith("  [not proportional to relation]") for line in bridge)
+
     def test_schubert_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "schubert-oracle",
                            "--r-max", "2", "--d-max", "7", "--format", "json")
@@ -224,3 +262,22 @@ class TestVerifyCommand:
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry")
         assert code == 0
+
+
+def test_one_parser_serves_successive_commands(capsys):
+    # main keeps one parser for the process; each call still prints what
+    # a fresh process prints for the same argv
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
+    calls = [
+        ["push", "--g", "10", "--r", "4", "--d", "12", "--class", "b"],
+        ["slope", "--family", "gp", "--r", "1:2", "--s", "1"],
+        ["push", "--g", "21", "--r", "6", "--d", "24", "--combo", "2,-1,-8,1", "--normalize", "N"],
+    ]
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bnslopes.cli", *argv], env=env, capture_output=True, check=False
+        )
+        assert (code, out.encode("utf-8")) == (fresh.returncode, fresh.stdout), argv
+    assert cli.build_parser() is cli.build_parser()

@@ -10,7 +10,6 @@ from bnslopes.divisors import (
     gp_combo,
     gp_slope_closed,
     hypersurface_combo,
-    secant_plane_validate,
     slope,
     slope_bound,
     slope_report,
@@ -24,7 +23,6 @@ from bnslopes.tautpush import (
     TautCombo,
     castelnuovo_N,
     push_combo,
-    rho,
 )
 
 
@@ -156,19 +154,6 @@ class TestStructuralInvariants:
         assert gp.delta[1] == 0 and gp.delta[3] == -12
         assert not gp.is_delta_symmetric()
         assert not slope_report(FamilyParams.syzygy(1, 1)).pushforward.is_delta_symmetric()
-
-
-class TestSecantPlane:
-    def test_examples(self):
-        assert secant_plane_validate(3, 1, 2, 0) is True
-        assert secant_plane_validate(3, 1, 4, 1) is False
-
-    def test_matches_rho_condition(self):
-        for r in range(1, 7):
-            for k in range(0, r):
-                for e in range(0, 13):
-                    expected = rho(e, r - k - 1, r) == -1
-                    assert secant_plane_validate(r, 1, e, k) is expected
 
 
 class TestTwoCoordinateSlope:

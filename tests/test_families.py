@@ -5,7 +5,6 @@ import pytest
 
 from bnslopes import families, tautpush
 from bnslopes.families import (
-    M21Class,
     ReconstructionError,
     _forward_eliminate,
     _solve_unique,
@@ -22,6 +21,7 @@ from bnslopes.families import (
     pencil_matrix,
     pullbacks,
     reconstruct,
+    relation_multiple,
     suite_reports,
     tails_matrix,
 )
@@ -49,7 +49,7 @@ class TestPullbackTables:
     def test_lambda_pulls_back_cleanly(self):
         g = 8
         bridge, tails, degrees = pullbacks(g, unit_class(g, "lam"))
-        assert bridge == M21Class(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        assert bridge.coefficients() == (1, 0, 0, 0)
         assert not any(tails)
         assert all(x == 0 for x in degrees)
 
@@ -57,12 +57,12 @@ class TestPullbackTables:
         g = 8
         bridge, _, _ = pullbacks(g, unit_class(g, "delta", g - 2))
         assert bridge.psi == -1
-        assert bridge.lam == bridge.delta0 == bridge.delta1 == 0
+        assert bridge.lam == bridge.delta0 == bridge.delta[1] == 0
 
     def test_psi_degrees(self):
         g = 8
         bridge, tails, degrees = pullbacks(g, unit_class(g, "psi"))
-        assert bridge == M21Class(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+        assert bridge.coefficients() == (0, 0, 0, 0)
         assert not any(tails)
         assert degrees == tuple(Fraction(2 * h - 1) for h in range(1, g))
 
@@ -100,7 +100,7 @@ class TestBridgeQuotient:
         params = GrdParams(g, r, d)
         got, _, _ = pullbacks(g, push_b(params))
         want = bridge_pushforward("b", params)
-        mu = got.relation_multiple(want)
+        mu = relation_multiple(got, want)
         assert mu == Fraction(d * params.N, 2 * (g - 1))  # = 28
 
     def test_raw_comparison_fails_without_quotient(self):
@@ -108,14 +108,21 @@ class TestBridgeQuotient:
         params = GrdParams(g, r, d)
         got, _, _ = pullbacks(g, push_b(params))
         assert got != bridge_pushforward("b", params)
-        assert got.eq_mod_relation(bridge_pushforward("b", params))
+        assert relation_multiple(got, bridge_pushforward("b", params)) is not None
 
     def test_all_classes_all_triples(self):
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which in "abc":
                 got, _, _ = pullbacks(g, push(which, params))
-                assert got.eq_mod_relation(bridge_pushforward(which, params)), (g, which)
+                want = bridge_pushforward(which, params)
+                assert relation_multiple(got, want) is not None, (g, which)
+
+    def test_difference_off_the_relation(self):
+        want = bridge_pushforward("b", GrdParams(10, 4, 12))
+        got = DivisorClass(want.lam + 1, want.psi, want.delta)
+        assert relation_multiple(got, want) is None
+        assert relation_multiple(want, want) == 0
 
 
 class TestLemmaConsistency:

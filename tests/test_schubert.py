@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from bnslopes.schubert import (
     BalanceError,
+    ChowClass,
     CodimensionError,
     GrassmannianSpec,
     InvalidIndexError,
     all_indices,
     balanced_pairs,
     brute_zeta_integral,
-    fundamental_class,
     integral,
     make_index,
     pieri_ek,
-    point_class,
     schubert_class,
     special_class,
     zero_class,
@@ -90,8 +89,8 @@ class TestPieri:
         assert got == schubert_class(spec, (1, 2, 3, 3, 3))
 
     def test_bound_saturation_gives_zero_class(self):
-        got = pieri_ek(point_class(G13), 1)
-        assert got.is_zero()
+        got = pieri_ek(schubert_class(G13, (2, 2)), 1)
+        assert not got.terms
         assert got.codim == G13.dim + 1
 
     def test_codim_raised_by_k(self):
@@ -119,7 +118,7 @@ class TestPieri:
         for idx in all_indices(spec):
             out = pieri_ek(schubert_class(spec, idx.b), spec.r + 1)
             if idx.b[-1] == spec.box:
-                assert out.is_zero()
+                assert not out.terms
             else:
                 (target, coeff), = out.terms.items()
                 assert coeff == 1
@@ -138,7 +137,7 @@ class TestPieri:
 class TestChowClass:
     def test_addition_codim_mismatch(self):
         with pytest.raises(CodimensionError):
-            fundamental_class(G13) + zeta(G13)
+            schubert_class(G13, (0, 0)) + zeta(G13)
 
     def test_addition_spec_mismatch(self):
         with pytest.raises(CodimensionError):
@@ -146,18 +145,20 @@ class TestChowClass:
 
     def test_scalar_and_cancellation(self):
         z = zeta(G26)
-        assert (z - z).is_zero()
-        assert (2 * z).coefficient(make_index(G26, (0, 1, 1))) == 2
+        idx = make_index(G26, (0, 1, 1))
+        assert not (z + ChowClass(G26, z.codim, {idx: Fraction(-1)})).terms
+        assert (z + z).coefficient(idx) == 2
 
     def test_render(self):
-        c = schubert_class(G26, (0, 1, 2)) + 2 * schubert_class(G26, (1, 1, 1))
+        s111 = schubert_class(G26, (1, 1, 1))
+        c = schubert_class(G26, (0, 1, 2)) + s111 + s111
         assert str(c) == "σ{2,1,0} + 2·σ{1,1,1}"
         assert str(zero_class(G26, 5)) == "0"
 
 
 class TestIntegrals:
     def test_point_class(self):
-        assert integral(point_class(G13)) == 1
+        assert integral(schubert_class(G13, (2, 2))) == 1
 
     def test_codim_mismatch_is_error_not_zero(self):
         with pytest.raises(CodimensionError):
