@@ -242,8 +242,7 @@ class FamilyParams:
 
     @classmethod
     def gp(cls, r: int, s: int) -> "FamilyParams":
-        if r < 1 or s < 1:
-            raise ParameterError(f"Gieseker-Petri family needs r, s >= 1; got ({r},{s})")
+        gp_combo(r, s)  # range check
         return cls(GP, r, s)
 
     @classmethod
@@ -253,10 +252,8 @@ class FamilyParams:
 
     @classmethod
     def syzygy(cls, i: int, s: int) -> "FamilyParams":
-        r = (i + 2) * s + 2 * (i + 1)
-        if s < 0 or i < 0:
-            raise ParameterError(f"syzygy family needs i, s >= 0; got ({i},{s})")
-        return cls(SYZYGY, r, s, i)
+        syzygy_combo(i, s)  # range check
+        return cls(SYZYGY, (i + 2) * s + 2 * (i + 1), s, i)
 
     @property
     def g(self) -> int:

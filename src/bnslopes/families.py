@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .divisors import (
     FamilyParams,
+    SlopeReport,
     gp_slope_closed,
-    hypersurface_combo,
     slope_report,
     syzygy_combo,
     syzygy_slope_closed,
@@ -260,46 +260,42 @@ def _report(check: str, params: Dict[str, object], lhs, rhs, passed: bool, detai
     return CheckReport(check, params, str(lhs), str(rhs), passed, detail)
 
 
-def _box_partitions(r: int, d: int) -> int:
-    """Number of valid indices on G(r, P^d); used to gate the brute oracle."""
-    return binomial(d + 1, r + 1)
-
-
 # Keep brute-force cross-checks to Grassmannians whose full index set is
 # of manageable size; the closed form is itself oracle-checked
 # exhaustively on small specs, so nothing is lost on big ones.
 _BRUTE_LIMIT = 2_000_000
 
 
-def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
-    """The Castelnuovo count equals the integral of zeta^g, via the
-    closed form and (when tractable) the brute-force Pieri oracle."""
-    params = GrdParams(g, r, d)
-    N = Fraction(params.N)
-    spec = GrassmannianSpec(r, d)
-    idx = make_index(spec, (0,) * (r + 1))
-    closed = zeta_power_integral(spec, idx, g)
-    values = {"closed": closed}
-    if brute and _box_partitions(r, d) <= _BRUTE_LIMIT:
-        values["brute"] = brute_zeta_integral(spec, idx, g)
-    ok = all(v == N for v in values.values())
-    detail = " ".join(f"{k}={v}" for k, v in values.items())
-    return _report("castelnuovo", {"g": g, "r": r, "d": d}, closed, N, ok, detail)
-
-
 def _pattern_integral(
     spec: GrassmannianSpec, b: Tuple[int, ...], k: int, *, brute: bool
 ) -> Tuple[Fraction, Optional[Fraction]]:
-    """Integral of zeta^k against sigma_b, where an out-of-box pattern
-    means the cycle vanishes and the integral is zero."""
+    """Integral of zeta^k against sigma_b by the closed form and, when
+    asked and the index set of G(r, P^d) (C(d+1, r+1) indices) is within
+    _BRUTE_LIMIT, by the brute-force Pieri oracle; None when not run.  An
+    out-of-box pattern means the cycle vanishes and both integrals are zero."""
     if b[-1] > spec.box:
         return Fraction(0), Fraction(0)
     idx = make_index(spec, b)
     closed = zeta_power_integral(spec, idx, k)
     br = None
-    if brute and _box_partitions(spec.r, spec.d) <= _BRUTE_LIMIT:
+    if brute and binomial(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
         br = brute_zeta_integral(spec, idx, k)
     return closed, br
+
+
+def _integral_detail(label: str, closed: Fraction, br: Optional[Fraction]) -> str:
+    return f"{label}={closed}" + ("" if br is None else f" brute={br}")
+
+
+def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
+    """The Castelnuovo count equals the integral of zeta^g, via the
+    closed form and (when tractable) the brute-force Pieri oracle."""
+    N = GrdParams(g, r, d).N
+    spec = GrassmannianSpec(r, d)
+    closed, br = _pattern_integral(spec, (0,) * (r + 1), g, brute=brute)
+    ok = closed == N and br in (None, closed)
+    detail = _integral_detail("closed", closed, br)
+    return _report("castelnuovo", {"g": g, "r": r, "d": d}, closed, N, ok, detail)
 
 
 def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
@@ -312,12 +308,12 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
     if g < 3:
         raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
     spec = GrassmannianSpec(r, d)
-    b = (1, 2) + (3,) * (r - 1) if r >= 2 else (1, 2)
+    b = (1, 2) + (3,) * (r - 1)
     closed, br = _pattern_integral(spec, b, g - 3, brute=True)
     lhs = -2 * (g - 2) * closed
     rhs = Fraction(-2 * d * (2 * g - 2 - d) * params.N, 3 * (g - 1))
-    ok = lhs == rhs and (br is None or br == closed)
-    detail = f"integral={closed}" + ("" if br is None else f" brute={br}")
+    ok = lhs == rhs and br in (None, closed)
+    detail = _integral_detail("integral", closed, br)
     return _report("weierstrass_a", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
 
 
@@ -337,8 +333,8 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
     closed, br = _pattern_integral(spec, b, g - 2, brute=True)
     lhs = -(closed + params.N)
     rhs = Fraction(-params.N, 3 * (g - 1)) * params.xi
-    ok = lhs == rhs and (br is None or br == closed)
-    detail = f"integral={closed}" + ("" if br is None else f" brute={br}")
+    ok = lhs == rhs and br in (None, closed)
+    detail = _integral_detail("integral", closed, br)
     return _report("weierstrass_c", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
 
 
@@ -392,28 +388,21 @@ def aspect_counts(g: int, r: int, d: int) -> Tuple[Fraction, Fraction]:
     )
 
 
-def _aspect_ramification(r: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Ramification indices dual to the two printed vanishing sequences.
+def aspect_report(g: int, r: int, d: int) -> CheckReport:
+    """Aspect counts: their sum must be N, and each count must equal the
+    matching Schubert integral of zeta^{g-2} against the dual
+    ramification index.  Integrality of the individual counts is only
+    recorded, never asserted (the counts carry multiplicities).
 
     The compatible aspect on the opposite component has vanishing
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
     the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
     """
-    b1 = (0,) + (2,) * r
-    b2 = (1, 1) + (2,) * (r - 1) if r >= 2 else (1, 1)
-    return b1, b2
-
-
-def aspect_report(g: int, r: int, d: int) -> CheckReport:
-    """Aspect counts: their sum must be N, and each count must equal the
-    matching Schubert integral of zeta^{g-2} against the dual
-    ramification index.  Integrality of the individual counts is only
-    recorded, never asserted (the counts carry multiplicities)."""
-    params = GrdParams(g, r, d)
     n1, n2 = aspect_counts(g, r, d)
-    N = params.N
+    N = GrdParams(g, r, d).N
     spec = GrassmannianSpec(r, d)
-    b1, b2 = _aspect_ramification(r)
+    b1 = (0,) + (2,) * r
+    b2 = (1, 1) + (2,) * (r - 1)
     s1, _ = _pattern_integral(spec, b1, g - 2, brute=False)
     s2, _ = _pattern_integral(spec, b2, g - 2, brute=False)
     ok = n1 + n2 == N and s1 == n1 and s2 == n2
@@ -545,8 +534,6 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     rides along.  The solution must be unique; it is returned as a
     DivisorClass.
     """
-    if which not in ("a", "b", "c"):
-        raise ParameterError(f"unknown tautological class {which!r}")
     params = GrdParams(g, r, d)
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
@@ -643,55 +630,25 @@ def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> 
     )
 
 
-def _gp_symmetry_report(r: int, s: int) -> CheckReport:
-    rep = slope_report(FamilyParams.gp(r, s))
-    closed = gp_slope_closed(r, s)
-    mirrored = gp_slope_closed(s, r)
-    ok = rep.slope == closed == mirrored
-    return _report(
-        "gp_slope",
-        {"r": r, "s": s},
-        rep.slope,
-        closed,
-        ok,
-        f"mirror={mirrored}",
-    )
-
-
-def _syzygy_slope_report(i: int, s: int) -> CheckReport:
-    rep = slope_report(FamilyParams.syzygy(i, s))
-    closed = syzygy_slope_closed(i, s)
-    ok = abs(rep.slope) == abs(closed)
-    return _report("syzygy_slope", {"i": i, "s": s}, rep.slope, closed, ok)
-
-
-def _structure_report(family: str, first: int, s: int) -> CheckReport:
+def _structure_report(rep: SlopeReport) -> CheckReport:
     """psi vanishes for every family pushforward; the quadric-type
-    instances (syzygy i = 0 and the matching hypersurface) are in
-    addition symmetric in delta_i <-> delta_{g-i}."""
-    if family == "gp":
-        fp = FamilyParams.gp(first, s)
-        want_sym = False
-    elif family == "syzygy":
-        fp = FamilyParams.syzygy(first, s)
-        want_sym = first == 0
-    else:
-        fp = FamilyParams.hypersurface(first, s, 2)
-        want_sym = first == 2 * s + 2
-    rep = slope_report(fp)
+    instances (syzygy i = 0 and the matching hypersurface with k = 2) are
+    in addition symmetric in delta_i <-> delta_{g-i}, and that
+    hypersurface has the combo of syzygy i = 0."""
+    first = rep.extra if rep.family == "syzygy" else rep.r
+    hyper_quadric = rep.family == "hypersurface" and (rep.r, rep.extra) == (2 * rep.s + 2, 2)
+    want_sym = hyper_quadric or (rep.family == "syzygy" and first == 0)
     pf = rep.pushforward
     ok = pf.psi == 0 and (not want_sym or pf.is_delta_symmetric())
-    combos_ok = True
-    if family == "hypersurface" and first == 2 * s + 2:
-        combos_ok = hypersurface_combo(first, s, 2) == syzygy_combo(0, s)
-        ok = ok and combos_ok
+    if hyper_quadric:
+        ok = ok and rep.combo == syzygy_combo(0, rep.s)
     return _report(
         "structure",
-        {"family": family, "first": first, "s": s},
+        {"family": rep.family, "first": first, "s": rep.s},
         f"psi={pf.psi}, symmetric={pf.is_delta_symmetric()}",
         f"psi=0, symmetric required={want_sym}",
         ok,
-        "hyper(k=2) == syzygy(0)" if family == "hypersurface" and first == 2 * s + 2 else "",
+        "hyper(k=2) == syzygy(0)" if hyper_quadric else "",
     )
 
 
@@ -742,19 +699,22 @@ def suite_reports(
                     out.append(_bridge_quotient_report(params, which, dc))
             out.append(_epsilon_report(5, 30))
         else:  # symmetry
-            for r in range(1, 5):
-                for s in range(1, 5):
-                    out.append(_gp_symmetry_report(r, s))
-            for i in (0, 1, 3):
-                for s in (1, 2, 3):
-                    out.append(_syzygy_slope_report(i, s))
-            for r in range(1, 5):
-                for s in range(1, 5):
-                    out.append(_structure_report("gp", r, s))
-            for i in (0, 1, 3):
-                for s in (1, 2, 3):
-                    out.append(_structure_report("syzygy", i, s))
-            for s in range(1, 5):
-                out.append(_structure_report("hypersurface", 2 * s + 2, s))
-                out.append(_structure_report("hypersurface", 1, s))
+            gp = [slope_report(FamilyParams.gp(r, s)) for r in range(1, 5) for s in range(1, 5)]
+            syz = [slope_report(FamilyParams.syzygy(i, s)) for i in (0, 1, 3) for s in (1, 2, 3)]
+            hyper = [
+                slope_report(FamilyParams.hypersurface(r, s, 2))
+                for s in range(1, 5)
+                for r in (2 * s + 2, 1)
+            ]
+            for rep in gp:
+                closed, mirror = gp_slope_closed(rep.r, rep.s), gp_slope_closed(rep.s, rep.r)
+                ok = rep.slope == closed == mirror
+                key = {"r": rep.r, "s": rep.s}
+                out.append(_report("gp_slope", key, rep.slope, closed, ok, f"mirror={mirror}"))
+            for rep in syz:
+                closed = syzygy_slope_closed(rep.extra, rep.s)
+                ok = abs(rep.slope) == abs(closed)
+                key = {"i": rep.extra, "s": rep.s}
+                out.append(_report("syzygy_slope", key, rep.slope, closed, ok))
+            out.extend(_structure_report(rep) for rep in gp + syz + hyper)
     return out

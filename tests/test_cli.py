@@ -78,6 +78,11 @@ class TestSlopeCommand:
         assert code == 2
         assert "--s" in err
 
+    def test_out_of_range_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "slope", "--family", "gp", "--r", "0", "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == "bnslopes: error: Gieseker-Petri family needs r, s >= 1; got r=0, s=1\n"
+
     def test_jobs_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "2")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -22,6 +23,7 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
+    per_N_coordinates,
     push_combo,
 )
 
@@ -122,6 +124,15 @@ class TestPipelineAgainstClosedForms:
             for s in (1, 2, 3):
                 rep = slope_report(FamilyParams.syzygy(i, s))
                 assert abs(rep.slope) == abs(syzygy_slope_closed(i, s)), (i, s)
+
+    def test_syzygy_sign(self):
+        # the pipeline slope is |closed|: the closed form carries a minus
+        # sign below i = 2 and none above it
+        for i, sign in ((0, -1), (1, -1), (3, 1)):
+            for s in range(60):
+                fp = FamilyParams.syzygy(i, s)
+                lam, _, delta0 = islice(per_N_coordinates(family_combo(fp), fp.grd()), 3)
+                assert -lam / delta0 == sign * syzygy_slope_closed(i, s), (i, s)
 
     def test_syzygy_i1_anchor(self):
         # no external anchor for i >= 1: freeze the pipeline value, and the

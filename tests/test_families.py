@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bnslopes import families, tautpush
+from bnslopes.divisors import slope_report
 from bnslopes.families import (
     ReconstructionError,
     _forward_eliminate,
@@ -158,6 +159,17 @@ class TestIdentities:
             assert rep.passed, rep
             assert "brute" in rep.detail
 
+    def test_castelnuovo_brute_gate(self, monkeypatch):
+        def brute(spec, idx, k):
+            raise AssertionError("brute oracle run past _BRUTE_LIMIT")
+
+        monkeypatch.setattr(families, "brute_zeta_integral", brute)
+        rep = identity_castelnuovo(18, 17, 34)  # C(35, 18) indices
+        assert rep.passed and rep.detail == "closed=1"
+
+    def test_castelnuovo_without_brute(self):
+        assert identity_castelnuovo(6, 2, 6, brute=False).detail == "closed=5"
+
     def test_weierstrass_a_values(self):
         rep = identity_weierstrass_a(4, 1, 3)
         assert rep.passed
@@ -297,7 +309,7 @@ class TestReconstruct:
             reconstruct(4, 1, 3, "b")
 
     def test_rejects_unknown_class(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown tautological class 'x'"):
             reconstruct(6, 2, 6, "x")
 
 
@@ -326,6 +338,20 @@ class TestSuites:
         reports = suite_reports("reconstruct", triples=[(10, 4, 12)])
         bridge = [r for r in reports if r.check == "bridge_quotient"]
         assert len(bridge) == 3 and all(r.passed for r in bridge)
+
+    def test_symmetry_suite_builds_each_instance_once(self, monkeypatch):
+        calls = []
+
+        def counted(fp):
+            calls.append(fp)
+            return slope_report(fp)
+
+        monkeypatch.setattr(families, "slope_report", counted)
+        reports = suite_reports("symmetry")
+        assert len(calls) == len(set(calls)) == 33
+        checks = [r.check for r in reports]
+        assert checks == ["gp_slope"] * 16 + ["syzygy_slope"] * 9 + ["structure"] * 33
+        assert all(r.passed for r in reports)
 
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
