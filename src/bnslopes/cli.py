@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="run verification suites")
     ve.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
     ve.add_argument("--max-g", type=int, default=12, help="genus cap for identity sweeps")
-    ve.add_argument("--r-max", type=int, default=3, help="r cap for the Schubert oracle")
-    ve.add_argument("--d-max", type=int, default=15, help="d cap for the Schubert oracle")
+    ve.add_argument("--r-max", type=int, default=5, help="r cap for the Schubert oracle (default %(default)s)")
+    ve.add_argument("--d-max", type=int, default=18, help="d cap for the Schubert oracle (default %(default)s)")
     ve.add_argument("--triples", type=_triples, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")

@@ -30,9 +30,11 @@ linear system; it is the strongest regression alarm in the package.
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
 (:func:`identity_weierstrass_a`, :func:`identity_weierstrass_c`,
-:func:`identity_pieri`, :func:`aspect_counts`), each against both the
-closed form for integrals of zeta powers and the brute-force Pieri
-oracle.
+:func:`identity_pieri`, :func:`aspect_counts`).  Their integrals of zeta
+powers come from the closed form and, on Grassmannians of tractable
+size, from forward Pieri steps on plain index tuples.  The
+schubert-oracle suite checks the closed form against a one-pass Pieri
+table of every dimension-balanced integral of each Grassmannian.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ from .divisors import (
 from .numeric import binomial
 from .schubert import (
     GrassmannianSpec,
+    _zeta_sweep,
+    _zeta_table,
     balanced_pairs,
-    brute_zeta_integral,
     make_index,
     pieri_ek,
     schubert_class,
@@ -268,28 +271,27 @@ _BRUTE_LIMIT = 2_000_000
 
 def _pattern_integral(
     spec: GrassmannianSpec, b: Tuple[int, ...], k: int, *, brute: bool
-) -> Tuple[Fraction, Optional[Fraction]]:
+) -> Tuple[Fraction, Optional[int]]:
     """Integral of zeta^k against sigma_b by the closed form and, when
     asked and the index set of G(r, P^d) (C(d+1, r+1) indices) is within
-    _BRUTE_LIMIT, by the brute-force Pieri oracle; None when not run.  An
+    _BRUTE_LIMIT, by k forward Pieri steps from b; None when not run.  An
     out-of-box pattern means the cycle vanishes and both integrals are zero."""
     if b[-1] > spec.box:
-        return Fraction(0), Fraction(0)
-    idx = make_index(spec, b)
-    closed = zeta_power_integral(spec, idx, k)
+        return Fraction(0), 0
+    closed = zeta_power_integral(spec, make_index(spec, b), k)
     br = None
     if brute and binomial(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
-        br = brute_zeta_integral(spec, idx, k)
+        br = _zeta_sweep(spec, b, k)
     return closed, br
 
 
-def _integral_detail(label: str, closed: Fraction, br: Optional[Fraction]) -> str:
+def _integral_detail(label: str, closed: Fraction, br: Optional[int]) -> str:
     return f"{label}={closed}" + ("" if br is None else f" brute={br}")
 
 
 def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
     """The Castelnuovo count equals the integral of zeta^g, via the
-    closed form and (when tractable) the brute-force Pieri oracle."""
+    closed form and (when tractable) forward Pieri steps."""
     N = GrdParams(g, r, d).N
     spec = GrassmannianSpec(r, d)
     closed, br = _pattern_integral(spec, (0,) * (r + 1), g, brute=brute)
@@ -558,13 +560,14 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
 
 
 def _oracle_spec_report(r: int, d: int) -> CheckReport:
-    """Exhaustive closed-form vs brute-force comparison over every
-    dimension-balanced (b, k) on G(r, P^d)."""
+    """Exhaustive comparison of the closed form with the one-pass Pieri
+    table over every dimension-balanced (b, k) on G(r, P^d)."""
     spec = GrassmannianSpec(r, d)
+    table = _zeta_table(spec)
     checked = 0
     for idx, k in balanced_pairs(spec):
         closed = zeta_power_integral(spec, idx, k)
-        brute = brute_zeta_integral(spec, idx, k)
+        brute = table[idx.b]
         if closed != brute:
             return _report(
                 "schubert_oracle",
@@ -661,8 +664,8 @@ def suite_reports(
     suite: str,
     *,
     max_g: int = 12,
-    r_max: int = 3,
-    d_max: int = 15,
+    r_max: int = 5,
+    d_max: int = 18,
     triples: Optional[Sequence[Tuple[int, int, int]]] = None,
 ) -> List[CheckReport]:
     """Run one named verification suite (or 'all') and return its

@@ -17,6 +17,14 @@ in every way that keeps the sequence ascending and bounded, each with
 coefficient one.  Every product needed here (zeta, the full shift, a
 single box) is of this form; general Littlewood-Richardson coefficients
 are deliberately not provided.
+
+The oracles for integrals of zeta powers run the zeta step of that rule
+on plain ascending int tuples: :func:`_zeta_table` fills in every
+dimension-balanced integral of one Grassmannian in a single pass by
+falling codimension, and :func:`_zeta_sweep` pushes one sigma_b forward
+k times.  :func:`brute_zeta_integral` does the same expansion through
+:class:`ChowClass` and :func:`pieri_ek`, and stays as their independent
+reference.
 """
 
 from __future__ import annotations
@@ -316,18 +324,69 @@ def brute_zeta_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> Fra
     return integral(c)
 
 
+def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
+    """The indices c with sigma_c a term of zeta * sigma_b: by the Pieri
+    rule for the r-box column, every entry of b but the one at position p
+    goes up by one.  That stays within the box iff p is last or
+    b[-1] < box, and ascending iff p is first or b[p-1] < b[p].  For
+    r = 0 the only successor is b itself, as zeta is then the
+    fundamental class."""
+    up = tuple(x + 1 for x in b)
+    last = len(b) - 1
+    for p in range(len(b)):
+        if (p == last or b[-1] < box) and (p == 0 or b[p - 1] < b[p]):
+            yield up[:p] + b[p : p + 1] + up[p + 1 :]
+
+
+def _zeta_table(spec: GrassmannianSpec) -> Dict[Tuple[int, ...], int]:
+    """The integral of sigma_b * zeta^k for every dimension-balanced
+    (b, k) on ``spec``, keyed by the ascending tuple b (k is fixed by b).
+
+    One pass by falling codimension: the point class integrates to 1,
+    and every other entry is the sum of the entries of its zeta
+    successors, which are balanced one zeta power lower and so are
+    already in the table."""
+    pairs = sorted(_balanced_tuples(spec), key=lambda pair: pair[1])
+    table = {pairs[0][0]: 1}  # k = 0 only at the point class
+    for b, _ in pairs[1:]:
+        table[b] = sum(table[c] for c in _zeta_successors(b, spec.box))
+    return table
+
+
+def _zeta_sweep(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> int:
+    """The integral of sigma_b * zeta^k by k forward zeta steps from b,
+    keeping one count per reached index; the caller checks the dimension
+    balance."""
+    layer = {b: 1}
+    for _ in range(k):
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for c, n in layer.items():
+            for s in _zeta_successors(c, spec.box):
+                nxt[s] = nxt.get(s, 0) + n
+        layer = nxt
+    return layer.get((spec.box,) * (spec.r + 1), 0)
+
+
 def all_indices(spec: GrassmannianSpec) -> Iterator[SchubertIndex]:
     """All valid indices on ``spec`` in lexicographic order."""
     for b in combinations_with_replacement(range(spec.box + 1), spec.r + 1):
         yield SchubertIndex(spec, b)
 
 
-def balanced_pairs(spec: GrassmannianSpec) -> Iterator[tuple[SchubertIndex, int]]:
-    """All (b, k) with r*k + sum(b) = dim X, k >= 0 (for r >= 1)."""
-    if spec.r == 0:
-        yield point_index(spec), 0
+def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:
+    """:func:`balanced_pairs` on plain ascending tuples, unvalidated."""
+    r, dim = spec.r, spec.dim
+    if r == 0:
+        yield (spec.box,), 0
         return
-    for idx in all_indices(spec):
-        rem = spec.dim - idx.codim
-        if rem % spec.r == 0:
-            yield idx, rem // spec.r
+    for b in combinations_with_replacement(range(spec.box + 1), r + 1):
+        rem = dim - sum(b)
+        if rem % r == 0:
+            yield b, rem // r
+
+
+def balanced_pairs(spec: GrassmannianSpec) -> Iterator[tuple[SchubertIndex, int]]:
+    """All (b, k) with r*k + sum(b) = dim X, k >= 0, in lexicographic
+    order of b."""
+    for b, k in _balanced_tuples(spec):
+        yield SchubertIndex(spec, b), k

@@ -160,12 +160,15 @@ class TestIdentities:
             assert "brute" in rep.detail
 
     def test_castelnuovo_brute_gate(self, monkeypatch):
-        def brute(spec, idx, k):
-            raise AssertionError("brute oracle run past _BRUTE_LIMIT")
+        def sweep(spec, b, k):
+            raise AssertionError("Pieri sweep run past _BRUTE_LIMIT")
 
-        monkeypatch.setattr(families, "brute_zeta_integral", brute)
+        monkeypatch.setattr(families, "_zeta_sweep", sweep)
         rep = identity_castelnuovo(18, 17, 34)  # C(35, 18) indices
         assert rep.passed and rep.detail == "closed=1"
+        # the patch is live: below the limit the sweep does run
+        with pytest.raises(AssertionError, match="Pieri sweep"):
+            identity_castelnuovo(6, 2, 6)
 
     def test_castelnuovo_without_brute(self):
         assert identity_castelnuovo(6, 2, 6, brute=False).detail == "closed=5"

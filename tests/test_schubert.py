@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnslopes import families
+from bnslopes.families import _oracle_spec_report
 from bnslopes.schubert import (
     BalanceError,
     ChowClass,
     CodimensionError,
     GrassmannianSpec,
     InvalidIndexError,
+    _zeta_sweep,
+    _zeta_table,
     all_indices,
     balanced_pairs,
     brute_zeta_integral,
@@ -24,6 +28,7 @@ from bnslopes.schubert import (
     zeta,
     zeta_power_integral,
 )
+from bnslopes.tautpush import rho_zero_triples
 
 G13 = GrassmannianSpec(1, 3)
 G26 = GrassmannianSpec(2, 6)
@@ -124,6 +129,16 @@ class TestPieri:
                 assert coeff == 1
                 assert target.b not in shifted
                 shifted[target.b] = idx.b
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_application_order_commutes_sampled(self, data):
+        r = data.draw(st.integers(min_value=0, max_value=4), label="r")
+        spec = GrassmannianSpec(r, data.draw(st.integers(min_value=r, max_value=9), label="d"))
+        b = data.draw(st.sampled_from(list(combinations_with_replacement(range(spec.box + 1), r + 1))))
+        i, j = data.draw(st.lists(st.integers(min_value=1, max_value=r + 1), min_size=2, max_size=2))
+        c = schubert_class(spec, b)
+        assert pieri_ek(pieri_ek(c, i), j) == pieri_ek(pieri_ek(c, j), i)
 
     def test_application_order_commutes(self):
         spec = GrassmannianSpec(2, 5)
@@ -237,3 +252,62 @@ def test_oracle_sampled_beyond_exhaustive_range(data):
     spec, pairs = _balanced(r, d)
     idx, k = data.draw(st.sampled_from(pairs), label="(b, k)")
     assert zeta_power_integral(spec, idx, k) == brute_zeta_integral(spec, idx, k)
+
+
+class TestPieriOracles:
+    def test_table_matches_chow_expansion(self):
+        pairs = 0
+        for r in range(1, 4):
+            for d in range(r, 11):
+                spec = GrassmannianSpec(r, d)
+                table = _zeta_table(spec)
+                for idx, k in balanced_pairs(spec):
+                    assert table[idx.b] == brute_zeta_integral(spec, idx, k), (r, d, idx.b, k)
+                    pairs += 1
+                assert len(table) == sum(1 for _ in balanced_pairs(spec))
+        assert pairs == 745
+
+    def test_table_matches_closed_form_on_g5_18(self):
+        spec = GrassmannianSpec(5, 18)
+        table = _zeta_table(spec)
+        pairs = list(balanced_pairs(spec))
+        assert len(pairs) == len(table) == 5427
+        for idx, k in pairs:
+            assert table[idx.b] == zeta_power_integral(spec, idx, k), (idx.b, k)
+
+    def test_table_for_r_zero_is_the_point(self):
+        assert _zeta_table(GrassmannianSpec(0, 4)) == {(4,): 1}
+
+    def test_sweep_matches_chow_expansion_on_identity_patterns(self):
+        # every rho = 0 triple with g <= 12 lies below the brute-force gate
+        # (the largest, G(11, P^22), has C(23, 12) = 1352078 indices)
+        for g, r, d in rho_zero_triples(12):
+            spec = GrassmannianSpec(r, d)
+            patterns = [((0,) * (r + 1), g)]
+            if g >= 3:
+                patterns.append(((1, 2) + (3,) * (r - 1), g - 3))
+            if g >= 3 and r >= 2:
+                patterns.append(((0, 1) + (2,) * (r - 2) + (3,), g - 2))
+            for b, k in patterns:
+                if b[-1] > spec.box:
+                    continue
+                brute = brute_zeta_integral(spec, make_index(spec, b), k)
+                assert _zeta_sweep(spec, b, k) == brute, (g, r, d, b, k)
+
+    def test_sweep_for_r_zero_keeps_b(self):
+        spec = GrassmannianSpec(0, 4)
+        assert _zeta_sweep(spec, (4,), 3) == 1
+        assert _zeta_sweep(spec, (2,), 3) == 0
+
+    def test_oracle_report_names_a_wrong_table_entry(self, monkeypatch):
+        real = _zeta_table
+
+        def off_by_one(spec):
+            table = real(spec)
+            table[(0, 0, 0)] += 1
+            return table
+
+        monkeypatch.setattr(families, "_zeta_table", off_by_one)
+        rep = _oracle_spec_report(2, 6)
+        assert not rep.passed
+        assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5", "brute=6")

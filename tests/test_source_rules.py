@@ -3,7 +3,11 @@
 ``python -O`` strips ``assert`` statements, so a check written as one
 silently disappears; and no float may enter the exact computation.  The
 one float allowed is the approximate slope column of the pretty slope
-table, in ``cli._slope_rows_text``.
+table, in ``cli._slope_rows_text``.  No function is memoized with
+``functools.cache`` or ``lru_cache`` either: a module-level memo would
+carry tables over from one call to the next, so repeated calls would no
+longer each do their own work.  The one allowed is the argument parser
+builder, ``cli.build_parser``.
 """
 
 import ast
@@ -14,26 +18,53 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "bnslopes"
 SOURCES = sorted(SRC.glob("*.py"))
 FLOAT_ALLOWED = {("cli", "_slope_rows_text")}
+CACHE_ALLOWED = {("cli", "build_parser")}
+MEMOIZERS = {"cache", "lru_cache"}
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _float_calls(tree: ast.Module):
-    """(innermost enclosing function or None, line) of each call to float."""
+def _owned(tree: ast.Module, match):
+    """(innermost enclosing function or None, line) of each node that
+    ``match`` accepts; a function's decorators count as its own."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        if match(node):
             found.append((owner, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, None)
     return found
+
+
+def _float_calls(tree: ast.Module):
+    return _owned(
+        tree,
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "float",
+    )
+
+
+def _memoizer_uses(tree: ast.Module):
+    """``functools.cache``/``lru_cache`` references and imports of them."""
+
+    def match(node):
+        if isinstance(node, ast.Attribute):
+            return (
+                node.attr in MEMOIZERS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            )
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            return any(alias.name in MEMOIZERS for alias in node.names)
+        return False
+
+    return _owned(tree, match)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
@@ -52,3 +83,25 @@ def test_float_only_in_slope_display(path):
 def test_allowed_float_is_seen():
     # keeps the allowance from going stale and the visitor from going blind
     assert [owner for owner, _ in _float_calls(_tree(SRC / "cli.py"))] == ["_slope_rows_text"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_memoization(path):
+    uses = _memoizer_uses(_tree(path))
+    stray = [(owner, line) for owner, line in uses if (path.stem, owner) not in CACHE_ALLOWED]
+    assert not stray, f"{path.name}: functools memoizer at {stray}"
+
+
+def test_allowed_cache_is_seen():
+    assert [owner for owner, _ in _memoizer_uses(_tree(SRC / "cli.py"))] == ["build_parser"]
+
+
+def test_memoizer_visitor_sees_imports_and_decorators():
+    tree = ast.parse(
+        "from functools import lru_cache\n"
+        "import functools\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f():\n"
+        "    pass\n"
+    )
+    assert _memoizer_uses(tree) == [(None, 1), ("f", 3)]
