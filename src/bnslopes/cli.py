@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import itertools
@@ -18,7 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .divisors import (
     FamilyParams,
@@ -28,15 +29,7 @@ from .divisors import (
 )
 from .families import SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
-from .tautpush import (
-    DivisorClass,
-    GrdParams,
-    ParameterError,
-    TautCombo,
-    per_N_coordinates,
-    push,
-    push_combo,
-)
+from .tautpush import GrdParams, ParameterError, TautCombo, per_N_coordinates
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -187,16 +180,42 @@ def cmd_slope(args) -> int:
     return 0
 
 
+def _times(N: int, coords: Iterable[Fraction]) -> Iterator[str]:
+    """str(N·y) for each y, exactly, without building N·y as a Fraction.
+
+    For y = n/L in lowest terms and a = gcd(N, L), N·y = (N/a)·n / (L/a)
+    in lowest terms.  N/a is converted to decimal once per distinct L and
+    each numerator is one multiplication by n: int-to-str is quadratic in
+    the number of digits on CPython 3.11, a decimal product and its str
+    are not.  The context cannot round: with Inexact and Rounded trapped,
+    a step that is not exact raises instead of printing a wrong digit.
+    """
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    quotients = {}
+    for y in coords:
+        n, L = y.numerator, y.denominator
+        if L not in quotients:
+            a = math.gcd(N % L, L)
+            quotients[L] = ctx.create_decimal(N // a), L // a
+        big, den = quotients[L]
+        num = str(ctx.multiply(big, n))
+        yield num if den == 1 else f"{num}/{den}"
+
+
 def cmd_push(args) -> int:
     params = GrdParams(args.g, args.r, args.d)
+    combo = args.combo or TautCombo.of(*(int(args.cls == x) for x in "abc"), 0)
+    coords = per_N_coordinates(combo, params)
     if args.normalize == "N":
-        combo = args.combo or TautCombo.of(*(int(args.cls == x) for x in "abc"), 0)
-        dc = DivisorClass.from_coefficients(per_N_coordinates(combo, params))
-    elif args.cls:
-        dc = push(args.cls, params)
+        lam, psi, *delta = map(str, coords)
     else:
-        dc = push_combo(args.combo, params)
-    _emit(json.dumps(dc.to_json_dict(), sort_keys=True, indent=2) + "\n", args.output)
+        lam, psi, *delta = _times(params.N, coords)
+    obj = {"lambda": lam, "psi": psi, "delta": delta}
+    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
 
@@ -221,14 +240,15 @@ def cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # N has about g digits, and CPython (3.10.7 on) refuses to print an
-    # int of more than 4300 digits by default; lift that cap for this
-    # call only.  0 means no cap, also where the interpreter has none.
+    # N has about g digits, and CPython (3.10.7 on) refuses to convert an
+    # int of more than 4300 digits to or from a string by default; lift
+    # that cap for this call only, parsing included, so a combo entry may
+    # be that long too.  0 means no cap, also where the interpreter has none.
     max_digits = getattr(sys, "get_int_max_str_digits", int)()
     if max_digits:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         if args.command == "slope":
             return cmd_slope(args)
         if args.command == "push":

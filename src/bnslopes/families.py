@@ -517,7 +517,14 @@ def _solve_unique(rows: Matrix, rhs: List[Fraction]) -> List[Fraction]:
 
 def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
-    data alone, bypassing the closed-form coefficients.
+    data alone, bypassing the closed-form coefficients; the system is
+    described in :func:`_reconstruct`."""
+    return _reconstruct(GrdParams(g, r, d), which)
+
+
+def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
+    """Solve for the pushforward of a, b or c at ``params`` from the
+    special-family data.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
     psi, and one more scalar mu.  Every row of a pullback table acts on
@@ -536,7 +543,7 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     rides along.  The solution must be unique; it is returned as a
     DivisorClass.
     """
-    params = GrdParams(g, r, d)
+    g = params.g
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
@@ -585,7 +592,7 @@ def _oracle_spec_report(r: int, d: int) -> CheckReport:
 def _reconstruct_report(params: GrdParams, which: str, expected: DivisorClass) -> CheckReport:
     g, r, d = params.g, params.r, params.d
     try:
-        got = reconstruct(g, r, d, which)
+        got = _reconstruct(params, which)
     except ReconstructionError as exc:
         return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(exc))
     ok = got == expected

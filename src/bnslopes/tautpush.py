@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, repeat
-from operator import add, mul
-from typing import Dict, Iterable, Iterator, List, Tuple
+from math import lcm
+from operator import mul
+from typing import Iterable, Iterator, List, Tuple
 
 from .numeric import factorial, superfactorial
 
@@ -167,13 +168,6 @@ class DivisorClass:
         g = self.g
         return all(self.delta[i] == self.delta[g - i] for i in range(1, g))
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "lambda": str(self.lam),
-            "psi": str(self.psi),
-            "delta": [str(x) for x in self.delta],
-        }
-
     def __str__(self) -> str:
         parts = [f"{self.lam}·λ"]
         if self.psi:
@@ -185,9 +179,10 @@ class DivisorClass:
 
 
 # A bracket is the N-free prefactor of a displayed pushforward formula and
-# an iterator over the bracket's coordinates in the order lambda, psi,
-# delta_0, ..., delta_{g-1}; only the delta_i with i >= 1 are produced lazily.
-Bracket = Tuple[Fraction, Iterator]
+# an iterator over the bracket's integer coordinates in the order lambda,
+# psi, delta_0, ..., delta_{g-1}; only the delta_i with i >= 1 are produced
+# lazily.
+Bracket = Tuple[Fraction, Iterator[int]]
 
 
 def _bracket_a(params: GrdParams) -> Bracket:
@@ -222,29 +217,39 @@ def _bracket_b(params: GrdParams) -> Bracket:
 
 
 def _bracket_c(params: GrdParams) -> Bracket:
-    """The prefactor over N and the bracket of the pushforward of c:
+    """The prefactor over N and the bracket of the pushforward of c.  The
+    displayed formula is
 
         (N / (2(g-1)(g-2))) * [ (-(g+3) xi + 5r(r+2)) lambda
                                 - d(r+1)(g-2) psi
                                 + (1/6)((g+1) xi - 3r(r+2)) delta_0
-                                + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ]
+                                + sum_i (g-i)(i xi + (g-i-2) r(r+2)) delta_i ];
+
+    with xi = p/q in lowest terms, its bracket is scaled by 6q and its
+    prefactor divided by 6q, so every bracket coordinate is an integer:
+
+        (N / (12q(g-1)(g-2))) * [ 6(-(g+3) p + 5r(r+2) q) lambda
+                                  - 6q d(r+1)(g-2) psi
+                                  + ((g+1) p - 3r(r+2) q) delta_0
+                                  + 6 sum_i (g-i)(i p + (g-i-2) r(r+2) q) delta_i ]
     """
     g, r, d = params.g, params.r, params.d
     if g < 3:
         raise ParameterError(f"pushforward of c needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
     x = params.xi
-    rr = r * (r + 2)
-    lam = -(g + 3) * x + 5 * rr
-    psi = -d * (r + 1) * (g - 2)
-    delta0 = Fraction(1, 6) * ((g + 1) * x - 3 * rr)
-    deltas = ((g - i) * (i * x + (g - i - 2) * rr) for i in range(1, g))
-    return Fraction(1, 2 * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
+    p, q = x.numerator, x.denominator
+    rq = r * (r + 2) * q
+    lam = 6 * (-(g + 3) * p + 5 * rq)
+    psi = -6 * q * d * (r + 1) * (g - 2)
+    delta0 = (g + 1) * p - 3 * rq
+    deltas = (6 * (g - i) * (i * p + (g - i - 2) * rq) for i in range(1, g))
+    return Fraction(1, 12 * q * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
 def _scaled(bracket: Bracket, N: int) -> DivisorClass:
     pre, coords = bracket
-    pre *= N
-    return DivisorClass.from_coefficients(pre * x for x in coords)
+    num, den = pre.numerator * N, pre.denominator
+    return DivisorClass.from_coefficients(Fraction(num * x, den) for x in coords)
 
 
 def push_a(params: GrdParams) -> DivisorClass:
@@ -318,11 +323,18 @@ def _fold(combo: TautCombo, params: GrdParams, scale: int) -> Iterator[Fraction]
     return _weighted_sums(combo.p_lam * scale, weights, brackets)
 
 
-def _weighted_sums(lam, weights, brackets) -> Iterator[Fraction]:
+def _weighted_sums(lam: Fraction, weights, brackets) -> Iterator[Fraction]:
+    """lam·[row is lambda] + sum_k weights[k]·brackets[k][row], row by row.
+
+    The weights go over one common denominator L once, so each coordinate
+    is an integer dot product over L, reduced by a single gcd."""
+    L = lcm(lam.denominator, *(w.denominator for w in weights))
+    lam_L = lam.numerator * (L // lam.denominator)
+    ints = [w.numerator * (L // w.denominator) for w in weights]
     rows = zip(*brackets)
-    yield lam + reduce(add, map(mul, weights, next(rows)))
+    yield Fraction(lam_L + sum(map(mul, ints, next(rows))), L)
     for row in rows:
-        yield reduce(add, map(mul, weights, row))
+        yield Fraction(sum(map(mul, ints, row)), L)
 
 
 def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,10 +9,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnslopes import cli, families, tautpush
 from bnslopes.cli import main
-from bnslopes.tautpush import DivisorClass, GrdParams, ParameterError, castelnuovo_N, push_c
+from bnslopes.tautpush import (
+    DivisorClass,
+    GrdParams,
+    ParameterError,
+    TautCombo,
+    castelnuovo_N,
+    per_N_coordinates,
+    push,
+    push_b,
+    push_c,
+    push_combo,
+    rho_zero_triples,
+)
 
 
 def run(capsys, *argv):
@@ -182,12 +197,51 @@ class TestPushCommand:
                            "--class", "b", "--output", str(target))
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
-        lam = json.loads(target.read_text())["lambda"]
+        obj = json.loads(target.read_text())
+        dc = push_b(GrdParams(g, r, d))
         sys.set_int_max_str_digits(0)
         try:
-            assert Fraction(lam) == Fraction(6 * d * N, g - 1)
+            assert Fraction(obj["lambda"]) == Fraction(6 * d * N, g - 1) == dc.lam
+            assert Fraction(obj["psi"]) == dc.psi
+            assert Fraction(obj["delta"][0]) == dc.delta0
+            assert Fraction(obj["delta"][-1]) == dc.delta[g - 1]
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("normalize", [(), ("--normalize", "N")])
+    def test_combo_entry_beyond_int_str_digit_limit(self, capsys, normalize):
+        # one 5000-digit entry: parsed, pushed and printed exactly
+        entry = "-1" + "0" * 4998 + "7/9"
+        argv = ["push", "--g", "10", "--r", "4", "--d", "12", f"--combo=1/2,{entry},0,3", *normalize]
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            combo = TautCombo.of(Fraction(1, 2), Fraction(entry), 0, 3)
+            params = GrdParams(10, 4, 12)
+            coords = per_N_coordinates(combo, params) if normalize else push_combo(combo, params).coefficients()
+            assert out == _push_text(coords)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_json_roundtrip(self, capsys):
+        code, out, _ = run(capsys, "push", "--g", "21", "--r", "6", "--d", "24",
+                           "--combo", "2,-1,-8,1")
+        assert code == 0
+        obj = json.loads(out)
+        coords = (obj["lambda"], obj["psi"], *obj["delta"])
+        dc = push_combo(TautCombo.of(2, -1, -8, 1), GrdParams(21, 6, 24))
+        assert DivisorClass.from_coefficients(map(Fraction, coords)) == dc
+
+    def test_json_shape(self, capsys):
+        code, out, _ = run(capsys, "push", "--g", "6", "--r", "2", "--d", "6", "--class", "b")
+        assert code == 0
+        obj = json.loads(out)
+        assert set(obj) == {"lambda", "psi", "delta"}
+        assert len(obj["delta"]) == 6
+        assert all(isinstance(x, str) for x in obj["delta"])
 
     def test_nonzero_rho_is_usage_error(self, capsys):
         code, _, err = run(capsys, "push", "--g", "3", "--r", "1", "--d", "2",
@@ -207,6 +261,55 @@ class TestPushCommand:
         assert exc.value.code == 2
         assert "Traceback" not in err
         assert "q != 0" in err
+
+
+def _push_text(coords) -> str:
+    lam, psi, *delta = map(str, coords)
+    return json.dumps({"lambda": lam, "psi": psi, "delta": delta}, sort_keys=True, indent=2) + "\n"
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+_ZERO = st.just(Fraction(0))
+_COMBOS = st.one_of(
+    st.tuples(*[_SMALL_RATIONALS] * 4),
+    st.tuples(_ZERO, _ZERO, _ZERO, _ZERO),
+    st.tuples(_ZERO, _ZERO, _ZERO, _SMALL_RATIONALS),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(rho_zero_triples(120)),
+    st.one_of(st.sampled_from("abc"), _COMBOS),
+    st.booleans(),
+)
+def test_push_prints_str_of_exact_class(triple, what, normalize):
+    """``push`` stdout is, byte for byte, the JSON of str() of each
+    coordinate of the pushforward, or of its per-N class with --normalize N."""
+    g, r, d = triple
+    argv = ["push", "--g", str(g), "--r", str(r), "--d", str(d)]
+    if isinstance(what, str):
+        argv += ["--class", what]
+        combo = TautCombo.of(*(int(what == x) for x in "abc"), 0)
+    else:
+        argv.append("--combo=" + ",".join(map(str, what)))
+        combo = TautCombo(*what)
+    if normalize:
+        argv += ["--normalize", "N"]
+    params = GrdParams(g, r, d)
+    try:
+        if normalize:
+            want = _push_text(per_N_coordinates(combo, params))
+        elif isinstance(what, str):
+            want = _push_text(push(what, params).coefficients())
+        else:
+            want = _push_text(push_combo(combo, params).coefficients())
+    except ParameterError:
+        want = None  # a or c at g = 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert (code, out.getvalue()) == ((2, "") if want is None else (0, want))
 
 
 class TestVerifyCommand:

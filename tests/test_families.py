@@ -333,6 +333,18 @@ class TestSuites:
         assert calls == [(g, which) for g in (10, 21) for which in "abc"]
         assert len(reports) == 13 and all(r.passed for r in reports)
 
+    def test_reconstruct_suite_computes_N_once_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        reports = suite_reports("reconstruct", triples=[(21, 6, 24)])
+        assert calls == [(21, 6, 24)]
+        assert len(reports) == 7 and all(r.passed for r in reports)
+
     def test_bridge_quotient_skips_dense_tables(self, monkeypatch):
         def dense(g, dc):
             raise AssertionError("pullbacks builds the tails and pencil tables")

@@ -7,7 +7,11 @@ table, in ``cli._slope_rows_text``.  No function is memoized with
 ``functools.cache`` or ``lru_cache`` either: a module-level memo would
 carry tables over from one call to the next, so repeated calls would no
 longer each do their own work.  The one allowed is the argument parser
-builder, ``cli.build_parser``.
+builder, ``cli.build_parser``.  ``decimal`` serves only to print N times
+a coordinate, in ``cli._times``: there every ``Context`` traps
+``Inexact`` and ``Rounded``, so no decimal step can round, and nothing
+else of the module is used (no ``Decimal`` operator falls back to the
+default 28-digit context).
 """
 
 import ast
@@ -20,6 +24,8 @@ SOURCES = sorted(SRC.glob("*.py"))
 FLOAT_ALLOWED = {("cli", "_slope_rows_text")}
 CACHE_ALLOWED = {("cli", "build_parser")}
 MEMOIZERS = {"cache", "lru_cache"}
+DECIMAL_ALLOWED = {("cli", "_times")}
+DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -105,3 +111,75 @@ def test_memoizer_visitor_sees_imports_and_decorators():
         "    pass\n"
     )
     assert _memoizer_uses(tree) == [(None, 1), ("f", 3)]
+
+
+def _decimal_uses(tree: ast.Module):
+    """References to the ``decimal`` module, imports from it and aliased
+    imports of it; a plain ``import decimal`` is not a use."""
+
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id == "decimal"
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "decimal"
+        if isinstance(node, ast.Import):
+            return any(a.name == "decimal" and a.asname for a in node.names)
+        return False
+
+    return _owned(tree, match)
+
+
+def _decimal_attributes(tree: ast.Module):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "decimal"
+    ]
+
+
+def _traps(call: ast.Call):
+    for kw in call.keywords:
+        if kw.arg == "traps" and isinstance(kw.value, (ast.List, ast.Tuple, ast.Set)):
+            return {
+                e.attr for e in kw.value.elts
+                if isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name) and e.value.id == "decimal"
+            }
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_decimal_only_in_exact_renderer(path):
+    tree = _tree(path)
+    uses = _decimal_uses(tree)
+    stray = [(owner, line) for owner, line in uses if (path.stem, owner) not in DECIMAL_ALLOWED]
+    assert not stray, f"{path.name}: decimal used at {stray}"
+    names = {node.attr for node in _decimal_attributes(tree)}
+    assert names <= DECIMAL_NAMES, f"{path.name}: decimal.{sorted(names - DECIMAL_NAMES)}"
+    for node in _decimal_attributes(tree):
+        if node.attr == "Context":
+            call = next(
+                (c for c in ast.walk(tree) if isinstance(c, ast.Call) and c.func is node), None
+            )
+            assert call is not None, f"{path.name}:{node.lineno}: decimal.Context not called"
+            assert _traps(call) >= {"Inexact", "Rounded"}, f"{path.name}:{node.lineno}: traps"
+
+
+def test_allowed_decimal_is_seen():
+    tree = _tree(SRC / "cli.py")
+    assert {owner for owner, _ in _decimal_uses(tree)} == {"_times"}
+    contexts = [node for node in _decimal_attributes(tree) if node.attr == "Context"]
+    assert len(contexts) == 1
+
+
+def test_decimal_visitor_sees_imports_and_missing_traps():
+    tree = ast.parse(
+        "import decimal as dec\n"
+        "from decimal import Decimal\n"
+        "def f():\n"
+        "    return decimal.Context(traps=[decimal.Inexact])\n"
+    )
+    assert _decimal_uses(tree) == [(None, 1), (None, 2), ("f", 4), ("f", 4)]
+    (call,) = [c for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    assert _traps(call) == {"Inexact"}

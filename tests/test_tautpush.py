@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bnslopes import tautpush
 from bnslopes.schubert import GrassmannianSpec, brute_zeta_integral, make_index
 from bnslopes.tautpush import (
-    DivisorClass,
     GrdParams,
     ParameterError,
     TautCombo,
@@ -21,6 +20,9 @@ from bnslopes.tautpush import (
     rho_zero_triples,
     xi,
 )
+
+
+_TRIPLES_3_60 = [t for t in rho_zero_triples(60) if t[0] >= 3]
 
 
 class TestRho:
@@ -93,6 +95,30 @@ class TestPushforwards:
             for i in range(1, g):
                 assert delta[i] == 4 * (g - i) * (g - i - 1)
 
+    @pytest.mark.parametrize("bracket", [tautpush._bracket_a, tautpush._bracket_b, tautpush._bracket_c])
+    def test_brackets_are_integral(self, bracket):
+        # the module docstring's "integer-coefficient bracket", every triple
+        for triple in _TRIPLES_3_60:
+            _, coords = bracket(GrdParams(*triple))
+            coords = list(coords)
+            assert len(coords) == triple[0] + 2
+            assert all(type(x) is int for x in coords), triple
+
+    def test_push_c_matches_displayed_formula(self):
+        # the bracket of c is the displayed one scaled by 6·den(xi)
+        for triple in _TRIPLES_3_60:
+            p = GrdParams(*triple)
+            g, r, d, x = p.g, p.r, p.d, p.xi
+            rr = r * (r + 2)
+            displayed = [
+                -(g + 3) * x + 5 * rr,
+                -d * (r + 1) * (g - 2),
+                Fraction(1, 6) * ((g + 1) * x - 3 * rr),
+                *((g - i) * (i * x + (g - i - 2) * rr) for i in range(1, g)),
+            ]
+            pre = Fraction(p.N, 2 * (g - 1) * (g - 2))
+            assert list(push_c(p).coefficients()) == [pre * y for y in displayed], triple
+
     def test_domain_guards(self):
         with pytest.raises(ParameterError):
             push_a(GrdParams(2, 1, 2))  # (g-1)(g-2) vanishes
@@ -131,7 +157,6 @@ class TestPushCombo:
         assert dc.is_delta_symmetric()
 
 
-_TRIPLES_3_60 = [t for t in rho_zero_triples(60) if t[0] >= 3]
 _SMALL_RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
 
 
@@ -151,20 +176,6 @@ def test_per_N_coordinates_times_N_are_push_combo(triple, coeffs):
     for p, push_x in zip((combo.p_a, combo.p_b, combo.p_c), (push_a, push_b, push_c)):
         expected = [x + p * y for x, y in zip(expected, push_x(params).coefficients())]
     assert list(dc.coefficients()) == expected
-
-
-class TestDivisorClass:
-    def test_json_roundtrip(self):
-        dc = push_combo(TautCombo.of(2, -1, -8, 1), GrdParams(21, 6, 24))
-        obj = dc.to_json_dict()
-        coords = (obj["lambda"], obj["psi"], *obj["delta"])
-        assert DivisorClass.from_coefficients(map(Fraction, coords)) == dc
-
-    def test_json_shape(self):
-        obj = push_b(GrdParams(6, 2, 6)).to_json_dict()
-        assert set(obj) == {"lambda", "psi", "delta"}
-        assert len(obj["delta"]) == 6
-        assert all(isinstance(x, str) for x in obj["delta"])
 
 
 def test_rho_zero_triples():
