@@ -22,10 +22,14 @@ class on the pointed moduli space:
 
 On each family the pushforwards of the tautological classes a, b, c are
 known in closed form (zero over the tails family; explicit rank-3
-classes over the bridge; explicit degrees over the pencils).  Together
-with the pullback tables these data determine the pushforwards
-uniquely, and :func:`reconstruct` re-derives them by solving the exact
-linear system; it is the strongest regression alarm in the package.
+classes over the bridge; explicit degrees over the pencils).  The
+pullback tables (:func:`bridge_matrix`, :func:`tails_matrix`,
+:func:`pencil_matrix`) are lists of sparse rows, {column: value} with
+only the nonzero entries, each row holding at most three.  Together
+with the known pushforwards they determine the pushforwards uniquely,
+and :func:`reconstruct` re-derives them by solving the exact linear
+system with one sparse eliminator; it is the strongest regression alarm
+in the package.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -41,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .divisors import (
     FamilyParams,
@@ -114,30 +119,25 @@ def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fractio
     return None
 
 
-Matrix = List[List[Fraction]]
+Row = Dict[int, Fraction]
+Table = List[Row]
 
-# Column order of every pullback matrix: (lambda, psi, delta_0, ..., delta_{g-1}),
-# so delta_i sits in column 2 + i.
+# Every pullback table is a list of sparse rows {column: value} that
+# store only nonzero entries.  Columns follow DivisorClass.coefficients():
+# lambda is column 0, psi column 1, and delta_i column 2 + i, so a table
+# row applied to a class's coefficient vector gives one pulled-back
+# coordinate.
 
 
-def _zero_matrix(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def bridge_matrix(g: int) -> Matrix:
+def bridge_matrix(g: int) -> Table:
     """Pullback to the bridge family, rows (lambda, psi, delta_0, delta_1):
     lambda -> lambda, delta_0 -> delta_0, delta_{g-2} -> -psi,
     delta_{g-1} -> delta_1, everything else (psi, delta_1..delta_{g-3})
     to zero."""
-    m = _zero_matrix(4, g + 2)
-    m[0][0] = Fraction(1)
-    m[1][2 + g - 2] = Fraction(-1)
-    m[2][2] = Fraction(1)
-    m[3][2 + g - 1] = Fraction(1)
-    return m
+    return [{0: Fraction(1)}, {g: Fraction(-1)}, {2: Fraction(1)}, {g + 1: Fraction(1)}]
 
 
-def tails_matrix(g: int) -> Matrix:
+def tails_matrix(g: int) -> Table:
     """Pullback to the tails family, one row per eps_i (i = 2..g-2):
     lambda, psi, delta_0 -> 0; delta_i -> eps_i; and
 
@@ -146,31 +146,33 @@ def tails_matrix(g: int) -> Matrix:
     """
     if g < 5:
         raise ParameterError(f"tails family needs g >= 5; got g={g}")
-    m = _zero_matrix(g - 3, g + 2)
-    for i in range(2, g - 1):
-        row = m[i - 2]
-        row[2 + i] = Fraction(1)
-        row[2 + 1] = Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2))
-        row[2 + g - 1] = Fraction(-(g - i) * (i - 1), g - 2)
-    return m
+    return [
+        {
+            3: Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
+            2 + i: Fraction(1),
+            g + 1: Fraction(-(g - i) * (i - 1), g - 2),
+        }
+        for i in range(2, g - 1)
+    ]
 
 
-def pencil_matrix(g: int) -> Matrix:
+def pencil_matrix(g: int) -> Table:
     """Degrees on the pencil families, one row per h = 1..g-1:
     deg lambda = 0, deg psi = 2h-1, deg delta_h = -1, deg delta_{g-h} = +1,
     all other boundary degrees zero (for h = g/2 the two contributions
     land on the same class and cancel)."""
-    m = _zero_matrix(g - 1, g + 2)
+    rows = []
     for h in range(1, g):
-        row = m[h - 1]
-        row[1] = Fraction(2 * h - 1)
-        row[2 + h] += Fraction(-1)
-        row[2 + g - h] += Fraction(1)
-    return m
+        row = {1: Fraction(2 * h - 1)}
+        if 2 * h != g:
+            row[2 + h] = Fraction(-1)
+            row[2 + g - h] = Fraction(1)
+        rows.append(row)
+    return rows
 
 
-def _apply(m: Matrix, vec: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((a * x for a, x in zip(row, vec) if a), Fraction(0)) for row in m]
+def _apply(m: Table, vec: Sequence[Fraction]) -> List[Fraction]:
+    return [sum((x * vec[j] for j, x in row.items()), Fraction(0)) for row in m]
 
 
 def pullbacks(
@@ -306,7 +308,11 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
         -2(g-2) * integral(sigma_{(1,2,3,...,3)} zeta^{g-3})
             = -2d(2g-2-d) N / (3(g-1)).
     """
-    params = GrdParams(g, r, d)
+    return _weierstrass_a(GrdParams(g, r, d))
+
+
+def _weierstrass_a(params: GrdParams) -> CheckReport:
+    g, r, d = params.g, params.r, params.d
     if g < 3:
         raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
     spec = GrassmannianSpec(r, d)
@@ -325,7 +331,11 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         -( integral(sigma_{(0,1,2,...,2,3)} zeta^{g-2}) + N )
             = -xi N / (3(g-1)).
     """
-    params = GrdParams(g, r, d)
+    return _weierstrass_c(GrdParams(g, r, d))
+
+
+def _weierstrass_c(params: GrdParams) -> CheckReport:
+    g, r, d = params.g, params.r, params.d
     if g < 3 or r < 2:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
@@ -382,8 +392,11 @@ def aspect_counts(g: int, r: int, d: int) -> Tuple[Fraction, Fraction]:
         ((2g-2-d) N / (2(g-1)),  d N / (2(g-1))),
 
     summing to N."""
-    params = GrdParams(g, r, d)
-    N = params.N
+    return _aspect_counts(GrdParams(g, r, d))
+
+
+def _aspect_counts(params: GrdParams) -> Tuple[Fraction, Fraction]:
+    g, d, N = params.g, params.d, params.N
     return (
         Fraction((2 * g - 2 - d) * N, 2 * (g - 1)),
         Fraction(d * N, 2 * (g - 1)),
@@ -400,8 +413,12 @@ def aspect_report(g: int, r: int, d: int) -> CheckReport:
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
     the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
     """
-    n1, n2 = aspect_counts(g, r, d)
-    N = GrdParams(g, r, d).N
+    return _aspect_report(GrdParams(g, r, d))
+
+
+def _aspect_report(params: GrdParams) -> CheckReport:
+    g, r, d, N = params.g, params.r, params.d, params.N
+    n1, n2 = _aspect_counts(params)
     spec = GrassmannianSpec(r, d)
     b1 = (0,) + (2,) * r
     b2 = (1, 1) + (2,) * (r - 1)
@@ -432,6 +449,13 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
         rows 2 <= j <= g-4: -1 at column j-1, 1 at column j,
                             g-1-j in the last column
         row g-3:          (0, ..., 0, -1, 2)
+
+    Its determinant is (g-1)^2 (g-4) / 2: clearing the -1 below each
+    diagonal entry from the top down (row 2 by row 1 over g-1, each
+    later row by the reduced row above it) leaves an upper triangular
+    matrix with diagonal (g-1, 1, ..., 1, (g-1)(g-4)/2).  So the matrix
+    is nonsingular for every g >= 5; the verdict still comes from the
+    computed determinant.
     """
     if g < 5:
         raise ParameterError(f"epsilon matrix needs g >= 5; got g={g}")
@@ -449,69 +473,96 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     return frozen, matrix_determinant(frozen) != 0
 
 
-def _forward_eliminate(a: Matrix, ncols: int) -> Tuple[List[int], Fraction]:
-    """Reduce the rows of ``a`` in place to row echelon form over their
-    first ``ncols`` columns; entries past ``ncols`` (a right-hand side)
-    are carried along.
+def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row], Table]:
+    """Reduce sparse rows to row echelon form over the columns
+    0..ncols-1; an entry under the key ``ncols`` (a right-hand side) is
+    carried along.  Rows hold only nonzero ``Fraction`` entries and are
+    reduced in place.
 
-    For each column the pivot is the first remaining row with a nonzero
-    entry, and only the nonzero entries of the pivot row are subtracted
-    from the rows below it that are nonzero in that column, so the
-    sparse test-family systems stay cheap.  Returns the pivot columns and
-    the signed product of the pivots, or 0 when some column has no pivot:
-    the determinant when ``a`` is square.
+    Rows are taken in order.  Each row's leading column is its smallest
+    key.  While some earlier row pivots on that column, the row is
+    reduced by that pivot row, which touches only the pivot row's stored
+    entries and drops every entry that cancels.  The row then either
+    becomes the pivot of its new leading column or is left with no
+    entry before ``ncols``.  No dense row or column is ever scanned.
+
+    Returns the pivot rows keyed by their pivot column, in the order they
+    were found, and the rows left without a pivot.  A pivot row holds no
+    entry left of its pivot column, so the pivot rows sorted by column
+    form an upper triangular system.
     """
-    nrows = len(a)
-    pivots: List[int] = []
-    det = Fraction(1)
-    for col in range(ncols):
-        rank = len(pivots)
-        pivot = next((i for i in range(rank, nrows) if a[i][col] != 0), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != rank:
-            a[rank], a[pivot] = a[pivot], a[rank]
-            det = -det
-        prow = a[rank]
-        det *= prow[col]
-        inv = 1 / prow[col]
-        tail = [(j, x) for j, x in enumerate(prow[col + 1 :], col + 1) if x != 0]
-        for row in a[rank + 1 :]:
-            if row[col] != 0:
-                f = row[col] * inv
-                row[col] = Fraction(0)
-                for j, x in tail:
-                    row[j] -= f * x
-        pivots.append(col)
-    return pivots, det
+    pivots: Dict[int, Row] = {}
+    rest: Table = []
+    for row in rows:
+        while True:
+            lead = min(row, default=ncols)
+            if lead >= ncols:
+                rest.append(row)
+                break
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            f = row.pop(lead) / prow[lead]
+            for j, x in prow.items():
+                if j != lead:
+                    y = row.get(j)
+                    y = -f * x if y is None else y - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+    return pivots, rest
 
 
 def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix."""
-    a = [[Fraction(x) for x in row] for row in m]
-    return _forward_eliminate(a, len(a))[1]
+    """Exact determinant of a square matrix.
+
+    Only the nonzero entries are converted to ``Fraction`` and
+    eliminated.  The determinant is 0 unless every row becomes the pivot
+    row of some column.  Then row k differs from the k-th input row by
+    multiples of earlier rows, so the determinant is the product of the
+    pivots times the sign of the permutation taking pivot-discovery
+    order to column order.
+    """
+    n = len(m)
+    pivots, _ = _forward_eliminate(
+        ({j: Fraction(x) for j, x in enumerate(row) if x} for row in m), n
+    )
+    if len(pivots) < n:
+        return Fraction(0)
+    sign = 1
+    order = list(pivots)
+    for k in range(n):
+        while order[k] != k:  # sort by transpositions, each flips the sign
+            j = order[k]
+            order[k], order[j] = order[j], order[k]
+            sign = -sign
+    diagonal = [row[col] for col, row in pivots.items()]
+    return Fraction(
+        sign * prod(x.numerator for x in diagonal), prod(x.denominator for x in diagonal)
+    )
 
 
-def _solve_unique(rows: Matrix, rhs: List[Fraction]) -> List[Fraction]:
-    """Solve an (over-determined) exact linear system requiring a unique
-    solution; raises ReconstructionError when singular or inconsistent."""
-    ncols = len(rows[0])
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots, _ = _forward_eliminate(m, ncols)
-    rank = len(pivots)
-    if any(row[ncols] != 0 for row in m[rank:]):
+def _solve_unique(rows: Iterable[Row], ncols: int) -> List[Fraction]:
+    """Solve an (over-determined) exact linear system given as sparse
+    rows with their right-hand side under the key ``ncols``; the rows are
+    consumed.  Requires a unique solution: raises ReconstructionError
+    when the system is inconsistent or underdetermined."""
+    pivots, rest = _forward_eliminate(rows, ncols)
+    if any(rest):
         raise ReconstructionError("linear system is inconsistent")
+    rank = len(pivots)
     if rank < ncols:
         raise ReconstructionError(
             f"linear system is underdetermined (rank {rank} < {ncols} unknowns)"
         )
-    # Full column rank: row i pivots on column i.
     sol = [Fraction(0)] * ncols
-    for i in reversed(range(ncols)):
-        row = m[i]
-        known = sum((row[j] * sol[j] for j in range(i + 1, ncols) if row[j]), Fraction(0))
-        sol[i] = (row[ncols] - known) / row[i]
+    for col in reversed(range(ncols)):
+        row = pivots[col]
+        rhs = row.get(ncols, Fraction(0))
+        known = sum((x * sol[j] for j, x in row.items() if col < j < ncols), Fraction(0))
+        sol[col] = (rhs - known) / row[col]
     return sol
 
 
@@ -527,9 +578,11 @@ def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
     special-family data.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
-    psi, and one more scalar mu.  Every row of a pullback table acts on
-    (lambda, psi, delta_*); moving its psi entry to the end and appending
-    a mu coefficient makes it a row of the system:
+    psi, in that column order, and one more scalar mu in column g+2.
+    Every row of a pullback table is a sparse row over
+    (lambda, psi, delta_*); moving its entries to those columns, adding a
+    mu entry and the right-hand side under the key g+3 makes it a row of
+    the system:
 
     * for each pencil type h: the pencil degree of the class;
     * for each tails class eps_i: the pullback of the class vanishes,
@@ -537,11 +590,15 @@ def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
     * the bridge pullback plus mu times the relation
       10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class.
 
-    psi comes after the deltas because it sits in every pencil row:
-    pivoting on it early would copy the first pencil row's delta entries
-    into every other pencil row, while as the last class column it only
-    rides along.  The solution must be unique; it is returned as a
-    DivisorClass.
+    The rows are eliminated in that order (see :func:`_forward_eliminate`)
+    and stay short, never holding more than four entries: pencil row h
+    pivots on delta_min(h, g-h), pencil g-h then cancels to a psi-only
+    row, and each tails row moves from delta to delta along the pencil
+    pivots until it finds a free column.  psi comes after the deltas
+    because it sits in every pencil row: as a leading column it would make
+    every pencil row reduce by the first one and pick up its delta
+    entries, while as the last class column it only rides along.  The
+    solution must be unique; it is returned as a DivisorClass.
     """
     g = params.g
     if g < 5:
@@ -555,10 +612,18 @@ def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
         + [(row, zero, zero) for row in tails_matrix(g)]
         + list(zip(bridge_matrix(g), _RELATION, bridge_target))
     )
-    rows = [[row[0], *row[2:], row[1], mu] for row, mu, _ in system]
-    rhs = [target for _, _, target in system]
+    # table column j -> system column: lambda stays, psi goes last, delta_i to 1 + i
+    column = [0, g + 1, *range(1, g + 1)]
+    rows = []
+    for row, mu, target in system:
+        eq = {column[j]: x for j, x in row.items()}
+        if mu:
+            eq[g + 2] = mu
+        if target:
+            eq[g + 3] = target
+        rows.append(eq)
 
-    sol = _solve_unique(rows, rhs)
+    sol = _solve_unique(rows, g + 3)
     return DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
 
 
@@ -686,11 +751,12 @@ def suite_reports(
                 out.append(identity_castelnuovo(g, r, d))
         elif name == "weierstrass":
             for g, r, d in rho_zero_triples(max_g):
+                params = GrdParams(g, r, d)
                 if g >= 3:
-                    out.append(identity_weierstrass_a(g, r, d))
+                    out.append(_weierstrass_a(params))
                 if g >= 3 and r >= 2:
-                    out.append(identity_weierstrass_c(g, r, d))
-                out.append(aspect_report(g, r, d))
+                    out.append(_weierstrass_c(params))
+                out.append(_aspect_report(params))
         elif name == "pieri":
             for g, r, d in rho_zero_triples(max_g):
                 if r >= 2:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,14 @@ from bnslopes.tautpush import (
     push_b,
     rho_zero_triples,
 )
+
+
+def sparse(rows, rhs=None):
+    """Dense rows, and a right-hand side under the key len(row), as the
+    eliminator's sparse rows of nonzero Fractions."""
+    if rhs is not None:
+        rows = [list(row) + [b] for row, b in zip(rows, rhs)]
+    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
 
 
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
@@ -89,6 +98,11 @@ class TestEpsilonMatrix:
     def test_range_nonsingular(self):
         for g in range(5, 31):
             assert epsilon_matrix(g)[1], g
+
+    def test_determinant_closed_form(self):
+        for g in range(5, 61):
+            det = matrix_determinant(epsilon_matrix(g)[0])
+            assert det == (g - 1) ** 2 * (g - 4) // 2 and type(det) is Fraction, g
 
     def test_small_g_rejected(self):
         with pytest.raises(ParameterError):
@@ -145,11 +159,13 @@ class TestLemmaConsistency:
                 assert not any(tails), (g, which)
 
     def test_lemma_data_shape(self):
-        # g-3 tails rows and g-1 pencil rows over the g+2 columns
-        # (lambda, psi, delta_0..delta_{g-1})
+        # g-3 tails rows and g-1 pencil rows, sparse over the g+2 columns
+        # (lambda, psi, delta_0..delta_{g-1}), storing nonzero entries only
         g = 8
-        assert [len(row) for row in tails_matrix(g)] == [g + 2] * 5
-        assert [len(row) for row in pencil_matrix(g)] == [g + 2] * 7
+        tails, pencils = tails_matrix(g), pencil_matrix(g)
+        assert (len(tails), len(pencils)) == (5, 7)
+        assert all(0 <= j <= g + 1 and x != 0 for row in tails + pencils for j, x in row.items())
+        assert pencils[g // 2 - 1] == {1: g - 1}
 
 
 class TestIdentities:
@@ -231,26 +247,27 @@ class TestAspects:
 
 class TestSolver:
     def test_unique_solution(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)], [Fraction(2), Fraction(0)]]
-        rhs = [Fraction(3), Fraction(1), Fraction(4)]
-        assert _solve_unique(rows, rhs) == [Fraction(2), Fraction(1)]
+        rows = sparse(((1, 1), (1, -1), (2, 0)), (3, 1, 4))
+        assert _solve_unique(rows, 2) == [Fraction(2), Fraction(1)]
 
     def test_inconsistent(self):
-        rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
         with pytest.raises(ReconstructionError, match="inconsistent"):
-            _solve_unique(rows, [Fraction(1), Fraction(2)])
+            _solve_unique(sparse(((1, 0), (1, 0)), (1, 2)), 2)
 
     def test_underdetermined(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
         with pytest.raises(ReconstructionError, match="underdetermined"):
-            _solve_unique(rows, [Fraction(1), Fraction(2)])
+            _solve_unique(sparse(((1, 1), (2, 2)), (1, 2)), 2)
 
     def test_elimination_skips_zero_column_and_tracks_swaps(self):
-        rows = [[Fraction(x) for x in row] for row in ((0, 0, 3), (0, 2, 5), (0, 4, 1))]
-        assert _forward_eliminate(rows, 3) == ([1, 2], 0)
-        rows = [[Fraction(x) for x in row] for row in ((0, 2), (3, 1))]
-        assert _forward_eliminate(rows, 2) == ([0, 1], -6)
-        assert rows == [[3, 1], [0, 2]]
+        m = ((0, 0, 3), (0, 2, 5), (0, 4, 1))
+        pivots, rest = _forward_eliminate(sparse(m), 3)
+        assert (sorted(pivots), matrix_determinant(m)) == ([1, 2], 0)
+        assert rest == [{}]
+        m = ((0, 2), (3, 1))
+        pivots, rest = _forward_eliminate(sparse(m), 2)
+        assert (sorted(pivots), matrix_determinant(m)) == ([0, 1], -6)
+        assert list(pivots) == [1, 0] and rest == []
+        assert [pivots[c] for c in sorted(pivots)] == [{0: 3, 1: 1}, {1: 2}]
 
     def test_against_cofactor_expansion_and_substitution(self):
         def cofactor_det(m):
@@ -262,18 +279,67 @@ class TestSolver:
                 if m[0][j]
             )
 
+        def rank(m):
+            ncols = len(m[0])
+            for k in range(min(len(m), ncols), 0, -1):
+                for rs in combinations(m, k):
+                    for cs in combinations(range(ncols), k):
+                        if cofactor_det([[row[j] for j in cs] for row in rs]):
+                            return k
+            return 0
+
         rng = random.Random(7)
+
+        def entry():
+            return rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+
         for _ in range(300):
             n = rng.randint(1, 5)
-            m = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            m = [[entry() for _ in range(n)] for _ in range(n)]
             det = cofactor_det(m)
-            assert matrix_determinant(m) == det, m
+            got = matrix_determinant(m)
+            assert got == det and type(got) is Fraction, m
             if det:
                 x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                 # one redundant row keeps the system over-determined but consistent
-                rows = [[Fraction(a) for a in row] for row in m + [[sum(c) for c in zip(*m)]]]
+                rows = m + [[sum(c) for c in zip(*m)]]
                 rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
-                assert _solve_unique(rows, rhs) == x, m
+                sol = _solve_unique(sparse(rows, rhs), n)
+                assert sol == x and all(type(y) is Fraction for y in sol), m
+
+        # rectangular systems with fractional entries, some with all-zero
+        # columns or a perturbed right-hand side
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            zero = {j for j in range(n) if rng.random() < 0.1}
+            a = [
+                [Fraction(0) if j in zero else Fraction(entry(), rng.randint(1, 3)) for j in range(n)]
+                for _ in range(n + rng.randint(0, 3))
+            ]
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+            b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
+            perturbed = rng.random() < 0.3
+            if perturbed:
+                b[rng.randrange(len(b))] += 1
+            r = rank(a)
+            if rank([row + [bi] for row, bi in zip(a, b)]) > r:
+                outcome = "inconsistent"
+            elif r < n:
+                outcome = "underdetermined"
+            else:
+                outcome = "unique"
+            outcomes.add(outcome)
+            if outcome != "unique":
+                with pytest.raises(ReconstructionError, match=outcome):
+                    _solve_unique(sparse(a, b), n)
+                continue
+            sol = _solve_unique(sparse(a, b), n)
+            assert all(type(y) is Fraction for y in sol), a
+            assert [sum(ai * yi for ai, yi in zip(row, sol)) for row in a] == b, a
+            if not perturbed:
+                assert sol == x, a
+        assert outcomes == {"inconsistent", "underdetermined", "unique"}
 
 
 class TestReconstruct:
@@ -282,6 +348,10 @@ class TestReconstruct:
     def test_matches_closed_form(self, triple, which):
         g, r, d = triple
         assert reconstruct(g, r, d, which) == push(which, GrdParams(g, r, d))
+
+    @pytest.mark.parametrize("which", ["a", "b", "c"])
+    def test_benchmark_large_triple(self, which):
+        assert reconstruct(120, 23, 138, which) == push(which, GrdParams(120, 23, 138))
 
     def test_more_triples(self):
         for g, r, d in ((5, 4, 8), (6, 5, 10), (12, 2, 10)):
@@ -344,6 +414,18 @@ class TestSuites:
         reports = suite_reports("reconstruct", triples=[(21, 6, 24)])
         assert calls == [(21, 6, 24)]
         assert len(reports) == 7 and all(r.passed for r in reports)
+
+    def test_weierstrass_suite_computes_N_once_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        reports = suite_reports("weierstrass", max_g=12)
+        assert calls == rho_zero_triples(12)
+        assert len(reports) == 62 and all(r.passed for r in reports)
 
     def test_bridge_quotient_skips_dense_tables(self, monkeypatch):
         def dense(g, dc):
