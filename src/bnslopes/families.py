@@ -34,7 +34,7 @@ in the package.
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
 (:func:`identity_weierstrass_a`, :func:`identity_weierstrass_c`,
-:func:`identity_pieri`, :func:`aspect_counts`).  Their integrals of zeta
+:func:`identity_pieri` and the aspect counts).  Their integrals of zeta
 powers come from the closed form and, on Grassmannians of tractable
 size, from forward Pieri steps on plain index tuples.  The
 schubert-oracle suite checks the closed form against a one-pass Pieri
@@ -59,9 +59,9 @@ from .divisors import (
 from .numeric import binomial
 from .schubert import (
     GrassmannianSpec,
+    _closed_form,
     _zeta_sweep,
     _zeta_table,
-    balanced_pairs,
     make_index,
     pieri_ek,
     schubert_class,
@@ -80,8 +80,6 @@ from .tautpush import (
 __all__ = [
     "CheckReport",
     "ReconstructionError",
-    "aspect_counts",
-    "aspect_report",
     "bridge_matrix",
     "bridge_pushforward",
     "epsilon_matrix",
@@ -385,17 +383,13 @@ def identity_pieri(g: int, r: int, d: int) -> CheckReport:
     )
 
 
-def aspect_counts(g: int, r: int, d: int) -> Tuple[Fraction, Fraction]:
+def _aspect_counts(params: GrdParams) -> Tuple[Fraction, Fraction]:
     """The two families of aspects compatible with a maximally ramified
     series at the Weierstrass point, counted with multiplicity:
 
         ((2g-2-d) N / (2(g-1)),  d N / (2(g-1))),
 
     summing to N."""
-    return _aspect_counts(GrdParams(g, r, d))
-
-
-def _aspect_counts(params: GrdParams) -> Tuple[Fraction, Fraction]:
     g, d, N = params.g, params.d, params.N
     return (
         Fraction((2 * g - 2 - d) * N, 2 * (g - 1)),
@@ -403,7 +397,7 @@ def _aspect_counts(params: GrdParams) -> Tuple[Fraction, Fraction]:
     )
 
 
-def aspect_report(g: int, r: int, d: int) -> CheckReport:
+def _aspect_report(params: GrdParams) -> CheckReport:
     """Aspect counts: their sum must be N, and each count must equal the
     matching Schubert integral of zeta^{g-2} against the dual
     ramification index.  Integrality of the individual counts is only
@@ -413,10 +407,6 @@ def aspect_report(g: int, r: int, d: int) -> CheckReport:
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
     the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
     """
-    return _aspect_report(GrdParams(g, r, d))
-
-
-def _aspect_report(params: GrdParams) -> CheckReport:
     g, r, d, N = params.g, params.r, params.d, params.N
     n1, n2 = _aspect_counts(params)
     spec = GrassmannianSpec(r, d)
@@ -633,18 +623,20 @@ def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
 
 def _oracle_spec_report(r: int, d: int) -> CheckReport:
     """Exhaustive comparison of the closed form with the one-pass Pieri
-    table over every dimension-balanced (b, k) on G(r, P^d)."""
+    table over every dimension-balanced (b, k) on G(r, P^d).  Each entry's
+    k is (dim - |b|)/r; the closed form is compared on ints, and a
+    nonzero remainder is a failed check."""
     spec = GrassmannianSpec(r, d)
-    table = _zeta_table(spec)
     checked = 0
-    for idx, k in balanced_pairs(spec):
-        closed = zeta_power_integral(spec, idx, k)
-        brute = table[idx.b]
-        if closed != brute:
+    for b, brute in _zeta_table(spec).items():
+        k = (spec.dim - sum(b)) // r
+        num, den = _closed_form(spec, b, k)
+        q, rem = divmod(num, den)
+        if rem or q != brute:
             return _report(
                 "schubert_oracle",
                 {"r": r, "d": d},
-                f"closed({idx.b},k={k})={closed}",
+                f"closed({b},k={k})={Fraction(num, den)}",
                 f"brute={brute}",
                 False,
             )

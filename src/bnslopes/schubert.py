@@ -24,7 +24,10 @@ dimension-balanced integral of one Grassmannian in a single pass by
 falling codimension, and :func:`_zeta_sweep` pushes one sigma_b forward
 k times.  :func:`brute_zeta_integral` does the same expansion through
 :class:`ChowClass` and :func:`pieri_ek`, and stays as their independent
-reference.
+reference.  The closed form is written once, on ints, in
+:func:`_closed_form`; :func:`zeta_power_integral` returns it as a
+``Fraction``, and the schubert-oracle suite compares every entry of the
+one-pass table with it directly, as one ``divmod`` per pair.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "GrassmannianSpec",
     "InvalidIndexError",
     "SchubertIndex",
-    "all_indices",
     "balanced_pairs",
     "brute_zeta_integral",
     "integral",
@@ -283,23 +285,29 @@ def _check_balance(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> None:
 
 
 def zeta_power_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> Fraction:
-    """Closed form for the intersection number of zeta^k with sigma_b.
+    """Closed form for the intersection number of zeta^k with sigma_b;
+    the formula is in :func:`_closed_form`."""
+    _check_balance(spec, b, k)
+    return Fraction(*_closed_form(spec, b.b, k))
+
+
+def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[int, int]:
+    """The integral of zeta^k against sigma_b as an unreduced (num, den).
 
     With a_i = b_i + i,
 
         integral = k! / prod_i (k - d + r + a_i)!  *  prod_{i<j} (a_j - a_i),
 
-    valid whenever r*k + sum(b) equals dim X; the value is 0 as soon as
-    any factorial argument k - d + r + a_i is negative (the geometric
-    vanishing of the cycle), which is checked before anything is
-    computed.
+    valid whenever r*k + sum(b) equals dim X, which the caller checks;
+    the value is 0 as soon as any factorial argument k - d + r + a_i is
+    negative (the geometric vanishing of the cycle), which is checked
+    before anything is computed.
     """
-    _check_balance(spec, b, k)
-    a = [bi + i for i, bi in enumerate(b.b)]
+    a = [bi + i for i, bi in enumerate(b)]
     shift = k - spec.d + spec.r
     args = [shift + ai for ai in a]
     if any(x < 0 for x in args):
-        return Fraction(0)
+        return 0, 1
     num = factorial(k)
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
@@ -307,7 +315,7 @@ def zeta_power_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> Fra
     den = 1
     for x in args:
         den *= factorial(x)
-    return Fraction(num, den)
+    return num, den
 
 
 def brute_zeta_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> Fraction:
@@ -365,12 +373,6 @@ def _zeta_sweep(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> int:
                 nxt[s] = nxt.get(s, 0) + n
         layer = nxt
     return layer.get((spec.box,) * (spec.r + 1), 0)
-
-
-def all_indices(spec: GrassmannianSpec) -> Iterator[SchubertIndex]:
-    """All valid indices on ``spec`` in lexicographic order."""
-    for b in combinations_with_replacement(range(spec.box + 1), spec.r + 1):
-        yield SchubertIndex(spec, b)
 
 
 def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:

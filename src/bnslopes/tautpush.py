@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
 
 from .numeric import factorial, superfactorial
@@ -246,39 +246,6 @@ def _bracket_c(params: GrdParams) -> Bracket:
     return Fraction(1, 12 * q * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
-def _scaled(bracket: Bracket, N: int) -> DivisorClass:
-    pre, coords = bracket
-    num, den = pre.numerator * N, pre.denominator
-    return DivisorClass.from_coefficients(Fraction(num * x, den) for x in coords)
-
-
-def push_a(params: GrdParams) -> DivisorClass:
-    """Pushforward of a; the formula is in :func:`_bracket_a`."""
-    return _scaled(_bracket_a(params), params.N)
-
-
-def push_b(params: GrdParams) -> DivisorClass:
-    """Pushforward of b; the formula is in :func:`_bracket_b`."""
-    return _scaled(_bracket_b(params), params.N)
-
-
-def push_c(params: GrdParams) -> DivisorClass:
-    """Pushforward of c; the formula is in :func:`_bracket_c`."""
-    return _scaled(_bracket_c(params), params.N)
-
-
-_PUSHES = {"a": push_a, "b": push_b, "c": push_c}
-
-
-def push(which: str, params: GrdParams) -> DivisorClass:
-    """Dispatch to push_a / push_b / push_c by name."""
-    try:
-        fn = _PUSHES[which]
-    except KeyError:
-        raise ParameterError(f"unknown tautological class {which!r}; expected a, b or c")
-    return fn(params)
-
-
 @dataclass(frozen=True)
 class TautCombo:
     """Coefficients (p_a, p_b, p_c, p_lam) of p_a·a + p_b·b + p_c·c +
@@ -327,14 +294,16 @@ def _weighted_sums(lam: Fraction, weights, brackets) -> Iterator[Fraction]:
     """lam·[row is lambda] + sum_k weights[k]·brackets[k][row], row by row.
 
     The weights go over one common denominator L once, so each coordinate
-    is an integer dot product over L, reduced by a single gcd."""
+    is an integer dot product over L, reduced by a single gcd.  The scaled
+    brackets are summed by chained ``map``s, with no Python call per row."""
     L = lcm(lam.denominator, *(w.denominator for w in weights))
     lam_L = lam.numerator * (L // lam.denominator)
     ints = [w.numerator * (L // w.denominator) for w in weights]
-    rows = zip(*brackets)
-    yield Fraction(lam_L + sum(map(mul, ints, next(rows))), L)
-    for row in rows:
-        yield Fraction(sum(map(mul, ints, row)), L)
+    scaled = [map(partial(mul, w), coords) for w, coords in zip(ints, brackets)]
+    rows = reduce(partial(map, add), scaled)
+    yield Fraction(lam_L + next(rows), L)
+    for x in rows:
+        yield Fraction(x, L)
 
 
 def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:
@@ -347,6 +316,33 @@ def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
     """Pushforward of a tautological combination, by linearity."""
     return DivisorClass.from_coefficients(_fold(combo, params, params.N))
+
+
+def push_a(params: GrdParams) -> DivisorClass:
+    """Pushforward of a; the formula is in :func:`_bracket_a`."""
+    return push_combo(TautCombo.of(1, 0, 0, 0), params)
+
+
+def push_b(params: GrdParams) -> DivisorClass:
+    """Pushforward of b; the formula is in :func:`_bracket_b`."""
+    return push_combo(TautCombo.of(0, 1, 0, 0), params)
+
+
+def push_c(params: GrdParams) -> DivisorClass:
+    """Pushforward of c; the formula is in :func:`_bracket_c`."""
+    return push_combo(TautCombo.of(0, 0, 1, 0), params)
+
+
+_PUSHES = {"a": push_a, "b": push_b, "c": push_c}
+
+
+def push(which: str, params: GrdParams) -> DivisorClass:
+    """Dispatch to push_a / push_b / push_c by name."""
+    try:
+        fn = _PUSHES[which]
+    except KeyError:
+        raise ParameterError(f"unknown tautological class {which!r}; expected a, b or c")
+    return fn(params)
 
 
 def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:

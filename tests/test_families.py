@@ -8,10 +8,11 @@ from bnslopes import families, tautpush
 from bnslopes.divisors import slope_report
 from bnslopes.families import (
     ReconstructionError,
+    _aspect_counts,
+    _aspect_report,
     _forward_eliminate,
+    _oracle_spec_report,
     _solve_unique,
-    aspect_counts,
-    aspect_report,
     bridge_pushforward,
     epsilon_matrix,
     identity_castelnuovo,
@@ -227,21 +228,21 @@ class TestIdentities:
 
 class TestAspects:
     def test_genus10(self):
-        assert aspect_counts(10, 4, 12) == (14, 28)
+        assert _aspect_counts(GrdParams(10, 4, 12)) == (14, 28)
 
     def test_genus4(self):
-        assert aspect_counts(4, 1, 3) == (1, 1)
+        assert _aspect_counts(GrdParams(4, 1, 3)) == (1, 1)
 
     def test_genus21_sums_to_N(self):
         params = GrdParams(21, 6, 24)
-        n1, n2 = aspect_counts(21, 6, 24)
+        n1, n2 = _aspect_counts(params)
         assert n1 == Fraction(16 * params.N, 40)
         assert n2 == Fraction(24 * params.N, 40)
         assert n1 + n2 == params.N
 
     def test_reports_with_schubert_cross_check(self):
         for g, r, d in rho_zero_triples(10):
-            rep = aspect_report(g, r, d)
+            rep = _aspect_report(GrdParams(g, r, d))
             assert rep.passed, rep
 
 
@@ -449,6 +450,23 @@ class TestSuites:
         checks = [r.check for r in reports]
         assert checks == ["gp_slope"] * 16 + ["syzygy_slope"] * 9 + ["structure"] * 33
         assert all(r.passed for r in reports)
+
+    def test_schubert_oracle_default_caps_count(self):
+        reports = suite_reports("schubert-oracle")
+        assert len(reports) == 80  # G(r, P^d) for 1 <= r <= 5, r <= d <= 18
+        assert all(r.passed for r in reports)
+        assert sum(int(r.lhs) for r in reports) == 34018
+
+    def test_oracle_fails_on_a_non_integral_closed_form(self, monkeypatch):
+        real = families._closed_form
+
+        def half(spec, b, k):
+            return (5, 2) if b == (0, 0, 0) else real(spec, b, k)
+
+        monkeypatch.setattr(families, "_closed_form", half)
+        rep = _oracle_spec_report(2, 6)
+        assert not rep.passed
+        assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5/2", "brute=5")
 
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):

@@ -11,7 +11,11 @@ builder, ``cli.build_parser``.  ``decimal`` serves only to print N times
 a coordinate, in ``cli._times``: there every ``Context`` traps
 ``Inexact`` and ``Rounded``, so no decimal step can round, and nothing
 else of the module is used (no ``Decimal`` operator falls back to the
-default 28-digit context).
+default 28-digit context).  Every name a module exports in ``__all__`` is
+reached from outside the test suite: from the package itself (its
+``__init__`` re-exports do not count), the demos, the benchmark or the
+acceptance module; a public name that only unit tests call is dead
+weight.
 """
 
 import ast
@@ -19,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bnslopes"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bnslopes"
 SOURCES = sorted(SRC.glob("*.py"))
 FLOAT_ALLOWED = {("cli", "_slope_rows_text")}
 CACHE_ALLOWED = {("cli", "build_parser")}
@@ -183,3 +188,54 @@ def test_decimal_visitor_sees_imports_and_missing_traps():
     assert _decimal_uses(tree) == [(None, 1), (None, 2), ("f", 4), ("f", 4)]
     (call,) = [c for c in ast.walk(tree) if isinstance(c, ast.Call)]
     assert _traps(call) == {"Inexact"}
+
+
+def _referenced_names(tree: ast.Module, *, strings: bool = False) -> set:
+    """Names a tree reaches as a ``Name``, an ``Attribute`` or an import
+    alias, and with ``strings`` every string constant too."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _exported(path: Path) -> list:
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def _reached() -> set:
+    # the tracer in bench/ names the functions it wraps by string
+    reached = set()
+    for path in [p for p in SOURCES if p.name != "__init__.py"]:
+        reached |= _referenced_names(_tree(path))
+    for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
+        reached |= _referenced_names(_tree(path))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        reached |= _referenced_names(_tree(path), strings=True)
+    return reached
+
+
+def test_every_export_is_reached_outside_unit_tests():
+    reached = _reached()
+    unreached = [
+        f"{path.stem}.{name}" for path in SOURCES for name in _exported(path) if name not in reached
+    ]
+    assert not unreached, f"exported but only unit tests reach: {unreached}"
+
+
+def test_export_visitor_sees_names_attributes_aliases_and_strings():
+    tree = ast.parse("from m import a as z\nb.c\nd\nx = 'e'\n")
+    assert _referenced_names(tree) == {"a", "b", "c", "d", "x"}
+    assert _referenced_names(tree, strings=True) == {"a", "b", "c", "d", "x", "e"}
