@@ -15,7 +15,6 @@ from math import factorial as _math_factorial
 __all__ = [
     "binomial",
     "factorial",
-    "superfactorial",
 ]
 
 
@@ -38,14 +37,3 @@ def binomial(n: int, k: int) -> int:
         return 0
     return comb(n, k)
 
-
-def superfactorial(r: int) -> int:
-    """Product 1! * 2! * ... * r!  (empty product 1 for r = 0)."""
-    if r < 0:
-        raise ValueError(f"superfactorial is undefined for negative r (got {r})")
-    out = 1
-    fact = 1
-    for j in range(1, r + 1):
-        fact *= j
-        out *= fact
-    return out

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import chain, repeat
-from math import lcm
+from math import lcm, perm, prod
 from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
 
-from .numeric import factorial, superfactorial
+from .numeric import factorial
 
 __all__ = [
     "DivisorClass",
@@ -70,18 +70,23 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
     """Number of g^r_d's on a general genus-g curve when rho = 0:
 
         N = 1! 2! ... r! g! / ((g-d+r)! (g-d+r+1)! ... (g-d+2r)!)
+
+    computed with m = g-d+r as the cancelled form
+
+        N = g! / prod_{i=0..r} perm(m+i, m),
+
+    since (m+i)! = i! perm(m+i, m) and the i! cancel 1! 2! ... r!.
     """
     if rho(g, r, d) != 0:
         raise ParameterError(
             f"Castelnuovo count needs rho = 0; rho({g},{r},{d}) = {rho(g, r, d)}"
         )
-    if g - d + r < 0:
-        raise ParameterError(f"need g-d+r >= 0; got {g - d + r}")
-    num = superfactorial(r) * factorial(g)
-    den = 1
-    for j in range(r + 1):
-        den *= factorial(g - d + r + j)
-    n, rem = divmod(num, den)
+    m = g - d + r
+    if m < 0:
+        raise ParameterError(f"need g-d+r >= 0; got {m}")
+    if r < 0:
+        raise ParameterError(f"need r >= 0; got {r}")
+    n, rem = divmod(factorial(g), prod(perm(m + i, m) for i in range(r + 1)))
     if rem:
         raise ArithmeticError(f"Castelnuovo count at ({g},{r},{d}) is not an integer")
     return n

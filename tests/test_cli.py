@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,15 @@ class TestSlopeCommand:
         rows = json.loads(out1)
         keys = [(r["family"], r["r"], r["s"], r["extra"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_gp_large_r_thin_rectangle(self, capsys):
+        # g = 802 on a 401 x 2 rectangle: N is Catalan(401)
+        code, out, _ = run(capsys, "slope", "--family", "gp", "--r", "400", "--s", "1",
+                           "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert (row["g"], row["d"]) == ("802", "1200")
+        assert row["N"] == str(math.comb(802, 401) // 402)
 
     def test_missing_parameter_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "gp", "--r", "1")
@@ -184,6 +194,16 @@ class TestPushCommand:
         obj = json.loads(out)
         got = [Fraction(x) for x in (obj["lambda"], obj["psi"], *obj["delta"])]
         assert got == [x / params.N for x in push_c(params).coefficients()]
+
+    def test_canonical_series_large_r(self, capsys):
+        # m = g-d+r = 1, so N = 1 and normalizing changes nothing
+        argv = ("push", "--g", "1000", "--r", "999", "--d", "1998", "--class", "b")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, normalized, _ = run(capsys, *argv, "--normalize", "N")
+        assert code == 0
+        assert out == normalized
+        assert len(json.loads(out)["delta"]) == 1000
 
     def test_coefficients_beyond_int_str_digit_limit(self, capsys, tmp_path):
         # the smallest rho = 0 triple whose N has more than 4300 digits,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bnslopes.numeric import (
     binomial,
     factorial,
-    superfactorial,
 )
 
 
@@ -40,22 +39,6 @@ def test_binomial_factorial_ratio():
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=-10, max_value=70))
 def test_binomial_pascal(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_superfactorial_values():
-    assert superfactorial(0) == 1
-    assert superfactorial(4) == 288
-    # direct product 1!*2!*3!*4!*5!*6!
-    expected = 1
-    for j in range(1, 7):
-        expected *= factorial(j)
-    assert expected == 24883200
-    assert superfactorial(6) == expected
-
-
-def test_superfactorial_rejects_negative():
-    with pytest.raises(ValueError):
-        superfactorial(-2)
 
 
 def test_rational_rendering():

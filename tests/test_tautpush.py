@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,18 @@ from bnslopes.tautpush import (
 _TRIPLES_3_60 = [t for t in rho_zero_triples(60) if t[0] >= 3]
 
 
+def _displayed_N(g, r, d):
+    """1! 2! ... r! g! / ((g-d+r)! ... (g-d+2r)!), both sides in full."""
+    num = math.factorial(g)
+    den = 1
+    for j in range(r + 1):
+        num *= math.factorial(j)
+        den *= math.factorial(g - d + r + j)
+    n, rem = divmod(num, den)
+    assert rem == 0
+    return n
+
+
 class TestRho:
     def test_values(self):
         assert rho(4, 1, 3) == 0
@@ -47,10 +60,37 @@ class TestCastelnuovo:
         with pytest.raises(ParameterError):
             castelnuovo_N(3, 1, 2)
 
+    def test_rejects_negative_r(self):
+        # rho and g-d+r both vanish here; an empty product must not pass for N
+        with pytest.raises(ParameterError, match=r"r >= 0"):
+            castelnuovo_N(0, -1, -1)
+
     def test_non_integral_count_is_named_error(self, monkeypatch):
-        monkeypatch.setattr(tautpush, "superfactorial", lambda r: 1)
+        monkeypatch.setattr(tautpush, "factorial", lambda n: math.factorial(n) + 1)
         with pytest.raises(ArithmeticError, match=r"\(10,4,12\)"):
             castelnuovo_N(10, 4, 12)
+
+    def test_equals_displayed_formula(self):
+        for g, r, d in rho_zero_triples(200):
+            assert castelnuovo_N(g, r, d) == _displayed_N(g, r, d), (g, r, d)
+
+    def test_rectangles_equal_their_transpose(self):
+        # N counts standard tableaux of the (r+1) x m rectangle, so the
+        # displayed formula on the orientation with fewer rows is cheap
+        sides = (1, 2, 3, 5, 10, 30, 100, 300, 1000, 1500, 3000)
+        shapes = [(rows, cols) for rows in sides for cols in sides if rows * cols <= 3000]
+        assert len(shapes) == 70
+        for rows, cols in shapes:
+            few, many = sorted((rows, cols))
+            g = rows * cols
+            want = _displayed_N(g, few - 1, g + few - 1 - many)
+            assert castelnuovo_N(g, rows - 1, g + rows - 1 - cols) == want, (rows, cols)
+
+    def test_thin_rectangles(self):
+        # m = 1: one standard tableau of a column; m = 2: Catalan(r+1)
+        for r in range(1000):
+            assert castelnuovo_N(r + 1, r, 2 * r) == 1
+            assert castelnuovo_N(2 * r + 2, r, 3 * r) == math.comb(2 * r + 2, r + 1) // (r + 2)
 
     def test_equals_brute_zeta_power(self):
         # acceptance runs the full g <= 12 sweep; spot-check the small ones here
