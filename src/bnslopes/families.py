@@ -28,8 +28,13 @@ pullback tables (:func:`bridge_matrix`, :func:`tails_matrix`,
 only the nonzero entries, each row holding at most three.  Together
 with the known pushforwards they determine the pushforwards uniquely,
 and :func:`reconstruct` re-derives them by solving the exact linear
-system with one sparse eliminator; it is the strongest regression alarm
-in the package.
+system; it is the strongest regression alarm in the package.  The rows
+are the same for a, b and c, so the reconstruct suite solves all three
+at once, as three right-hand sides.  One sparse eliminator serves every
+system and determinant: it clears each row's denominators once and then
+works on integers only (fraction-free elimination in the manner of
+Bareiss, with each reduced row divided by its content); only the
+solutions and determinants come back as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .divisors import (
@@ -103,7 +108,8 @@ _RELATION = (Fraction(10), Fraction(0), Fraction(-1), Fraction(-2))
 
 
 class ReconstructionError(RuntimeError):
-    """The reconstruction linear system was singular or inconsistent."""
+    """The reconstruction linear system was inconsistent or
+    underdetermined, so it had no unique solution."""
 
 
 def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fraction]:
@@ -119,6 +125,7 @@ def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fractio
 
 Row = Dict[int, Fraction]
 Table = List[Row]
+IntRow = Dict[int, int]
 
 # Every pullback table is a list of sparse rows {column: value} that
 # store only nonzero entries.  Columns follow DivisorClass.coefficients():
@@ -463,27 +470,38 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     return frozen, matrix_determinant(frozen) != 0
 
 
-def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row], Table]:
-    """Reduce sparse rows to row echelon form over the columns
-    0..ncols-1; an entry under the key ``ncols`` (a right-hand side) is
-    carried along.  Rows hold only nonzero ``Fraction`` entries and are
-    reduced in place.
+def _forward_eliminate(
+    rows: Iterable[Row], ncols: int
+) -> Tuple[Dict[int, IntRow], List[IntRow], Tuple[int, int]]:
+    """Reduce sparse rows of nonzero ``int`` or ``Fraction`` entries to
+    row echelon form over the columns 0..ncols-1, in integers only;
+    entries under keys from ``ncols`` up (right-hand sides) ride along.
 
-    Rows are taken in order.  Each row's leading column is its smallest
-    key.  While some earlier row pivots on that column, the row is
-    reduced by that pivot row, which touches only the pivot row's stored
-    entries and drops every entry that cancels.  The row then either
-    becomes the pivot of its new leading column or is left with no
+    Each row is first cleared of denominators: with L the lcm of its
+    denominators, x becomes x.numerator * (L // x.denominator).  Rows are
+    then taken in order.  While an earlier row pivots on the row's leading
+    (smallest) column, with pivot entry p against the row's entry q, the
+    row becomes a*row - b*prow for a = p/gcd(p, q), b = q/gcd(p, q), which
+    touches only the pivot row's stored entries and drops every entry
+    that cancels, and is then divided by its content (the gcd of its
+    entries).  It ends as the pivot of its new leading column or with no
     entry before ``ncols``.  No dense row or column is ever scanned.
 
     Returns the pivot rows keyed by their pivot column, in the order they
-    were found, and the rows left without a pivot.  A pivot row holds no
-    entry left of its pivot column, so the pivot rows sorted by column
-    form an upper triangular system.
+    were found (a pivot row holds no entry left of its pivot column), the
+    rows left without a pivot, and the scale (num, den) by which the steps
+    multiplied the determinant of the rows.  Clearing a row multiplies it
+    by L; a reduction by a, as it scales the row by a and subtracts a
+    multiple of another row; dividing out a content c divides it by c.  So
+    num is the product of every L and every a, den of every content.
     """
-    pivots: Dict[int, Row] = {}
-    rest: Table = []
-    for row in rows:
+    pivots: Dict[int, IntRow] = {}
+    rest: List[IntRow] = []
+    num = den = 1
+    for given in rows:
+        clear = lcm(*(x.denominator for x in given.values()))
+        row = {j: x.numerator * (clear // x.denominator) for j, x in given.items()}
+        num *= clear
         while True:
             lead = min(row, default=ncols)
             if lead >= ncols:
@@ -493,31 +511,39 @@ def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row],
             if prow is None:
                 pivots[lead] = row
                 break
-            f = row.pop(lead) / prow[lead]
+            p, q = prow[lead], row.pop(lead)
+            c = gcd(p, q)
+            a, b = p // c, q // c
+            if a != 1:
+                num *= a
+                for j in row:
+                    row[j] *= a
             for j, x in prow.items():
                 if j != lead:
-                    y = row.get(j)
-                    y = -f * x if y is None else y - f * x
+                    y = row.get(j, 0) - b * x
                     if y:
                         row[j] = y
                     else:
                         del row[j]
-    return pivots, rest
+            c = gcd(*row.values())
+            if c > 1:
+                den *= c
+                for j in row:
+                    row[j] //= c
+    return pivots, rest, (num, den)
 
 
 def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix.
-
-    Only the nonzero entries are converted to ``Fraction`` and
-    eliminated.  The determinant is 0 unless every row becomes the pivot
-    row of some column.  Then row k differs from the k-th input row by
-    multiples of earlier rows, so the determinant is the product of the
-    pivots times the sign of the permutation taking pivot-discovery
-    order to column order.
+    """Exact determinant of a square matrix, from one integer elimination
+    of its nonzero entries.  It is 0 unless every row becomes the pivot
+    of some column.  The eliminated rows then have determinant sign times
+    the product of the pivots, the sign being that of the permutation
+    taking pivot-discovery order to column order; by the elimination's
+    scale (num, den) this is num/den times the input's determinant.
     """
     n = len(m)
-    pivots, _ = _forward_eliminate(
-        ({j: Fraction(x) for j, x in enumerate(row) if x} for row in m), n
+    pivots, _, (num, den) = _forward_eliminate(
+        ({j: x for j, x in enumerate(row) if x} for row in m), n
     )
     if len(pivots) < n:
         return Fraction(0)
@@ -528,51 +554,66 @@ def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
             j = order[k]
             order[k], order[j] = order[j], order[k]
             sign = -sign
-    diagonal = [row[col] for col, row in pivots.items()]
-    return Fraction(
-        sign * prod(x.numerator for x in diagonal), prod(x.denominator for x in diagonal)
-    )
+    return Fraction(sign * den * prod(row[col] for col, row in pivots.items()), num)
 
 
-def _solve_unique(rows: Iterable[Row], ncols: int) -> List[Fraction]:
-    """Solve an (over-determined) exact linear system given as sparse
-    rows with their right-hand side under the key ``ncols``; the rows are
-    consumed.  Requires a unique solution: raises ReconstructionError
-    when the system is inconsistent or underdetermined."""
-    pivots, rest = _forward_eliminate(rows, ncols)
-    if any(rest):
-        raise ReconstructionError("linear system is inconsistent")
+def _solve_unique(
+    rows: Iterable[Row], ncols: int, k: int = 1
+) -> List[List[Fraction] | ReconstructionError]:
+    """Solve an (over-determined) exact linear system for k right-hand
+    sides, stored in sparse rows under the keys ncols..ncols+k-1, with
+    one elimination.  Returns, per right-hand side, its unique solution
+    as ``Fraction``s or the ReconstructionError saying why there is none:
+    inconsistent when some row reduces to a nonzero entry in that
+    right-hand side's column and no unknown's (the other right-hand sides
+    keep their solutions), or underdetermined when the rank is below
+    ``ncols``."""
+    pivots, rest, _ = _forward_eliminate(rows, ncols)
     rank = len(pivots)
-    if rank < ncols:
-        raise ReconstructionError(
-            f"linear system is underdetermined (rank {rank} < {ncols} unknowns)"
-        )
-    sol = [Fraction(0)] * ncols
-    for col in reversed(range(ncols)):
-        row = pivots[col]
-        rhs = row.get(ncols, Fraction(0))
-        known = sum((x * sol[j] for j, x in row.items() if col < j < ncols), Fraction(0))
-        sol[col] = (rhs - known) / row[col]
-    return sol
+    out: List[List[Fraction] | ReconstructionError] = []
+    for rhs in range(ncols, ncols + k):
+        if any(rhs in row for row in rest):
+            out.append(ReconstructionError("linear system is inconsistent"))
+        elif rank < ncols:
+            msg = f"linear system is underdetermined (rank {rank} < {ncols} unknowns)"
+            out.append(ReconstructionError(msg))
+        else:
+            sol = [Fraction(0)] * ncols
+            for col in reversed(range(ncols)):
+                row = pivots[col]
+                known = [(x, sol[j]) for j, x in row.items() if col < j < ncols]
+                # the known values over one common denominator, in ints
+                den = lcm(*(y.denominator for _, y in known))
+                num = row.get(rhs, 0) * den
+                num -= sum(x * y.numerator * (den // y.denominator) for x, y in known)
+                sol[col] = Fraction(num, row[col] * den)
+            out.append(sol)
+    return out
 
 
 def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
     data alone, bypassing the closed-form coefficients; the system is
-    described in :func:`_reconstruct`."""
-    return _reconstruct(GrdParams(g, r, d), which)
+    described in :func:`_reconstruct`.  Raises ReconstructionError when
+    the system has no unique solution."""
+    [got] = _reconstruct(GrdParams(g, r, d), (which,))
+    if isinstance(got, ReconstructionError):
+        raise got
+    return got
 
 
-def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
-    """Solve for the pushforward of a, b or c at ``params`` from the
-    special-family data.
+def _reconstruct(
+    params: GrdParams, classes: Sequence[str]
+) -> List[DivisorClass | ReconstructionError]:
+    """Solve for the pushforwards of the named classes (each a, b or c)
+    at ``params`` from the special-family data, with one elimination.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
     psi, in that column order, and one more scalar mu in column g+2.
     Every row of a pullback table is a sparse row over
     (lambda, psi, delta_*); moving its entries to those columns, adding a
-    mu entry and the right-hand side under the key g+3 makes it a row of
-    the system:
+    mu entry and one right-hand side per class under the keys g+3, g+4,
+    ... makes it a row of the system:
 
     * for each pencil type h: the pencil degree of the class;
     * for each tails class eps_i: the pullback of the class vanishes,
@@ -580,41 +621,46 @@ def _reconstruct(params: GrdParams, which: str) -> DivisorClass:
     * the bridge pullback plus mu times the relation
       10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class.
 
-    The rows are eliminated in that order (see :func:`_forward_eliminate`)
-    and stay short, never holding more than four entries: pencil row h
-    pivots on delta_min(h, g-h), pencil g-h then cancels to a psi-only
-    row, and each tails row moves from delta to delta along the pencil
-    pivots until it finds a free column.  psi comes after the deltas
-    because it sits in every pencil row: as a leading column it would make
-    every pencil row reduce by the first one and pick up its delta
-    entries, while as the last class column it only rides along.  The
-    solution must be unique; it is returned as a DivisorClass.
+    Only the right-hand sides depend on the class, so the rows are built
+    and eliminated (see :func:`_forward_eliminate`) once for all classes,
+    in that order.  They stay short, never holding more than four
+    unknowns: pencil row h pivots on delta_min(h, g-h), pencil g-h then
+    cancels to a psi-only row, and each tails row moves from delta to
+    delta along the pencil pivots until it finds a free column.  psi comes
+    after the deltas because it sits in every pencil row: as a leading
+    column it would make every pencil row reduce by the first one and pick
+    up its delta entries, while as the last class column it only rides
+    along.  Returns, per class, its DivisorClass or its ReconstructionError.
     """
     g = params.g
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
 
-    zero = Fraction(0)
-    bridge_target = bridge_pushforward(which, params).coefficients()
+    bridge_targets = [bridge_pushforward(which, params).coefficients() for which in classes]
     pencils = enumerate(pencil_matrix(g), start=1)
     system = (
-        [(row, zero, pencil_degree(which, params, h)) for h, row in pencils]
-        + [(row, zero, zero) for row in tails_matrix(g)]
-        + list(zip(bridge_matrix(g), _RELATION, bridge_target))
+        [(row, 0, [pencil_degree(which, params, h) for which in classes]) for h, row in pencils]
+        + [(row, 0, ()) for row in tails_matrix(g)]
+        + list(zip(bridge_matrix(g), _RELATION, zip(*bridge_targets)))
     )
     # table column j -> system column: lambda stays, psi goes last, delta_i to 1 + i
     column = [0, g + 1, *range(1, g + 1)]
     rows = []
-    for row, mu, target in system:
+    for row, mu, targets in system:
         eq = {column[j]: x for j, x in row.items()}
         if mu:
             eq[g + 2] = mu
-        if target:
-            eq[g + 3] = target
+        for key, target in enumerate(targets, start=g + 3):
+            if target:
+                eq[key] = target
         rows.append(eq)
 
-    sol = _solve_unique(rows, g + 3)
-    return DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
+    return [
+        sol
+        if isinstance(sol, ReconstructionError)
+        else DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
+        for sol in _solve_unique(rows, g + 3, len(classes))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +692,12 @@ def _oracle_spec_report(r: int, d: int) -> CheckReport:
     )
 
 
-def _reconstruct_report(params: GrdParams, which: str, expected: DivisorClass) -> CheckReport:
+def _reconstruct_report(
+    params: GrdParams, which: str, got: DivisorClass | ReconstructionError, expected: DivisorClass
+) -> CheckReport:
     g, r, d = params.g, params.r, params.d
-    try:
-        got = _reconstruct(params, which)
-    except ReconstructionError as exc:
-        return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(exc))
+    if isinstance(got, ReconstructionError):
+        return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(got))
     ok = got == expected
     detail = "matches closed form"
     names = ["λ", "ψ"] + [f"δ{i}" for i in range(g)]
@@ -761,8 +807,9 @@ def suite_reports(
             for g, r, d in triples or DEFAULT_RECONSTRUCT_TRIPLES:
                 params = GrdParams(g, r, d)
                 pushed = {which: push(which, params) for which in "abc"}
-                for which, dc in pushed.items():
-                    out.append(_reconstruct_report(params, which, dc))
+                solved = _reconstruct(params, "abc")
+                for (which, dc), got in zip(pushed.items(), solved):
+                    out.append(_reconstruct_report(params, which, got, dc))
                 for which, dc in pushed.items():
                     out.append(_bridge_quotient_report(params, which, dc))
             out.append(_epsilon_report(5, 30))

@@ -361,6 +361,25 @@ class TestVerifyCommand:
         assert all("first mismatch at δ3:" in line for line in failed)
         assert out.splitlines()[-1] == "7 checks, 3 failures"
 
+    def test_inconsistent_class_fails_alone(self, capsys, monkeypatch):
+        # a, b and c share one elimination; a bad right-hand side for b
+        # must not leak into the verdicts of a and c
+        argv = ("verify", "--suite", "reconstruct", "--triples", "10,4,12")
+        _, clean, _ = run(capsys, *argv)
+        degree = families.pencil_degree
+
+        def off_for_b_at_h1(which, params, h):
+            return degree(which, params, h) + (which == "b" and h == 1)
+
+        monkeypatch.setattr(families, "pencil_degree", off_for_b_at_h1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        bad = "[FAIL] reconstruct(g=10,r=4,d=12,class=b): - vs -  [linear system is inconsistent]"
+        changed = [(x, y) for x, y in zip(clean.splitlines(), out.splitlines()) if x != y]
+        assert [y for _, y in changed] == [bad, "7 checks, 1 failures"]
+        assert changed[0][0].startswith("[pass] reconstruct(g=10,r=4,d=12,class=b)")
+        assert len(out.splitlines()) == len(clean.splitlines()) == 8
+
     def test_bridge_failure_reads_not_proportional(self, capsys, monkeypatch):
         closed_form = families.push
 

@@ -47,6 +47,25 @@ def sparse(rows, rhs=None):
     return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
 
 
+def solve_one(rows, ncols):
+    """The solver on a single right-hand side, raising its error the way
+    reconstruct does."""
+    [sol] = _solve_unique(rows, ncols)
+    if isinstance(sol, ReconstructionError):
+        raise sol
+    return sol
+
+
+def cofactor_det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
     lam = Fraction(1 if name == "lam" else 0)
     psi = Fraction(1 if name == "psi" else 0)
@@ -249,37 +268,28 @@ class TestAspects:
 class TestSolver:
     def test_unique_solution(self):
         rows = sparse(((1, 1), (1, -1), (2, 0)), (3, 1, 4))
-        assert _solve_unique(rows, 2) == [Fraction(2), Fraction(1)]
+        assert solve_one(rows, 2) == [Fraction(2), Fraction(1)]
 
     def test_inconsistent(self):
         with pytest.raises(ReconstructionError, match="inconsistent"):
-            _solve_unique(sparse(((1, 0), (1, 0)), (1, 2)), 2)
+            solve_one(sparse(((1, 0), (1, 0)), (1, 2)), 2)
 
     def test_underdetermined(self):
         with pytest.raises(ReconstructionError, match="underdetermined"):
-            _solve_unique(sparse(((1, 1), (2, 2)), (1, 2)), 2)
+            solve_one(sparse(((1, 1), (2, 2)), (1, 2)), 2)
 
     def test_elimination_skips_zero_column_and_tracks_swaps(self):
         m = ((0, 0, 3), (0, 2, 5), (0, 4, 1))
-        pivots, rest = _forward_eliminate(sparse(m), 3)
+        pivots, rest, _ = _forward_eliminate(sparse(m), 3)
         assert (sorted(pivots), matrix_determinant(m)) == ([1, 2], 0)
         assert rest == [{}]
         m = ((0, 2), (3, 1))
-        pivots, rest = _forward_eliminate(sparse(m), 2)
+        pivots, rest, _ = _forward_eliminate(sparse(m), 2)
         assert (sorted(pivots), matrix_determinant(m)) == ([0, 1], -6)
         assert list(pivots) == [1, 0] and rest == []
         assert [pivots[c] for c in sorted(pivots)] == [{0: 3, 1: 1}, {1: 2}]
 
     def test_against_cofactor_expansion_and_substitution(self):
-        def cofactor_det(m):
-            if not m:
-                return 1
-            return sum(
-                (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
-                for j in range(len(m))
-                if m[0][j]
-            )
-
         def rank(m):
             ncols = len(m[0])
             for k in range(min(len(m), ncols), 0, -1):
@@ -305,7 +315,7 @@ class TestSolver:
                 # one redundant row keeps the system over-determined but consistent
                 rows = m + [[sum(c) for c in zip(*m)]]
                 rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
-                sol = _solve_unique(sparse(rows, rhs), n)
+                sol = solve_one(sparse(rows, rhs), n)
                 assert sol == x and all(type(y) is Fraction for y in sol), m
 
         # rectangular systems with fractional entries, some with all-zero
@@ -333,14 +343,60 @@ class TestSolver:
             outcomes.add(outcome)
             if outcome != "unique":
                 with pytest.raises(ReconstructionError, match=outcome):
-                    _solve_unique(sparse(a, b), n)
+                    solve_one(sparse(a, b), n)
                 continue
-            sol = _solve_unique(sparse(a, b), n)
+            sol = solve_one(sparse(a, b), n)
             assert all(type(y) is Fraction for y in sol), a
             assert [sum(ai * yi for ai, yi in zip(row, sol)) for row in a] == b, a
             if not perturbed:
                 assert sol == x, a
         assert outcomes == {"inconsistent", "underdetermined", "unique"}
+
+    def test_determinant_with_mixed_denominators_and_large_entries(self):
+        rng = random.Random(11)
+
+        def entry():
+            return rng.choice((
+                0,
+                rng.randint(-9, 9),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                rng.choice((-1, 1)) * rng.randint(10**30, 10**40),
+                Fraction(rng.randint(10**30, 10**31), rng.randint(1, 10**6)),
+            ))
+
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                m[-1] = [Fraction(-7, 3) * x for x in m[0]]
+            det = cofactor_det(m)
+            singular += det == 0
+            got = matrix_determinant(m)
+            assert got == det and type(got) is Fraction, m
+        assert singular
+
+    def test_k_right_hand_sides_match_single_solves(self):
+        def outcome(sol):
+            return str(sol) if isinstance(sol, ReconstructionError) else sol
+
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(200):
+            n, k = rng.randint(1, 5), rng.randint(1, 4)
+            a = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n + rng.randint(0, 2))
+            ]
+            xs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(k)]
+            bs = [[sum(ai * xi for ai, xi in zip(row, x)) for row in a] for x in xs]
+            if rng.random() < 0.3:  # knock one right-hand side out of the column space
+                bs[rng.randrange(k)][rng.randrange(len(a))] += 1
+            rows = [row + [b[i] for b in bs] for i, row in enumerate(a)]
+            single = [outcome(sol) for b in bs for sol in _solve_unique(sparse(a, b), n)]
+            assert [outcome(sol) for sol in _solve_unique(sparse(rows), n, k)] == single, a
+            seen.update(type(sol) for sol in single)
+        assert seen == {list, str}
 
 
 class TestReconstruct:
@@ -366,6 +422,12 @@ class TestReconstruct:
                 continue
             for which in "abc":
                 assert reconstruct(g, r, d, which) == push(which, GrdParams(g, r, d))
+
+    @pytest.mark.parametrize("triple", [(200, 199, 398), (400, 199, 597), (240, 1, 121)])
+    def test_large_r_small_m(self, triple):
+        params = GrdParams(*triple)
+        got = [reconstruct(*triple, which) for which in "abc"]
+        assert got == [push(which, params) for which in "abc"]
 
     def test_computes_N_once(self, monkeypatch):
         calls = []
@@ -402,6 +464,18 @@ class TestSuites:
         monkeypatch.setattr(families, "push", counted)
         reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
         assert calls == [(g, which) for g in (10, 21) for which in "abc"]
+        assert len(reports) == 13 and all(r.passed for r in reports)
+
+    def test_reconstruct_suite_solves_once_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(rows, ncols, k=1):
+            calls.append((ncols, k))
+            return _solve_unique(rows, ncols, k)
+
+        monkeypatch.setattr(families, "_solve_unique", counted)
+        reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
+        assert calls == [(13, 3), (24, 3)]
         assert len(reports) == 13 and all(r.passed for r in reports)
 
     def test_reconstruct_suite_computes_N_once_per_triple(self, monkeypatch):
