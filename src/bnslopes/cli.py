@@ -174,8 +174,7 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
 
 
 def cmd_slope(args) -> int:
-    reports = [slope_report(p) for p in _grid(args)]
-    reports.sort(key=lambda rep: rep.sort_key())
+    reports = [slope_report(p) for p in sorted(_grid(args))]
     _emit(_slope_rows_text(reports, args.format), args.output)
     return 0
 

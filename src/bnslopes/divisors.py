@@ -230,10 +230,11 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
     return -value if i < 2 else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FamilyParams:
     """A single divisor-family instance: which family, its (r, s), and
-    the extra index (k for hypersurface, i for syzygy)."""
+    the extra index (k for hypersurface, i for syzygy).  Instances order
+    by (family, r, s, extra), the row order of slope tables."""
 
     family: str
     r: int
@@ -299,9 +300,6 @@ class SlopeReport:
     @cached_property
     def pushforward(self) -> DivisorClass:
         return push_combo(self.combo, self.grd)
-
-    def sort_key(self) -> tuple:
-        return (self.family, self.r, self.s, -1 if self.extra is None else self.extra)
 
     def row(self) -> Dict[str, object]:
         """The flat schema shared by the JSON and CSV emitters:

@@ -463,9 +463,8 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
         m[j - 1][j - 2] = -1
         m[j - 1][j - 1] = 1
         m[j - 1][n - 1] = g - 1 - j
-    if n >= 2:
-        m[n - 1][n - 2] = -1
-        m[n - 1][n - 1] = 2
+    m[n - 1][n - 2] = -1
+    m[n - 1][n - 1] = 2
     frozen = tuple(tuple(row) for row in m)
     return frozen, matrix_determinant(frozen) != 0
 
@@ -804,7 +803,7 @@ def suite_reports(
                 for d in range(r, d_max + 1):
                     out.append(_oracle_spec_report(r, d))
         elif name == "reconstruct":
-            for g, r, d in triples or DEFAULT_RECONSTRUCT_TRIPLES:
+            for g, r, d in DEFAULT_RECONSTRUCT_TRIPLES if triples is None else triples:
                 params = GrdParams(g, r, d)
                 pushed = {which: push(which, params) for which in "abc"}
                 solved = _reconstruct(params, "abc")

@@ -5,10 +5,13 @@ A Schubert cycle sigma_b is indexed by an integer sequence
 
     0 <= b_0 <= b_1 <= ... <= b_r <= d - r
 
-of length r + 1 and has codimension sum(b_i).  Sequences are stored in
-ascending order; the classical display convention is descending, so
-renders show ``σ{b_r,...,b_0}``.  The special cycle of codimension r is
-zeta = σ{1,...,1,0}.
+of length r + 1 and has codimension sum(b_i).  Inside this module an
+index is a plain ascending int tuple, and a :class:`ChowClass` is an
+integer combination keyed by such tuples; :class:`SchubertIndex`
+validates indices only where they come in, through :func:`make_index`
+and :func:`balanced_pairs`.  The classical display convention is
+descending, so renders show ``σ{b_r,...,b_0}``.  The special cycle of
+codimension r is zeta = σ{1,...,1,0}.
 
 Only multiplication against the one-column special classes
 σ{1,...,1,0,...,0} (k ones) is implemented: by the dual Pieri
@@ -19,12 +22,12 @@ single box) is of this form; general Littlewood-Richardson coefficients
 are deliberately not provided.
 
 The oracles for integrals of zeta powers run the zeta step of that rule
-on plain ascending int tuples: :func:`_zeta_table` fills in every
-dimension-balanced integral of one Grassmannian in a single pass by
-falling codimension, and :func:`_zeta_sweep` pushes one sigma_b forward
-k times.  :func:`brute_zeta_integral` does the same expansion through
-:class:`ChowClass` and :func:`pieri_ek`, and stays as their independent
-reference.  The closed form is written once, on ints, in
+alone: :func:`_zeta_table` fills in every dimension-balanced integral of
+one Grassmannian in a single pass by falling codimension, and
+:func:`_zeta_sweep` pushes one sigma_b forward k times.
+:func:`brute_zeta_integral` does the same expansion through
+:class:`ChowClass` and the general :func:`pieri_ek`, and stays as their
+independent reference.  The closed form is written once, on ints, in
 :func:`_closed_form`; :func:`zeta_power_integral` returns it as a
 ``Fraction``, and the schubert-oracle suite compares every entry of the
 one-pass table with it directly, as one ``divmod`` per pair.
@@ -51,7 +54,6 @@ __all__ = [
     "integral",
     "make_index",
     "pieri_ek",
-    "point_index",
     "schubert_class",
     "special_class",
     "zero_class",
@@ -132,7 +134,12 @@ class SchubertIndex:
         return sum(self.b)
 
     def __str__(self) -> str:
-        return "σ{" + ",".join(str(x) for x in reversed(self.b)) + "}"
+        return _render(self.b)
+
+
+def _render(b: Tuple[int, ...]) -> str:
+    """sigma_b in the descending display convention."""
+    return "σ{" + ",".join(str(x) for x in reversed(b)) + "}"
 
 
 def make_index(spec: GrassmannianSpec, b: Sequence[int]) -> SchubertIndex:
@@ -142,20 +149,21 @@ def make_index(spec: GrassmannianSpec, b: Sequence[int]) -> SchubertIndex:
 
 @dataclass(frozen=True)
 class ChowClass:
-    """Homogeneous rational linear combination of Schubert cycles.
+    """Homogeneous integer linear combination of Schubert cycles.
 
-    All indices in ``terms`` share codimension ``codim``; zero
-    coefficients are never stored, so the zero class has empty terms.
-    Addition between different codimensions is a hard error rather than
-    an implicit graded sum.
+    ``terms`` maps ascending index tuples to their coefficients.  All
+    indices share codimension ``codim``; zero coefficients are never
+    stored, so the zero class has empty terms.  Addition between
+    different codimensions is a hard error rather than an implicit
+    graded sum.
     """
 
     spec: GrassmannianSpec
     codim: int
-    terms: Dict[SchubertIndex, Fraction] = field(default_factory=dict)
+    terms: Dict[Tuple[int, ...], int] = field(default_factory=dict)
 
-    def coefficient(self, index: SchubertIndex) -> Fraction:
-        return self.terms.get(index, Fraction(0))
+    def coefficient(self, index: SchubertIndex) -> int:
+        return self.terms.get(index.b, 0)
 
     def _check_compatible(self, other: "ChowClass") -> None:
         if self.spec != other.spec:
@@ -168,31 +176,26 @@ class ChowClass:
     def __add__(self, other: "ChowClass") -> "ChowClass":
         self._check_compatible(other)
         out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx, Fraction(0)) + c
+        for b, c in other.terms.items():
+            s = out.get(b, 0) + c
             if s:
-                out[idx] = s
+                out[b] = s
             else:
-                out.pop(idx, None)
+                out.pop(b, None)
         return ChowClass(self.spec, self.codim, out)
-
-    def sorted_terms(self) -> list[tuple[SchubertIndex, Fraction]]:
-        """Terms in the canonical (lexicographic on ascending b) order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].b)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for idx, c in self.sorted_terms():
-            parts.append(str(idx) if c == 1 else f"{c}·{idx}")
-        return " + ".join(parts)
+        return " + ".join(
+            _render(b) if c == 1 else f"{c}·{_render(b)}" for b, c in sorted(self.terms.items())
+        )
 
 
 def schubert_class(spec: GrassmannianSpec, b: Sequence[int]) -> ChowClass:
     """The class of a single Schubert cycle sigma_b."""
     idx = make_index(spec, b)
-    return ChowClass(spec, idx.codim, {idx: Fraction(1)})
+    return ChowClass(spec, idx.codim, {idx.b: 1})
 
 
 def special_class(spec: GrassmannianSpec, k: int) -> ChowClass:
@@ -209,10 +212,6 @@ def zeta(spec: GrassmannianSpec) -> ChowClass:
     return special_class(spec, spec.r)
 
 
-def point_index(spec: GrassmannianSpec) -> SchubertIndex:
-    return make_index(spec, (spec.box,) * (spec.r + 1))
-
-
 def zero_class(spec: GrassmannianSpec, codim: int) -> ChowClass:
     return ChowClass(spec, codim, {})
 
@@ -220,56 +219,36 @@ def zero_class(spec: GrassmannianSpec, codim: int) -> ChowClass:
 def pieri_ek(c: ChowClass, k: int) -> ChowClass:
     """Multiply by the one-column special class with k ones (1 <= k <= r+1).
 
-    Vertical-strip rule: every output term raises k distinct entries of
-    b by one while staying ascending and bounded by d-r.  The rule is
-    multiplicity free, so the coefficients of a single input cycle are
-    all one before collection; terms that would overflow the bound are
-    dropped (bound saturation), which can leave the zero class of the
-    raised codimension.
+    Vertical-strip rule: for each k-subset of positions, raise those
+    entries of b by one, and keep the result if it is still ascending
+    and its last entry is at most d-r; every kept term has coefficient
+    one.  Coefficients that cancel across input terms are dropped, and
+    bound saturation can leave the zero class of the raised codimension.
     """
     spec = c.spec
     n = spec.r + 1
     if not 1 <= k <= n:
         raise InvalidIndexError(f"pieri multiplication needs 1 <= k <= r+1; got k={k}")
-    box = spec.box
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for idx, coeff in c.terms.items():
-        b = idx.b
+    out: Dict[Tuple[int, ...], int] = {}
+    for b, coeff in c.terms.items():
         for positions in combinations(range(n), k):
-            ok = True
-            for p in positions:
-                # raising p breaks monotonicity only against an equal,
-                # un-raised successor; the last entry is checked against
-                # the box bound instead.
-                if p + 1 < n:
-                    if b[p] == b[p + 1] and (p + 1) not in positions:
-                        ok = False
-                        break
-                elif b[p] + 1 > box:
-                    ok = False
-                    break
-            if not ok:
-                continue
             raised = list(b)
             for p in positions:
                 raised[p] += 1
-            key = tuple(raised)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-    terms = {
-        SchubertIndex(spec, key): v for key, v in out.items() if v
-    }
-    return ChowClass(spec, c.codim + k, terms)
+            if raised[-1] <= spec.box and all(raised[i] <= raised[i + 1] for i in range(n - 1)):
+                key = tuple(raised)
+                out[key] = out.get(key, 0) + coeff
+    return ChowClass(spec, c.codim + k, {key: v for key, v in out.items() if v})
 
 
-def integral(c: ChowClass) -> Fraction:
+def integral(c: ChowClass) -> int:
     """Degree of a top-codimension class: the coefficient of the point
     class.  Codimension mismatch is an error, never a silent zero."""
     if c.codim != c.spec.dim:
         raise CodimensionError(
             f"integral needs codimension {c.spec.dim} on {c.spec}; got {c.codim}"
         )
-    return c.coefficient(point_index(c.spec))
+    return c.terms.get((c.spec.box,) * (c.spec.r + 1), 0)
 
 
 def _check_balance(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> None:
@@ -318,12 +297,12 @@ def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[in
     return num, den
 
 
-def brute_zeta_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> Fraction:
+def brute_zeta_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> int:
     """Independent oracle for :func:`zeta_power_integral`: start from
     sigma_b, multiply by zeta k times with the Pieri rule, and read off
-    the point-class coefficient."""
+    the point-class coefficient as an int."""
     _check_balance(spec, b, k)
-    c = ChowClass(spec, b.codim, {b: Fraction(1)})
+    c = ChowClass(spec, b.codim, {b.b: 1})
     if spec.r == 0:
         # zeta is the fundamental class; multiplication is the identity.
         return integral(c)

@@ -478,6 +478,11 @@ class TestSuites:
         assert calls == [(13, 3), (24, 3)]
         assert len(reports) == 13 and all(r.passed for r in reports)
 
+    def test_reconstruct_suite_with_no_triples_runs_only_epsilon(self):
+        reports = suite_reports("reconstruct", triples=[])
+        assert [r.check for r in reports] == ["epsilon_nonsingular"]
+        assert reports[0].passed
+
     def test_reconstruct_suite_computes_N_once_per_triple(self, monkeypatch):
         calls = []
 

@@ -15,7 +15,10 @@ default 28-digit context).  Every name a module exports in ``__all__`` is
 reached from outside the test suite: from the package itself (its
 ``__init__`` re-exports do not count), the demos, the benchmark or the
 acceptance module; a public name that only unit tests call is dead
-weight.
+weight.  Inside ``schubert`` an index is a plain ascending tuple:
+``SchubertIndex`` is built only where indices come in, by ``make_index``
+and ``balanced_pairs``, so no inner loop wraps and re-validates every
+term.
 """
 
 import ast
@@ -31,6 +34,7 @@ CACHE_ALLOWED = {("cli", "build_parser")}
 MEMOIZERS = {"cache", "lru_cache"}
 DECIMAL_ALLOWED = {("cli", "_times")}
 DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
+INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -116,6 +120,33 @@ def test_memoizer_visitor_sees_imports_and_decorators():
         "    pass\n"
     )
     assert _memoizer_uses(tree) == [(None, 1), ("f", 3)]
+
+
+def _index_constructions(tree: ast.Module):
+    return _owned(
+        tree,
+        lambda n: isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "SchubertIndex",
+    )
+
+
+def test_schubert_index_built_only_at_the_boundary():
+    calls = _index_constructions(_tree(SRC / "schubert.py"))
+    stray = [(owner, line) for owner, line in calls if owner not in INDEX_BUILDERS]
+    assert not stray, f"schubert.py: SchubertIndex built at {stray}"
+    assert {owner for owner, _ in calls} == INDEX_BUILDERS
+
+
+def test_index_visitor_sees_calls_in_nested_functions():
+    tree = ast.parse(
+        "x = SchubertIndex(s, b)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return {SchubertIndex(s, k): v for k, v in t}\n"
+        "    return SchubertIndex\n"
+    )
+    assert _index_constructions(tree) == [(None, 1), ("g", 4)]
 
 
 def _decimal_uses(tree: ast.Module):
