@@ -27,7 +27,7 @@ from .divisors import (
     SlopeUndefinedError,
     slope_report,
 )
-from .families import SUITES, suite_reports
+from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
 from .tautpush import GrdParams, ParameterError, TautCombo, per_N_coordinates
 
@@ -47,9 +47,9 @@ _GRIDS = {
 
 def _span(text: str) -> Tuple[int, int]:
     """Parse "3" or "1:4" into an inclusive integer range."""
-    lo, _, hi = text.partition(":")
+    lo, sep, hi = text.partition(":")
     a = int(lo)
-    b = int(hi) if hi else a
+    b = int(hi) if sep else a
     if b < a:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return a, b
@@ -113,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="run verification suites")
     ve.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
-    ve.add_argument("--max-g", type=int, default=12, help="genus cap for identity sweeps")
-    ve.add_argument("--r-max", type=int, default=5, help="r cap for the Schubert oracle (default %(default)s)")
-    ve.add_argument("--d-max", type=int, default=18, help="d cap for the Schubert oracle (default %(default)s)")
+    ve.add_argument("--max-g", type=int, default=DEFAULT_MAX_G, help="genus cap for identity sweeps")
+    ve.add_argument("--r-max", type=int, default=DEFAULT_R_MAX, help="r cap for the Schubert oracle (default %(default)s)")
+    ve.add_argument("--d-max", type=int, default=DEFAULT_D_MAX, help="d cap for the Schubert oracle (default %(default)s)")
     ve.add_argument("--triples", type=_triples, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")

@@ -7,11 +7,14 @@ A Schubert cycle sigma_b is indexed by an integer sequence
 
 of length r + 1 and has codimension sum(b_i).  Inside this module an
 index is a plain ascending int tuple, and a :class:`ChowClass` is an
-integer combination keyed by such tuples; :class:`SchubertIndex`
+integer term map keyed by such tuples; :class:`SchubertIndex`
 validates indices only where they come in, through :func:`make_index`
-and :func:`balanced_pairs`.  The classical display convention is
-descending, so renders show ``σ{b_r,...,b_0}``.  The special cycle of
-codimension r is zeta = σ{1,...,1,0}.
+and :func:`balanced_pairs`.  Every Schubert number needed here is a
+Pieri product or a degree, never a sum of classes, so there is no class
+arithmetic besides :func:`pieri_ek` and :func:`integral`.  The
+classical display convention is descending, so renders show
+``σ{b_r,...,b_0}``.  The special cycle of codimension r is
+zeta = σ{1,...,1,0}.
 
 Only multiplication against the one-column special classes
 σ{1,...,1,0,...,0} (k ones) is implemented: by the dual Pieri
@@ -55,8 +58,6 @@ __all__ = [
     "make_index",
     "pieri_ek",
     "schubert_class",
-    "special_class",
-    "zero_class",
     "zeta",
     "zeta_power_integral",
 ]
@@ -67,7 +68,8 @@ class InvalidIndexError(ValueError):
 
 
 class CodimensionError(ValueError):
-    """Classes of different codimension were mixed."""
+    """:func:`integral` was given a class that is not of top
+    codimension."""
 
 
 class BalanceError(ValueError):
@@ -133,9 +135,6 @@ class SchubertIndex:
     def codim(self) -> int:
         return sum(self.b)
 
-    def __str__(self) -> str:
-        return _render(self.b)
-
 
 def _render(b: Tuple[int, ...]) -> str:
     """sigma_b in the descending display convention."""
@@ -153,36 +152,12 @@ class ChowClass:
 
     ``terms`` maps ascending index tuples to their coefficients.  All
     indices share codimension ``codim``; zero coefficients are never
-    stored, so the zero class has empty terms.  Addition between
-    different codimensions is a hard error rather than an implicit
-    graded sum.
+    stored, so the zero class has empty terms.
     """
 
     spec: GrassmannianSpec
     codim: int
     terms: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-
-    def coefficient(self, index: SchubertIndex) -> int:
-        return self.terms.get(index.b, 0)
-
-    def _check_compatible(self, other: "ChowClass") -> None:
-        if self.spec != other.spec:
-            raise CodimensionError("classes live on different Grassmannians")
-        if self.codim != other.codim:
-            raise CodimensionError(
-                f"cannot add classes of codimension {self.codim} and {other.codim}"
-            )
-
-    def __add__(self, other: "ChowClass") -> "ChowClass":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, 0) + c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return ChowClass(self.spec, self.codim, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -198,22 +173,11 @@ def schubert_class(spec: GrassmannianSpec, b: Sequence[int]) -> ChowClass:
     return ChowClass(spec, idx.codim, {idx.b: 1})
 
 
-def special_class(spec: GrassmannianSpec, k: int) -> ChowClass:
-    """The one-column special class σ{1,..,1,0,..,0} with k ones."""
-    if not 1 <= k <= spec.r + 1:
-        raise InvalidIndexError(f"special class needs 1 <= k <= r+1; got k={k}")
-    return schubert_class(spec, (0,) * (spec.r + 1 - k) + (1,) * k)
-
-
 def zeta(spec: GrassmannianSpec) -> ChowClass:
     """The codimension-r special cycle σ{1,...,1,0} (requires r >= 1)."""
     if spec.r < 1:
         raise InvalidIndexError("zeta degenerates to the fundamental class for r = 0")
-    return special_class(spec, spec.r)
-
-
-def zero_class(spec: GrassmannianSpec, codim: int) -> ChowClass:
-    return ChowClass(spec, codim, {})
+    return schubert_class(spec, (0,) + (1,) * spec.r)
 
 
 def pieri_ek(c: ChowClass, k: int) -> ChowClass:

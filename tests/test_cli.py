@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -129,6 +130,14 @@ class TestSlopeCommand:
         assert err.startswith("bnslopes: error: ")
         assert err.count("\n") == 1
         assert ("first point built" in err) is built
+
+    @pytest.mark.parametrize("span", [":3", "1:"])
+    def test_open_range_is_usage_error(self, capsys, span):
+        with pytest.raises(SystemExit) as exc:
+            main(["slope", "--family", "gp", "--r", span, "--s", "1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "--r" in captured.err
 
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",
@@ -409,6 +418,12 @@ class TestVerifyCommand:
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry")
         assert code == 0
+
+    def test_caps_default_to_the_suite_defaults(self):
+        args = cli.build_parser().parse_args(["verify"])
+        params = inspect.signature(families.suite_reports).parameters
+        for cap in ("max_g", "r_max", "d_max"):
+            assert getattr(args, cap) == params[cap].default, cap
 
 
 def test_one_parser_serves_successive_commands(capsys):

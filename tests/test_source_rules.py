@@ -11,8 +11,9 @@ builder, ``cli.build_parser``.  ``decimal`` serves only to print N times
 a coordinate, in ``cli._times``: there every ``Context`` traps
 ``Inexact`` and ``Rounded``, so no decimal step can round, and nothing
 else of the module is used (no ``Decimal`` operator falls back to the
-default 28-digit context).  Every name a module exports in ``__all__`` is
-reached from outside the test suite: from the package itself (its
+default 28-digit context).  Every name a module exports in ``__all__``,
+and every non-underscore method and property of a non-underscore class,
+is reached from outside the test suite: from the package itself (its
 ``__init__`` re-exports do not count), the demos, the benchmark or the
 acceptance module; a public name that only unit tests call is dead
 weight.  Inside ``schubert`` an index is a plain ascending tuple:
@@ -264,6 +265,48 @@ def test_every_export_is_reached_outside_unit_tests():
         f"{path.stem}.{name}" for path in SOURCES for name in _exported(path) if name not in reached
     ]
     assert not unreached, f"exported but only unit tests reach: {unreached}"
+
+
+def _public_members(tree: ast.Module) -> list:
+    """(class, member) for each non-underscore method or property of a
+    non-underscore top-level class."""
+    return [
+        (cls.name, member.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+
+
+def test_every_public_member_is_reached_outside_unit_tests():
+    reached = _reached()
+    unreached = [
+        f"{path.stem}.{cls}.{name}"
+        for path in SOURCES
+        for cls, name in _public_members(_tree(path))
+        if name not in reached
+    ]
+    assert not unreached, f"public members only unit tests reach: {unreached}"
+
+
+def test_member_visitor_sees_methods_and_properties_of_public_classes():
+    tree = ast.parse(
+        "class A:\n"
+        "    x: int\n"
+        "    def f(self): pass\n"
+        "    @property\n"
+        "    def p(self): pass\n"
+        "    @classmethod\n"
+        "    def c(cls): pass\n"
+        "    def _h(self): pass\n"
+        "    def __str__(self): pass\n"
+        "class _B:\n"
+        "    def g(self): pass\n"
+        "def top(): pass\n"
+    )
+    assert _public_members(tree) == [("A", "f"), ("A", "p"), ("A", "c")]
 
 
 def test_export_visitor_sees_names_attributes_aliases_and_strings():
