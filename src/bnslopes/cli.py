@@ -27,7 +27,7 @@ from .divisors import (
     SlopeUndefinedError,
     slope_report,
 )
-from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, SUITES, suite_reports
+from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
 from .tautpush import GrdParams, ParameterError, TautCombo, per_N_coordinates
 
@@ -48,8 +48,11 @@ _GRIDS = {
 def _span(text: str) -> Tuple[int, int]:
     """Parse "3" or "1:4" into an inclusive integer range."""
     lo, sep, hi = text.partition(":")
-    a = int(lo)
-    b = int(hi) if sep else a
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or a range lo:hi; got {text!r}") from None
     if b < a:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return a, b
@@ -72,10 +75,11 @@ def _combo(text: str) -> TautCombo:
 def _triples(text: str) -> List[Tuple[int, int, int]]:
     out = []
     for chunk in text.split(";"):
-        parts = [int(x) for x in chunk.split(",")]
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"triple needs g,r,d; got {chunk!r}")
-        out.append(tuple(parts))
+        try:
+            g, r, d = map(int, chunk.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a triple of integers g,r,d; got {chunk!r}") from None
+        out.append((g, r, d))
     return out
 
 
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--max-g", type=int, default=DEFAULT_MAX_G, help="genus cap for identity sweeps")
     ve.add_argument("--r-max", type=int, default=DEFAULT_R_MAX, help="r cap for the Schubert oracle (default %(default)s)")
     ve.add_argument("--d-max", type=int, default=DEFAULT_D_MAX, help="d cap for the Schubert oracle (default %(default)s)")
-    ve.add_argument("--triples", type=_triples, help='reconstruction triples "g,r,d;g,r,d;..."')
+    ve.add_argument("--triples", type=_triples, default=DEFAULT_RECONSTRUCT_TRIPLES, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")
 
@@ -125,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _grid(args) -> List[FamilyParams]:
     *axes, make = _GRIDS[args.family]
-    spans = []
-    for name in axes:
-        span = getattr(args, name)
-        if span is None:
-            raise ParameterError(f"--{name} is required for family {args.family}")
-        spans.append(span)
+    for name in ("i", "r", "s", "k"):  # holds each family's axes in their _GRIDS order
+        given = getattr(args, name) is not None
+        if given != (name in axes):
+            need = "is not an axis of" if given else "is required for"
+            raise ParameterError(f"--{name} {need} family {args.family}")
+    spans = [getattr(args, name) for name in axes]
     size = math.prod(hi - lo + 1 for lo, hi in spans)
     if size > MAX_GRID_POINTS:
         raise ParameterError(f"parameter grid has {size} points, more than {MAX_GRID_POINTS}")

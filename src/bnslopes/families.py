@@ -43,7 +43,9 @@ Weierstrass fiber which are re-checked here numerically
 powers come from the closed form and, on Grassmannians of tractable
 size, from forward Pieri steps on plain index tuples.  The
 schubert-oracle suite checks the closed form against a one-pass Pieri
-table of every dimension-balanced integral of each Grassmannian.
+table of every dimension-balanced integral of each Grassmannian.  Each
+verify suite is one entry of a table from its name to a generator of
+reports; :func:`suite_reports` runs one, or all of them in table order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .divisors import (
     FamilyParams,
@@ -313,16 +315,11 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
         -2(g-2) * integral(sigma_{(1,2,3,...,3)} zeta^{g-3})
             = -2d(2g-2-d) N / (3(g-1)).
     """
-    return _weierstrass_a(GrdParams(g, r, d))
-
-
-def _weierstrass_a(params: GrdParams) -> CheckReport:
-    g, r, d = params.g, params.r, params.d
+    params = GrdParams(g, r, d)
     if g < 3:
         raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
-    spec = GrassmannianSpec(r, d)
     b = (1, 2) + (3,) * (r - 1)
-    closed, br = _pattern_integral(spec, b, g - 3, brute=True)
+    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 3, brute=True)
     lhs = -2 * (g - 2) * closed
     rhs = Fraction(-2 * d * (2 * g - 2 - d) * params.N, 3 * (g - 1))
     ok = lhs == rhs and br in (None, closed)
@@ -336,18 +333,13 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         -( integral(sigma_{(0,1,2,...,2,3)} zeta^{g-2}) + N )
             = -xi N / (3(g-1)).
     """
-    return _weierstrass_c(GrdParams(g, r, d))
-
-
-def _weierstrass_c(params: GrdParams) -> CheckReport:
-    g, r, d = params.g, params.r, params.d
+    params = GrdParams(g, r, d)
     if g < 3 or r < 2:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
         )
-    spec = GrassmannianSpec(r, d)
     b = (0, 1) + (2,) * (r - 2) + (3,)
-    closed, br = _pattern_integral(spec, b, g - 2, brute=True)
+    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 2, brute=True)
     lhs = -(closed + params.N)
     rhs = Fraction(-params.N, 3 * (g - 1)) * params.xi
     ok = lhs == rhs and br in (None, closed)
@@ -390,37 +382,24 @@ def identity_pieri(g: int, r: int, d: int) -> CheckReport:
     )
 
 
-def _aspect_counts(params: GrdParams) -> Tuple[Fraction, Fraction]:
-    """The two families of aspects compatible with a maximally ramified
-    series at the Weierstrass point, counted with multiplicity:
-
-        ((2g-2-d) N / (2(g-1)),  d N / (2(g-1))),
-
-    summing to N."""
-    g, d, N = params.g, params.d, params.N
-    return (
-        Fraction((2 * g - 2 - d) * N, 2 * (g - 1)),
-        Fraction(d * N, 2 * (g - 1)),
-    )
-
-
-def _aspect_report(params: GrdParams) -> CheckReport:
-    """Aspect counts: their sum must be N, and each count must equal the
-    matching Schubert integral of zeta^{g-2} against the dual
-    ramification index.  Integrality of the individual counts is only
-    recorded, never asserted (the counts carry multiplicities).
+def _aspect_report(g: int, r: int, d: int) -> CheckReport:
+    """Aspect counts: the aspects compatible with a maximally ramified
+    series at the Weierstrass point form two families, of
+    (2g-2-d) N / (2(g-1)) and d N / (2(g-1)) aspects with multiplicity.
+    Their sum must be N, and each count must equal the matching Schubert
+    integral of zeta^{g-2} against the dual ramification index.
+    Integrality of the counts is only recorded, never asserted.
 
     The compatible aspect on the opposite component has vanishing
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
     the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
     """
-    g, r, d, N = params.g, params.r, params.d, params.N
-    n1, n2 = _aspect_counts(params)
+    N = GrdParams(g, r, d).N
+    n1 = Fraction((2 * g - 2 - d) * N, 2 * (g - 1))
+    n2 = Fraction(d * N, 2 * (g - 1))
     spec = GrassmannianSpec(r, d)
-    b1 = (0,) + (2,) * r
-    b2 = (1, 1) + (2,) * (r - 1)
-    s1, _ = _pattern_integral(spec, b1, g - 2, brute=False)
-    s2, _ = _pattern_integral(spec, b2, g - 2, brute=False)
+    s1, _ = _pattern_integral(spec, (0,) + (2,) * r, g - 2, brute=False)
+    s2, _ = _pattern_integral(spec, (1, 1) + (2,) * (r - 1), g - 2, brute=False)
     ok = n1 + n2 == N and s1 == n1 and s2 == n2
     integral_counts = n1.denominator == 1 and n2.denominator == 1
     return _report(
@@ -440,7 +419,8 @@ def _aspect_report(params: GrdParams) -> CheckReport:
 def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     """Intersection matrix of the tails-family boundary classes eps_i
     (columns, i = 2..g-2) with the standard test curves (rows,
-    j = 1..g-3), plus its nonsingularity verdict:
+    j = 1..g-3), plus the verdict that its determinant is the closed form
+    below:
 
         row 1:            (g-1, 0, ..., 0)
         rows 2 <= j <= g-4: -1 at column j-1, 1 at column j,
@@ -451,8 +431,9 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     diagonal entry from the top down (row 2 by row 1 over g-1, each
     later row by the reduced row above it) leaves an upper triangular
     matrix with diagonal (g-1, 1, ..., 1, (g-1)(g-4)/2).  So the matrix
-    is nonsingular for every g >= 5; the verdict still comes from the
-    computed determinant.
+    is nonsingular for every g >= 5.  The verdict compares the computed
+    determinant with the closed form, so a true verdict certifies
+    nonsingularity with one elimination.
     """
     if g < 5:
         raise ParameterError(f"epsilon matrix needs g >= 5; got g={g}")
@@ -466,7 +447,7 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     m[n - 1][n - 2] = -1
     m[n - 1][n - 1] = 2
     frozen = tuple(tuple(row) for row in m)
-    return frozen, matrix_determinant(frozen) != 0
+    return frozen, matrix_determinant(frozen) == (g - 1) ** 2 * (g - 4) // 2
 
 
 def _forward_eliminate(
@@ -715,13 +696,15 @@ def _reconstruct_report(
 
 
 def _epsilon_report(g_lo: int, g_hi: int) -> CheckReport:
-    bad = [g for g in range(g_lo, g_hi + 1) if not epsilon_matrix(g)[1]]
+    """Every epsilon matrix for g_lo <= g <= g_hi has its closed-form,
+    nonzero determinant; a failure names the first g where it differs."""
+    bad = next((g for g in range(g_lo, g_hi + 1) if not epsilon_matrix(g)[1]), None)
     return _report(
         "epsilon_nonsingular",
         {"g_min": g_lo, "g_max": g_hi},
-        "singular at " + ",".join(map(str, bad)) if bad else "nonsingular",
+        "nonsingular" if bad is None else f"determinant ≠ (g-1)²(g-4)/2 at g={bad}",
         "nonsingular",
-        not bad,
+        bad is None,
     )
 
 
@@ -764,12 +747,74 @@ def _structure_report(rep: SlopeReport) -> CheckReport:
     )
 
 
+def _oracle_suite(*, r_max: int, d_max: int, **_) -> Iterator[CheckReport]:
+    return (_oracle_spec_report(r, d) for r in range(1, r_max + 1) for d in range(r, d_max + 1))
+
+
+def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
+    return (identity_castelnuovo(g, r, d) for g, r, d in rho_zero_triples(max_g))
+
+
+def _weierstrass_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
+    for g, r, d in rho_zero_triples(max_g):
+        if g >= 3:
+            yield identity_weierstrass_a(g, r, d)
+            if r >= 2:
+                yield identity_weierstrass_c(g, r, d)
+        yield _aspect_report(g, r, d)
+
+
+def _pieri_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
+    return (identity_pieri(g, r, d) for g, r, d in rho_zero_triples(max_g) if r >= 2)
+
+
+def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Iterator[CheckReport]:
+    for g, r, d in triples:
+        params = GrdParams(g, r, d)
+        pushed = {which: push(which, params) for which in "abc"}
+        solved = _reconstruct(params, "abc")
+        for (which, dc), got in zip(pushed.items(), solved):
+            yield _reconstruct_report(params, which, got, dc)
+        for which, dc in pushed.items():
+            yield _bridge_quotient_report(params, which, dc)
+    yield _epsilon_report(5, 30)
+
+
+def _symmetry_suite(**_) -> Iterator[CheckReport]:
+    gp = [slope_report(FamilyParams.gp(r, s)) for r in range(1, 5) for s in range(1, 5)]
+    syz = [slope_report(FamilyParams.syzygy(i, s)) for i in (0, 1, 3) for s in (1, 2, 3)]
+    hyper = [
+        slope_report(FamilyParams.hypersurface(r, s, 2))
+        for s in range(1, 5)
+        for r in (2 * s + 2, 1)
+    ]
+    for rep in gp:
+        closed, mirror = gp_slope_closed(rep.r, rep.s), gp_slope_closed(rep.s, rep.r)
+        ok = rep.slope == closed == mirror
+        key = {"r": rep.r, "s": rep.s}
+        yield _report("gp_slope", key, rep.slope, closed, ok, f"mirror={mirror}")
+    for rep in syz:
+        closed = syzygy_slope_closed(rep.extra, rep.s)
+        ok = abs(rep.slope) == abs(closed)
+        key = {"i": rep.extra, "s": rep.s}
+        yield _report("syzygy_slope", key, rep.slope, closed, ok)
+    yield from (_structure_report(rep) for rep in gp + syz + hyper)
+
+
+# Each suite takes suite_reports' caps as keyword arguments and names those it reads.
+_SUITES = {
+    "schubert-oracle": _oracle_suite,
+    "castelnuovo": _castelnuovo_suite,
+    "weierstrass": _weierstrass_suite,
+    "pieri": _pieri_suite,
+    "reconstruct": _reconstruct_suite,
+    "symmetry": _symmetry_suite,
+}
+SUITES = tuple(_SUITES)
 DEFAULT_RECONSTRUCT_TRIPLES = ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24))
 # Verify caps shared with the CLI: the genus of the identity sweeps,
 # and r and d of the Schubert oracle.
 DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_D_MAX = 12, 5, 18
-
-SUITES = ("schubert-oracle", "castelnuovo", "weierstrass", "pieri", "reconstruct", "symmetry")
 
 
 def suite_reports(
@@ -778,60 +823,10 @@ def suite_reports(
     max_g: int = DEFAULT_MAX_G,
     r_max: int = DEFAULT_R_MAX,
     d_max: int = DEFAULT_D_MAX,
-    triples: Optional[Sequence[Tuple[int, int, int]]] = None,
+    triples: Sequence[Tuple[int, int, int]] = DEFAULT_RECONSTRUCT_TRIPLES,
 ) -> List[CheckReport]:
-    """Run one named verification suite (or 'all') and return its
-    reports in deterministic order."""
-    if suite != "all" and suite not in SUITES:
+    """Run one named verification suite, or 'all' in table order, and return its reports."""
+    if suite != "all" and suite not in _SUITES:
         raise ParameterError(f"unknown verification suite {suite!r}")
-    out: List[CheckReport] = []
-    for name in SUITES if suite == "all" else (suite,):
-        if name == "castelnuovo":
-            for g, r, d in rho_zero_triples(max_g):
-                out.append(identity_castelnuovo(g, r, d))
-        elif name == "weierstrass":
-            for g, r, d in rho_zero_triples(max_g):
-                params = GrdParams(g, r, d)
-                if g >= 3:
-                    out.append(_weierstrass_a(params))
-                if g >= 3 and r >= 2:
-                    out.append(_weierstrass_c(params))
-                out.append(_aspect_report(params))
-        elif name == "pieri":
-            for g, r, d in rho_zero_triples(max_g):
-                if r >= 2:
-                    out.append(identity_pieri(g, r, d))
-        elif name == "schubert-oracle":
-            for r in range(1, r_max + 1):
-                for d in range(r, d_max + 1):
-                    out.append(_oracle_spec_report(r, d))
-        elif name == "reconstruct":
-            for g, r, d in DEFAULT_RECONSTRUCT_TRIPLES if triples is None else triples:
-                params = GrdParams(g, r, d)
-                pushed = {which: push(which, params) for which in "abc"}
-                solved = _reconstruct(params, "abc")
-                for (which, dc), got in zip(pushed.items(), solved):
-                    out.append(_reconstruct_report(params, which, got, dc))
-                for which, dc in pushed.items():
-                    out.append(_bridge_quotient_report(params, which, dc))
-            out.append(_epsilon_report(5, 30))
-        else:  # symmetry
-            gp = [slope_report(FamilyParams.gp(r, s)) for r in range(1, 5) for s in range(1, 5)]
-            syz = [slope_report(FamilyParams.syzygy(i, s)) for i in (0, 1, 3) for s in (1, 2, 3)]
-            hyper = [
-                slope_report(FamilyParams.hypersurface(r, s, 2))
-                for s in range(1, 5)
-                for r in (2 * s + 2, 1)
-            ]
-            for rep in gp:
-                closed, mirror = gp_slope_closed(rep.r, rep.s), gp_slope_closed(rep.s, rep.r)
-                ok = rep.slope == closed == mirror
-                key = {"r": rep.r, "s": rep.s}
-                out.append(_report("gp_slope", key, rep.slope, closed, ok, f"mirror={mirror}"))
-            for rep in syz:
-                closed = syzygy_slope_closed(rep.extra, rep.s)
-                ok = abs(rep.slope) == abs(closed)
-                key = {"i": rep.extra, "s": rep.s}
-                out.append(_report("syzygy_slope", key, rep.slope, closed, ok))
-            out.extend(_structure_report(rep) for rep in gp + syz + hyper)
-    return out
+    caps = {"max_g": max_g, "r_max": r_max, "d_max": d_max, "triples": triples}
+    return [rep for name in SUITES if suite in ("all", name) for rep in _SUITES[name](**caps)]

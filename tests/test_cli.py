@@ -139,6 +139,21 @@ class TestSlopeCommand:
         assert (exc.value.code, captured.out) == (2, "")
         assert "--r" in captured.err
 
+    @pytest.mark.parametrize(
+        "family, axes, flag",
+        [
+            ("gp", ["--r", "1", "--s", "1"], "--k"),
+            ("gp", ["--r", "1", "--s", "1"], "--i"),
+            ("hypersurface", ["--r", "4", "--s", "1", "--k", "2"], "--i"),
+            ("syzygy", ["--i", "0", "--s", "1"], "--r"),
+            ("syzygy", ["--i", "0", "--s", "1"], "--k"),
+        ],
+    )
+    def test_axis_the_family_does_not_take_is_usage_error(self, capsys, family, axes, flag):
+        code, out, err = run(capsys, "slope", "--family", family, *axes, flag, "3")
+        assert (code, out) == (2, "")
+        assert err == f"bnslopes: error: {flag} is not an axis of family {family}\n"
+
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",
                            "--r", "2", "--s", "1", "--k", "2")
@@ -422,8 +437,29 @@ class TestVerifyCommand:
     def test_caps_default_to_the_suite_defaults(self):
         args = cli.build_parser().parse_args(["verify"])
         params = inspect.signature(families.suite_reports).parameters
-        for cap in ("max_g", "r_max", "d_max"):
+        for cap in ("max_g", "r_max", "d_max", "triples"):
             assert getattr(args, cap) == params[cap].default, cap
+        assert args.triples == families.DEFAULT_RECONSTRUCT_TRIPLES
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["slope", "--family", "gp", "--r", "x", "--s", "1"], "--r: expected an integer or a range lo:hi; got 'x'"),
+        (["slope", "--family", "gp", "--r", "1", "--s", "1:y"], "--s: expected an integer or a range lo:hi; got '1:y'"),
+        (["verify", "--triples", "a,b,c"], "--triples: expected a triple of integers g,r,d; got 'a,b,c'"),
+        (["verify", "--triples", "6,2,6;8,3"], "--triples: expected a triple of integers g,r,d; got '8,3'"),
+    ],
+)
+def test_parse_error_says_what_was_expected(capsys, argv, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    last = captured.err.splitlines()[-1]
+    assert last.endswith(expected), last
+    # argparse names the type function when it raises ValueError
+    assert not any(word.startswith("_") for word in captured.err.split()), captured.err
 
 
 def test_one_parser_serves_successive_commands(capsys):

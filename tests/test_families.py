@@ -8,8 +8,8 @@ from bnslopes import families, tautpush
 from bnslopes.divisors import slope_report
 from bnslopes.families import (
     ReconstructionError,
-    _aspect_counts,
     _aspect_report,
+    _epsilon_report,
     _forward_eliminate,
     _oracle_spec_report,
     _solve_unique,
@@ -127,6 +127,30 @@ class TestEpsilonMatrix:
     def test_small_g_rejected(self):
         with pytest.raises(ParameterError):
             epsilon_matrix(4)
+
+    def test_report_eliminates_once_per_g(self, monkeypatch):
+        calls = []
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return _forward_eliminate(rows, ncols)
+
+        monkeypatch.setattr(families, "_forward_eliminate", counted)
+        rep = _epsilon_report(5, 30)
+        assert calls == [g - 3 for g in range(5, 31)]
+        assert (rep.passed, rep.lhs, rep.rhs, rep.detail) == (True, "nonsingular", "nonsingular", "")
+
+    def test_report_names_the_first_g_whose_determinant_differs(self, monkeypatch):
+        real = families.matrix_determinant
+
+        def perturbed(m):  # off by one at g = 10 and g = 12; both stay nonzero
+            return real(m) + (len(m) in (7, 9))
+
+        monkeypatch.setattr(families, "matrix_determinant", perturbed)
+        assert [g for g in range(5, 31) if not epsilon_matrix(g)[1]] == [10, 12]
+        rep = _epsilon_report(5, 30)
+        assert not rep.passed
+        assert rep.lhs == "determinant ≠ (g-1)²(g-4)/2 at g=10"
 
 
 class TestBridgeQuotient:
@@ -247,21 +271,21 @@ class TestIdentities:
 
 class TestAspects:
     def test_genus10(self):
-        assert _aspect_counts(GrdParams(10, 4, 12)) == (14, 28)
+        assert _aspect_report(10, 4, 12).lhs == "(14,28)"
 
     def test_genus4(self):
-        assert _aspect_counts(GrdParams(4, 1, 3)) == (1, 1)
+        assert _aspect_report(4, 1, 3).lhs == "(1,1)"
 
     def test_genus21_sums_to_N(self):
-        params = GrdParams(21, 6, 24)
-        n1, n2 = _aspect_counts(params)
-        assert n1 == Fraction(16 * params.N, 40)
-        assert n2 == Fraction(24 * params.N, 40)
-        assert n1 + n2 == params.N
+        N = GrdParams(21, 6, 24).N
+        n1, n2 = Fraction(16 * N, 40), Fraction(24 * N, 40)
+        rep = _aspect_report(21, 6, 24)
+        assert rep.lhs == f"({n1},{n2})"
+        assert n1 + n2 == N and rep.rhs == f"sum={N}" and rep.passed
 
     def test_reports_with_schubert_cross_check(self):
         for g, r, d in rho_zero_triples(10):
-            rep = _aspect_report(GrdParams(g, r, d))
+            rep = _aspect_report(g, r, d)
             assert rep.passed, rep
 
 
@@ -454,6 +478,11 @@ class TestSuites:
         reports = suite_reports("all", max_g=8, r_max=2, d_max=8)
         assert reports and all(r.passed for r in reports)
 
+    def test_all_runs_every_suite_in_table_order(self):
+        caps = {"max_g": 8, "r_max": 2, "d_max": 8, "triples": [(6, 2, 6)]}
+        each = [str(r) for name in families.SUITES for r in suite_reports(name, **caps)]
+        assert [str(r) for r in suite_reports("all", **caps)] == each
+
     def test_reconstruct_suite_pushes_once(self, monkeypatch):
         calls = []
 
@@ -495,16 +524,8 @@ class TestSuites:
         assert calls == [(21, 6, 24)]
         assert len(reports) == 7 and all(r.passed for r in reports)
 
-    def test_weierstrass_suite_computes_N_once_per_triple(self, monkeypatch):
-        calls = []
-
-        def counted(g, r, d):
-            calls.append((g, r, d))
-            return castelnuovo_N(g, r, d)
-
-        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+    def test_weierstrass_suite_reports_every_triple(self):
         reports = suite_reports("weierstrass", max_g=12)
-        assert calls == rho_zero_triples(12)
         assert len(reports) == 62 and all(r.passed for r in reports)
 
     def test_bridge_quotient_skips_dense_tables(self, monkeypatch):

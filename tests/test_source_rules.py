@@ -19,13 +19,17 @@ acceptance module; a public name that only unit tests call is dead
 weight.  Inside ``schubert`` an index is a plain ascending tuple:
 ``SchubertIndex`` is built only where indices come in, by ``make_index``
 and ``balanced_pairs``, so no inner loop wraps and re-validates every
-term.
+term.  ``families`` picks a verify suite from its table of suites and
+never compares a suite name with ``==``, so a new suite is one table
+entry rather than one more branch.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from bnslopes.families import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bnslopes"
@@ -313,3 +317,34 @@ def test_export_visitor_sees_names_attributes_aliases_and_strings():
     tree = ast.parse("from m import a as z\nb.c\nd\nx = 'e'\n")
     assert _referenced_names(tree) == {"a", "b", "c", "d", "x"}
     assert _referenced_names(tree, strings=True) == {"a", "b", "c", "d", "x", "e"}
+
+
+def _name_comparisons(tree: ast.Module, names) -> list:
+    """Lines where ``==`` or ``!=`` compares something with a string
+    constant from ``names``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(
+            isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value in names
+            for e in [node.left, *node.comparators]
+        )
+    )
+
+
+def test_suites_are_not_chosen_by_comparing_names():
+    lines = _name_comparisons(_tree(SRC / "families.py"), set(SUITES))
+    assert not lines, f"families.py: suite name compared with == at lines {lines}"
+
+
+def test_name_comparison_visitor_sees_both_sides_and_chains():
+    tree = ast.parse(
+        "if name == 'pieri': pass\n"
+        "elif 'symmetry' != name: pass\n"
+        "x = a < b == 'castelnuovo'\n"
+        "y = name in ('pieri',)\n"
+        "z = name == 'all'\n"
+    )
+    assert _name_comparisons(tree, {"pieri", "symmetry", "castelnuovo"}) == [1, 2, 3]
