@@ -2,9 +2,10 @@
 the verification suites.
 
 Output is byte-deterministic for a fixed invocation: rows are sorted
-canonically, rationals always render as exact "p/q" strings, and the
-JSON emitters sort their keys.  Exit codes: 0 success, 1 verification
-failure, 2 usage, parameter or I/O error.
+canonically, rationals always render as exact "p/q" strings, the slope
+and verify JSON emitters sort their keys, and ``push`` writes the bytes
+of ``json.dumps(sort_keys=True, indent=2)`` directly.  Exit codes:
+0 success, 1 verification failure, 2 usage, parameter or I/O error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .divisors import (
 )
 from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
-from .tautpush import GrdParams, ParameterError, TautCombo, per_N_coordinates
+from .tautpush import GrdParams, ParameterError, TautCombo, per_N_numerators
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -183,15 +184,16 @@ def cmd_slope(args) -> int:
     return 0
 
 
-def _times(N: int, coords: Iterable[Fraction]) -> Iterator[str]:
-    """str(N·y) for each y, exactly, without building N·y as a Fraction.
+def _times(N: int, L: int, ints: Iterable[int]) -> Iterator[str]:
+    """str(Fraction(N·x, L)) for each x, exactly, without building a Fraction.
 
-    For y = n/L in lowest terms and a = gcd(N, L), N·y = (N/a)·n / (L/a)
-    in lowest terms.  N/a is converted to decimal once per distinct L and
-    each numerator is one multiplication by n: int-to-str is quadratic in
-    the number of digits on CPython 3.11, a decimal product and its str
-    are not.  The context cannot round: with Inexact and Rounded trapped,
-    a step that is not exact raises instead of printing a wrong digit.
+    With b = gcd(x, L), x/L = (x/b)/(L/b) in lowest terms, and for
+    a = gcd(N, L/b), N·x/L = (N/a)·(x/b) / (L/(a·b)) in lowest terms.
+    N/a is converted to decimal once per distinct L/b and each numerator
+    is one multiplication by x/b: int-to-str is quadratic in the number
+    of digits on CPython 3.11, a decimal product and its str are not.
+    The context cannot round: with Inexact and Rounded trapped, a step
+    that is not exact raises instead of printing a wrong digit.
     """
     ctx = decimal.Context(
         prec=decimal.MAX_PREC,
@@ -199,26 +201,27 @@ def _times(N: int, coords: Iterable[Fraction]) -> Iterator[str]:
         traps=[decimal.Inexact, decimal.Rounded],
     )
     quotients = {}
-    for y in coords:
-        n, L = y.numerator, y.denominator
-        if L not in quotients:
-            a = math.gcd(N % L, L)
-            quotients[L] = ctx.create_decimal(N // a), L // a
-        big, den = quotients[L]
-        num = str(ctx.multiply(big, n))
-        yield num if den == 1 else f"{num}/{den}"
+    for x in ints:
+        b = math.gcd(x, L)
+        den = L // b
+        if den not in quotients:
+            a = math.gcd(N, den)
+            quotients[den] = ctx.create_decimal(N // a), den // a
+        big, rest = quotients[den]
+        num = str(ctx.multiply(big, x // b))
+        yield num if rest == 1 else f"{num}/{rest}"
 
 
 def cmd_push(args) -> int:
     params = GrdParams(args.g, args.r, args.d)
     combo = args.combo or TautCombo.of(*(int(args.cls == x) for x in "abc"), 0)
-    coords = per_N_coordinates(combo, params)
-    if args.normalize == "N":
-        lam, psi, *delta = map(str, coords)
-    else:
-        lam, psi, *delta = _times(params.N, coords)
-    obj = {"lambda": lam, "psi": psi, "delta": delta}
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", args.output)
+    L, ints = per_N_numerators(combo, params)
+    lam, psi, *delta = _times(1 if args.normalize == "N" else params.N, L, ints)
+    # the bytes of json.dumps(sort_keys=True, indent=2): every value is a
+    # digit string with an optional "-" and "/", so none needs escaping
+    rows = '",\n    "'.join(delta)
+    text = f'{{\n  "delta": [\n    "{rows}"\n  ],\n  "lambda": "{lam}",\n  "psi": "{psi}"\n}}\n'
+    _emit(text, args.output)
     return 0
 
 

@@ -829,4 +829,7 @@ def suite_reports(
     if suite != "all" and suite not in _SUITES:
         raise ParameterError(f"unknown verification suite {suite!r}")
     caps = {"max_g": max_g, "r_max": r_max, "d_max": d_max, "triples": triples}
+    for name in ("max_g", "r_max", "d_max"):
+        if caps[name] < 0:
+            raise ParameterError(f"cap {name} must be >= 0; got {caps[name]}")
     return [rep for name in SUITES if suite in ("all", name) for rep in _SUITES[name](**caps)]

@@ -21,10 +21,13 @@ integer-coefficient bracket) and divided symbolically, so each line can
 be audited term by term.
 
 Every prefactor is N times a number that does not depend on N, so every
-pushforward is N times an N-free class.  :func:`per_N_coordinates`
-yields that class's coordinates lazily, lambda and delta_0 first,
-without computing N; a slope -lambda/delta_0 reads only those and costs
-O(1) rational operations instead of O(g) operations on g-digit numbers.
+pushforward is N times an N-free class.  :func:`per_N_numerators`
+gives that class as one common denominator L and an iterator of integer
+numerators, lambda and delta_0 first, without computing N; the CLI
+prints from them directly.  :func:`per_N_coordinates` yields them as
+exact fractions: a slope -lambda/delta_0 reads only the first three and
+costs O(1) rational operations instead of O(g) operations on g-digit
+numbers.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "TautCombo",
     "castelnuovo_N",
     "per_N_coordinates",
+    "per_N_numerators",
     "push",
     "push_a",
     "push_b",
@@ -269,16 +273,19 @@ class TautCombo:
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"
 
 
-def _fold(combo: TautCombo, params: GrdParams, scale: int) -> Iterator[Fraction]:
-    """Coordinates of scale/N times the pushforward of a combination, by
-    linearity, lazily in the order lambda, psi, delta_0..delta_{g-1}.
+def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator[int]]:
+    """A common denominator L and the integer numerators of the coordinates
+    of 1/N times the pushforward of a combination, by linearity, lazily in
+    the order lambda, psi, delta_0..delta_{g-1}; N is never computed.
 
-    Each bracket enters with the weight p_X * prefactor * scale, computed
-    once.  The pulled-back lambda term pushes to N·lambda because the
-    covering map has generic degree N.  Classes with zero coefficient are
-    never evaluated, so e.g. a pure b-combination works at g = 2 where
-    the a and c formulas are out of domain; their domain checks raise
-    here, before any coordinate is produced.
+    Each bracket enters with the weight p_X * prefactor, brought over L
+    once, so each numerator is an integer dot product; the scaled brackets
+    are summed by chained ``map``s, with no Python call per row.  The
+    pulled-back lambda term pushes to N·lambda because the covering map
+    has generic degree N.  Classes with zero coefficient are never
+    evaluated, so e.g. a pure b-combination works at g = 2 where the a
+    and c formulas are out of domain; their domain checks raise here,
+    before any coordinate is produced.
     """
     weights, brackets = [], []
     for p, bracket in (
@@ -288,39 +295,31 @@ def _fold(combo: TautCombo, params: GrdParams, scale: int) -> Iterator[Fraction]
     ):
         if p:
             pre, coords = bracket(params)
-            weights.append(p * pre * scale)
+            weights.append(p * pre)
             brackets.append(coords)
     if not brackets:
         weights, brackets = [Fraction(0)], [repeat(0, params.g + 2)]
-    return _weighted_sums(combo.p_lam * scale, weights, brackets)
-
-
-def _weighted_sums(lam: Fraction, weights, brackets) -> Iterator[Fraction]:
-    """lam·[row is lambda] + sum_k weights[k]·brackets[k][row], row by row.
-
-    The weights go over one common denominator L once, so each coordinate
-    is an integer dot product over L, reduced by a single gcd.  The scaled
-    brackets are summed by chained ``map``s, with no Python call per row."""
+    lam = combo.p_lam
     L = lcm(lam.denominator, *(w.denominator for w in weights))
-    lam_L = lam.numerator * (L // lam.denominator)
     ints = [w.numerator * (L // w.denominator) for w in weights]
     scaled = [map(partial(mul, w), coords) for w, coords in zip(ints, brackets)]
     rows = reduce(partial(map, add), scaled)
-    yield Fraction(lam_L + next(rows), L)
-    for x in rows:
-        yield Fraction(x, L)
+    return L, chain((lam.numerator * (L // lam.denominator) + next(rows),), rows)
 
 
 def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:
     """The coordinates of ``push_combo(combo, params)`` divided by N, lazily
     in the order lambda, psi, delta_0..delta_{g-1}.  None of them depends
     on N, which is never computed; the first three cost O(1) each."""
-    return _fold(combo, params, 1)
+    L, ints = per_N_numerators(combo, params)
+    return (Fraction(x, L) for x in ints)
 
 
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
     """Pushforward of a tautological combination, by linearity."""
-    return DivisorClass.from_coefficients(_fold(combo, params, params.N))
+    L, ints = per_N_numerators(combo, params)
+    N = params.N
+    return DivisorClass.from_coefficients(Fraction(N * x, L) for x in ints)
 
 
 def push_a(params: GrdParams) -> DivisorClass:

@@ -321,6 +321,30 @@ _COMBOS = st.one_of(
 )
 
 
+def _push_case(triple, what, normalize):
+    """The argv of one ``push`` and its expected stdout: the JSON of str()
+    of each exact coordinate, or None where the class is out of domain."""
+    g, r, d = triple
+    argv = ["push", "--g", str(g), "--r", str(r), "--d", str(d)]
+    if isinstance(what, str):
+        argv += ["--class", what]
+        combo = TautCombo.of(*(int(what == x) for x in "abc"), 0)
+    else:
+        argv.append("--combo=" + ",".join(map(str, what)))
+        combo = TautCombo.of(*what)
+    if normalize:
+        argv += ["--normalize", "N"]
+    params = GrdParams(g, r, d)
+    try:
+        if normalize:
+            return argv, _push_text(per_N_coordinates(combo, params))
+        if isinstance(what, str):
+            return argv, _push_text(push(what, params).coefficients())
+        return argv, _push_text(push_combo(combo, params).coefficients())
+    except ParameterError:
+        return argv, None  # a or c at g = 2
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     st.sampled_from(rho_zero_triples(120)),
@@ -330,30 +354,56 @@ _COMBOS = st.one_of(
 def test_push_prints_str_of_exact_class(triple, what, normalize):
     """``push`` stdout is, byte for byte, the JSON of str() of each
     coordinate of the pushforward, or of its per-N class with --normalize N."""
-    g, r, d = triple
-    argv = ["push", "--g", str(g), "--r", str(r), "--d", str(d)]
-    if isinstance(what, str):
-        argv += ["--class", what]
-        combo = TautCombo.of(*(int(what == x) for x in "abc"), 0)
-    else:
-        argv.append("--combo=" + ",".join(map(str, what)))
-        combo = TautCombo(*what)
-    if normalize:
-        argv += ["--normalize", "N"]
-    params = GrdParams(g, r, d)
-    try:
-        if normalize:
-            want = _push_text(per_N_coordinates(combo, params))
-        elif isinstance(what, str):
-            want = _push_text(push(what, params).coefficients())
-        else:
-            want = _push_text(push_combo(combo, params).coefficients())
-    except ParameterError:
-        want = None  # a or c at g = 2
+    argv, want = _push_case(triple, what, normalize)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert (code, out.getvalue()) == ((2, "") if want is None else (0, want))
+
+
+_GP_COMBO = ("-31/2", "31/2", "-30", "-30")
+
+
+@pytest.mark.parametrize(
+    "triple, what, normalize",
+    [
+        ((961, 30, 960), "a", False),
+        ((961, 30, 960), "b", False),
+        ((961, 30, 960), "c", False),
+        ((961, 30, 960), _GP_COMBO, False),
+        ((961, 30, 960), _GP_COMBO, True),
+        ((1, 0, 0), (0, 0, 0, 1), False),  # delta has one entry
+        ((2, 1, 2), (0, 1, 0, 0), False),
+    ],
+)
+def test_push_prints_str_of_exact_class_at(capsys, triple, what, normalize):
+    """The same bytes at the benchmark's largest genus and at the smallest."""
+    argv, want = _push_case(triple, what, normalize)
+    assert run(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("what", ["c", _GP_COMBO])
+def test_push_builds_no_fraction_per_coordinate(monkeypatch, what):
+    """A push builds a few Fractions for the prefactors and weights and
+    none per coordinate, so as many at g = 961 as at g = 21."""
+    new = Fraction.__new__
+    count = 0
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for triple in ((21, 6, 24), (961, 30, 960)):
+        argv, _ = _push_case(triple, what, False)
+        count = 0
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        monkeypatch.undo()
+        counts.append(count)
+    assert counts[0] == counts[1] < 32, counts
 
 
 class TestVerifyCommand:
@@ -433,6 +483,19 @@ class TestVerifyCommand:
     def test_symmetry_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "symmetry")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "suite, flag, cap",
+        [
+            ("castelnuovo", "--max-g", "max_g"),
+            ("schubert-oracle", "--r-max", "r_max"),
+            ("schubert-oracle", "--d-max", "d_max"),
+        ],
+    )
+    def test_negative_cap_is_usage_error(self, capsys, suite, flag, cap):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"bnslopes: error: cap {cap} must be >= 0; got -1\n"
 
     def test_caps_default_to_the_suite_defaults(self):
         args = cli.build_parser().parse_args(["verify"])

@@ -5,6 +5,7 @@ of them changes what users see, so it has to be deliberate: rerun the
 invocation and commit the new file together with the reason.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -46,15 +47,37 @@ def test_golden_output(name, capsys):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+# Runs the module entry point once per case, in one process, and prints
+# {name: [exit code, stdout]} as JSON.
+_RUN_CASES = """
+import contextlib, io, json, runpy, sys
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    sys.argv[1:] = argv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("bnslopes.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            results[name] = [exc.code, out.getvalue()]
+print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+"""
+
+
 def test_module_entry_point_optimized():
     # `python -O` strips assert statements; the checks must not rely on them
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "bnslopes.cli", *_VERIFY],
+        [sys.executable, "-O", "-c", _RUN_CASES, json.dumps(CASES)],
         env=env,
         capture_output=True,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "verify_all.txt").read_bytes()
+    got = json.loads(proc.stdout)
+    assert got["optimize"] == 1
+    assert sorted(got["results"]) == sorted(CASES)
+    for name, (code, out) in got["results"].items():
+        assert code == 0, name
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
