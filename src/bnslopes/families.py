@@ -30,11 +30,14 @@ with the known pushforwards they determine the pushforwards uniquely,
 and :func:`reconstruct` re-derives them by solving the exact linear
 system; it is the strongest regression alarm in the package.  The rows
 are the same for a, b and c, so the reconstruct suite solves all three
-at once, as three right-hand sides.  One sparse eliminator serves every
-system and determinant: it clears each row's denominators once and then
-works on integers only (fraction-free elimination in the manner of
-Bareiss, with each reduced row divided by its content); only the
-solutions and determinants come back as ``Fraction``.
+at once, as three right-hand sides.  The tables store their integral
+entries as ``int`` (only the tails coefficients of delta_1 and
+delta_{g-1} are ``Fraction``), and so do the pencil degrees.  One sparse
+eliminator serves every system and determinant: it takes an all-``int``
+row as it is, clears the denominators of a row holding a ``Fraction``
+once, and then works on integers only (fraction-free elimination in the
+manner of Bareiss, with each reduced row divided by its content); only
+the solutions and determinants come back as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -106,7 +109,7 @@ __all__ = [
 
 # Genus-2 relation 10*lambda - delta_0 - 2*delta_1 = 0 on the bridge
 # target, in (lambda, psi, delta_0, delta_1) coordinates.
-_RELATION = (Fraction(10), Fraction(0), Fraction(-1), Fraction(-2))
+_RELATION = (10, 0, -1, -2)
 
 
 class ReconstructionError(RuntimeError):
@@ -119,13 +122,13 @@ def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fractio
     for two classes on the genus-2 bridge base, or None when their
     difference is not proportional to the relation."""
     diff = [x - y for x, y in zip(got.coefficients(), want.coefficients())]
-    mu = diff[0] / _RELATION[0]
+    mu = Fraction(diff[0], _RELATION[0])
     if all(x == mu * r for x, r in zip(diff, _RELATION)):
         return mu
     return None
 
 
-Row = Dict[int, Fraction]
+Row = Dict[int, int | Fraction]
 Table = List[Row]
 IntRow = Dict[int, int]
 
@@ -141,7 +144,7 @@ def bridge_matrix(g: int) -> Table:
     lambda -> lambda, delta_0 -> delta_0, delta_{g-2} -> -psi,
     delta_{g-1} -> delta_1, everything else (psi, delta_1..delta_{g-3})
     to zero."""
-    return [{0: Fraction(1)}, {g: Fraction(-1)}, {2: Fraction(1)}, {g + 1: Fraction(1)}]
+    return [{0: 1}, {g: -1}, {2: 1}, {g + 1: 1}]
 
 
 def tails_matrix(g: int) -> Table:
@@ -156,7 +159,7 @@ def tails_matrix(g: int) -> Table:
     return [
         {
             3: Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
-            2 + i: Fraction(1),
+            2 + i: 1,
             g + 1: Fraction(-(g - i) * (i - 1), g - 2),
         }
         for i in range(2, g - 1)
@@ -170,10 +173,10 @@ def pencil_matrix(g: int) -> Table:
     land on the same class and cancel)."""
     rows = []
     for h in range(1, g):
-        row = {1: Fraction(2 * h - 1)}
+        row = {1: 2 * h - 1}
         if 2 * h != g:
-            row[2 + h] = Fraction(-1)
-            row[2 + g - h] = Fraction(1)
+            row[2 + h] = -1
+            row[2 + g - h] = 1
         rows.append(row)
     return rows
 
@@ -220,18 +223,18 @@ def bridge_pushforward(which: str, params: GrdParams) -> DivisorClass:
     raise ParameterError(f"unknown tautological class {which!r}")
 
 
-def pencil_degree(which: str, params: GrdParams, h: int) -> Fraction:
+def pencil_degree(which: str, params: GrdParams, h: int) -> int:
     """Degree of the pushforward of a, b or c over the pencil family of
     type h:  a -> -d^2 N;  b -> -(2(g-h)-1) d N;  c -> -(rh + r(r+1)/2) N."""
     g, r, d, N = params.g, params.r, params.d, params.N
     if not 1 <= h <= g - 1:
         raise ParameterError(f"pencil type needs 1 <= h <= g-1; got h={h}")
     if which == "a":
-        return Fraction(-d * d * N)
+        return -d * d * N
     if which == "b":
-        return Fraction(-(2 * (g - h) - 1) * d * N)
+        return -(2 * (g - h) - 1) * d * N
     if which == "c":
-        return -(r * h + Fraction(r * (r + 1), 2)) * N
+        return -(r * h + r * (r + 1) // 2) * N
     raise ParameterError(f"unknown tautological class {which!r}")
 
 
@@ -416,10 +419,11 @@ def _aspect_report(g: int, r: int, d: int) -> CheckReport:
 # Epsilon intersection matrix and exact linear algebra
 
 
-def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
+def epsilon_matrix(g: int) -> Tuple[List[IntRow], bool]:
     """Intersection matrix of the tails-family boundary classes eps_i
-    (columns, i = 2..g-2) with the standard test curves (rows,
-    j = 1..g-3), plus the verdict that its determinant is the closed form
+    (columns 0..g-4 for i = 2..g-2) with the standard test curves (rows,
+    j = 1..g-3), as sparse rows {column: value} of at most three nonzero
+    ``int``s, plus the verdict that its determinant is the closed form
     below:
 
         row 1:            (g-1, 0, ..., 0)
@@ -438,16 +442,10 @@ def epsilon_matrix(g: int) -> Tuple[Tuple[Tuple[int, ...], ...], bool]:
     if g < 5:
         raise ParameterError(f"epsilon matrix needs g >= 5; got g={g}")
     n = g - 3
-    m = [[0] * n for _ in range(n)]
-    m[0][0] = g - 1
-    for j in range(2, n):  # rows j = 2..g-4, 1-based
-        m[j - 1][j - 2] = -1
-        m[j - 1][j - 1] = 1
-        m[j - 1][n - 1] = g - 1 - j
-    m[n - 1][n - 2] = -1
-    m[n - 1][n - 1] = 2
-    frozen = tuple(tuple(row) for row in m)
-    return frozen, matrix_determinant(frozen) == (g - 1) ** 2 * (g - 4) // 2
+    rows = [{0: g - 1}]
+    rows += [{j - 2: -1, j - 1: 1, n - 1: g - 1 - j} for j in range(2, n)]  # rows 2..g-4
+    rows.append({n - 2: -1, n - 1: 2})
+    return rows, matrix_determinant(rows) == (g - 1) ** 2 * (g - 4) // 2
 
 
 def _forward_eliminate(
@@ -457,7 +455,9 @@ def _forward_eliminate(
     row echelon form over the columns 0..ncols-1, in integers only;
     entries under keys from ``ncols`` up (right-hand sides) ride along.
 
-    Each row is first cleared of denominators: with L the lcm of its
+    Each row is copied once, so the caller's rows stay as they were.  A
+    row whose entries are all ``int`` is taken as it is; a row holding a
+    ``Fraction`` is cleared of denominators: with L the lcm of its
     denominators, x becomes x.numerator * (L // x.denominator).  Rows are
     then taken in order.  While an earlier row pivots on the row's leading
     (smallest) column, with pivot entry p against the row's entry q, the
@@ -471,17 +471,21 @@ def _forward_eliminate(
     were found (a pivot row holds no entry left of its pivot column), the
     rows left without a pivot, and the scale (num, den) by which the steps
     multiplied the determinant of the rows.  Clearing a row multiplies it
-    by L; a reduction by a, as it scales the row by a and subtracts a
-    multiple of another row; dividing out a content c divides it by c.  So
-    num is the product of every L and every a, den of every content.
+    by L, and an all-``int`` row adds no factor; a reduction multiplies it
+    by a, as it scales the row by a and subtracts a multiple of another
+    row; dividing out a content c divides it by c.  So num is the product
+    of every L and every a, den of every content.
     """
     pivots: Dict[int, IntRow] = {}
     rest: List[IntRow] = []
     num = den = 1
     for given in rows:
-        clear = lcm(*(x.denominator for x in given.values()))
-        row = {j: x.numerator * (clear // x.denominator) for j, x in given.items()}
-        num *= clear
+        if all(type(x) is int for x in given.values()):
+            row = dict(given)
+        else:
+            clear = lcm(*(x.denominator for x in given.values()))
+            row = {j: x.numerator * (clear // x.denominator) for j, x in given.items()}
+            num *= clear
         while True:
             lead = min(row, default=ncols)
             if lead >= ncols:
@@ -513,18 +517,19 @@ def _forward_eliminate(
     return pivots, rest, (num, den)
 
 
-def matrix_determinant(m: Sequence[Sequence[int | Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix, from one integer elimination
-    of its nonzero entries.  It is 0 unless every row becomes the pivot
-    of some column.  The eliminated rows then have determinant sign times
+def matrix_determinant(rows: Sequence[Row]) -> Fraction:
+    """Exact determinant of the square matrix whose n = len(rows) rows
+    are given as sparse rows {column: value} of nonzero ``int`` or
+    ``Fraction`` entries over the columns 0..n-1, from one integer
+    elimination (see :func:`_forward_eliminate`); no dense row is built
+    or scanned.  It is 0 unless every row becomes the pivot of some
+    column.  The eliminated rows then have determinant sign times
     the product of the pivots, the sign being that of the permutation
     taking pivot-discovery order to column order; by the elimination's
     scale (num, den) this is num/den times the input's determinant.
     """
-    n = len(m)
-    pivots, _, (num, den) = _forward_eliminate(
-        ({j: x for j, x in enumerate(row) if x} for row in m), n
-    )
+    n = len(rows)
+    pivots, _, (num, den) = _forward_eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
     sign = 1
@@ -678,13 +683,14 @@ def _reconstruct_report(
     g, r, d = params.g, params.r, params.d
     if isinstance(got, ReconstructionError):
         return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(got))
-    ok = got == expected
+    pairs = enumerate(zip(got.coefficients(), expected.coefficients()))
+    mismatch = next(((k, x, y) for k, (x, y) in pairs if x != y), None)
+    ok = mismatch is None
     detail = "matches closed form"
-    names = ["λ", "ψ"] + [f"δ{i}" for i in range(g)]
-    for name, x, y in zip(names, got.coefficients(), expected.coefficients()):
-        if x != y:
-            detail = f"first mismatch at {name}: reconstructed {x}, closed form {y}"
-            break
+    if mismatch:
+        k, x, y = mismatch
+        name = ("λ", "ψ")[k] if k < 2 else f"δ{k - 2}"
+        detail = f"first mismatch at {name}: reconstructed {x}, closed form {y}"
     return _report(
         "reconstruct",
         {"g": g, "r": r, "d": d, "class": which},

@@ -13,6 +13,7 @@ from bnslopes.families import (
     _forward_eliminate,
     _oracle_spec_report,
     _solve_unique,
+    bridge_matrix,
     bridge_pushforward,
     epsilon_matrix,
     identity_castelnuovo,
@@ -39,12 +40,13 @@ from bnslopes.tautpush import (
 )
 
 
-def sparse(rows, rhs=None):
+def sparse(rows, rhs=None, entry=Fraction):
     """Dense rows, and a right-hand side under the key len(row), as the
-    eliminator's sparse rows of nonzero Fractions."""
+    eliminator's sparse rows of their nonzero entries, each passed
+    through ``entry`` (made a Fraction by default)."""
     if rhs is not None:
         rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    return [{j: entry(x) for j, x in enumerate(row) if x} for row in rows]
 
 
 def solve_one(rows, ncols):
@@ -101,19 +103,42 @@ class TestPullbackTables:
         _, _, degrees = pullbacks(g, unit_class(g, "delta", g // 2))
         assert degrees[g // 2 - 1] == 0
 
+    def test_integral_entries_are_ints(self):
+        for g in (5, 8, 21, 60):
+            rows = pencil_matrix(g) + bridge_matrix(g)
+            assert all(type(x) is int for row in rows for x in row.values()), g
+            assert all(type(row[2 + i]) is int for i, row in enumerate(tails_matrix(g), start=2)), g
+
+    def test_pencil_degrees_are_ints(self):
+        # r(r+1)/2 is integral for odd and even r alike
+        for g, r, d in ((5, 4, 8), (6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24), (120, 23, 138)):
+            params = GrdParams(g, r, d)
+            for h in range(1, g):
+                degrees = [pencil_degree(which, params, h) for which in "abc"]
+                assert all(type(x) is int for x in degrees), (g, h)
+                assert degrees[2] == -(r * h + Fraction(r * (r + 1), 2)) * params.N, (g, h)
+
 
 class TestEpsilonMatrix:
     def test_g5(self):
         m, nonsingular = epsilon_matrix(5)
-        assert m == ((4, 0), (-1, 2))
+        assert m == sparse(((4, 0), (-1, 2)), entry=int)
         assert matrix_determinant(m) == 8
         assert nonsingular
 
     def test_g6(self):
         m, nonsingular = epsilon_matrix(6)
-        assert m == ((5, 0, 0), (-1, 1, 3), (0, -1, 2))
+        assert m == sparse(((5, 0, 0), (-1, 1, 3), (0, -1, 2)), entry=int)
         assert matrix_determinant(m) == 25
         assert nonsingular
+
+    def test_rows_hold_at_most_three_int_entries(self):
+        for g in range(5, 61):
+            m, _ = epsilon_matrix(g)
+            assert len(m) == g - 3, g
+            for row in m:
+                assert 1 <= len(row) <= 3 and set(row) <= set(range(g - 3)), g
+                assert all(type(x) is int and x for x in row.values()), g
 
     def test_range_nonsingular(self):
         for g in range(5, 31):
@@ -305,11 +330,11 @@ class TestSolver:
     def test_elimination_skips_zero_column_and_tracks_swaps(self):
         m = ((0, 0, 3), (0, 2, 5), (0, 4, 1))
         pivots, rest, _ = _forward_eliminate(sparse(m), 3)
-        assert (sorted(pivots), matrix_determinant(m)) == ([1, 2], 0)
+        assert (sorted(pivots), matrix_determinant(sparse(m))) == ([1, 2], 0)
         assert rest == [{}]
         m = ((0, 2), (3, 1))
         pivots, rest, _ = _forward_eliminate(sparse(m), 2)
-        assert (sorted(pivots), matrix_determinant(m)) == ([0, 1], -6)
+        assert (sorted(pivots), matrix_determinant(sparse(m))) == ([0, 1], -6)
         assert list(pivots) == [1, 0] and rest == []
         assert [pivots[c] for c in sorted(pivots)] == [{0: 3, 1: 1}, {1: 2}]
 
@@ -332,7 +357,7 @@ class TestSolver:
             n = rng.randint(1, 5)
             m = [[entry() for _ in range(n)] for _ in range(n)]
             det = cofactor_det(m)
-            got = matrix_determinant(m)
+            got = matrix_determinant(sparse(m))
             assert got == det and type(got) is Fraction, m
             if det:
                 x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
@@ -396,9 +421,39 @@ class TestSolver:
                 m[-1] = [Fraction(-7, 3) * x for x in m[0]]
             det = cofactor_det(m)
             singular += det == 0
-            got = matrix_determinant(m)
+            # entries keep their type, so all-int, all-Fraction and mixed rows occur
+            got = matrix_determinant(sparse(m, entry=lambda x: x))
             assert got == det and type(got) is Fraction, m
         assert singular
+
+    def test_determinant_of_int_rows_matches_fraction_rows(self):
+        rng = random.Random(17)
+
+        def entry():
+            return rng.choice((0, 0, 1, -1, rng.randint(-99, 99), rng.randint(-(10**30), 10**30)))
+
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                m[-1] = [3 * x for x in m[0]]
+            det = cofactor_det(m)
+            singular += det == 0
+            got = matrix_determinant(sparse(m, entry=int))
+            assert got == matrix_determinant(sparse(m)) == det and type(got) is Fraction, m
+        assert singular
+
+    def test_int_rows_are_copied_and_add_no_scale(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 2}]
+        pivots, rest, scale = _forward_eliminate(rows, 2)
+        assert (pivots, rest, scale) == ({0: {0: 1, 1: 1}, 1: {1: 1}}, [], (1, 1))
+        assert rows == [{0: 1, 1: 1}, {0: 1, 1: 2}]
+        # a row holding a Fraction is cleared, and its lcm enters the scale
+        rows = [{0: Fraction(3), 1: Fraction(1, 2)}, {1: Fraction(2)}]
+        pivots, rest, scale = _forward_eliminate(rows, 2)
+        assert (pivots, rest, scale) == ({0: {0: 6, 1: 1}, 1: {1: 2}}, [], (2, 1))
+        assert all(type(x) is int for row in pivots.values() for x in row.values())
 
     def test_k_right_hand_sides_match_single_solves(self):
         def outcome(sol):

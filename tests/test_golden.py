@@ -5,6 +5,7 @@ of them changes what users see, so it has to be deliberate: rerun the
 invocation and commit the new file together with the reason.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bnslopes.cli import main
+from bnslopes.tautpush import rho_zero_triples
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,3 +83,22 @@ def test_module_entry_point_optimized():
     for name, (code, out) in got["results"].items():
         assert code == 0, name
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+
+# SHA-256 of the stdout of `verify --suite reconstruct` over every rho = 0
+# triple with 5 <= g <= 60, too long to keep as a file.
+_SWEEP_SHA256 = {
+    "pretty": "8469c13af1a07dfe9738aabdcca74ec88cfaea0391cb40dadb97cb133fa4604c",
+    "json": "1fd78bf83690d929edece20823594f7727e939710a9d96baa6f1ba60fc73cb9a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SWEEP_SHA256))
+def test_reconstruct_sweep_bytes(fmt, capsys):
+    triples = [t for t in rho_zero_triples(60) if t[0] >= 5]
+    assert len(triples) == 197
+    spec = ";".join(f"{g},{r},{d}" for g, r, d in triples)
+    code = main(["verify", "--suite", "reconstruct", "--triples", spec, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SWEEP_SHA256[fmt]

@@ -21,7 +21,10 @@ weight.  Inside ``schubert`` an index is a plain ascending tuple:
 and ``balanced_pairs``, so no inner loop wraps and re-validates every
 term.  ``families`` picks a verify suite from its table of suites and
 never compares a suite name with ``==``, so a new suite is one table
-entry rather than one more branch.
+entry rather than one more branch.  No ``Fraction`` is made of a nonzero
+integer literal alone (``Fraction(0)`` may still start a sum): an
+integral constant stays an ``int``, so integral table entries reach the
+eliminator without a ``Fraction`` to clear.
 """
 
 import ast
@@ -348,3 +351,38 @@ def test_name_comparison_visitor_sees_both_sides_and_chains():
         "z = name == 'all'\n"
     )
     assert _name_comparisons(tree, {"pieri", "symmetry", "castelnuovo"}) == [1, 2, 3]
+
+
+def _fraction_int_literals(tree: ast.Module):
+    """``Fraction(k)`` calls, also as ``fractions.Fraction``, whose one
+    argument is a nonzero integer literal, signed or not."""
+
+    def literal(arg):
+        if isinstance(arg, ast.UnaryOp) and isinstance(arg.op, (ast.USub, ast.UAdd)):
+            arg = arg.operand
+        return isinstance(arg, ast.Constant) and type(arg.value) is int and arg.value != 0
+
+    def match(node):
+        if not isinstance(node, ast.Call) or len(node.args) != 1 or node.keywords:
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "Fraction" and literal(node.args[0])
+
+    return _owned(tree, match)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_fraction_of_an_integer_literal(path):
+    calls = _fraction_int_literals(_tree(path))
+    assert not calls, f"{path.name}: Fraction of a nonzero int literal at {calls}"
+
+
+def test_fraction_literal_visitor_sees_signs_and_skips_zero_and_ratios():
+    tree = ast.parse(
+        "a = Fraction(10)\n"
+        "b = Fraction(-2), Fraction(0), Fraction(1, n), Fraction(n)\n"
+        "def f():\n"
+        "    return fractions.Fraction(+3), Fraction(2.0), Fraction('1')\n"
+    )
+    assert _fraction_int_literals(tree) == [(None, 1), (None, 2), ("f", 4)]
