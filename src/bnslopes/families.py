@@ -655,15 +655,17 @@ def _reconstruct(
 def _oracle_spec_report(r: int, d: int) -> CheckReport:
     """Exhaustive comparison of the closed form with the one-pass Pieri
     table over every dimension-balanced (b, k) on G(r, P^d).  Each entry's
-    k is (dim - |b|)/r; the closed form is compared on ints, and a
-    nonzero remainder is a failed check."""
+    k is (dim - |b|)/r; the closed form is compared on ints, as
+    ``num == brute * den``.  Its den is positive, so that holds exactly
+    when den divides num with quotient brute: a closed form that is not
+    an integer, or is another integer, is a failed check."""
     spec = GrassmannianSpec(r, d)
+    dim = spec.dim
     checked = 0
     for b, brute in _zeta_table(spec).items():
-        k = (spec.dim - sum(b)) // r
+        k = (dim - sum(b)) // r
         num, den = _closed_form(spec, b, k)
-        q, rem = divmod(num, den)
-        if rem or q != brute:
+        if num != brute * den:
             return _report(
                 "schubert_oracle",
                 {"r": r, "d": d},

@@ -33,7 +33,8 @@ one Grassmannian in a single pass by falling codimension, and
 independent reference.  The closed form is written once, on ints, in
 :func:`_closed_form`; :func:`zeta_power_integral` returns it as a
 ``Fraction``, and the schubert-oracle suite compares every entry of the
-one-pass table with it directly, as one ``divmod`` per pair.
+one-pass table with it directly, as one cross-multiplication
+``num == entry * den`` per pair.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .numeric import factorial
 
 __all__ = [
     "BalanceError",
@@ -243,21 +244,21 @@ def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[in
 
     valid whenever r*k + sum(b) equals dim X, which the caller checks;
     the value is 0 as soon as any factorial argument k - d + r + a_i is
-    negative (the geometric vanishing of the cycle), which is checked
-    before anything is computed.
+    negative (the geometric vanishing of the cycle).  The a_i strictly
+    increase, so a_0 gives the smallest argument and is the only one
+    tested, before anything is computed; every factorial argument is
+    then >= 0, so :func:`math.factorial` is called directly.
     """
     a = [bi + i for i, bi in enumerate(b)]
     shift = k - spec.d + spec.r
-    args = [shift + ai for ai in a]
-    if any(x < 0 for x in args):
+    if shift + a[0] < 0:
         return 0, 1
     num = factorial(k)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            num *= a[j] - a[i]
+    for ai, aj in combinations(a, 2):
+        num *= aj - ai
     den = 1
-    for x in args:
-        den *= factorial(x)
+    for ai in a:
+        den *= factorial(shift + ai)
     return num, den
 
 
@@ -279,14 +280,20 @@ def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
     """The indices c with sigma_c a term of zeta * sigma_b: by the Pieri
     rule for the r-box column, every entry of b but the one at position p
     goes up by one.  That stays within the box iff p is last or
-    b[-1] < box, and ascending iff p is first or b[p-1] < b[p].  For
-    r = 0 the only successor is b itself, as zeta is then the
-    fundamental class."""
-    up = tuple(x + 1 for x in b)
-    last = len(b) - 1
-    for p in range(len(b)):
-        if (p == last or b[-1] < box) and (p == 0 or b[p - 1] < b[p]):
-            yield up[:p] + b[p : p + 1] + up[p + 1 :]
+    b[-1] < box, and ascending iff p is first or b[p-1] < b[p].  Each
+    successor is built from one list of the raised entries by lowering
+    entry p back to b[p] for the one ``tuple`` copy and raising it again
+    afterwards.  For r = 0 the only successor is b itself, as zeta is
+    then the fundamental class."""
+    up = [x + 1 for x in b]
+    stop = 0 if b[-1] < box else len(b) - 1
+    prev = b[0] - 1
+    for p, x in enumerate(b):
+        if p >= stop and prev < x:
+            up[p] = x
+            yield tuple(up)
+            up[p] = x + 1
+        prev = x
 
 
 def _zeta_table(spec: GrassmannianSpec) -> Dict[Tuple[int, ...], int]:
@@ -299,8 +306,9 @@ def _zeta_table(spec: GrassmannianSpec) -> Dict[Tuple[int, ...], int]:
     already in the table."""
     pairs = sorted(_balanced_tuples(spec), key=lambda pair: pair[1])
     table = {pairs[0][0]: 1}  # k = 0 only at the point class
+    box, entry = spec.box, table.__getitem__
     for b, _ in pairs[1:]:
-        table[b] = sum(table[c] for c in _zeta_successors(b, spec.box))
+        table[b] = sum(map(entry, _zeta_successors(b, box)))
     return table
 
 

@@ -623,6 +623,19 @@ class TestSuites:
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5/2", "brute=5")
 
+    def test_oracle_fails_on_a_closed_form_with_the_right_floor(self, monkeypatch):
+        # 11/2 = 2*5 + 1 over 2: the floor is the table entry 5, and only
+        # the remainder tells the two apart
+        real = families._closed_form
+
+        def floor_right(spec, b, k):
+            return (2 * 5 + 1, 2) if b == (0, 0, 0) else real(spec, b, k)
+
+        monkeypatch.setattr(families, "_closed_form", floor_right)
+        rep = _oracle_spec_report(2, 6)
+        assert not rep.passed
+        assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=11/2", "brute=5")
+
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
             suite_reports("nonsense")

@@ -92,6 +92,23 @@ _SWEEP_SHA256 = {
     "json": "1fd78bf83690d929edece20823594f7727e939710a9d96baa6f1ba60fc73cb9a",
 }
 
+# SHA-256 of the stdout of `verify --suite <suite> <caps>`, at caps beyond
+# those of verify_all.txt (r <= 5, d <= 18, max-g 12 by default).
+_BEYOND_CAPS_SHA256 = {
+    ("schubert-oracle", "--r-max", "6", "--d-max", "16"): {
+        "pretty": "6bf36cdde8c55a2893ae30a7b03d6f358e3d108dc200e1e6043958ae46a68660",
+        "json": "7f6f97c0d58376231efa403bde75ddfae0a412ebeedab64f509efab53771ae8c",
+    },
+    ("weierstrass", "--max-g", "16"): {
+        "pretty": "abb9dabcdfc3c54c247ca1be16348b0387d62bb4c53c383162c9405250a47f51",
+        "json": "7199ff2c04b162f0d2f6efa45c7fc5e52a96f5486e26a6de3032b6c0fab256c5",
+    },
+    ("castelnuovo", "--max-g", "18"): {
+        "pretty": "664675c8b56c42d0b6adeb0c54fa040fab4828381fdafe43ce63cf15d570c8d9",
+        "json": "d813c9782282768459fbdf7e837d21e278a51222abc60e63c990a0bbfed10d7b",
+    },
+}
+
 
 @pytest.mark.parametrize("fmt", sorted(_SWEEP_SHA256))
 def test_reconstruct_sweep_bytes(fmt, capsys):
@@ -102,3 +119,12 @@ def test_reconstruct_sweep_bytes(fmt, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SWEEP_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("args", sorted(_BEYOND_CAPS_SHA256), ids=lambda args: args[0])
+def test_verify_bytes_beyond_default_caps(args, fmt, capsys):
+    code = main(["verify", "--suite", *args, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _BEYOND_CAPS_SHA256[args][fmt]

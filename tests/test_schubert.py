@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from bnslopes.schubert import (
     CodimensionError,
     GrassmannianSpec,
     InvalidIndexError,
+    _closed_form,
     _zeta_successors,
     _zeta_sweep,
     _zeta_table,
@@ -228,6 +230,31 @@ def test_oracle_exhaustive_small():
                 ), (r, d, idx.b, k)
 
 
+def _displayed_formula(spec, b, k):
+    # k! prod_{i<j} (a_j - a_i) / prod_i (k - d + r + a_i)!, a_i = b_i + i,
+    # and 0 as soon as any factorial argument is negative
+    a = [b[i] + i for i in range(len(b))]
+    args = [k - spec.d + spec.r + a[i] for i in range(len(a))]
+    if any(x < 0 for x in args):
+        return Fraction(0)
+    vandermonde = prod(a[j] - a[i] for i in range(len(a)) for j in range(i + 1, len(a)))
+    return Fraction(factorial(k) * vandermonde, prod(factorial(x) for x in args))
+
+
+def test_closed_form_matches_displayed_formula():
+    pairs = vanishing = 0
+    for r in range(1, 5):
+        for d in range(r, 13):
+            spec = GrassmannianSpec(r, d)
+            for idx, k in balanced_pairs(spec):
+                want = _displayed_formula(spec, idx.b, k)
+                assert Fraction(*_closed_form(spec, idx.b, k)) == want, (r, d, idx.b, k)
+                pairs += 1
+                vanishing += want == 0  # the Vandermonde factor never is
+    assert pairs == 2315
+    assert vanishing > 0
+
+
 @lru_cache(maxsize=None)
 def _balanced(r, d):
     spec = GrassmannianSpec(r, d)
@@ -278,6 +305,15 @@ class TestPieriOracles:
                     assert pieri_ek(schubert_class(spec, b), r).terms == want, (r, d, b)
                     indices += 1
         assert indices == 1981
+
+    def test_zeta_step_for_r_zero_keeps_b(self):
+        assert list(_zeta_successors((2,), 4)) == [(2,)]
+        assert list(_zeta_successors((4,), 4)) == [(4,)]
+
+    def test_zeta_step_at_the_box_raises_all_but_the_last(self):
+        assert list(_zeta_successors((0, 1, 3), 3)) == [(1, 2, 3)]
+        assert list(_zeta_successors((0, 2, 2, 2), 2)) == []
+        assert list(_zeta_successors((0, 1, 2), 3)) == [(0, 2, 3), (1, 1, 3), (1, 2, 2)]
 
     def test_table_for_r_zero_is_the_point(self):
         assert _zeta_table(GrassmannianSpec(0, 4)) == {(4,): 1}

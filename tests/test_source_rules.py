@@ -24,7 +24,10 @@ never compares a suite name with ``==``, so a new suite is one table
 entry rather than one more branch.  No ``Fraction`` is made of a nonzero
 integer literal alone (``Fraction(0)`` may still start a sum): an
 integral constant stays an ``int``, so integral table entries reach the
-eliminator without a ``Fraction`` to clear.
+eliminator without a ``Fraction`` to clear.  Inside ``schubert`` a
+``Fraction`` is built only by ``zeta_power_integral``, which returns the
+closed form as one: the oracle path, from the closed form's (num, den)
+to the table entries, stays on ints.
 """
 
 import ast
@@ -43,6 +46,7 @@ MEMOIZERS = {"cache", "lru_cache"}
 DECIMAL_ALLOWED = {("cli", "_times")}
 DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 INDEX_BUILDERS = {"make_index", "balanced_pairs"}
+FRACTION_BUILDERS = {"zeta_power_integral"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -386,3 +390,34 @@ def test_fraction_literal_visitor_sees_signs_and_skips_zero_and_ratios():
         "    return fractions.Fraction(+3), Fraction(2.0), Fraction('1')\n"
     )
     assert _fraction_int_literals(tree) == [(None, 1), (None, 2), ("f", 4)]
+
+
+def _fraction_constructions(tree: ast.Module):
+    """``Fraction(...)`` calls, also as ``fractions.Fraction(...)``."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "Fraction"
+
+    return _owned(tree, match)
+
+
+def test_schubert_builds_fractions_only_for_the_public_closed_form():
+    calls = _fraction_constructions(_tree(SRC / "schubert.py"))
+    stray = [(owner, line) for owner, line in calls if owner not in FRACTION_BUILDERS]
+    assert not stray, f"schubert.py: Fraction built at {stray}"
+    assert {owner for owner, _ in calls} == FRACTION_BUILDERS
+
+
+def test_fraction_visitor_sees_qualified_and_nested_calls():
+    tree = ast.parse(
+        "x = Fraction(1, 2)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return [fractions.Fraction(n) for n in t]\n"
+        "    return Fraction, y.Fraction\n"
+    )
+    assert _fraction_constructions(tree) == [(None, 1), ("g", 4)]
