@@ -19,12 +19,12 @@ closed-form pushforwards.  This script spells that out at (g, r, d) =
 Run:  python demos/reconstruction_walkthrough.py
 """
 
-from bnslopes import GrdParams, pullbacks, push_b, reconstruct
-from bnslopes.families import bridge_pushforward, pencil_degree, relation_multiple
+from bnslopes.families import bridge_pushforward, pencil_degree, pullbacks, reconstruct, relation_multiple
+from bnslopes.tautpush import GrdParams, push, push_b, rho
 
 g, r, d = 10, 4, 12
 params = GrdParams(g, r, d)
-print(f"Triple {params}: rho = {params.rho}, N = {params.N}, xi = {params.xi}")
+print(f"Triple {params}: rho = {rho(g, r, d)}, N = {params.N}, xi = {params.xi}")
 
 print()
 print("Closed-form pushforward of b:")
@@ -48,8 +48,6 @@ print()
 print("Now forget the closed form and solve the linear system:")
 for which in "abc":
     got = reconstruct(g, r, d, which)
-    from bnslopes.tautpush import push
-
     match = "matches" if got == push(which, params) else "DIFFERS FROM"
     print(f"  reconstructed pushforward of {which} {match} the closed form "
           f"(lambda-coefficient {got.lam})")

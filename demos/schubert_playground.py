@@ -7,10 +7,9 @@ brute-force expansion.
 Run:  python demos/schubert_playground.py
 """
 
-from bnslopes import (
+from bnslopes.schubert import (
     GrassmannianSpec,
     brute_zeta_integral,
-    castelnuovo_N,
     integral,
     make_index,
     pieri_ek,
@@ -18,6 +17,7 @@ from bnslopes import (
     zeta,
     zeta_power_integral,
 )
+from bnslopes.tautpush import castelnuovo_N
 
 print("How many lines in P^3 meet four general lines?")
 g13 = GrassmannianSpec(1, 3)

@@ -8,16 +8,8 @@ genus-21 divisor whose slope 2459/377 dips below the bound 6 + 12/(g+1).
 Run:  python demos/slope_tables.py
 """
 
-from bnslopes import (
-    FamilyParams,
-    GrdParams,
-    TautCombo,
-    gp_slope_closed,
-    push_combo,
-    slope_bound,
-    slope_report,
-    syzygy_combo,
-)
+from bnslopes.divisors import FamilyParams, gp_slope_closed, slope_bound, slope_report, syzygy_combo
+from bnslopes.tautpush import GrdParams, TautCombo, push_combo
 
 
 def show(report):

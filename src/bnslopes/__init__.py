@@ -13,27 +13,6 @@ The package computes, entirely in exact rational arithmetic:
   slopes, and the closed-form slope polynomials that cross-check them;
 * a reconstruction of the pushforward formulas from special one-
   parameter test families, as an independent end-to-end verification.
+
+Each name is imported from the module that defines it.
 """
-
-# The names the demos import; everything else is imported from its module.
-from .divisors import (
-    FamilyParams,
-    gp_slope_closed,
-    slope_bound,
-    slope_report,
-    syzygy_combo,
-)
-from .families import pullbacks, reconstruct
-from .schubert import (
-    GrassmannianSpec,
-    brute_zeta_integral,
-    integral,
-    make_index,
-    pieri_ek,
-    schubert_class,
-    zeta,
-    zeta_power_integral,
-)
-from .tautpush import GrdParams, TautCombo, castelnuovo_N, push_b, push_combo
-
-__version__ = "0.1.0"

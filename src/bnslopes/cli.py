@@ -101,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--k", type=_span, help="hypersurface degree value or range")
     sl.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     sl.add_argument("--output", help="write to this path instead of stdout")
+    sl.set_defaults(run=cmd_slope)
 
     pu = sub.add_parser("push", help="pushforward of a tautological class or combination")
     pu.add_argument("--g", type=int, required=True)
@@ -115,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="divide all coefficients by the covering degree N",
     )
     pu.add_argument("--output", help="write to this path instead of stdout")
+    pu.set_defaults(run=cmd_push)
 
     ve = sub.add_parser("verify", help="run verification suites")
     ve.add_argument("--suite", default="all", choices=list(SUITES) + ["all"])
@@ -124,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--triples", type=_triples, default=DEFAULT_RECONSTRUCT_TRIPLES, help='reconstruction triples "g,r,d;g,r,d;..."')
     ve.add_argument("--format", choices=["pretty", "json"], default="pretty")
     ve.add_argument("--output", help="write to this path instead of stdout")
+    ve.set_defaults(run=cmd_verify)
 
     return p
 
@@ -255,11 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        if args.command == "slope":
-            return cmd_slope(args)
-        if args.command == "push":
-            return cmd_push(args)
-        return cmd_verify(args)
+        return args.run(args)
     except (
         ParameterError,
         SlopeUndefinedError,

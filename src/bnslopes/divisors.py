@@ -159,7 +159,7 @@ def _slope(lam: Fraction, delta0: Fraction, N: int) -> Fraction:
 def slope(dc: DivisorClass) -> Fraction:
     """Slope -lambda/delta_0 of a class whose lambda and delta_0
     coefficients are nonzero and of opposite sign."""
-    return _slope(dc.lam, dc.delta0, 1)
+    return _slope(dc.lam, dc.delta[0], 1)
 
 
 def slope_bound(g: int) -> Fraction:
@@ -264,9 +264,6 @@ class FamilyParams:
     def d(self) -> int:
         return self.r * (self.s + 2)
 
-    def grd(self) -> GrdParams:
-        return GrdParams(self.g, self.r, self.d)
-
 
 def family_combo(params: FamilyParams) -> TautCombo:
     if params.family == GP:
@@ -323,7 +320,7 @@ def slope_report(params: FamilyParams) -> SlopeReport:
     and delta_0 coefficients of its pushforward, slope, bound comparison.
     This is O(1) rational work besides computing N for the report."""
     combo = family_combo(params)
-    grd = params.grd()
+    grd = GrdParams(params.g, params.r, params.d)
     lam, _, delta0 = islice(per_N_coordinates(combo, grd), 3)
     sl = _slope(lam, delta0, grd.N)
     bound = slope_bound(params.g)

@@ -57,7 +57,6 @@ __all__ = [
     "push_combo",
     "rho",
     "rho_zero_triples",
-    "xi",
 ]
 
 
@@ -96,21 +95,6 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
     return n
 
 
-def xi(g: int, r: int, d: int) -> Fraction:
-    """The rational quantity
-
-        xi = 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1)
-
-    entering the pushforward of c.  (The same quantity appears both in
-    the statement of the pushforward formulas and in the genus-2 test
-    family computations; they are one and the same.)
-    """
-    den = g - d + 2 * r + 1
-    if den == 0:
-        raise ParameterError(f"xi has vanishing denominator g-d+2r+1 at ({g},{r},{d})")
-    return 3 * (g - 1) + Fraction((r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), den)
-
-
 @dataclass(frozen=True)
 class GrdParams:
     """A Brill-Noether triple (g, r, d) with rho = 0 and its derived
@@ -123,12 +107,8 @@ class GrdParams:
     def __post_init__(self) -> None:
         if self.g < 1 or self.r < 0 or self.d < 0:
             raise ParameterError(f"need g >= 1 and r, d >= 0; got {self}")
-        if self.rho != 0:
-            raise ParameterError(f"rho({self.g},{self.r},{self.d}) = {self.rho} != 0")
-
-    @property
-    def rho(self) -> int:
-        return rho(self.g, self.r, self.d)
+        if (n := rho(self.g, self.r, self.d)) != 0:
+            raise ParameterError(f"rho({self.g},{self.r},{self.d}) = {n} != 0")
 
     @cached_property
     def N(self) -> int:
@@ -136,7 +116,18 @@ class GrdParams:
 
     @property
     def xi(self) -> Fraction:
-        return xi(self.g, self.r, self.d)
+        """The rational quantity
+
+            xi = 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1)
+
+        entering the pushforward of c.  (The same quantity appears both in
+        the statement of the pushforward formulas and in the genus-2 test
+        family computations; they are one and the same.)  With rho = 0 and
+        m = g/(r+1) the denominator is m+r+1 >= 2.
+        """
+        g, r, d = self.g, self.r, self.d
+        den = g - d + 2 * r + 1
+        return 3 * (g - 1) + Fraction((r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), den)
 
     def __str__(self) -> str:
         return f"(g,r,d)=({self.g},{self.r},{self.d})"
@@ -157,10 +148,6 @@ class DivisorClass:
     @property
     def g(self) -> int:
         return len(self.delta)
-
-    @property
-    def delta0(self) -> Fraction:
-        return self.delta[0]
 
     def coefficients(self) -> Tuple[Fraction, ...]:
         """Coordinates in the fixed order (lambda, psi, delta_0..delta_{g-1})."""

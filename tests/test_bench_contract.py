@@ -4,15 +4,19 @@ or a cut that leaves one of them dangling would only show up when
 without changing anything under ``bench/``."""
 
 import importlib
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import bnslopes
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "bench" / "layertrace.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bnslopes.__path__))
 
 
@@ -23,6 +27,17 @@ def test_traced_functions_resolve():
     for layer, fname, _ in tracer["TRACED"]:
         module = importlib.import_module(f"bnslopes.{layer}")
         assert callable(getattr(module, fname, None)), f"{layer}.{fname}"
+
+
+def test_layers_are_package_attributes_after_cli_import():
+    # the benchmark imports bnslopes and then bnslopes.cli, and its tracer
+    # reads each layer as an attribute of the package; the package's
+    # __init__ imports nothing, so the cli's own imports must reach them
+    layers = runpy.run_path(str(LAYERTRACE))["LAYERS"]
+    code = "import sys, bnslopes, bnslopes.cli; print(*(n for n in sys.argv[1:] if not hasattr(bnslopes, n)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run([sys.executable, "-c", code, *layers], env=env, capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout.strip()) == (0, ""), fresh.stderr
 
 
 @pytest.mark.parametrize("name", MODULES)

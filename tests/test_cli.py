@@ -139,6 +139,13 @@ class TestSlopeCommand:
         assert (exc.value.code, captured.out) == (2, "")
         assert "--r" in captured.err
 
+    def test_empty_range_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["slope", "--family", "gp", "--r", "1", "--s", "1:0"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --s: empty range '1:0'" in captured.err
+
     @pytest.mark.parametrize(
         "family, axes, flag",
         [
@@ -247,7 +254,7 @@ class TestPushCommand:
         try:
             assert Fraction(obj["lambda"]) == Fraction(6 * d * N, g - 1) == dc.lam
             assert Fraction(obj["psi"]) == dc.psi
-            assert Fraction(obj["delta"][0]) == dc.delta0
+            assert Fraction(obj["delta"][0]) == dc.delta[0]
             assert Fraction(obj["delta"][-1]) == dc.delta[g - 1]
         finally:
             sys.set_int_max_str_digits(limit)

@@ -1,7 +1,7 @@
 """The scripts in demos/ run to the end against the package.
 
-They are the only callers of the top-level re-exports in
-``bnslopes/__init__.py``; several of them assert values along the way.
+They import each name from the module that defines it, as every other
+caller does; several of them assert values along the way.
 """
 
 import runpy

@@ -131,7 +131,8 @@ class TestPipelineAgainstClosedForms:
         for i, sign in ((0, -1), (1, -1), (3, 1)):
             for s in range(60):
                 fp = FamilyParams.syzygy(i, s)
-                lam, _, delta0 = islice(per_N_coordinates(family_combo(fp), fp.grd()), 3)
+                grd = GrdParams(fp.g, fp.r, fp.d)
+                lam, _, delta0 = islice(per_N_coordinates(family_combo(fp), grd), 3)
                 assert -lam / delta0 == sign * syzygy_slope_closed(i, s), (i, s)
 
     def test_syzygy_i1_anchor(self):
@@ -173,7 +174,7 @@ class TestTwoCoordinateSlope:
         instances += [FamilyParams.syzygy(i, s) for i in range(0, 5) for s in range(0, 5)]
         instances += [FamilyParams.hypersurface(*rsk) for rsk in ((3, 1, 3), (4, 1, 2), (6, 2, 2))]
         for fp in instances:
-            full = slope(push_combo(family_combo(fp), fp.grd()))
+            full = slope(push_combo(family_combo(fp), GrdParams(fp.g, fp.r, fp.d)))
             assert slope_report(fp).slope == full, fp
 
     def test_pushforward_on_demand(self, monkeypatch):
@@ -225,3 +226,18 @@ class TestSlopeReport:
             "family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound",
         ]
         assert row["slope"] == "17/2"
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: hypersurface_combo(0, 1, 2), "needs r, s, k >= 1"),
+        (lambda: syzygy_combo(-1, 0), "needs i, s >= 0"),
+        (lambda: gp_slope_closed(0, 1), "need r, s >= 1"),
+        (lambda: syzygy_slope_closed(-1, 0), "need i, s >= 0"),
+        (lambda: family_combo(FamilyParams("x", 1, 1)), "unknown family 'x'"),
+    ],
+)
+def test_named_errors(call, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        call()

@@ -52,7 +52,7 @@ def sparse(rows, rhs=None, entry=Fraction):
 def solve_one(rows, ncols):
     """The solver on a single right-hand side, raising its error the way
     reconstruct does."""
-    [sol] = _solve_unique(rows, ncols)
+    [sol] = _solve_unique(rows, ncols, 1)
     if isinstance(sol, ReconstructionError):
         raise sol
     return sol
@@ -89,7 +89,7 @@ class TestPullbackTables:
         g = 8
         bridge, _, _ = pullbacks(g, unit_class(g, "delta", g - 2))
         assert bridge.psi == -1
-        assert bridge.lam == bridge.delta0 == bridge.delta[1] == 0
+        assert bridge.lam == bridge.delta[0] == bridge.delta[1] == 0
 
     def test_psi_degrees(self):
         g = 8
@@ -161,7 +161,7 @@ class TestEpsilonMatrix:
             return _forward_eliminate(rows, ncols)
 
         monkeypatch.setattr(families, "_forward_eliminate", counted)
-        rep = _epsilon_report(5, 30)
+        rep = _epsilon_report()
         assert calls == [g - 3 for g in range(5, 31)]
         assert (rep.passed, rep.lhs, rep.rhs, rep.detail) == (True, "nonsingular", "nonsingular", "")
 
@@ -173,7 +173,7 @@ class TestEpsilonMatrix:
 
         monkeypatch.setattr(families, "matrix_determinant", perturbed)
         assert [g for g in range(5, 31) if not epsilon_matrix(g)[1]] == [10, 12]
-        rep = _epsilon_report(5, 30)
+        rep = _epsilon_report()
         assert not rep.passed
         assert rep.lhs == "determinant ≠ (g-1)²(g-4)/2 at g=10"
 
@@ -472,7 +472,7 @@ class TestSolver:
             if rng.random() < 0.3:  # knock one right-hand side out of the column space
                 bs[rng.randrange(k)][rng.randrange(len(a))] += 1
             rows = [row + [b[i] for b in bs] for i, row in enumerate(a)]
-            single = [outcome(sol) for b in bs for sol in _solve_unique(sparse(a, b), n)]
+            single = [outcome(sol) for b in bs for sol in _solve_unique(sparse(a, b), n, 1)]
             assert [outcome(sol) for sol in _solve_unique(sparse(rows), n, k)] == single, a
             seen.update(type(sol) for sol in single)
         assert seen == {list, str}
@@ -527,6 +527,16 @@ class TestReconstruct:
         with pytest.raises(ParameterError, match="unknown tautological class 'x'"):
             reconstruct(6, 2, 6, "x")
 
+    def test_wrong_pencil_degree_is_inconsistent(self, monkeypatch):
+        real = families.pencil_degree
+
+        def off_by_one(which, params, h):
+            return real(which, params, h) + (h == 1)
+
+        monkeypatch.setattr(families, "pencil_degree", off_by_one)
+        with pytest.raises(ReconstructionError, match="inconsistent"):
+            reconstruct(10, 4, 12, "b")
+
 
 class TestSuites:
     def test_all_suites_pass(self):
@@ -553,7 +563,7 @@ class TestSuites:
     def test_reconstruct_suite_solves_once_per_triple(self, monkeypatch):
         calls = []
 
-        def counted(rows, ncols, k=1):
+        def counted(rows, ncols, k):
             calls.append((ncols, k))
             return _solve_unique(rows, ncols, k)
 
@@ -645,3 +655,23 @@ class TestSuites:
         obj = rep.as_json_dict()
         assert set(obj) == {"check", "params", "lhs", "rhs", "pass", "detail"}
         assert obj["pass"] is True
+
+
+_P626 = GrdParams(6, 2, 6)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: tails_matrix(4), "tails family needs g >= 5"),
+        (lambda: pullbacks(6, push_b(GrdParams(8, 3, 9))), "class has genus 8, expected 6"),
+        (lambda: pencil_degree("a", _P626, 0), "needs 1 <= h <= g-1; got h=0"),
+        (lambda: pencil_degree("a", _P626, 6), "needs 1 <= h <= g-1; got h=6"),
+        (lambda: pencil_degree("x", _P626, 1), "unknown tautological class 'x'"),
+        (lambda: identity_weierstrass_a(2, 1, 2), "Weierstrass identity for a needs g >= 3"),
+        (lambda: identity_pieri(4, 1, 3), "Pieri identity check needs r >= 2"),
+    ],
+)
+def test_named_errors(call, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        call()

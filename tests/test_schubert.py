@@ -214,6 +214,13 @@ class TestIntegrals:
         assert zeta_power_integral(spec, b, 1) == 0
         assert brute_zeta_integral(spec, b, 1) == 0
 
+    def test_r_zero_brute_force_is_the_identity(self):
+        # on G(0, P^3) zeta is the fundamental class, so only the point
+        # class balances and every power of zeta integrates to 1 against it
+        spec = GrassmannianSpec(0, 3)
+        point = make_index(spec, (3,))
+        assert [brute_zeta_integral(spec, point, k) for k in range(5)] == [1] * 5
+
     def test_zeta_needs_positive_r(self):
         with pytest.raises(InvalidIndexError):
             zeta(GrassmannianSpec(0, 4))
@@ -351,3 +358,15 @@ class TestPieriOracles:
         rep = _oracle_spec_report(2, 6)
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5", "brute=6")
+
+
+@pytest.mark.parametrize(
+    "b, k, fragment",
+    [
+        (make_index(G26, (0, 0, 0)), 4, "does not live on the given Grassmannian"),
+        (make_index(G13, (0, 0)), -1, "exponent must be >= 0; got -1"),
+    ],
+)
+def test_zeta_power_integral_named_errors(b, k, fragment):
+    with pytest.raises(BalanceError, match=fragment):
+        zeta_power_integral(G13, b, k)

@@ -13,10 +13,10 @@ a coordinate, in ``cli._times``: there every ``Context`` traps
 else of the module is used (no ``Decimal`` operator falls back to the
 default 28-digit context).  Every name a module exports in ``__all__``,
 and every non-underscore method and property of a non-underscore class,
-is reached from outside the test suite: from the package itself (its
-``__init__`` re-exports do not count), the demos, the benchmark or the
-acceptance module; a public name that only unit tests call is dead
-weight.  Inside ``schubert`` an index is a plain ascending tuple:
+is reached from outside the test suite: from the package itself, the
+demos, the benchmark or the acceptance module; a public name that only
+unit tests call is dead weight.  Inside ``schubert`` an index is a
+plain ascending tuple:
 ``SchubertIndex`` is built only where indices come in, by ``make_index``
 and ``balanced_pairs``, so no inner loop wraps and re-validates every
 term.  ``families`` picks a verify suite from its table of suites and
@@ -27,7 +27,9 @@ integral constant stays an ``int``, so integral table entries reach the
 eliminator without a ``Fraction`` to clear.  Inside ``schubert`` a
 ``Fraction`` is built only by ``zeta_power_integral``, which returns the
 closed form as one: the oracle path, from the closed form's (num, den)
-to the table entries, stays on ints.
+to the table entries, stays on ints.  ``bnslopes/__init__.py`` holds its
+docstring and nothing else, so each name has one import path: the module
+that defines it.
 """
 
 import ast
@@ -261,13 +263,20 @@ def _exported(path: Path) -> list:
 def _reached() -> set:
     # the tracer in bench/ names the functions it wraps by string
     reached = set()
-    for path in [p for p in SOURCES if p.name != "__init__.py"]:
+    for path in SOURCES:
         reached |= _referenced_names(_tree(path))
     for path in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
         reached |= _referenced_names(_tree(path))
     for path in sorted((ROOT / "bench").glob("*.py")):
         reached |= _referenced_names(_tree(path), strings=True)
     return reached
+
+
+def test_package_init_holds_only_its_docstring():
+    tree = _tree(SRC / "__init__.py")
+    assert ast.get_docstring(tree), "__init__.py: no docstring"
+    stray = [(type(node).__name__, node.lineno) for node in tree.body[1:]]
+    assert not stray, f"__init__.py: {stray} after the docstring"
 
 
 def test_every_export_is_reached_outside_unit_tests():

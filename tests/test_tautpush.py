@@ -13,13 +13,13 @@ from bnslopes.tautpush import (
     TautCombo,
     castelnuovo_N,
     per_N_coordinates,
+    push,
     push_a,
     push_b,
     push_c,
     push_combo,
     rho,
     rho_zero_triples,
-    xi,
 )
 
 
@@ -102,13 +102,9 @@ class TestCastelnuovo:
 
 class TestXi:
     def test_values(self):
-        assert xi(10, 4, 12) == 72
-        assert xi(21, 6, 24) == 312
-        assert xi(4, 1, 3) == 9  # r = 1 kills the correction term
-
-    def test_zero_denominator(self):
-        with pytest.raises(ParameterError):
-            xi(2, 0, 3)
+        assert GrdParams(10, 4, 12).xi == 72
+        assert GrdParams(21, 6, 24).xi == 312
+        assert GrdParams(4, 1, 3).xi == 9  # r = 1 kills the correction term
 
 
 class TestPushforwards:
@@ -226,3 +222,17 @@ def test_rho_zero_triples():
     assert (12, 11, 22) in triples
     assert all(rho(g, r, d) == 0 and r >= 1 for g, r, d in triples)
     assert triples == sorted(triples)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: castelnuovo_N(-2, 1, 0), r"need g-d\+r >= 0; got -1"),  # rho = 0, m = -1
+        (lambda: GrdParams(0, 0, 0), "need g >= 1"),
+        (lambda: push_b(GrdParams(1, 0, 0)), "pushforward of b needs g >= 2"),
+        (lambda: push("x", GrdParams(6, 2, 6)), "unknown tautological class 'x'"),
+    ],
+)
+def test_named_errors(call, fragment):
+    with pytest.raises(ParameterError, match=fragment):
+        call()
