@@ -22,12 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .divisors import (
-    FamilyParams,
-    SlopeReport,
-    SlopeUndefinedError,
-    slope_report,
-)
+from .divisors import FAMILIES, FamilyParams, SlopeReport, SlopeUndefinedError, slope_report
 from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
 from .tautpush import GrdParams, ParameterError, TautCombo, per_N_numerators
@@ -37,13 +32,6 @@ VERIFY_ERROR = 1
 
 # Slope grids are built in full before any slope is computed, so their size is capped.
 MAX_GRID_POINTS = 10**6
-
-# Each family's grid axes, in the order its constructor takes them.
-_GRIDS = {
-    "gp": ("r", "s", FamilyParams.gp),
-    "hypersurface": ("r", "s", "k", FamilyParams.hypersurface),
-    "syzygy": ("i", "s", FamilyParams.syzygy),
-}
 
 
 def _span(text: str) -> Tuple[int, int]:
@@ -94,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sl = sub.add_parser("slope", help="slope table for a divisor family over a parameter grid")
-    sl.add_argument("--family", required=True, choices=list(_GRIDS))
+    sl.add_argument("--family", required=True, choices=list(FAMILIES))
     sl.add_argument("--r", type=_span, help="r value or inclusive range lo:hi")
     sl.add_argument("--s", type=_span, help="s value or inclusive range lo:hi")
     sl.add_argument("--i", type=_span, help="syzygy index value or range")
@@ -132,18 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid(args) -> List[FamilyParams]:
-    *axes, make = _GRIDS[args.family]
-    for name in ("i", "r", "s", "k"):  # holds each family's axes in their _GRIDS order
+    family = FAMILIES[args.family]
+    for name in ("i", "r", "s", "k"):  # every axis flag of the slope parser
         given = getattr(args, name) is not None
-        if given != (name in axes):
+        if given != (name in family.axes):
             need = "is not an axis of" if given else "is required for"
             raise ParameterError(f"--{name} {need} family {args.family}")
-    spans = [getattr(args, name) for name in axes]
+    spans = [getattr(args, name) for name in family.axes]
     size = math.prod(hi - lo + 1 for lo, hi in spans)
     if size > MAX_GRID_POINTS:
         raise ParameterError(f"parameter grid has {size} points, more than {MAX_GRID_POINTS}")
     ranges = [range(lo, hi + 1) for lo, hi in spans]
-    return [make(*point) for point in itertools.product(*ranges)]
+    return [family.make(*point) for point in itertools.product(*ranges)]
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -26,6 +26,9 @@ N-free lambda and delta_0 alone (O(1) rational operations per instance,
 not O(g) operations on g-digit numbers); the full pushforward of a
 :class:`SlopeReport` is computed only when it is first read.
 
+:data:`FAMILIES`, the one list of families that ``slope --family`` reads,
+maps each name to its grid axes, its constructor and its combo.
+
 Closed-form slope polynomials exist as oracles for the Gieseker-Petri
 family (:func:`gp_slope_closed`) and the syzygy family
 (:func:`syzygy_slope_closed`).  No closed form is tabulated for
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .numeric import binomial
 from .tautpush import (
@@ -53,6 +56,8 @@ from .tautpush import (
 )
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "FamilyParams",
     "SlopeReport",
     "SlopeUndefinedError",
@@ -66,11 +71,6 @@ __all__ = [
     "syzygy_combo",
     "syzygy_slope_closed",
 ]
-
-GP = "gp"
-HYPERSURFACE = "hypersurface"
-SYZYGY = "syzygy"
-
 
 def _family_grd(r: int, s: int) -> Tuple[int, int]:
     """g = (r+1)(s+1), d = r(s+2); rho vanishes automatically."""
@@ -244,17 +244,17 @@ class FamilyParams:
     @classmethod
     def gp(cls, r: int, s: int) -> "FamilyParams":
         gp_combo(r, s)  # range check
-        return cls(GP, r, s)
+        return cls("gp", r, s)
 
     @classmethod
     def hypersurface(cls, r: int, s: int, k: int) -> "FamilyParams":
         hypersurface_combo(r, s, k)  # balance check
-        return cls(HYPERSURFACE, r, s, k)
+        return cls("hypersurface", r, s, k)
 
     @classmethod
     def syzygy(cls, i: int, s: int) -> "FamilyParams":
         syzygy_combo(i, s)  # range check
-        return cls(SYZYGY, (i + 2) * s + 2 * (i + 1), s, i)
+        return cls("syzygy", (i + 2) * s + 2 * (i + 1), s, i)
 
     @property
     def g(self) -> int:
@@ -265,14 +265,27 @@ class FamilyParams:
         return self.r * (self.s + 2)
 
 
+@dataclass(frozen=True)
+class Family:
+    """A divisor family: its grid axes in constructor order, its constructor, an instance's combo."""
+
+    axes: Tuple[str, ...]
+    make: Callable[..., FamilyParams]
+    combo: Callable[[FamilyParams], TautCombo]
+
+
+# The one list of families: ``slope --family`` takes its names and axes from it.
+FAMILIES = {
+    "gp": Family(("r", "s"), FamilyParams.gp, lambda p: gp_combo(p.r, p.s)),
+    "hypersurface": Family(("r", "s", "k"), FamilyParams.hypersurface, lambda p: hypersurface_combo(p.r, p.s, p.extra)),
+    "syzygy": Family(("i", "s"), FamilyParams.syzygy, lambda p: syzygy_combo(p.extra, p.s)),
+}
+
+
 def family_combo(params: FamilyParams) -> TautCombo:
-    if params.family == GP:
-        return gp_combo(params.r, params.s)
-    if params.family == HYPERSURFACE:
-        return hypersurface_combo(params.r, params.s, params.extra)
-    if params.family == SYZYGY:
-        return syzygy_combo(params.extra, params.s)
-    raise ParameterError(f"unknown family {params.family!r}")
+    if params.family not in FAMILIES:
+        raise ParameterError(f"unknown family {params.family!r}")
+    return FAMILIES[params.family].combo(params)
 
 
 @dataclass(frozen=True)

@@ -733,25 +733,22 @@ def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> 
     )
 
 
-def _structure_report(rep: SlopeReport) -> CheckReport:
-    """psi vanishes for every family pushforward; the quadric-type
-    instances (syzygy i = 0 and the matching hypersurface with k = 2) are
-    in addition symmetric in delta_i <-> delta_{g-i}, and that
-    hypersurface has the combo of syzygy i = 0."""
-    first = rep.extra if rep.family == "syzygy" else rep.r
-    hyper_quadric = rep.family == "hypersurface" and (rep.r, rep.extra) == (2 * rep.s + 2, 2)
-    want_sym = hyper_quadric or (rep.family == "syzygy" and first == 0)
+def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -> CheckReport:
+    """psi vanishes for every family pushforward; a quadric-type instance
+    is in addition symmetric in delta_i <-> delta_{g-i}, and a twin (the
+    hypersurface with r = 2s+2 and k = 2) has the combo of syzygy i = 0.
+    ``first`` is the instance's first grid axis, as the report names it."""
     pf = rep.pushforward
-    ok = pf.psi == 0 and (not want_sym or pf.is_delta_symmetric())
-    if hyper_quadric:
+    ok = pf.psi == 0 and (not quadric or pf.is_delta_symmetric())
+    if twin:
         ok = ok and rep.combo == syzygy_combo(0, rep.s)
     return _report(
         "structure",
         {"family": rep.family, "first": first, "s": rep.s},
         f"psi={pf.psi}, symmetric={pf.is_delta_symmetric()}",
-        f"psi=0, symmetric required={want_sym}",
+        f"psi=0, symmetric required={quadric}",
         ok,
-        "hyper(k=2) == syzygy(0)" if hyper_quadric else "",
+        "hyper(k=2) == syzygy(0)" if twin else "",
     )
 
 
@@ -806,7 +803,9 @@ def _symmetry_suite(**_) -> Iterator[CheckReport]:
         ok = abs(rep.slope) == abs(closed)
         key = {"i": rep.extra, "s": rep.s}
         yield _report("syzygy_slope", key, rep.slope, closed, ok)
-    yield from (_structure_report(rep) for rep in gp + syz + hyper)
+    yield from (_structure_report(rep, rep.r, False, False) for rep in gp)
+    yield from (_structure_report(rep, rep.extra, rep.extra == 0, False) for rep in syz)
+    yield from (_structure_report(rep, rep.r, rep.r > 1, rep.r > 1) for rep in hyper)
 
 
 # Each suite takes suite_reports' caps as keyword arguments and names those it reads.

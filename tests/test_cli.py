@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from bnslopes import cli, families, tautpush
 from bnslopes.cli import main
+from bnslopes.divisors import FAMILIES
 from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
@@ -29,6 +31,10 @@ from bnslopes.tautpush import (
     push_combo,
     rho_zero_triples,
 )
+
+
+# Every grid axis of some family, in table order.
+AXES = list(dict.fromkeys(axis for family in FAMILIES.values() for axis in family.axes))
 
 
 def run(capsys, *argv):
@@ -124,7 +130,7 @@ class TestSlopeCommand:
         def first_point(r, s):
             raise ParameterError("first point built")
 
-        monkeypatch.setitem(cli._GRIDS, "gp", ("r", "s", first_point))
+        monkeypatch.setitem(FAMILIES, "gp", dataclasses.replace(FAMILIES["gp"], make=first_point))
         code, out, err = run(capsys, "slope", "--family", "gp", "--r", r, "--s", s)
         assert (code, out) == (2, "")
         assert err.startswith("bnslopes: error: ")
@@ -149,17 +155,26 @@ class TestSlopeCommand:
     @pytest.mark.parametrize(
         "family, axes, flag",
         [
-            ("gp", ["--r", "1", "--s", "1"], "--k"),
-            ("gp", ["--r", "1", "--s", "1"], "--i"),
-            ("hypersurface", ["--r", "4", "--s", "1", "--k", "2"], "--i"),
-            ("syzygy", ["--i", "0", "--s", "1"], "--r"),
-            ("syzygy", ["--i", "0", "--s", "1"], "--k"),
+            (name, [arg for axis in family.axes for arg in (f"--{axis}", "1")], f"--{flag}")
+            for name, family in FAMILIES.items()
+            for flag in AXES
+            if flag not in family.axes
         ],
     )
     def test_axis_the_family_does_not_take_is_usage_error(self, capsys, family, axes, flag):
         code, out, err = run(capsys, "slope", "--family", family, *axes, flag, "3")
         assert (code, out) == (2, "")
         assert err == f"bnslopes: error: {flag} is not an axis of family {family}\n"
+
+    @pytest.mark.parametrize(
+        "family, missing",
+        [(name, axis) for name, family in FAMILIES.items() for axis in family.axes],
+    )
+    def test_axis_the_family_takes_is_required(self, capsys, family, missing):
+        axes = [arg for axis in FAMILIES[family].axes if axis != missing for arg in (f"--{axis}", "1")]
+        code, out, err = run(capsys, "slope", "--family", family, *axes)
+        assert (code, out) == (2, "")
+        assert err == f"bnslopes: error: --{missing} is required for family {family}\n"
 
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",

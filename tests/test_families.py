@@ -33,6 +33,7 @@ from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
     ParameterError,
+    TautCombo,
     castelnuovo_N,
     push,
     push_b,
@@ -615,6 +616,25 @@ class TestSuites:
         checks = [r.check for r in reports]
         assert checks == ["gp_slope"] * 16 + ["syzygy_slope"] * 9 + ["structure"] * 33
         assert all(r.passed for r in reports)
+
+    @staticmethod
+    def failed_structure_keys():
+        return [
+            (r.params["family"], r.params["first"], r.params["s"])
+            for r in suite_reports("symmetry")
+            if not r.passed
+        ]
+
+    def test_structure_fails_where_hypersurface_k2_is_not_syzygy_0(self, monkeypatch):
+        monkeypatch.setattr(families, "syzygy_combo", lambda i, s: TautCombo.of(0, 0, 0, 1))
+        failed = self.failed_structure_keys()
+        assert failed == [("hypersurface", 2 * s + 2, s) for s in range(1, 5)]
+
+    def test_structure_fails_where_a_quadric_type_class_is_not_symmetric(self, monkeypatch):
+        monkeypatch.setattr(DivisorClass, "is_delta_symmetric", lambda self: False)
+        failed = self.failed_structure_keys()
+        syzygy = [("syzygy", 0, s) for s in (1, 2, 3)]
+        assert failed == syzygy + [("hypersurface", 2 * s + 2, s) for s in range(1, 5)]
 
     def test_schubert_oracle_default_caps_count(self):
         reports = suite_reports("schubert-oracle")

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from bnslopes.cli import main
+from bnslopes.divisors import FAMILIES
 from bnslopes.tautpush import rho_zero_triples
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +40,11 @@ CASES = {
     "verify_all.txt": _VERIFY,
     "verify_all.json": _VERIFY + ["--format", "json"],
 }
+
+
+def test_every_family_has_a_slope_golden():
+    slope = [argv for argv in CASES.values() if argv[0] == "slope"]
+    assert {argv[argv.index("--family") + 1] for argv in slope} == set(FAMILIES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -21,10 +21,13 @@ plain ascending tuple:
 and ``balanced_pairs``, so no inner loop wraps and re-validates every
 term.  ``families`` picks a verify suite from its table of suites and
 never compares a suite name with ``==``, so a new suite is one table
-entry rather than one more branch.  No ``Fraction`` is made of a nonzero
-integer literal alone (``Fraction(0)`` may still start a sum): an
-integral constant stays an ``int``, so integral table entries reach the
-eliminator without a ``Fraction`` to clear.  Inside ``schubert`` a
+entry rather than one more branch.  Likewise no module compares a
+family name from ``divisors.FAMILIES`` with ``==``, and only
+``divisors`` spells one out: a new family is one table entry.  No
+``Fraction`` is made of a nonzero integer literal alone (``Fraction(0)``
+may still start a sum): an integral constant stays an ``int``, so
+integral table entries reach the eliminator without a ``Fraction`` to
+clear.  Inside ``schubert`` a
 ``Fraction`` is built only by ``zeta_power_integral``, which returns the
 closed form as one: the oracle path, from the closed form's (num, den)
 to the table entries, stays on ints.  ``bnslopes/__init__.py`` holds its
@@ -37,6 +40,7 @@ from pathlib import Path
 
 import pytest
 
+from bnslopes.divisors import FAMILIES
 from bnslopes.families import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -353,6 +357,31 @@ def _name_comparisons(tree: ast.Module, names) -> list:
 def test_suites_are_not_chosen_by_comparing_names():
     lines = _name_comparisons(_tree(SRC / "families.py"), set(SUITES))
     assert not lines, f"families.py: suite name compared with == at lines {lines}"
+
+
+def _string_constants(tree: ast.Module, names) -> list:
+    """Lines of the string constants from ``names``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_families_are_not_chosen_by_comparing_names(path):
+    tree = _tree(path)
+    lines = _name_comparisons(tree, set(FAMILIES))
+    assert not lines, f"{path.name}: family name compared with == at lines {lines}"
+    if path.stem != "divisors":
+        lines = _string_constants(tree, set(FAMILIES))
+        assert not lines, f"{path.name}: family name spelled out at lines {lines}"
+
+
+def test_allowed_family_names_are_seen():
+    # keeps the allowance from going stale: the table and the constructors name each family
+    lines = _string_constants(_tree(SRC / "divisors.py"), set(FAMILIES))
+    assert len(lines) == 2 * len(FAMILIES), lines
 
 
 def test_name_comparison_visitor_sees_both_sides_and_chains():
