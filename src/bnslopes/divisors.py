@@ -39,13 +39,12 @@ condition, so that oracle applies.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Dict, Optional, Tuple
 
 from .numeric import binomial
+from .record import Record
 from .tautpush import (
     DivisorClass,
     GrdParams,
@@ -79,21 +78,20 @@ def _family_grd(r: int, s: int) -> Tuple[int, int]:
     return g, d
 
 
-def gp_combo(r: int, s: int) -> TautCombo:
-    """Gieseker-Petri class (r+1)/2 (-a+b) + (d+1-g) c - r lambda."""
+def _gp_check(r: int, s: int) -> None:
     if r < 1 or s < 1:
         raise ParameterError(f"Gieseker-Petri family needs r, s >= 1; got r={r}, s={s}")
+
+
+def gp_combo(r: int, s: int) -> TautCombo:
+    """Gieseker-Petri class (r+1)/2 (-a+b) + (d+1-g) c - r lambda."""
+    _gp_check(r, s)
     g, d = _family_grd(r, s)
     half = Fraction(r + 1, 2)
     return TautCombo.of(-half, half, d + 1 - g, -r)
 
 
-def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
-    """Degree-k hypersurface class (k^2/2) a - (k/2) b - C(r+k,k-1) c + lambda.
-
-    Defined only when the source and target of the restriction map have
-    equal rank: C(r+k, k) = kd - g + 1.
-    """
+def _hypersurface_check(r: int, s: int, k: int) -> None:
     if r < 1 or s < 1 or k < 1:
         raise ParameterError(
             f"hypersurface family needs r, s, k >= 1; got r={r}, s={s}, k={k}"
@@ -106,7 +104,21 @@ def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
             f"hypersurface rank balance fails at (r={r}, s={s}, k={k}): "
             f"C(r+k,k) = {lhs} but kd - g + 1 = {rhs}"
         )
+
+
+def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
+    """Degree-k hypersurface class (k^2/2) a - (k/2) b - C(r+k,k-1) c + lambda.
+
+    Defined only when the source and target of the restriction map have
+    equal rank: C(r+k, k) = kd - g + 1.
+    """
+    _hypersurface_check(r, s, k)
     return TautCombo.of(Fraction(k * k, 2), Fraction(-k, 2), -binomial(r + k, k - 1), 1)
+
+
+def _syzygy_check(i: int, s: int) -> None:
+    if i < 0 or s < 0:
+        raise ParameterError(f"syzygy family needs i, s >= 0; got i={i}, s={s}")
 
 
 def syzygy_combo(i: int, s: int) -> TautCombo:
@@ -116,8 +128,7 @@ def syzygy_combo(i: int, s: int) -> TautCombo:
     All four coefficients are binomial expressions; the zero convention
     C(n, k<0) = 0 makes them total in i (at i = 0 only the leading terms
     survive and the combo collapses to (2, -1, -(r+2), 1))."""
-    if i < 0 or s < 0:
-        raise ParameterError(f"syzygy family needs i, s >= 0; got i={i}, s={s}")
+    _syzygy_check(i, s)
     r = (i + 2) * s + 2 * (i + 1)
     g, d = _family_grd(r, s)
     p_a = (
@@ -230,30 +241,37 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
     return -value if i < 2 else value
 
 
-@dataclass(frozen=True, order=True)
-class FamilyParams:
+class FamilyParams(Record):
     """A single divisor-family instance: which family, its (r, s), and
     the extra index (k for hypersurface, i for syzygy).  Instances order
     by (family, r, s, extra), the row order of slope tables."""
 
-    family: str
-    r: int
-    s: int
-    extra: Optional[int] = None
+    __slots__ = _fields = ("family", "r", "s", "extra")
+
+    def __init__(self, family: str, r: int, s: int, extra: Optional[int] = None) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "extra", extra)
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) < self._key(other)
 
     @classmethod
     def gp(cls, r: int, s: int) -> "FamilyParams":
-        gp_combo(r, s)  # range check
+        _gp_check(r, s)
         return cls("gp", r, s)
 
     @classmethod
     def hypersurface(cls, r: int, s: int, k: int) -> "FamilyParams":
-        hypersurface_combo(r, s, k)  # balance check
+        _hypersurface_check(r, s, k)
         return cls("hypersurface", r, s, k)
 
     @classmethod
     def syzygy(cls, i: int, s: int) -> "FamilyParams":
-        syzygy_combo(i, s)  # range check
+        _syzygy_check(i, s)
         return cls("syzygy", (i + 2) * s + 2 * (i + 1), s, i)
 
     @property
@@ -265,13 +283,20 @@ class FamilyParams:
         return self.r * (self.s + 2)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A divisor family: its grid axes in constructor order, its constructor, an instance's combo."""
 
-    axes: Tuple[str, ...]
-    make: Callable[..., FamilyParams]
-    combo: Callable[[FamilyParams], TautCombo]
+    __slots__ = _fields = ("axes", "make", "combo")
+
+    def __init__(
+        self,
+        axes: Tuple[str, ...],
+        make: Callable[..., FamilyParams],
+        combo: Callable[[FamilyParams], TautCombo],
+    ) -> None:
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "make", make)
+        object.__setattr__(self, "combo", combo)
 
 
 # The one list of families: ``slope --family`` takes its names and axes from it.
@@ -288,28 +313,49 @@ def family_combo(params: FamilyParams) -> TautCombo:
     return FAMILIES[params.family].combo(params)
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(Record):
     """Slope of one family instance, with the slope bound 6 + 12/(g+1),
-    the strict below-bound verdict and, computed on first access, the
-    pushforward."""
+    the strict below-bound verdict and, computed on first access and
+    kept, the pushforward."""
 
-    family: str
-    r: int
-    s: int
-    extra: Optional[int]
-    g: int
-    d: int
-    N: int
-    slope: Fraction
-    bound: Fraction
-    below_bound: bool
-    combo: TautCombo
-    grd: GrdParams
+    _fields = ("family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound", "combo", "grd")
+    __slots__ = _fields + ("_pushforward",)
 
-    @cached_property
+    def __init__(
+        self,
+        family: str,
+        r: int,
+        s: int,
+        extra: Optional[int],
+        g: int,
+        d: int,
+        N: int,
+        slope: Fraction,
+        bound: Fraction,
+        below_bound: bool,
+        combo: TautCombo,
+        grd: GrdParams,
+    ) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "below_bound", below_bound)
+        object.__setattr__(self, "combo", combo)
+        object.__setattr__(self, "grd", grd)
+
+    @property
     def pushforward(self) -> DivisorClass:
-        return push_combo(self.combo, self.grd)
+        try:
+            return self._pushforward
+        except AttributeError:
+            object.__setattr__(self, "_pushforward", push_combo(self.combo, self.grd))
+            return self._pushforward
 
     def row(self) -> Dict[str, object]:
         """The flat schema shared by the JSON and CSV emitters:

@@ -53,7 +53,6 @@ reports; :func:`suite_reports` runs one, or all of them in table order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -67,6 +66,7 @@ from .divisors import (
     syzygy_slope_closed,
 )
 from .numeric import binomial
+from .record import Record
 from .schubert import (
     ChowClass,
     GrassmannianSpec,
@@ -242,17 +242,21 @@ def pencil_degree(which: str, params: GrdParams, h: int) -> int:
 # Check reports
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """One verification result; serializes to
     {check, params, lhs, rhs, pass, detail}."""
 
-    check: str
-    params: Dict[str, object]
-    lhs: str
-    rhs: str
-    passed: bool
-    detail: str = ""
+    __slots__ = _fields = ("check", "params", "lhs", "rhs", "passed", "detail")
+
+    def __init__(
+        self, check: str, params: Dict[str, object], lhs: str, rhs: str, passed: bool, detail: str = ""
+    ) -> None:
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def as_json_dict(self) -> Dict[str, object]:
         return {

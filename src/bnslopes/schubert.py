@@ -39,11 +39,12 @@ one-pass table with it directly, as one cross-multiplication
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+from .record import Record
 
 
 __all__ = [
@@ -78,19 +79,17 @@ class BalanceError(ValueError):
     the dimension of the ambient Grassmannian."""
 
 
-@dataclass(frozen=True)
-class GrassmannianSpec:
+class GrassmannianSpec(Record):
     """The Grassmannian G(r, P^d): r = projective fiber dimension of the
     linear series, d = ambient projective dimension."""
 
-    r: int
-    d: int
+    __slots__ = _fields = ("r", "d")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.r <= self.d:
-            raise InvalidIndexError(
-                f"need 0 <= r <= d for G(r, P^d); got r={self.r}, d={self.d}"
-            )
+    def __init__(self, r: int, d: int) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", d)
+        if not 0 <= r <= d:
+            raise InvalidIndexError(f"need 0 <= r <= d for G(r, P^d); got r={r}, d={d}")
 
     @property
     def dim(self) -> int:
@@ -106,31 +105,26 @@ class GrassmannianSpec:
         return f"G({self.r}, P^{self.d})"
 
 
-@dataclass(frozen=True)
-class SchubertIndex:
+class SchubertIndex(Record):
     """Validated index b of a Schubert cycle on ``spec``.
 
     Stored ascending; build through :func:`make_index`, which names the
     violated constraint on bad input.
     """
 
-    spec: GrassmannianSpec
-    b: Tuple[int, ...]
+    __slots__ = _fields = ("spec", "b")
 
-    def __post_init__(self) -> None:
-        b = self.b
-        if len(b) != self.spec.r + 1:
-            raise InvalidIndexError(
-                f"index length must be r+1 = {self.spec.r + 1}; got {len(b)}"
-            )
+    def __init__(self, spec: GrassmannianSpec, b: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "b", b)
+        if len(b) != spec.r + 1:
+            raise InvalidIndexError(f"index length must be r+1 = {spec.r + 1}; got {len(b)}")
         if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
             raise InvalidIndexError(f"index must be ascending (b_0 <= ... <= b_r); got {b}")
         if b and b[0] < 0:
             raise InvalidIndexError(f"index entries must be >= 0; got b_0 = {b[0]}")
-        if b and b[-1] > self.spec.box:
-            raise InvalidIndexError(
-                f"index entries must be <= d-r = {self.spec.box}; got b_r = {b[-1]}"
-            )
+        if b and b[-1] > spec.box:
+            raise InvalidIndexError(f"index entries must be <= d-r = {spec.box}; got b_r = {b[-1]}")
 
     @property
     def codim(self) -> int:
@@ -147,18 +141,22 @@ def make_index(spec: GrassmannianSpec, b: Sequence[int]) -> SchubertIndex:
     return SchubertIndex(spec, tuple(int(x) for x in b))
 
 
-@dataclass(frozen=True)
-class ChowClass:
+class ChowClass(Record):
     """Homogeneous integer linear combination of Schubert cycles.
 
     ``terms`` maps ascending index tuples to their coefficients.  All
     indices share codimension ``codim``; zero coefficients are never
-    stored, so the zero class has empty terms.
+    stored, so the zero class has empty terms (the default).
     """
 
-    spec: GrassmannianSpec
-    codim: int
-    terms: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    __slots__ = _fields = ("spec", "codim", "terms")
+
+    def __init__(
+        self, spec: GrassmannianSpec, codim: int, terms: Optional[Dict[Tuple[int, ...], int]] = None
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -32,15 +32,15 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import chain, repeat
 from math import lcm, perm, prod
 from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
 
 from .numeric import factorial
+from .record import Record
 
 __all__ = [
     "DivisorClass",
@@ -95,24 +95,29 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class GrdParams:
+class GrdParams(Record):
     """A Brill-Noether triple (g, r, d) with rho = 0 and its derived
     quantities; N is computed on first use and kept."""
 
-    g: int
-    r: int
-    d: int
+    __slots__ = ("g", "r", "d", "_N")
+    _fields = ("g", "r", "d")
 
-    def __post_init__(self) -> None:
-        if self.g < 1 or self.r < 0 or self.d < 0:
+    def __init__(self, g: int, r: int, d: int) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", d)
+        if g < 1 or r < 0 or d < 0:
             raise ParameterError(f"need g >= 1 and r, d >= 0; got {self}")
-        if (n := rho(self.g, self.r, self.d)) != 0:
-            raise ParameterError(f"rho({self.g},{self.r},{self.d}) = {n} != 0")
+        if (n := rho(g, r, d)) != 0:
+            raise ParameterError(f"rho({g},{r},{d}) = {n} != 0")
 
-    @cached_property
+    @property
     def N(self) -> int:
-        return castelnuovo_N(self.g, self.r, self.d)
+        try:
+            return self._N
+        except AttributeError:
+            object.__setattr__(self, "_N", castelnuovo_N(self.g, self.r, self.d))
+            return self._N
 
     @property
     def xi(self) -> Fraction:
@@ -133,17 +138,19 @@ class GrdParams:
         return f"(g,r,d)=({self.g},{self.r},{self.d})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Exact divisor class in the basis lambda, psi, delta_0..delta_{g-1}.
 
     ``delta`` always has length g, zeros included, so classes can be fed
     to the pullback tables and the reconstruction solver coordinatewise.
     """
 
-    lam: Fraction
-    psi: Fraction
-    delta: Tuple[Fraction, ...]
+    __slots__ = _fields = ("lam", "psi", "delta")
+
+    def __init__(self, lam: Fraction, psi: Fraction, delta: Tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "delta", delta)
 
     @property
     def g(self) -> int:
@@ -242,15 +249,17 @@ def _bracket_c(params: GrdParams) -> Bracket:
     return Fraction(1, 12 * q * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
-@dataclass(frozen=True)
-class TautCombo:
+class TautCombo(Record):
     """Coefficients (p_a, p_b, p_c, p_lam) of p_a·a + p_b·b + p_c·c +
     p_lam·(pulled-back lambda) upstairs."""
 
-    p_a: Fraction
-    p_b: Fraction
-    p_c: Fraction
-    p_lam: Fraction
+    __slots__ = _fields = ("p_a", "p_b", "p_c", "p_lam")
+
+    def __init__(self, p_a: Fraction, p_b: Fraction, p_c: Fraction, p_lam: Fraction) -> None:
+        object.__setattr__(self, "p_a", p_a)
+        object.__setattr__(self, "p_b", p_b)
+        object.__setattr__(self, "p_c", p_c)
+        object.__setattr__(self, "p_lam", p_lam)
 
     @classmethod
     def of(cls, p_a, p_b, p_c, p_lam) -> "TautCombo":

@@ -1,7 +1,9 @@
 """The benchmark's tracer names package functions by string, so a rename
 or a cut that leaves one of them dangling would only show up when
 ``bench/run.py --trace 1`` runs.  These tests read the tracer's table
-without changing anything under ``bench/``."""
+without changing anything under ``bench/``.  The benchmark also times a
+fresh import of the package as each workload's set-up, so that import
+must not pull in ``dataclasses`` or the ``inspect`` module it needs."""
 
 import importlib
 import os
@@ -37,6 +39,13 @@ def test_layers_are_package_attributes_after_cli_import():
     code = "import sys, bnslopes, bnslopes.cli; print(*(n for n in sys.argv[1:] if not hasattr(bnslopes, n)))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     fresh = subprocess.run([sys.executable, "-c", code, *layers], env=env, capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout.strip()) == (0, ""), fresh.stderr
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    code = "import sys, bnslopes.cli; print(*(n for n in ('dataclasses', 'inspect') if n in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (fresh.returncode, fresh.stdout.strip()) == (0, ""), fresh.stderr
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import inspect
 import io
 import json
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from bnslopes import cli, families, tautpush
 from bnslopes.cli import main
-from bnslopes.divisors import FAMILIES
+from bnslopes.divisors import FAMILIES, Family
 from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
@@ -130,7 +129,8 @@ class TestSlopeCommand:
         def first_point(r, s):
             raise ParameterError("first point built")
 
-        monkeypatch.setitem(FAMILIES, "gp", dataclasses.replace(FAMILIES["gp"], make=first_point))
+        gp = FAMILIES["gp"]
+        monkeypatch.setitem(FAMILIES, "gp", Family(gp.axes, first_point, gp.combo))
         code, out, err = run(capsys, "slope", "--family", "gp", "--r", r, "--s", s)
         assert (code, out) == (2, "")
         assert err.startswith("bnslopes: error: ")

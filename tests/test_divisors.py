@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from bnslopes import divisors, tautpush
+from bnslopes.cli import main
 from bnslopes.divisors import (
     FamilyParams,
     SlopeUndefinedError,
@@ -226,6 +227,41 @@ class TestSlopeReport:
             "family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound",
         ]
         assert row["slope"] == "17/2"
+
+
+@pytest.mark.parametrize(
+    "make, combo, args, message",
+    [
+        (FamilyParams.gp, gp_combo, (0, 1), "Gieseker-Petri family needs r, s >= 1; got r=0, s=1"),
+        (FamilyParams.hypersurface, hypersurface_combo, (0, 1, 2), "hypersurface family needs r, s, k >= 1; got r=0, s=1, k=2"),
+        (
+            FamilyParams.hypersurface,
+            hypersurface_combo,
+            (2, 1, 2),
+            "hypersurface rank balance fails at (r=2, s=1, k=2): C(r+k,k) = 6 but kd - g + 1 = 7",
+        ),
+        (FamilyParams.syzygy, syzygy_combo, (-1, 0), "syzygy family needs i, s >= 0; got i=-1, s=0"),
+    ],
+)
+def test_constructor_and_combo_raise_one_text(make, combo, args, message):
+    for call in (make, combo):
+        with pytest.raises(ParameterError) as err:
+            call(*args)
+        assert str(err.value) == message
+
+
+def test_each_slope_row_builds_its_combo_once(monkeypatch, capsys):
+    calls = []
+    original = divisors.gp_combo
+
+    def counted(r, s):
+        calls.append((r, s))
+        return original(r, s)
+
+    monkeypatch.setattr(divisors, "gp_combo", counted)
+    assert main(["slope", "--family", "gp", "--r", "1:3", "--s", "1:3"]) == 0
+    assert capsys.readouterr().out.count("\ngp ") == 9
+    assert sorted(calls) == [(r, s) for r in range(1, 4) for s in range(1, 4)]
 
 
 @pytest.mark.parametrize(

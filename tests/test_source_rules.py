@@ -32,7 +32,10 @@ clear.  Inside ``schubert`` a
 closed form as one: the oracle path, from the closed form's (num, den)
 to the table entries, stays on ints.  ``bnslopes/__init__.py`` holds its
 docstring and nothing else, so each name has one import path: the module
-that defines it.
+that defines it.  No module imports ``dataclasses``: its decorator
+generates and ``exec``s every method of a record each time the package
+is imported, a cost no bytecode cache saves; the records derive from
+``record.Record``, whose methods are plain source.
 """
 
 import ast
@@ -459,3 +462,33 @@ def test_fraction_visitor_sees_qualified_and_nested_calls():
         "    return Fraction, y.Fraction\n"
     )
     assert _fraction_constructions(tree) == [(None, 1), ("g", 4)]
+
+
+def _dataclasses_imports(tree: ast.Module):
+    """``import dataclasses``, aliased or not, and ``from dataclasses import ...``;
+    a package's own module of that name is not the standard library's."""
+
+    def match(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "dataclasses" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and not node.level
+
+    return _owned(tree, match)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_dataclasses(path):
+    imports = _dataclasses_imports(_tree(path))
+    assert not imports, f"{path.name}: dataclasses imported at {imports}"
+
+
+def test_dataclasses_visitor_sees_aliases_and_nested_imports():
+    tree = ast.parse(
+        "import dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    import os, dataclasses\n"
+        "import dataclasses_json\n"
+        "from .dataclasses import x\n"
+    )
+    assert _dataclasses_imports(tree) == [(None, 1), (None, 2), ("f", 4)]
