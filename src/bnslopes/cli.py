@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .divisors import FAMILIES, FamilyParams, SlopeReport, SlopeUndefinedError, slope_report
 from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
@@ -134,12 +134,13 @@ def _grid(args) -> List[FamilyParams]:
     return [family.make(*point) for point in itertools.product(*ranges)]
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(output: Optional[str], *parts: str) -> None:
+    """Write the concatenation of ``parts``, each as it is, with no joined copy."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
@@ -171,11 +172,11 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
 
 def cmd_slope(args) -> int:
     reports = [slope_report(p) for p in sorted(_grid(args))]
-    _emit(_slope_rows_text(reports, args.format), args.output)
+    _emit(args.output, _slope_rows_text(reports, args.format))
     return 0
 
 
-def _times(N: int, L: int, ints: Iterable[int]) -> Iterator[str]:
+def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
     """str(Fraction(N·x, L)) for each x, exactly, without building a Fraction.
 
     With b = gcd(x, L), x/L = (x/b)/(L/b) in lowest terms, and for
@@ -185,6 +186,10 @@ def _times(N: int, L: int, ints: Iterable[int]) -> Iterator[str]:
     of digits on CPython 3.11, a decimal product and its str are not.
     The context cannot round: with Inexact and Rounded trapped, a step
     that is not exact raises instead of printing a wrong digit.
+
+    The strings come back as one list because the caller needs all of
+    them, split into lambda, psi and the delta rows it joins; a list
+    filled in the loop costs no generator resume per coordinate.
     """
     ctx = decimal.Context(
         prec=decimal.MAX_PREC,
@@ -192,6 +197,7 @@ def _times(N: int, L: int, ints: Iterable[int]) -> Iterator[str]:
         traps=[decimal.Inexact, decimal.Rounded],
     )
     quotients = {}
+    out = []
     for x in ints:
         b = math.gcd(x, L)
         den = L // b
@@ -200,7 +206,8 @@ def _times(N: int, L: int, ints: Iterable[int]) -> Iterator[str]:
             quotients[den] = ctx.create_decimal(N // a), den // a
         big, rest = quotients[den]
         num = str(ctx.multiply(big, x // b))
-        yield num if rest == 1 else f"{num}/{rest}"
+        out.append(num if rest == 1 else f"{num}/{rest}")
+    return out
 
 
 def cmd_push(args) -> int:
@@ -209,10 +216,11 @@ def cmd_push(args) -> int:
     L, ints = per_N_numerators(combo, params)
     lam, psi, *delta = _times(1 if args.normalize == "N" else params.N, L, ints)
     # the bytes of json.dumps(sort_keys=True, indent=2): every value is a
-    # digit string with an optional "-" and "/", so none needs escaping
+    # digit string with an optional "-" and "/", so none needs escaping;
+    # the joined rows, the bulk of the text, are written without a copy
     rows = '",\n    "'.join(delta)
-    text = f'{{\n  "delta": [\n    "{rows}"\n  ],\n  "lambda": "{lam}",\n  "psi": "{psi}"\n}}\n'
-    _emit(text, args.output)
+    tail = f'"\n  ],\n  "lambda": "{lam}",\n  "psi": "{psi}"\n}}\n'
+    _emit(args.output, '{\n  "delta": [\n    "', rows, tail)
     return 0
 
 
@@ -231,7 +239,7 @@ def cmd_verify(args) -> int:
         failures = sum(not r.passed for r in reports)
         lines.append(f"{len(reports)} checks, {failures} failures")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(args.output, text)
     return 0 if all(r.passed for r in reports) else VERIFY_ERROR
 
 

@@ -24,17 +24,20 @@ Every prefactor is N times a number that does not depend on N, so every
 pushforward is N times an N-free class.  :func:`per_N_numerators`
 gives that class as one common denominator L and an iterator of integer
 numerators, lambda and delta_0 first, without computing N; the CLI
-prints from them directly.  :func:`per_N_coordinates` yields them as
-exact fractions: a slope -lambda/delta_0 reads only the first three and
-costs O(1) rational operations instead of O(g) operations on g-digit
-numbers.
+prints from them directly.  Only delta_1..delta_3 of the delta tail are
+evaluated from the displayed brackets: every delta_i (i >= 1) is a
+polynomial of degree <= 2 in i, so delta_4..delta_{g-1} follow from
+those three values by second differences, exactly.
+:func:`per_N_coordinates` yields them as exact fractions: a slope
+-lambda/delta_0 reads only the first three and costs O(1) rational
+operations instead of O(g) operations on g-digit numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import lcm, perm, prod
 from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
@@ -269,6 +272,23 @@ class TautCombo(Record):
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"
 
 
+def _quadratic_tail(rows: Iterator[int], count: int) -> Iterator[Iterable[int]]:
+    """The next ``count`` values of ``rows``, known to be the values of one
+    polynomial of degree <= 2 at consecutive points, as a single iterable
+    for ``chain.from_iterable``: the first three are read from ``rows``
+    and the rest follow by two running sums over the constant second
+    difference.  Nothing is read before the iterable is asked for, and
+    its values then pass at C speed.  With fewer than three values the
+    ones read are the answer."""
+    head = list(islice(rows, 3))
+    if len(head) < 3:
+        yield head
+    else:
+        f1, f2, f3 = head
+        diffs = accumulate(repeat(f3 - 2 * f2 + f1, count - 2), initial=f2 - f1)
+        yield accumulate(diffs, initial=f1)
+
+
 def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator[int]]:
     """A common denominator L and the integer numerators of the coordinates
     of 1/N times the pushforward of a combination, by linearity, lazily in
@@ -282,6 +302,15 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     evaluated, so e.g. a pure b-combination works at g = 2 where the a
     and c formulas are out of domain; their domain checks raise here,
     before any coordinate is produced.
+
+    Only lambda, psi and delta_0..delta_3 are read from the brackets;
+    delta_4..delta_{g-1} follow from delta_1..delta_3 by second
+    differences, and this is exact.  In every bracket delta_i (i >= 1)
+    is either (g-i) times a form linear in i (a and c) or (g-i)(g-i-1)
+    (b), a polynomial of degree <= 2 in i; a weighted sum of such
+    polynomials is one too, so its second difference is one constant
+    and two running sums from delta_1 rebuild the rest.  Reading lambda,
+    psi and delta_0 evaluates nothing past delta_0.
     """
     weights, brackets = [], []
     for p, bracket in (
@@ -300,7 +329,9 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     ints = [w.numerator * (L // w.denominator) for w in weights]
     scaled = [map(partial(mul, w), coords) for w, coords in zip(ints, brackets)]
     rows = reduce(partial(map, add), scaled)
-    return L, chain((lam.numerator * (L // lam.denominator) + next(rows),), rows)
+    lam_row = lam.numerator * (L // lam.denominator) + next(rows)
+    head = (lam_row, next(rows), next(rows))  # lambda, psi, delta_0
+    return L, chain(head, chain.from_iterable(_quadratic_tail(rows, params.g - 1)))
 
 
 def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:

@@ -24,7 +24,6 @@ from bnslopes.tautpush import (
     TautCombo,
     castelnuovo_N,
     per_N_coordinates,
-    push,
     push_b,
     push_c,
     push_combo,
@@ -343,9 +342,25 @@ _COMBOS = st.one_of(
 )
 
 
+def _displayed_fold(combo, params, scale):
+    """``scale`` times the per-N class of ``combo`` as Fractions, from the
+    full displayed bracket generators with every delta_i evaluated, so
+    the expected bytes share nothing with the second-difference tail of
+    ``per_N_numerators``."""
+    coords = [scale * combo.p_lam] + [Fraction(0)] * (params.g + 1)
+    brackets = (tautpush._bracket_a, tautpush._bracket_b, tautpush._bracket_c)
+    for p, bracket in zip((combo.p_a, combo.p_b, combo.p_c), brackets):
+        if p:
+            pre, ints = bracket(params)
+            weight = scale * p * pre
+            coords = [x + weight * y for x, y in zip(coords, ints)]
+    return coords
+
+
 def _push_case(triple, what, normalize):
     """The argv of one ``push`` and its expected stdout: the JSON of str()
-    of each exact coordinate, or None where the class is out of domain."""
+    of each exact coordinate, taken from the displayed brackets, or None
+    where the class is out of domain."""
     g, r, d = triple
     argv = ["push", "--g", str(g), "--r", str(r), "--d", str(d)]
     if isinstance(what, str):
@@ -358,13 +373,10 @@ def _push_case(triple, what, normalize):
         argv += ["--normalize", "N"]
     params = GrdParams(g, r, d)
     try:
-        if normalize:
-            return argv, _push_text(per_N_coordinates(combo, params))
-        if isinstance(what, str):
-            return argv, _push_text(push(what, params).coefficients())
-        return argv, _push_text(push_combo(combo, params).coefficients())
+        coords = _displayed_fold(combo, params, 1 if normalize else params.N)
     except ParameterError:
         return argv, None  # a or c at g = 2
+    return argv, _push_text(coords)
 
 
 @settings(deadline=None, max_examples=150)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from bnslopes.tautpush import (
     TautCombo,
     castelnuovo_N,
     per_N_coordinates,
+    per_N_numerators,
     push,
     push_a,
     push_b,
@@ -140,6 +142,19 @@ class TestPushforwards:
             assert len(coords) == triple[0] + 2
             assert all(type(x) is int for x in coords), triple
 
+    def test_push_a_matches_displayed_formula(self):
+        for triple in _TRIPLES_3_60:
+            p = GrdParams(*triple)
+            g, d = p.g, p.d
+            displayed = [
+                6 * (g * d - 2 * g * g + 8 * d - 8 * g + 4),
+                -6 * d * (g - 2),
+                2 * g * g - g * d + 3 * g - 4 * d - 2,
+                *(6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d) for i in range(1, g)),
+            ]
+            pre = Fraction(d * p.N, 6 * (g - 1) * (g - 2))
+            assert list(push_a(p).coefficients()) == [pre * y for y in displayed], triple
+
     def test_push_c_matches_displayed_formula(self):
         # the bracket of c is the displayed one scaled by 6·den(xi)
         for triple in _TRIPLES_3_60:
@@ -212,6 +227,99 @@ def test_per_N_coordinates_times_N_are_push_combo(triple, coeffs):
     for p, push_x in zip((combo.p_a, combo.p_b, combo.p_c), (push_a, push_b, push_c)):
         expected = [x + p * y for x, y in zip(expected, push_x(params).coefficients())]
     assert list(dc.coefficients()) == expected
+
+
+_BRACKET_NAMES = ("_bracket_a", "_bracket_b", "_bracket_c")
+
+
+@pytest.mark.parametrize("name", _BRACKET_NAMES)
+def test_bracket_deltas_have_degree_at_most_two(name):
+    # the premise of the second-difference tail in per_N_numerators:
+    # delta_1..delta_{g-1} of every bracket have vanishing third differences
+    bracket = getattr(tautpush, name)
+    for triple in _TRIPLES_3_60:
+        _, coords = bracket(GrdParams(*triple))
+        deltas = list(coords)[3:]
+        third = [w - 3 * z + 3 * y - x for x, y, z, w in zip(deltas, deltas[1:], deltas[2:], deltas[3:])]
+        assert not any(third), f"{name} at {triple}: third differences {third}"
+
+
+def _bracket_fold(combo, params):
+    """The per-N class of ``combo`` as Fractions, from the full displayed
+    bracket generators (looked up when called) with every delta_i
+    evaluated: no running sums."""
+    coords = [combo.p_lam] + [Fraction(0)] * (params.g + 1)
+    for p, name in zip((combo.p_a, combo.p_b, combo.p_c), _BRACKET_NAMES):
+        if p:
+            pre, ints = getattr(tautpush, name)(params)
+            coords = [x + p * pre * y for x, y in zip(coords, ints)]
+    return coords
+
+
+# g = 1..5 put 0..4 entries in the delta_{i >= 1} tail
+_TAIL_TRIPLES = [(1, 0, 0)] + rho_zero_triples(120) + [(961, 30, 960)]
+_TAIL_COMBOS = {
+    "a": (1, 0, 0, 0),
+    "b": (0, 1, 0, 0),
+    "c": (0, 0, 1, 0),
+    "zero": (0, 0, 0, 0),
+    "lambda": (0, 0, 0, 1),
+    "gp": (Fraction(-31, 2), Fraction(31, 2), -30, -30),
+    "mixed": (Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), Fraction(-11, 4)),
+}
+
+
+def _tail_mismatches(combo):
+    """The triples of ``_TAIL_TRIPLES`` where per_N_numerators differs from
+    the full bracket fold; out of domain, both must raise."""
+    bad = []
+    for triple in _TAIL_TRIPLES:
+        params = GrdParams(*triple)
+        try:
+            want = _bracket_fold(combo, params)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                per_N_numerators(combo, params)
+            continue
+        L, ints = per_N_numerators(combo, params)
+        if [Fraction(x, L) for x in ints] != want:
+            bad.append(triple)
+    return bad
+
+
+@pytest.mark.parametrize("coeffs", _TAIL_COMBOS.values(), ids=_TAIL_COMBOS.keys())
+def test_per_N_numerators_equal_full_bracket_fold(coeffs):
+    assert _tail_mismatches(TautCombo.of(*coeffs)) == []
+
+
+def test_tail_oracle_catches_a_cubic_bracket(monkeypatch):
+    displayed = tautpush._bracket_b
+
+    def cubic_b(params):
+        # delta_i + i^3 for i >= 1; coordinate k of the bracket is delta_{k-2}
+        pre, coords = displayed(params)
+        return pre, (x + (k - 2) ** 3 if k > 2 else x for k, x in enumerate(coords))
+
+    monkeypatch.setattr(tautpush, "_bracket_b", cubic_b)
+    # from g = 5 on the tail has a fourth entry, the first one extrapolated
+    want = [t for t in _TAIL_TRIPLES if t[0] >= 5]
+    assert _tail_mismatches(TautCombo.of(0, 1, 0, 0)) == want
+
+
+def test_numerators_read_six_bracket_values(monkeypatch):
+    # lambda, psi and delta_0 read nothing past delta_0; the whole class
+    # reads delta_1..delta_3 more and no other bracket value
+    displayed = tautpush._bracket_c
+    read = []
+
+    def counted_c(params):
+        pre, coords = displayed(params)
+        return pre, (read.append(x) or x for x in coords)
+
+    monkeypatch.setattr(tautpush, "_bracket_c", counted_c)
+    _, ints = per_N_numerators(TautCombo.of(0, 0, 1, 0), GrdParams(21, 6, 24))
+    assert [len(list(islice(ints, 3))), len(read)] == [3, 3]
+    assert [len(list(ints)), len(read)] == [20, 6]
 
 
 def test_rho_zero_triples():
