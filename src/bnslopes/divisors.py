@@ -22,9 +22,10 @@ irreducible-nodal locus is a/b0; only the lambda and delta_0
 coefficients enter, which is justified by the vanishing of the psi
 coefficient for every family here.  Since N scales every coefficient
 and cancels in a/b0, :func:`slope_report` forms the slope from the
-N-free lambda and delta_0 alone (O(1) rational operations per instance,
-not O(g) operations on g-digit numbers); the full pushforward of a
-:class:`SlopeReport` is computed only when it is first read.
+integer numerators of the N-free lambda and delta_0 alone (O(1)
+operations per instance, not O(g) operations on g-digit numbers); the
+full pushforward of a :class:`SlopeReport` is computed only when it is
+first read.
 
 :data:`FAMILIES`, the one list of families that ``slope --family`` reads,
 maps each name to its grid axes, its constructor and its combo.
@@ -40,8 +41,7 @@ condition, so that oracle applies.)
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .numeric import binomial
 from .record import Record
@@ -50,7 +50,7 @@ from .tautpush import (
     GrdParams,
     ParameterError,
     TautCombo,
-    per_N_coordinates,
+    per_N_numerators,
     push_combo,
 )
 
@@ -159,18 +159,19 @@ class SlopeUndefinedError(ValueError):
         )
 
 
-def _slope(lam: Fraction, delta0: Fraction, N: int) -> Fraction:
+def _slope(lam: int | Fraction, delta0: int | Fraction, N: int, L: int) -> Fraction:
     """-lam/delta0 for coefficients that are nonzero and of opposite sign.
-    They may be N-free; N > 0 scales the ones an error reports."""
+    They may be the numerators over L > 0 of N-free coefficients; an
+    error reports the coefficients themselves, N·lam/L and N·delta0/L."""
     if lam == 0 or delta0 == 0 or (lam > 0) == (delta0 > 0):
-        raise SlopeUndefinedError(lam * N, delta0 * N)
-    return -lam / delta0
+        raise SlopeUndefinedError(Fraction(lam * N, L), Fraction(delta0 * N, L))
+    return Fraction(-lam, delta0)
 
 
 def slope(dc: DivisorClass) -> Fraction:
     """Slope -lambda/delta_0 of a class whose lambda and delta_0
     coefficients are nonzero and of opposite sign."""
-    return _slope(dc.lam, dc.delta[0], 1)
+    return _slope(dc.lam, dc.delta[0], 1, 1)
 
 
 def slope_bound(g: int) -> Fraction:
@@ -249,10 +250,7 @@ class FamilyParams(Record):
     __slots__ = _fields = ("family", "r", "s", "extra")
 
     def __init__(self, family: str, r: int, s: int, extra: Optional[int] = None) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "extra", extra)
+        super().__init__(family, r, s, extra)
 
     def __lt__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -284,19 +282,12 @@ class FamilyParams(Record):
 
 
 class Family(Record):
-    """A divisor family: its grid axes in constructor order, its constructor, an instance's combo."""
+    """A divisor family: ``axes``, its grid axes in constructor order (a
+    tuple of str); ``make``, its constructor, called with one int per
+    axis and returning a :class:`FamilyParams`; and ``combo``, a callable
+    from an instance's :class:`FamilyParams` to its :class:`TautCombo`."""
 
     __slots__ = _fields = ("axes", "make", "combo")
-
-    def __init__(
-        self,
-        axes: Tuple[str, ...],
-        make: Callable[..., FamilyParams],
-        combo: Callable[[FamilyParams], TautCombo],
-    ) -> None:
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "make", make)
-        object.__setattr__(self, "combo", combo)
 
 
 # The one list of families: ``slope --family`` takes its names and axes from it.
@@ -320,34 +311,6 @@ class SlopeReport(Record):
 
     _fields = ("family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound", "combo", "grd")
     __slots__ = _fields + ("_pushforward",)
-
-    def __init__(
-        self,
-        family: str,
-        r: int,
-        s: int,
-        extra: Optional[int],
-        g: int,
-        d: int,
-        N: int,
-        slope: Fraction,
-        bound: Fraction,
-        below_bound: bool,
-        combo: TautCombo,
-        grd: GrdParams,
-    ) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "extra", extra)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "below_bound", below_bound)
-        object.__setattr__(self, "combo", combo)
-        object.__setattr__(self, "grd", grd)
 
     @property
     def pushforward(self) -> DivisorClass:
@@ -375,25 +338,17 @@ class SlopeReport(Record):
 
 
 def slope_report(params: FamilyParams) -> SlopeReport:
-    """Run the pipeline for one family instance: combo, the N-free lambda
-    and delta_0 coefficients of its pushforward, slope, bound comparison.
-    This is O(1) rational work besides computing N for the report."""
+    """Run the pipeline for one family instance: combo, slope, bound
+    comparison.  The slope is -lambda/delta_0 of two integer numerators,
+    those of the N-free lambda and delta_0 coefficients over one common
+    denominator L; N and L cancel in it.  This is O(1) work besides
+    computing N for the report."""
     combo = family_combo(params)
     grd = GrdParams(params.g, params.r, params.d)
-    lam, _, delta0 = islice(per_N_coordinates(combo, grd), 3)
-    sl = _slope(lam, delta0, grd.N)
+    L, ints = per_N_numerators(combo, grd)
+    lam, _, delta0 = next(ints), next(ints), next(ints)
+    sl = _slope(lam, delta0, grd.N, L)
     bound = slope_bound(params.g)
     return SlopeReport(
-        family=params.family,
-        r=params.r,
-        s=params.s,
-        extra=params.extra,
-        g=params.g,
-        d=params.d,
-        N=grd.N,
-        slope=sl,
-        bound=bound,
-        below_bound=sl < bound,
-        combo=combo,
-        grd=grd,
+        params.family, params.r, params.s, params.extra, params.g, params.d, grd.N, sl, bound, sl < bound, combo, grd
     )

@@ -251,12 +251,7 @@ class CheckReport(Record):
     def __init__(
         self, check: str, params: Dict[str, object], lhs: str, rhs: str, passed: bool, detail: str = ""
     ) -> None:
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(check, params, lhs, rhs, passed, detail)
 
     def as_json_dict(self) -> Dict[str, object]:
         return {

@@ -86,8 +86,7 @@ class GrassmannianSpec(Record):
     __slots__ = _fields = ("r", "d")
 
     def __init__(self, r: int, d: int) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "d", d)
+        super().__init__(r, d)
         if not 0 <= r <= d:
             raise InvalidIndexError(f"need 0 <= r <= d for G(r, P^d); got r={r}, d={d}")
 
@@ -115,8 +114,7 @@ class SchubertIndex(Record):
     __slots__ = _fields = ("spec", "b")
 
     def __init__(self, spec: GrassmannianSpec, b: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "b", b)
+        super().__init__(spec, b)
         if len(b) != spec.r + 1:
             raise InvalidIndexError(f"index length must be r+1 = {spec.r + 1}; got {len(b)}")
         if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
@@ -154,9 +152,7 @@ class ChowClass(Record):
     def __init__(
         self, spec: GrassmannianSpec, codim: int, terms: Optional[Dict[Tuple[int, ...], int]] = None
     ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "terms", {} if terms is None else terms)
+        super().__init__(spec, codim, {} if terms is None else terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -27,9 +27,8 @@ numerators, lambda and delta_0 first, without computing N; the CLI
 prints from them directly.  Only delta_1..delta_3 of the delta tail are
 evaluated from the displayed brackets: every delta_i (i >= 1) is a
 polynomial of degree <= 2 in i, so delta_4..delta_{g-1} follow from
-those three values by second differences, exactly.
-:func:`per_N_coordinates` yields them as exact fractions: a slope
--lambda/delta_0 reads only the first three and costs O(1) rational
+those three values by second differences, exactly.  A slope
+-lambda/delta_0 reads only the first three numerators and costs O(1)
 operations instead of O(g) operations on g-digit numbers.
 """
 
@@ -51,7 +50,6 @@ __all__ = [
     "ParameterError",
     "TautCombo",
     "castelnuovo_N",
-    "per_N_coordinates",
     "per_N_numerators",
     "push",
     "push_a",
@@ -106,9 +104,7 @@ class GrdParams(Record):
     _fields = ("g", "r", "d")
 
     def __init__(self, g: int, r: int, d: int) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "d", d)
+        super().__init__(g, r, d)
         if g < 1 or r < 0 or d < 0:
             raise ParameterError(f"need g >= 1 and r, d >= 0; got {self}")
         if (n := rho(g, r, d)) != 0:
@@ -149,11 +145,6 @@ class DivisorClass(Record):
     """
 
     __slots__ = _fields = ("lam", "psi", "delta")
-
-    def __init__(self, lam: Fraction, psi: Fraction, delta: Tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "delta", delta)
 
     @property
     def g(self) -> int:
@@ -258,12 +249,6 @@ class TautCombo(Record):
 
     __slots__ = _fields = ("p_a", "p_b", "p_c", "p_lam")
 
-    def __init__(self, p_a: Fraction, p_b: Fraction, p_c: Fraction, p_lam: Fraction) -> None:
-        object.__setattr__(self, "p_a", p_a)
-        object.__setattr__(self, "p_b", p_b)
-        object.__setattr__(self, "p_c", p_c)
-        object.__setattr__(self, "p_lam", p_lam)
-
     @classmethod
     def of(cls, p_a, p_b, p_c, p_lam) -> "TautCombo":
         return cls(Fraction(p_a), Fraction(p_b), Fraction(p_c), Fraction(p_lam))
@@ -332,14 +317,6 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     lam_row = lam.numerator * (L // lam.denominator) + next(rows)
     head = (lam_row, next(rows), next(rows))  # lambda, psi, delta_0
     return L, chain(head, chain.from_iterable(_quadratic_tail(rows, params.g - 1)))
-
-
-def per_N_coordinates(combo: TautCombo, params: GrdParams) -> Iterator[Fraction]:
-    """The coordinates of ``push_combo(combo, params)`` divided by N, lazily
-    in the order lambda, psi, delta_0..delta_{g-1}.  None of them depends
-    on N, which is never computed; the first three cost O(1) each."""
-    L, ints = per_N_numerators(combo, params)
-    return (Fraction(x, L) for x in ints)
 
 
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:

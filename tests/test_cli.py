@@ -23,7 +23,7 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
-    per_N_coordinates,
+    per_N_numerators,
     push_b,
     push_c,
     push_combo,
@@ -286,7 +286,11 @@ class TestPushCommand:
         try:
             combo = TautCombo.of(Fraction(1, 2), Fraction(entry), 0, 3)
             params = GrdParams(10, 4, 12)
-            coords = per_N_coordinates(combo, params) if normalize else push_combo(combo, params).coefficients()
+            if normalize:
+                L, ints = per_N_numerators(combo, params)
+                coords = [Fraction(x, L) for x in ints]
+            else:
+                coords = push_combo(combo, params).coefficients()
             assert out == _push_text(coords)
         finally:
             sys.set_int_max_str_digits(limit)

@@ -24,7 +24,7 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
-    per_N_coordinates,
+    per_N_numerators,
     push_combo,
 )
 
@@ -133,8 +133,9 @@ class TestPipelineAgainstClosedForms:
             for s in range(60):
                 fp = FamilyParams.syzygy(i, s)
                 grd = GrdParams(fp.g, fp.r, fp.d)
-                lam, _, delta0 = islice(per_N_coordinates(family_combo(fp), grd), 3)
-                assert -lam / delta0 == sign * syzygy_slope_closed(i, s), (i, s)
+                _, ints = per_N_numerators(family_combo(fp), grd)
+                lam, _, delta0 = islice(ints, 3)
+                assert Fraction(-lam, delta0) == sign * syzygy_slope_closed(i, s), (i, s)
 
     def test_syzygy_i1_anchor(self):
         # no external anchor for i >= 1: freeze the pipeline value, and the
@@ -201,11 +202,15 @@ class TestTwoCoordinateSlope:
         assert calls == ["push_combo"]
 
     def test_undefined_slope_reports_scaled_coefficients(self, monkeypatch):
-        monkeypatch.setattr(divisors, "family_combo", lambda fp: TautCombo.of(0, 0, 0, 1))
-        with pytest.raises(SlopeUndefinedError) as err:
-            slope_report(FamilyParams.gp(2, 2))
-        assert err.value.lam == castelnuovo_N(9, 2, 8)
-        assert err.value.delta0 == 0
+        # with p_lam = 1/3 the numerators are over L = 3, which the
+        # reported coefficients must divide out
+        N = castelnuovo_N(9, 2, 8)
+        for p_lam, lam in ((1, N), (Fraction(1, 3), Fraction(N, 3))):
+            monkeypatch.setattr(divisors, "family_combo", lambda fp, p=p_lam: TautCombo.of(0, 0, 0, p))
+            with pytest.raises(SlopeUndefinedError) as err:
+                slope_report(FamilyParams.gp(2, 2))
+            assert err.value.lam == lam and err.value.delta0 == 0
+            assert f"got lambda = {lam}, delta_0 = 0" in str(err.value)
 
 
 class TestSlopeReport:

@@ -1,7 +1,8 @@
 """The package's value records derive from ``record.Record``, whose
-methods are plain source: equality and hash by the field tuple where
-records serve as dict or set keys, the row order of ``FamilyParams``,
-read-only fields, and values computed on first use and kept."""
+methods are plain source: one positional constructor, equality and hash
+by the field tuple where records serve as dict or set keys, the row
+order of ``FamilyParams``, read-only fields, and values computed on
+first use and kept."""
 
 import copy
 import pickle
@@ -50,11 +51,34 @@ def test_records_differ_by_any_field_and_from_plain_tuples():
     assert FamilyParams("gp", 1, 1) != ("gp", 1, 1, None)
 
 
-@pytest.mark.parametrize("make", KEYS.values(), ids=KEYS)
-def test_copy_and_pickle_rebuild_an_equal_record(make):
-    record = make()
-    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+@pytest.mark.parametrize("name", RECORDS)
+def test_copy_and_pickle_rebuild_an_equal_record(name):
+    # every record is rebuilt through its constructor; pickle is tried
+    # on the keys only, since a Family holds lambdas
+    record = RECORDS[name]()
+    twins = [copy.copy(record), copy.deepcopy(record)]
+    if name in KEYS:
+        twins.append(pickle.loads(pickle.dumps(record)))
+    for twin in twins:
         assert type(twin) is type(record) and twin == record
+
+
+WITHOUT_INIT = ("TautCombo", "DivisorClass", "SlopeReport", "Family")
+
+
+@pytest.mark.parametrize("name", WITHOUT_INIT)
+def test_wrong_value_count_names_the_record_and_its_fields(name):
+    record = RECORDS[name]()
+    cls = type(record)
+    assert "__init__" not in vars(cls)
+    values = tuple(getattr(record, field) for field in cls._fields)
+    assert cls(*values) == record
+    for wrong in (values[:-1], values + (None,)):
+        with pytest.raises(TypeError) as err:
+            cls(*wrong)
+        assert str(err.value) == (
+            f"{name}({', '.join(cls._fields)}) takes {len(values)} values; got {len(wrong)}"
+        )
 
 
 def test_computed_n_leaves_equality_and_hash_alone():

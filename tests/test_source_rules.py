@@ -35,7 +35,11 @@ docstring and nothing else, so each name has one import path: the module
 that defines it.  No module imports ``dataclasses``: its decorator
 generates and ``exec``s every method of a record each time the package
 is imported, a cost no bytecode cache saves; the records derive from
-``record.Record``, whose methods are plain source.
+``record.Record``, whose methods are plain source.  Only
+``Record.__init__`` sets a record's fields: outside ``record.py``,
+``object.__setattr__`` may set only an underscore slot, a value computed
+on first use such as ``GrdParams._N``, so no record writes its field
+list out again as a constructor that sets one field per line.
 """
 
 import ast
@@ -492,3 +496,46 @@ def test_dataclasses_visitor_sees_aliases_and_nested_imports():
         "from .dataclasses import x\n"
     )
     assert _dataclasses_imports(tree) == [(None, 1), (None, 2), ("f", 4)]
+
+
+def _public_setattrs(tree: ast.Module):
+    """``object.__setattr__`` calls whose slot name is not an underscore
+    string literal."""
+
+    def private(arg):
+        return isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.startswith("_")
+
+    def match(node):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            return False
+        func = node.func
+        return (
+            func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"
+            and not (len(node.args) > 1 and private(node.args[1]))
+        )
+
+    return _owned(tree, match)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "record"], ids=lambda p: p.stem)
+def test_only_the_record_constructor_sets_fields(path):
+    calls = _public_setattrs(_tree(path))
+    assert not calls, f"{path.name}: object.__setattr__ of a public name at {calls}"
+
+
+def test_record_constructor_is_seen():
+    assert [owner for owner, _ in _public_setattrs(_tree(SRC / "record.py"))] == ["__init__"]
+
+
+def test_setattr_visitor_sees_public_and_computed_names():
+    tree = ast.parse(
+        "object.__setattr__(self, 'x', 1)\n"
+        "def f(self, name):\n"
+        "    object.__setattr__(self, '_N', 2)\n"
+        "    object.__setattr__(self, name, 3)\n"
+        "    other.__setattr__(self, 'y', 4)\n"
+        "    object.__getattribute__(self, 'z')\n"
+    )
+    assert _public_setattrs(tree) == [(None, 1), ("f", 4)]

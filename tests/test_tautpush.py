@@ -13,7 +13,6 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
-    per_N_coordinates,
     per_N_numerators,
     push,
     push_a,
@@ -216,12 +215,12 @@ _SMALL_RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
     st.sampled_from(_TRIPLES_3_60),
     st.tuples(*[_SMALL_RATIONALS] * 4),
 )
-def test_per_N_coordinates_times_N_are_push_combo(triple, coeffs):
+def test_per_N_numerators_times_N_over_L_are_push_combo(triple, coeffs):
     params = GrdParams(*triple)
     combo = TautCombo.of(*coeffs)
     dc = push_combo(combo, params)
-    per_N = list(per_N_coordinates(combo, params))
-    assert [params.N * x for x in per_N] == list(dc.coefficients())
+    L, ints = per_N_numerators(combo, params)
+    assert [Fraction(params.N * x, L) for x in ints] == list(dc.coefficients())
     # linearity, summed class by class as a reference for the fold
     expected = [combo.p_lam * params.N] + [Fraction(0)] * (params.g + 1)
     for p, push_x in zip((combo.p_a, combo.p_b, combo.p_c), (push_a, push_b, push_c)):
