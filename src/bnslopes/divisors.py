@@ -41,6 +41,7 @@ condition, so that oracle applies.)
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Optional
 
 from .numeric import binomial
@@ -307,10 +308,11 @@ def family_combo(params: FamilyParams) -> TautCombo:
 class SlopeReport(Record):
     """Slope of one family instance, with the slope bound 6 + 12/(g+1),
     the strict below-bound verdict and, computed on first access and
-    kept, the pushforward."""
+    kept, the pushforward.  r, g, d and N are read from ``grd``."""
 
-    _fields = ("family", "r", "s", "extra", "g", "d", "N", "slope", "bound", "below_bound", "combo", "grd")
+    _fields = ("family", "s", "extra", "slope", "bound", "below_bound", "combo", "grd")
     __slots__ = _fields + ("_pushforward",)
+    r, g, d, N = (property(attrgetter("grd." + name)) for name in ("r", "g", "d", "N"))
 
     @property
     def pushforward(self) -> DivisorClass:
@@ -349,6 +351,4 @@ def slope_report(params: FamilyParams) -> SlopeReport:
     lam, _, delta0 = next(ints), next(ints), next(ints)
     sl = _slope(lam, delta0, grd.N, L)
     bound = slope_bound(params.g)
-    return SlopeReport(
-        params.family, params.r, params.s, params.extra, params.g, params.d, grd.N, sl, bound, sl < bound, combo, grd
-    )
+    return SlopeReport(params.family, params.s, params.extra, sl, bound, sl < bound, combo, grd)

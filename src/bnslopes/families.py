@@ -46,7 +46,8 @@ Weierstrass fiber which are re-checked here numerically
 powers come from the closed form and, on Grassmannians of tractable
 size, from forward Pieri steps on plain index tuples.  The
 schubert-oracle suite checks the closed form against a one-pass Pieri
-table of every dimension-balanced integral of each Grassmannian.  Each
+table of every dimension-balanced integral, built once per r on the
+largest Grassmannian and read at every smaller one by a shift.  Each
 verify suite is one entry of a table from its name to a generator of
 reports; :func:`suite_reports` runs one, or all of them in table order.
 """
@@ -651,17 +652,27 @@ def _reconstruct(
 # Verification suites
 
 
-def _oracle_spec_report(r: int, d: int) -> CheckReport:
+def _oracle_spec_report(
+    r: int, d: int, table: Optional[Dict[Tuple[int, ...], int]] = None, shift: int = 0
+) -> CheckReport:
     """Exhaustive comparison of the closed form with the one-pass Pieri
-    table over every dimension-balanced (b, k) on G(r, P^d).  Each entry's
-    k is (dim - |b|)/r; the closed form is compared on ints, as
-    ``num == brute * den``.  Its den is positive, so that holds exactly
+    table over every dimension-balanced (b, k) on G(r, P^d).  By default
+    the table is that of G(r, P^d) itself; the suite passes instead the
+    table of G(r, P^(d+shift)), whose b_0 >= shift part, read at b + shift,
+    is the table of G(r, P^d) in its own order (see :func:`_zeta_table`).
+    Each entry's k is (dim - |b|)/r; the closed form is compared on ints,
+    as ``num == brute * den``.  Its den is positive, so that holds exactly
     when den divides num with quotient brute: a closed form that is not
     an integer, or is another integer, is a failed check."""
     spec = GrassmannianSpec(r, d)
+    if table is None:
+        table = _zeta_table(spec)
     dim = spec.dim
     checked = 0
-    for b, brute in _zeta_table(spec).items():
+    for key, brute in table.items():
+        if key[0] < shift:
+            continue
+        b = tuple([x - shift for x in key])
         k = (dim - sum(b)) // r
         num, den = _closed_form(spec, b, k)
         if num != brute * den:
@@ -752,7 +763,13 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
 
 
 def _oracle_suite(*, r_max: int, d_max: int, **_) -> Iterator[CheckReport]:
-    return (_oracle_spec_report(r, d) for r in range(1, r_max + 1) for d in range(r, d_max + 1))
+    """One Pieri table per r, that of G(r, P^d_max), read by every d;
+    one table is held at a time."""
+    for r in range(1, min(r_max, d_max) + 1):
+        table = _zeta_table(GrassmannianSpec(r, d_max))
+        for d in range(r, d_max + 1):
+            yield _oracle_spec_report(r, d, table, d_max - d)
+        del table
 
 
 def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:

@@ -297,7 +297,21 @@ def _zeta_table(spec: GrassmannianSpec) -> Dict[Tuple[int, ...], int]:
     One pass by falling codimension: the point class integrates to 1,
     and every other entry is the sum of the entries of its zeta
     successors, which are balanced one zeta power lower and so are
-    already in the table."""
+    already in the table.  Entries are inserted by k, then
+    lexicographically by b.
+
+    The table of G(r, P^d) is the b_0 >= c part of the table of
+    G(r, P^(d+c)), read at b + c (add c to every entry).  For b + c
+    has entries in [c, d-r+c] exactly when b has them in [0, d-r], and
+    dim and |b| both grow by (r+1)c, so the shift maps the balanced
+    (b, k) of the one one-to-one onto the balanced (b', k) with
+    b'_0 >= c of the other, keeping k.  It commutes with
+    :func:`_zeta_successors`, whose tests b[-1] < box and b[p-1] < b[p]
+    shift together, and it maps the point class to the point class.  A
+    zeta step never lowers an entry, so every successor of an entry in
+    that part lies in it too; by induction on k the two tables agree
+    there, and since the shift keeps k and lexicographic order, the
+    part holds its entries in the smaller table's order."""
     pairs = sorted(_balanced_tuples(spec), key=lambda pair: pair[1])
     table = {pairs[0][0]: 1}  # k = 0 only at the point class
     box, entry = spec.box, table.__getitem__

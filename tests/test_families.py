@@ -642,6 +642,56 @@ class TestSuites:
         assert all(r.passed for r in reports)
         assert sum(int(r.lhs) for r in reports) == 34018
 
+    def test_schubert_oracle_suite_equals_standalone_reports(self):
+        alone = {(r, d): _oracle_spec_report(r, d) for r in range(1, 5) for d in range(r, 13)}
+        for r_max in range(5):
+            for d_max in range(13):
+                want = [alone[r, d] for r in range(1, r_max + 1) for d in range(r, d_max + 1)]
+                got = suite_reports("schubert-oracle", r_max=r_max, d_max=d_max)
+                assert got == want, (r_max, d_max)
+
+    def test_schubert_oracle_builds_one_table_per_r(self, monkeypatch):
+        tables, closed = [], []
+        real_table, real_closed = families._zeta_table, families._closed_form
+
+        def counted_table(spec):
+            tables.append(spec)
+            return real_table(spec)
+
+        def counted_closed(spec, b, k):
+            closed.append(spec)
+            return real_closed(spec, b, k)
+
+        monkeypatch.setattr(families, "_zeta_table", counted_table)
+        monkeypatch.setattr(families, "_closed_form", counted_closed)
+        assert all(rep.passed for rep in suite_reports("schubert-oracle"))
+        assert tables == [families.GrassmannianSpec(r, 18) for r in range(1, 6)]
+        assert len(closed) == 34018
+
+    @pytest.mark.parametrize("key", [(0, 4, 6), (1, 1, 6), (2, 3, 5), (3, 3, 6)])
+    def test_a_wrong_shared_entry_fails_every_spec_that_reads_it(self, monkeypatch, key):
+        # G(2, P^8): the entry at key is read by G(2, P^d) at key - (8 - d)
+        # for every d >= 8 - key[0], and by no G(1, P^d)
+        real = families._zeta_table
+        big = families.GrassmannianSpec(2, 8)
+
+        def off_by_one(spec):
+            table = real(spec)
+            if spec == big:
+                table[key] += 1
+            return table
+
+        monkeypatch.setattr(families, "_zeta_table", off_by_one)
+        reports = suite_reports("schubert-oracle", r_max=2, d_max=8)
+        failed = {(rep.params["r"], rep.params["d"]): (rep.lhs, rep.rhs) for rep in reports if not rep.passed}
+        want = {}
+        for d in range(8 - key[0], 9):
+            b = tuple(x - (8 - d) for x in key)
+            value = real(families.GrassmannianSpec(2, d))[b]
+            k = (big.dim - sum(key)) // 2
+            want[2, d] = (f"closed({b},k={k})={value}", f"brute={value + 1}")
+        assert failed == want
+
     def test_oracle_fails_on_a_non_integral_closed_form(self, monkeypatch):
         real = families._closed_form
 

@@ -81,6 +81,17 @@ def test_wrong_value_count_names_the_record_and_its_fields(name):
         )
 
 
+def test_slope_report_reads_r_g_d_and_n_from_its_grd():
+    report = slope_report(FamilyParams.gp(2, 3))
+    fields = ("family", "s", "extra", "slope", "bound", "below_bound", "combo", "grd")
+    assert type(report)._fields == fields
+    grd = report.grd
+    assert (report.r, report.g, report.d, report.N) == (grd.r, grd.g, grd.d, grd.N) == (2, 12, 10, 462)
+    with pytest.raises(TypeError) as err:
+        type(report)(*(getattr(report, name) for name in fields[:-1]))
+    assert str(err.value) == f"SlopeReport({', '.join(fields)}) takes 8 values; got 7"
+
+
 def test_computed_n_leaves_equality_and_hash_alone():
     params = GrdParams(21, 6, 24)
     params.N

@@ -346,6 +346,21 @@ class TestPieriOracles:
         assert _zeta_sweep(spec, (4,), 3) == 1
         assert _zeta_sweep(spec, (2,), 3) == 0
 
+    def test_table_is_the_shifted_part_of_a_larger_table(self):
+        # G(r, P^d) is the b_0 >= D - d part of G(r, P^D), read at b + (D - d):
+        # same keys, values and insertion order
+        for r in range(1, 6):
+            tables = {d: _zeta_table(GrassmannianSpec(r, d)) for d in range(r, 15)}
+            for big, table in tables.items():
+                for d in range(r, big + 1):
+                    c = big - d
+                    part = [
+                        (tuple(x - c for x in key), value)
+                        for key, value in table.items()
+                        if key[0] >= c
+                    ]
+                    assert part == list(tables[d].items()), (r, d, big)
+
     def test_oracle_report_names_a_wrong_table_entry(self, monkeypatch):
         real = _zeta_table
 
