@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .numeric import binomial
 from .record import Record

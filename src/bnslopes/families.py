@@ -45,11 +45,12 @@ Weierstrass fiber which are re-checked here numerically
 :func:`identity_pieri` and the aspect counts).  Their integrals of zeta
 powers come from the closed form and, on Grassmannians of tractable
 size, from forward Pieri steps on plain index tuples.  The
-schubert-oracle suite checks the closed form against a one-pass Pieri
-table of every dimension-balanced integral, built once per r on the
-largest Grassmannian and read at every smaller one by a shift.  Each
-verify suite is one entry of a table from its name to a generator of
-reports; :func:`suite_reports` runs one, or all of them in table order.
+schubert-oracle suite checks the closed form on every dimension-balanced
+integral against forward Pieri steps from the zero index, run once per
+r on the largest Grassmannian and read at the dual index on every
+smaller one.  Each verify suite is one entry of a table from its name
+to a generator of reports; :func:`suite_reports` runs one, or all of
+them in table order.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ from .record import Record
 from .schubert import (
     ChowClass,
     GrassmannianSpec,
+    _balanced_tuples,
     _closed_form,
-    _zeta_sweep,
-    _zeta_table,
+    _zeta_layers,
     make_index,
     pieri_ek,
     schubert_class,
@@ -286,14 +287,15 @@ def _pattern_integral(
 ) -> Tuple[Fraction, Optional[int]]:
     """Integral of zeta^k against sigma_b by the closed form and, when
     asked and the index set of G(r, P^d) (C(d+1, r+1) indices) is within
-    _BRUTE_LIMIT, by k forward Pieri steps from b; None when not run.  An
-    out-of-box pattern means the cycle vanishes and both integrals are zero."""
+    _BRUTE_LIMIT, by k forward Pieri steps from b, read at the point class
+    in the last layer; None when not run.  An out-of-box pattern means the
+    cycle vanishes and both integrals are zero."""
     if b[-1] > spec.box:
         return Fraction(0), 0
     closed = zeta_power_integral(spec, make_index(spec, b), k)
     br = None
     if brute and binomial(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
-        br = _zeta_sweep(spec, b, k)
+        br = _zeta_layers(spec, b, k)[-1].get((spec.box,) * (spec.r + 1), 0)
     return closed, br
 
 
@@ -652,28 +654,22 @@ def _reconstruct(
 # Verification suites
 
 
-def _oracle_spec_report(
-    r: int, d: int, table: Optional[Dict[Tuple[int, ...], int]] = None, shift: int = 0
-) -> CheckReport:
-    """Exhaustive comparison of the closed form with the one-pass Pieri
-    table over every dimension-balanced (b, k) on G(r, P^d).  By default
-    the table is that of G(r, P^d) itself; the suite passes instead the
-    table of G(r, P^(d+shift)), whose b_0 >= shift part, read at b + shift,
-    is the table of G(r, P^d) in its own order (see :func:`_zeta_table`).
-    Each entry's k is (dim - |b|)/r; the closed form is compared on ints,
-    as ``num == brute * den``.  Its den is positive, so that holds exactly
-    when den divides num with quotient brute: a closed form that is not
-    an integer, or is another integer, is a failed check."""
+def _oracle_spec_report(r: int, d: int, layers: List[Dict[Tuple[int, ...], int]]) -> CheckReport:
+    """Exhaustive comparison of the closed form with Pieri counts over
+    every dimension-balanced (b, k) on G(r, P^d), in lexicographic order
+    of b.  ``layers`` are the zeta layers from the zero index of some
+    G(r, P^D) with D >= d; by duality and box independence (see
+    :func:`_zeta_layers`) the integral on G(r, P^d) is layer k read at
+    the dual index b*, and 0 where b* is absent.  The closed form is
+    compared on ints, as ``num == brute * den``.  Its den is positive,
+    so that holds exactly when den divides num with quotient brute: a
+    closed form that is not an integer, or is another integer, is a
+    failed check."""
     spec = GrassmannianSpec(r, d)
-    if table is None:
-        table = _zeta_table(spec)
-    dim = spec.dim
+    box = spec.box
     checked = 0
-    for key, brute in table.items():
-        if key[0] < shift:
-            continue
-        b = tuple([x - shift for x in key])
-        k = (dim - sum(b)) // r
+    for b, k in _balanced_tuples(spec):
+        brute = layers[k].get(tuple([box - x for x in reversed(b)]), 0)
         num, den = _closed_form(spec, b, k)
         if num != brute * den:
             return _report(
@@ -763,13 +759,14 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
 
 
 def _oracle_suite(*, r_max: int, d_max: int, **_) -> Iterator[CheckReport]:
-    """One Pieri table per r, that of G(r, P^d_max), read by every d;
-    one table is held at a time."""
+    """One run of zeta layers per r, from the zero index of
+    G(r, P^d_max), read by every d; one run is held at a time."""
     for r in range(1, min(r_max, d_max) + 1):
-        table = _zeta_table(GrassmannianSpec(r, d_max))
+        spec = GrassmannianSpec(r, d_max)
+        layers = _zeta_layers(spec, (0,) * (r + 1), spec.dim // r)
         for d in range(r, d_max + 1):
-            yield _oracle_spec_report(r, d, table, d_max - d)
-        del table
+            yield _oracle_spec_report(r, d, layers)
+        del layers
 
 
 def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:

@@ -24,16 +24,17 @@ coefficient one.  Every product needed here (zeta, the full shift, a
 single box) is of this form; general Littlewood-Richardson coefficients
 are deliberately not provided.
 
-The oracles for integrals of zeta powers run the zeta step of that rule
-alone: :func:`_zeta_table` fills in every dimension-balanced integral of
-one Grassmannian in a single pass by falling codimension, and
-:func:`_zeta_sweep` pushes one sigma_b forward k times.
-:func:`brute_zeta_integral` does the same expansion through
-:class:`ChowClass` and the general :func:`pieri_ek`, and stays as their
-independent reference.  The closed form is written once, on ints, in
-:func:`_closed_form`; :func:`zeta_power_integral` returns it as a
-``Fraction``, and the schubert-oracle suite compares every entry of the
-one-pass table with it directly, as one cross-multiplication
+The oracle for integrals of zeta powers runs the zeta step of that rule
+alone: :func:`_zeta_layers` takes k forward steps from one index and
+counts the step sequences reaching each index.  From sigma_b it gives
+one integral; from the zero index of G(r, P^D) it gives, read at the
+dual index b*, every dimension-balanced integral of every G(r, P^d)
+with d <= D.  :func:`brute_zeta_integral` does the same expansion
+through :class:`ChowClass` and the general :func:`pieri_ek`, and stays
+as its independent reference.  The closed form is written once, on
+ints, in :func:`_closed_form`; :func:`zeta_power_integral` returns it
+as a ``Fraction``, and the schubert-oracle suite compares every layer
+entry with it directly, as one cross-multiplication
 ``num == entry * den`` per pair.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .record import Record
 
@@ -290,48 +291,35 @@ def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
         prev = x
 
 
-def _zeta_table(spec: GrassmannianSpec) -> Dict[Tuple[int, ...], int]:
-    """The integral of sigma_b * zeta^k for every dimension-balanced
-    (b, k) on ``spec``, keyed by the ascending tuple b (k is fixed by b).
+def _zeta_layers(
+    spec: GrassmannianSpec, b: Tuple[int, ...], k: int
+) -> List[Dict[Tuple[int, ...], int]]:
+    """The layers of k forward zeta steps from b: layer j maps each index
+    reached in j steps to the number of step sequences that reach it,
+    and layer k read at the point class is the integral of
+    sigma_b * zeta^k (the caller checks the dimension balance).
 
-    One pass by falling codimension: the point class integrates to 1,
-    and every other entry is the sum of the entries of its zeta
-    successors, which are balanced one zeta power lower and so are
-    already in the table.  Entries are inserted by k, then
-    lexicographically by b.
+    Duality.  Write b* = (box - b_r, ..., box - b_0).  The successors of
+    b are the valid indices b + 1 - e_p, and c = b + 1 - e_p exactly when
+    b* = c* + 1 - e_(r-p), so c is a successor of b exactly when b* is
+    one of c*; the star maps the point class to the zero index.  So the
+    integral of sigma_b * zeta^k is layer k from the zero index, read at
+    b* (0 where b* is absent).
 
-    The table of G(r, P^d) is the b_0 >= c part of the table of
-    G(r, P^(d+c)), read at b + c (add c to every entry).  For b + c
-    has entries in [c, d-r+c] exactly when b has them in [0, d-r], and
-    dim and |b| both grow by (r+1)c, so the shift maps the balanced
-    (b, k) of the one one-to-one onto the balanced (b', k) with
-    b'_0 >= c of the other, keeping k.  It commutes with
-    :func:`_zeta_successors`, whose tests b[-1] < box and b[p-1] < b[p]
-    shift together, and it maps the point class to the point class.  A
-    zeta step never lowers an entry, so every successor of an entry in
-    that part lies in it too; by induction on k the two tables agree
-    there, and since the shift keeps k and lexicographic order, the
-    part holds its entries in the smaller table's order."""
-    pairs = sorted(_balanced_tuples(spec), key=lambda pair: pair[1])
-    table = {pairs[0][0]: 1}  # k = 0 only at the point class
-    box, entry = spec.box, table.__getitem__
-    for b, _ in pairs[1:]:
-        table[b] = sum(map(entry, _zeta_successors(b, box)))
-    return table
-
-
-def _zeta_sweep(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> int:
-    """The integral of sigma_b * zeta^k by k forward zeta steps from b,
-    keeping one count per reached index; the caller checks the dimension
-    balance."""
-    layer = {b: 1}
+    Box independence.  Entries never fall along a path, so no entry of
+    an index on a path to c exceeds the one of c at its position: the
+    paths to c, and so the count at c, are the same on every
+    G(r, P^D) whose box holds c."""
+    layers = [{b: 1}]
+    box = spec.box
     for _ in range(k):
         nxt: Dict[Tuple[int, ...], int] = {}
-        for c, n in layer.items():
-            for s in _zeta_successors(c, spec.box):
-                nxt[s] = nxt.get(s, 0) + n
-        layer = nxt
-    return layer.get((spec.box,) * (spec.r + 1), 0)
+        get = nxt.get
+        for c, n in layers[-1].items():
+            for s in _zeta_successors(c, box):
+                nxt[s] = get(s, 0) + n
+        layers.append(nxt)
+    return layers
 
 
 def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:

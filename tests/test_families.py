@@ -29,6 +29,7 @@ from bnslopes.families import (
     suite_reports,
     tails_matrix,
 )
+from bnslopes.schubert import GrassmannianSpec, balanced_pairs
 from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
@@ -67,6 +68,12 @@ def cofactor_det(m):
         for j in range(len(m))
         if m[0][j]
     )
+
+
+def _layers_from_zero(r, d):
+    """The zeta layers the oracle reads for G(r, P^d) alone."""
+    spec = GrassmannianSpec(r, d)
+    return families._zeta_layers(spec, (0,) * (r + 1), spec.dim // r)
 
 
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
@@ -249,7 +256,7 @@ class TestIdentities:
         def sweep(spec, b, k):
             raise AssertionError("Pieri sweep run past _BRUTE_LIMIT")
 
-        monkeypatch.setattr(families, "_zeta_sweep", sweep)
+        monkeypatch.setattr(families, "_zeta_layers", sweep)
         rep = identity_castelnuovo(18, 17, 34)  # C(35, 18) indices
         assert rep.passed and rep.detail == "closed=1"
         # the patch is live: below the limit the sweep does run
@@ -642,53 +649,68 @@ class TestSuites:
         assert all(r.passed for r in reports)
         assert sum(int(r.lhs) for r in reports) == 34018
 
+    def test_schubert_oracle_beyond_default_caps_checks_every_pair(self):
+        reports = suite_reports("schubert-oracle", r_max=6, d_max=20)
+        assert len(reports) == 105  # G(r, P^d) for 1 <= r <= 6, r <= d <= 20
+        for rep in reports:
+            spec = GrassmannianSpec(rep.params["r"], rep.params["d"])
+            pairs = len(list(balanced_pairs(spec)))
+            assert rep.passed and rep.lhs == rep.rhs == str(pairs), rep
+
     def test_schubert_oracle_suite_equals_standalone_reports(self):
-        alone = {(r, d): _oracle_spec_report(r, d) for r in range(1, 5) for d in range(r, 13)}
+        # each spec alone, on the layers of its own Grassmannian
+        alone = {
+            (r, d): _oracle_spec_report(r, d, _layers_from_zero(r, d))
+            for r in range(1, 5)
+            for d in range(r, 13)
+        }
         for r_max in range(5):
             for d_max in range(13):
                 want = [alone[r, d] for r in range(1, r_max + 1) for d in range(r, d_max + 1)]
                 got = suite_reports("schubert-oracle", r_max=r_max, d_max=d_max)
                 assert got == want, (r_max, d_max)
 
-    def test_schubert_oracle_builds_one_table_per_r(self, monkeypatch):
-        tables, closed = [], []
-        real_table, real_closed = families._zeta_table, families._closed_form
+    def test_schubert_oracle_runs_one_layer_pass_per_r(self, monkeypatch):
+        runs, closed = [], []
+        real_layers, real_closed = families._zeta_layers, families._closed_form
 
-        def counted_table(spec):
-            tables.append(spec)
-            return real_table(spec)
+        def counted_layers(spec, b, k):
+            runs.append((spec, b, k))
+            return real_layers(spec, b, k)
 
         def counted_closed(spec, b, k):
             closed.append(spec)
             return real_closed(spec, b, k)
 
-        monkeypatch.setattr(families, "_zeta_table", counted_table)
+        monkeypatch.setattr(families, "_zeta_layers", counted_layers)
         monkeypatch.setattr(families, "_closed_form", counted_closed)
         assert all(rep.passed for rep in suite_reports("schubert-oracle"))
-        assert tables == [families.GrassmannianSpec(r, 18) for r in range(1, 6)]
+        big = [GrassmannianSpec(r, 18) for r in range(1, 6)]
+        assert runs == [(spec, (0,) * (spec.r + 1), spec.dim // spec.r) for spec in big]
         assert len(closed) == 34018
 
-    @pytest.mark.parametrize("key", [(0, 4, 6), (1, 1, 6), (2, 3, 5), (3, 3, 6)])
+    @pytest.mark.parametrize("key", [(0, 0, 0), (1, 1, 2), (2, 3, 5), (3, 3, 6)])
     def test_a_wrong_shared_entry_fails_every_spec_that_reads_it(self, monkeypatch, key):
-        # G(2, P^8): the entry at key is read by G(2, P^d) at key - (8 - d)
-        # for every d >= 8 - key[0], and by no G(1, P^d)
-        real = families._zeta_table
-        big = families.GrassmannianSpec(2, 8)
+        # the layer entry at key of G(2, P^8) is read by G(2, P^d) at the
+        # dual of key in the box d - 2, for every d with key[-1] <= d - 2,
+        # and by no G(1, P^d)
+        real = families._zeta_layers
+        big = GrassmannianSpec(2, 8)
+        k = sum(key) // 2
+        value = real(big, (0, 0, 0), big.dim // 2)[k][key]
 
-        def off_by_one(spec):
-            table = real(spec)
+        def off_by_one(spec, b, steps):
+            layers = real(spec, b, steps)
             if spec == big:
-                table[key] += 1
-            return table
+                layers[k][key] += 1
+            return layers
 
-        monkeypatch.setattr(families, "_zeta_table", off_by_one)
+        monkeypatch.setattr(families, "_zeta_layers", off_by_one)
         reports = suite_reports("schubert-oracle", r_max=2, d_max=8)
         failed = {(rep.params["r"], rep.params["d"]): (rep.lhs, rep.rhs) for rep in reports if not rep.passed}
         want = {}
-        for d in range(8 - key[0], 9):
-            b = tuple(x - (8 - d) for x in key)
-            value = real(families.GrassmannianSpec(2, d))[b]
-            k = (big.dim - sum(key)) // 2
+        for d in range(key[-1] + 2, 9):
+            b = tuple(d - 2 - x for x in reversed(key))
             want[2, d] = (f"closed({b},k={k})={value}", f"brute={value + 1}")
         assert failed == want
 
@@ -699,12 +721,12 @@ class TestSuites:
             return (5, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", half)
-        rep = _oracle_spec_report(2, 6)
+        rep = _oracle_spec_report(2, 6, _layers_from_zero(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5/2", "brute=5")
 
     def test_oracle_fails_on_a_closed_form_with_the_right_floor(self, monkeypatch):
-        # 11/2 = 2*5 + 1 over 2: the floor is the table entry 5, and only
+        # 11/2 = 2*5 + 1 over 2: the floor is the layer entry 5, and only
         # the remainder tells the two apart
         real = families._closed_form
 
@@ -712,7 +734,7 @@ class TestSuites:
             return (2 * 5 + 1, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", floor_right)
-        rep = _oracle_spec_report(2, 6)
+        rep = _oracle_spec_report(2, 6, _layers_from_zero(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=11/2", "brute=5")
 

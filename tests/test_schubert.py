@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnslopes import families
 from bnslopes.families import _oracle_spec_report
 from bnslopes.schubert import (
     BalanceError,
@@ -15,10 +14,10 @@ from bnslopes.schubert import (
     CodimensionError,
     GrassmannianSpec,
     InvalidIndexError,
+    _balanced_tuples,
     _closed_form,
+    _zeta_layers,
     _zeta_successors,
-    _zeta_sweep,
-    _zeta_table,
     balanced_pairs,
     brute_zeta_integral,
     integral,
@@ -279,30 +278,51 @@ def test_oracle_sampled_beyond_exhaustive_range(data):
     assert zeta_power_integral(spec, idx, k) == brute_zeta_integral(spec, idx, k)
 
 
+def _dual(b, box):
+    return tuple(box - x for x in reversed(b))
+
+
+def _layers_from_zero(spec):
+    return _zeta_layers(spec, (0,) * (spec.r + 1), spec.dim // spec.r)
+
+
 class TestPieriOracles:
-    def test_table_matches_chow_expansion(self):
+    def test_layers_from_zero_match_chow_expansion_at_the_dual(self):
         pairs = 0
         for r in range(1, 4):
             for d in range(r, 11):
                 spec = GrassmannianSpec(r, d)
-                table = _zeta_table(spec)
+                layers = _layers_from_zero(spec)
                 for idx, k in balanced_pairs(spec):
-                    assert table[idx.b] == brute_zeta_integral(spec, idx, k), (r, d, idx.b, k)
+                    got = layers[k].get(_dual(idx.b, spec.box), 0)
+                    assert got == brute_zeta_integral(spec, idx, k), (r, d, idx.b, k)
                     pairs += 1
-                assert len(table) == sum(1 for _ in balanced_pairs(spec))
+                # every reached index is the dual of a balanced one, at its k
+                reached = {(c, k) for k, layer in enumerate(layers) for c in layer}
+                assert reached <= {(_dual(b, spec.box), k) for b, k in _balanced_tuples(spec)}
         assert pairs == 745
 
     def test_table_matches_closed_form_on_g5_18(self):
         spec = GrassmannianSpec(5, 18)
-        table = _zeta_table(spec)
+        layers = _layers_from_zero(spec)
         pairs = list(balanced_pairs(spec))
-        assert len(pairs) == len(table) == 5427
+        assert len(pairs) == 5427
         for idx, k in pairs:
-            assert table[idx.b] == zeta_power_integral(spec, idx, k), (idx.b, k)
+            got = layers[k].get(_dual(idx.b, spec.box), 0)
+            assert got == zeta_power_integral(spec, idx, k), (idx.b, k)
+
+    def test_zeta_step_is_reversed_by_the_dual(self):
+        # c is a successor of b exactly when b* is a successor of c*
+        for r in range(0, 6):
+            for d in range(r, 11):
+                box = d - r
+                indices = list(combinations_with_replacement(range(box + 1), r + 1))
+                steps = {(b, c) for b in indices for c in _zeta_successors(b, box)}
+                assert steps == {(_dual(c, box), _dual(b, box)) for b, c in steps}, (r, d)
 
     def test_zeta_step_matches_pieri_ek(self):
-        # the table and the sweep step through _zeta_successors alone;
-        # compare that step with the general vertical-strip rule
+        # the layers step through _zeta_successors alone; compare that
+        # step with the general vertical-strip rule
         indices = 0
         for r in range(1, 10):
             for d in range(r, 10):
@@ -323,13 +343,20 @@ class TestPieriOracles:
         assert list(_zeta_successors((0, 1, 2), 3)) == [(0, 2, 3), (1, 1, 3), (1, 2, 2)]
 
     def test_table_for_r_zero_is_the_point(self):
-        assert _zeta_table(GrassmannianSpec(0, 4)) == {(4,): 1}
+        # the one balanced pair of G(0, P^4) is the point (4,) with k = 0,
+        # whose dual is the zero index
+        spec = GrassmannianSpec(0, 4)
+        layers = _zeta_layers(spec, (0,), 0)
+        assert layers == [{(0,): 1}]
+        rep = _oracle_spec_report(0, 4, layers)
+        assert rep.passed and rep.detail == "1 pairs"
 
     def test_sweep_matches_chow_expansion_on_identity_patterns(self):
         # every rho = 0 triple with g <= 12 lies below the brute-force gate
         # (the largest, G(11, P^22), has C(23, 12) = 1352078 indices)
         for g, r, d in rho_zero_triples(12):
             spec = GrassmannianSpec(r, d)
+            point = (spec.box,) * (r + 1)
             patterns = [((0,) * (r + 1), g)]
             if g >= 3:
                 patterns.append(((1, 2) + (3,) * (r - 1), g - 3))
@@ -339,38 +366,37 @@ class TestPieriOracles:
                 if b[-1] > spec.box:
                     continue
                 brute = brute_zeta_integral(spec, make_index(spec, b), k)
-                assert _zeta_sweep(spec, b, k) == brute, (g, r, d, b, k)
+                layers = _zeta_layers(spec, b, k)
+                assert len(layers) == k + 1 and layers[0] == {b: 1}
+                assert layers[-1].get(point, 0) == brute, (g, r, d, b, k)
 
     def test_sweep_for_r_zero_keeps_b(self):
         spec = GrassmannianSpec(0, 4)
-        assert _zeta_sweep(spec, (4,), 3) == 1
-        assert _zeta_sweep(spec, (2,), 3) == 0
+        assert _zeta_layers(spec, (4,), 3) == [{(4,): 1}] * 4
+        assert _zeta_layers(spec, (2,), 3) == [{(2,): 1}] * 4
 
-    def test_table_is_the_shifted_part_of_a_larger_table(self):
-        # G(r, P^d) is the b_0 >= D - d part of G(r, P^D), read at b + (D - d):
-        # same keys, values and insertion order
+    def test_layer_counts_do_not_depend_on_the_box(self):
+        # from the zero index, the layers of G(r, P^d) are those of
+        # G(r, P^D), D >= d, on the indices that the box d - r holds
         for r in range(1, 6):
-            tables = {d: _zeta_table(GrassmannianSpec(r, d)) for d in range(r, 15)}
-            for big, table in tables.items():
+            runs = {d: _layers_from_zero(GrassmannianSpec(r, d)) for d in range(r, 15)}
+            for big, layers in runs.items():
                 for d in range(r, big + 1):
-                    c = big - d
                     part = [
-                        (tuple(x - c for x in key), value)
-                        for key, value in table.items()
-                        if key[0] >= c
+                        {c: n for c, n in layer.items() if c[-1] <= d - r}
+                        for layer in layers[: len(runs[d])]
                     ]
-                    assert part == list(tables[d].items()), (r, d, big)
+                    assert part == runs[d], (r, d, big)
+                    assert not any(c[-1] <= d - r for layer in layers[len(runs[d]) :] for c in layer)
 
-    def test_oracle_report_names_a_wrong_table_entry(self, monkeypatch):
-        real = _zeta_table
-
-        def off_by_one(spec):
-            table = real(spec)
-            table[(0, 0, 0)] += 1
-            return table
-
-        monkeypatch.setattr(families, "_zeta_table", off_by_one)
-        rep = _oracle_spec_report(2, 6)
+    def test_oracle_report_names_a_wrong_table_entry(self):
+        # (2, 2, 4) has k = 2 and (0, 0, 0) has k = 6: the report names
+        # the lexicographically first failing b, whatever its k
+        spec = GrassmannianSpec(2, 6)
+        layers = _layers_from_zero(spec)
+        layers[6][(4, 4, 4)] += 1
+        layers[2][_dual((2, 2, 4), spec.box)] += 1
+        rep = _oracle_spec_report(2, 6, layers)
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5", "brute=6")
 

@@ -39,11 +39,19 @@ is imported, a cost no bytecode cache saves; the records derive from
 ``Record.__init__`` sets a record's fields: outside ``record.py``,
 ``object.__setattr__`` may set only an underscore slot, a value computed
 on first use such as ``GrdParams._N``, so no record writes its field
-list out again as a constructor that sets one field per line.
+list out again as a constructor that sets one field per line.  Only
+``schubert._zeta_layers`` takes zeta steps with ``_zeta_successors``,
+so no second Pieri dynamic program grows beside it.  The type hints of
+every function and method resolve with ``typing.get_type_hints``:
+``from __future__ import annotations`` leaves them unevaluated at run
+time, so a name missing from the imports shows nowhere else.
 """
 
 import ast
+import inspect
+from importlib import import_module
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -60,6 +68,7 @@ DECIMAL_ALLOWED = {("cli", "_times")}
 DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 FRACTION_BUILDERS = {"zeta_power_integral"}
+STEP_ALLOWED = {("schubert", "_zeta_layers")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -437,21 +446,21 @@ def test_fraction_literal_visitor_sees_signs_and_skips_zero_and_ratios():
     assert _fraction_int_literals(tree) == [(None, 1), (None, 2), ("f", 4)]
 
 
-def _fraction_constructions(tree: ast.Module):
-    """``Fraction(...)`` calls, also as ``fractions.Fraction(...)``."""
+def _calls(tree: ast.Module, callee: str):
+    """Calls of ``callee``, also qualified, as ``fractions.Fraction(...)``."""
 
     def match(node):
         if not isinstance(node, ast.Call):
             return False
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        return name == "Fraction"
+        return name == callee
 
     return _owned(tree, match)
 
 
 def test_schubert_builds_fractions_only_for_the_public_closed_form():
-    calls = _fraction_constructions(_tree(SRC / "schubert.py"))
+    calls = _calls(_tree(SRC / "schubert.py"), "Fraction")
     stray = [(owner, line) for owner, line in calls if owner not in FRACTION_BUILDERS]
     assert not stray, f"schubert.py: Fraction built at {stray}"
     assert {owner for owner, _ in calls} == FRACTION_BUILDERS
@@ -465,7 +474,19 @@ def test_fraction_visitor_sees_qualified_and_nested_calls():
         "        return [fractions.Fraction(n) for n in t]\n"
         "    return Fraction, y.Fraction\n"
     )
-    assert _fraction_constructions(tree) == [(None, 1), ("g", 4)]
+    assert _calls(tree, "Fraction") == [(None, 1), ("g", 4)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_the_zeta_layers_take_zeta_steps(path):
+    calls = _calls(_tree(path), "_zeta_successors")
+    stray = [(owner, line) for owner, line in calls if (path.stem, owner) not in STEP_ALLOWED]
+    assert not stray, f"{path.name}: _zeta_successors called at {stray}"
+
+
+def test_allowed_zeta_step_is_seen():
+    calls = _calls(_tree(SRC / "schubert.py"), "_zeta_successors")
+    assert [owner for owner, _ in calls] == ["_zeta_layers"]
 
 
 def _dataclasses_imports(tree: ast.Module):
@@ -539,3 +560,41 @@ def test_setattr_visitor_sees_public_and_computed_names():
         "    object.__getattribute__(self, 'z')\n"
     )
     assert _public_setattrs(tree) == [(None, 1), ("f", 4)]
+
+
+def _functions(module):
+    """The functions a module defines and the methods of its classes,
+    property getters and class methods included; a getter that is not a
+    function, such as an ``attrgetter``, is skipped."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                if isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, classmethod):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield member
+        elif inspect.isfunction(obj):
+            yield obj
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_type_hints_resolve(path):
+    module = import_module("bnslopes" if path.stem == "__init__" else f"bnslopes.{path.stem}")
+    broken = []
+    for fn in _functions(module):
+        try:
+            get_type_hints(fn)
+        except NameError as exc:
+            broken.append(f"{fn.__qualname__}: {exc}")
+    assert not broken, f"{path.name}: {broken}"
+
+
+def test_function_walk_sees_methods_properties_and_class_methods():
+    names = {fn.__qualname__ for fn in _functions(import_module("bnslopes.divisors"))}
+    assert {"_family_grd", "SlopeReport.row", "SlopeReport.pushforward", "FamilyParams.gp"} <= names
+    # SlopeReport's r, g, d and N are attrgetter properties, not functions
+    assert not {"SlopeReport.r", "SlopeReport.N", "FAMILIES"} & names
