@@ -583,10 +583,19 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     data alone, bypassing the closed-form coefficients; the system is
     described in :func:`_reconstruct`.  Raises ReconstructionError when
     the system has no unique solution."""
-    [got] = _reconstruct(GrdParams(g, r, d), (which,))
+    [got] = _reconstruct(_reconstruct_params(g, r, d), (which,))
     if isinstance(got, ReconstructionError):
         raise got
     return got
+
+
+def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
+    """The triple (g, r, d) checked for reconstruction: rho = 0, and
+    g >= 5, which the tails family needs."""
+    params = GrdParams(g, r, d)
+    if g < 5:
+        raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
+    return params
 
 
 def _reconstruct(
@@ -617,12 +626,10 @@ def _reconstruct(
     after the deltas because it sits in every pencil row: as a leading
     column it would make every pencil row reduce by the first one and pick
     up its delta entries, while as the last class column it only rides
-    along.  Returns, per class, its DivisorClass or its ReconstructionError.
+    along.  ``params`` comes from :func:`_reconstruct_params`.  Returns,
+    per class, its DivisorClass or its ReconstructionError.
     """
     g = params.g
-    if g < 5:
-        raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
-
     bridge_targets = [bridge_pushforward(which, params).coefficients() for which in classes]
     pencils = enumerate(pencil_matrix(g), start=1)
     system = (
@@ -787,8 +794,11 @@ def _pieri_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
 
 
 def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Iterator[CheckReport]:
-    for g, r, d in triples:
-        params = GrdParams(g, r, d)
+    return _reconstruct_reports([_reconstruct_params(g, r, d) for g, r, d in triples])
+
+
+def _reconstruct_reports(checked: Sequence[GrdParams]) -> Iterator[CheckReport]:
+    for params in checked:
         pushed = {which: push(which, params) for which in "abc"}
         solved = _reconstruct(params, "abc")
         for (which, dc), got in zip(pushed.items(), solved):
@@ -821,7 +831,9 @@ def _symmetry_suite(**_) -> Iterator[CheckReport]:
     yield from (_structure_report(rep, rep.r, rep.r > 1, rep.r > 1) for rep in hyper)
 
 
-# Each suite takes suite_reports' caps as keyword arguments and names those it reads.
+# Each suite takes suite_reports' caps as keyword arguments and names those
+# it reads.  Calling a suite checks the caps it reads; its reports are
+# computed as it is iterated.
 _SUITES = {
     "schubert-oracle": _oracle_suite,
     "castelnuovo": _castelnuovo_suite,
@@ -852,4 +864,6 @@ def suite_reports(
     for name in ("max_g", "r_max", "d_max"):
         if caps[name] < 0:
             raise ParameterError(f"cap {name} must be >= 0; got {caps[name]}")
-    return [rep for name in SUITES if suite in ("all", name) for rep in _SUITES[name](**caps)]
+    # every chosen suite checks its caps before the first one runs
+    runs = [_SUITES[name](**caps) for name in SUITES if suite in ("all", name)]
+    return [rep for run in runs for rep in run]

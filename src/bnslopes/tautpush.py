@@ -37,11 +37,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from math import lcm, perm, prod
+from math import comb, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
 
-from .numeric import factorial
 from .record import Record
 
 __all__ = [
@@ -73,13 +72,26 @@ def rho(g: int, r: int, d: int) -> int:
 def castelnuovo_N(g: int, r: int, d: int) -> int:
     """Number of g^r_d's on a general genus-g curve when rho = 0:
 
-        N = 1! 2! ... r! g! / ((g-d+r)! (g-d+r+1)! ... (g-d+2r)!)
+        N = 1! 2! ... r! g! / ((g-d+r)! (g-d+r+1)! ... (g-d+2r)!).
 
-    computed with m = g-d+r as the cancelled form
+    With m = g-d+r this is the number of standard tableaux of the
+    (r+1) x m rectangle (Eisenbud-Harris, Invent. Math. 90 (1987)).  By
+    the hook length formula a j x c rectangle has
 
-        N = g! / prod_{i=0..r} perm(m+i, m),
+        T(j, c) = (jc)! / prod_{i=0..j-1} ((i+c)! / i!)
 
-    since (m+i)! = i! perm(m+i, m) and the i! cancel 1! 2! ... r!.
+    of them, so one more row multiplies the count by
+
+        T(j+1, c) / T(j, c) = C((j+1)c, c) / C(c+j, c).
+
+    A rectangle and its transpose have the same count, since transposing
+    a standard tableau gives one.  So with rows <= cols the two sides
+    sorted, N = T(rows, cols) is reached from T(1, cols) = 1 by rows-1
+    such steps, fewer than the other orientation takes.  Every step is
+    exact: T(j+1, cols) is itself a count of tableaux, hence an integer,
+    so C(cols+j, cols) divides T(j, cols) C((j+1)cols, cols).  No g! is
+    formed, and each divisor C(cols+j, j) with j < rows <= sqrt(g) is
+    far shorter than N.
     """
     if rho(g, r, d) != 0:
         raise ParameterError(
@@ -90,9 +102,12 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
         raise ParameterError(f"need g-d+r >= 0; got {m}")
     if r < 0:
         raise ParameterError(f"need r >= 0; got {r}")
-    n, rem = divmod(factorial(g), prod(perm(m + i, m) for i in range(r + 1)))
-    if rem:
-        raise ArithmeticError(f"Castelnuovo count at ({g},{r},{d}) is not an integer")
+    rows, cols = sorted((r + 1, m))
+    n = 1
+    for j in range(1, rows):
+        n, rem = divmod(n * comb((j + 1) * cols, cols), comb(cols + j, cols))
+        if rem:
+            raise ArithmeticError(f"Castelnuovo count at ({g},{r},{d}) is not an integer")
     return n
 
 
@@ -279,14 +294,17 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     of 1/N times the pushforward of a combination, by linearity, lazily in
     the order lambda, psi, delta_0..delta_{g-1}; N is never computed.
 
-    Each bracket enters with the weight p_X * prefactor, brought over L
-    once, so each numerator is an integer dot product; the scaled brackets
-    are summed by chained ``map``s, with no Python call per row.  The
-    pulled-back lambda term pushes to N·lambda because the covering map
-    has generic degree N.  Classes with zero coefficient are never
-    evaluated, so e.g. a pure b-combination works at g = 2 where the a
-    and c formulas are out of domain; their domain checks raise here,
-    before any coordinate is produced.
+    Each bracket enters with the weight p_X * prefactor as an int pair,
+    the product of the numerators over the product of the denominators,
+    not reduced; L is the lcm of those denominators and p_lambda's.  No
+    Fraction product is formed, each numerator is an integer dot
+    product, and the scaled brackets are summed by chained ``map``s,
+    with no Python call per row.  The pulled-back lambda term pushes to
+    N·lambda because the covering map has generic degree N.  Classes
+    with zero coefficient are never evaluated, so e.g. a pure
+    b-combination works at g = 2 where the a and c formulas are out of
+    domain; their domain checks raise here, before any coordinate is
+    produced.
 
     Only lambda, psi and delta_0..delta_3 are read from the brackets;
     delta_4..delta_{g-1} follow from delta_1..delta_3 by second
@@ -297,7 +315,7 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     and two running sums from delta_1 rebuild the rest.  Reading lambda,
     psi and delta_0 evaluates nothing past delta_0.
     """
-    weights, brackets = [], []
+    nums, dens, brackets = [], [], []
     for p, bracket in (
         (combo.p_a, _bracket_a),
         (combo.p_b, _bracket_b),
@@ -305,13 +323,14 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     ):
         if p:
             pre, coords = bracket(params)
-            weights.append(p * pre)
+            nums.append(p.numerator * pre.numerator)
+            dens.append(p.denominator * pre.denominator)
             brackets.append(coords)
     if not brackets:
-        weights, brackets = [Fraction(0)], [repeat(0, params.g + 2)]
+        nums, dens, brackets = [0], [1], [repeat(0, params.g + 2)]
     lam = combo.p_lam
-    L = lcm(lam.denominator, *(w.denominator for w in weights))
-    ints = [w.numerator * (L // w.denominator) for w in weights]
+    L = lcm(lam.denominator, *dens)
+    ints = [n * (L // den) for n, den in zip(nums, dens)]
     scaled = [map(partial(mul, w), coords) for w, coords in zip(ints, brackets)]
     rows = reduce(partial(map, add), scaled)
     lam_row = lam.numerator * (L // lam.denominator) + next(rows)

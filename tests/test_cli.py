@@ -508,6 +508,23 @@ class TestVerifyCommand:
         assert all(line.startswith("[FAIL]") for line in bridge)
         assert all(line.endswith("  [not proportional to relation]") for line in bridge)
 
+    @pytest.mark.parametrize(
+        "triple, text",
+        [("5,1,3", "rho(5,1,3) = -1 != 0"), ("4,1,3", "reconstruction needs g >= 5; got g=4")],
+    )
+    def test_bad_triple_stops_before_any_suite_runs(self, capsys, monkeypatch, triple, text):
+        made = []
+        report = families._report
+        monkeypatch.setattr(families, "_report", lambda *a, **k: made.append(a) or report(*a, **k))
+        code, out, err = run(capsys, "verify", "--suite", "all", "--triples", triple)
+        assert (code, out, err) == (2, "", f"bnslopes: error: {text}\n")
+        assert made == []
+
+    def test_triples_are_not_checked_by_suites_that_do_not_read_them(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "castelnuovo", "--triples", "5,1,3")
+        assert code == 0
+        assert out.endswith(" checks, 0 failures\n")
+
     def test_schubert_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "schubert-oracle",
                            "--r-max", "2", "--d-max", "7", "--format", "json")

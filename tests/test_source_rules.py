@@ -45,6 +45,9 @@ so no second Pieri dynamic program grows beside it.  The type hints of
 every function and method resolve with ``typing.get_type_hints``:
 ``from __future__ import annotations`` leaves them unevaluated at run
 time, so a name missing from the imports shows nowhere else.
+``tautpush.castelnuovo_N`` calls no ``factorial``: it steps along the
+short side of the rectangle by binomials, and a g! path would bring a
+g-digit dividend and one long division back.
 """
 
 import ast
@@ -487,6 +490,26 @@ def test_only_the_zeta_layers_take_zeta_steps(path):
 def test_allowed_zeta_step_is_seen():
     calls = _calls(_tree(SRC / "schubert.py"), "_zeta_successors")
     assert [owner for owner, _ in calls] == ["_zeta_layers"]
+
+
+def _castelnuovo_factorials(tree: ast.Module):
+    """``factorial`` calls, also qualified, inside ``castelnuovo_N``."""
+    return [(owner, line) for owner, line in _calls(tree, "factorial") if owner == "castelnuovo_N"]
+
+
+def test_castelnuovo_count_takes_no_factorial():
+    calls = _castelnuovo_factorials(_tree(SRC / "tautpush.py"))
+    assert not calls, f"tautpush.py: castelnuovo_N calls factorial at {calls}"
+
+
+def test_factorial_visitor_sees_the_g_factorial_path():
+    tree = ast.parse(
+        "def castelnuovo_N(g, r, d):\n"
+        "    return math.factorial(g) // prod(factorial(m + i) for i in range(r + 1))\n"
+        "def other(n):\n"
+        "    return factorial(n)\n"
+    )
+    assert _castelnuovo_factorials(tree) == [("castelnuovo_N", 2), ("castelnuovo_N", 2)]
 
 
 def _dataclasses_imports(tree: ast.Module):

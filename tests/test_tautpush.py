@@ -67,9 +67,21 @@ class TestCastelnuovo:
             castelnuovo_N(0, -1, -1)
 
     def test_non_integral_count_is_named_error(self, monkeypatch):
-        monkeypatch.setattr(tautpush, "factorial", lambda n: math.factorial(n) + 1)
+        # the 2 x 5 rectangle takes one step, (252+1) / (6+1), which leaves a remainder
+        monkeypatch.setattr(tautpush, "comb", lambda n, k: math.comb(n, k) + 1)
         with pytest.raises(ArithmeticError, match=r"\(10,4,12\)"):
             castelnuovo_N(10, 4, 12)
+
+    def test_empty_and_one_row_rectangles_count_one(self):
+        # m = 0 is the empty rectangle; r = 0 (so d = 0) is a single row of g boxes
+        for r in range(6):
+            assert castelnuovo_N(0, r, r) == 1
+        for g in range(6):
+            assert castelnuovo_N(g, 0, 0) == 1
+
+    @pytest.mark.parametrize("triple", [(961, 30, 960), (2751, 130, 2860)])
+    def test_large_genus_equals_displayed_formula(self, triple):
+        assert castelnuovo_N(*triple) == _displayed_N(*triple)
 
     def test_equals_displayed_formula(self):
         for g, r, d in rho_zero_triples(200):
