@@ -44,19 +44,18 @@ Weierstrass fiber which are re-checked here numerically
 (:func:`identity_weierstrass_a`, :func:`identity_weierstrass_c`,
 :func:`identity_pieri` and the aspect counts).  Their integrals of zeta
 powers come from the closed form and, on Grassmannians of tractable
-size, from forward Pieri steps on plain index tuples.  The
+size, from one read of the Grassmannian's Pieri table.  The
 schubert-oracle suite checks the closed form on every dimension-balanced
-integral against forward Pieri steps from the zero index, run once per
-r on the largest Grassmannian and read at the dual index on every
-smaller one.  Each verify suite is one entry of a table from its name
-to a generator of reports; :func:`suite_reports` runs one, or all of
-them in table order.
+integral against one such table per r, of the largest Grassmannian,
+read on every smaller one.  Each verify suite is one entry of a table
+from its name to a generator of reports; :func:`suite_reports` runs
+one, or all of them in table order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .divisors import (
@@ -67,13 +66,13 @@ from .divisors import (
     syzygy_combo,
     syzygy_slope_closed,
 )
-from .numeric import binomial
 from .record import Record
 from .schubert import (
     ChowClass,
     GrassmannianSpec,
     _balanced_tuples,
     _closed_form,
+    _table_count,
     _zeta_layers,
     make_index,
     pieri_ek,
@@ -287,16 +286,15 @@ def _pattern_integral(
 ) -> Tuple[Fraction, Optional[int]]:
     """Integral of zeta^k against sigma_b by the closed form and, when
     asked and the index set of G(r, P^d) (C(d+1, r+1) indices) is within
-    _BRUTE_LIMIT, by k forward Pieri steps from b, read at the point class
-    in the last layer; None when not run.  An out-of-box pattern means the
-    cycle vanishes and both integrals are zero."""
+    _BRUTE_LIMIT, by one read of the Pieri table of G(r, P^d); None when
+    not run.  An out-of-box pattern means the cycle vanishes and both
+    integrals are zero."""
     if b[-1] > spec.box:
         return Fraction(0), 0
     closed = zeta_power_integral(spec, make_index(spec, b), k)
-    br = None
-    if brute and binomial(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
-        br = _zeta_layers(spec, b, k)[-1].get((spec.box,) * (spec.r + 1), 0)
-    return closed, br
+    if brute and comb(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
+        return closed, _table_count(_zeta_layers(spec), spec.box, b, k)
+    return closed, None
 
 
 def _integral_detail(label: str, closed: Fraction, br: Optional[int]) -> str:
@@ -305,7 +303,7 @@ def _integral_detail(label: str, closed: Fraction, br: Optional[int]) -> str:
 
 def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
     """The Castelnuovo count equals the integral of zeta^g, via the
-    closed form and (when tractable) forward Pieri steps."""
+    closed form and (when tractable) the Pieri table."""
     N = GrdParams(g, r, d).N
     spec = GrassmannianSpec(r, d)
     closed, br = _pattern_integral(spec, (0,) * (r + 1), g, brute=brute)
@@ -664,10 +662,8 @@ def _reconstruct(
 def _oracle_spec_report(r: int, d: int, layers: List[Dict[Tuple[int, ...], int]]) -> CheckReport:
     """Exhaustive comparison of the closed form with Pieri counts over
     every dimension-balanced (b, k) on G(r, P^d), in lexicographic order
-    of b.  ``layers`` are the zeta layers from the zero index of some
-    G(r, P^D) with D >= d; by duality and box independence (see
-    :func:`_zeta_layers`) the integral on G(r, P^d) is layer k read at
-    the dual index b*, and 0 where b* is absent.  The closed form is
+    of b, each count one :func:`_table_count` read of ``layers``, the
+    Pieri table of some G(r, P^D) with D >= d.  The closed form is
     compared on ints, as ``num == brute * den``.  Its den is positive,
     so that holds exactly when den divides num with quotient brute: a
     closed form that is not an integer, or is another integer, is a
@@ -676,7 +672,7 @@ def _oracle_spec_report(r: int, d: int, layers: List[Dict[Tuple[int, ...], int]]
     box = spec.box
     checked = 0
     for b, k in _balanced_tuples(spec):
-        brute = layers[k].get(tuple([box - x for x in reversed(b)]), 0)
+        brute = _table_count(layers, box, b, k)
         num, den = _closed_form(spec, b, k)
         if num != brute * den:
             return _report(
@@ -766,11 +762,10 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
 
 
 def _oracle_suite(*, r_max: int, d_max: int, **_) -> Iterator[CheckReport]:
-    """One run of zeta layers per r, from the zero index of
-    G(r, P^d_max), read by every d; one run is held at a time."""
+    """One Pieri table per r, of G(r, P^d_max), read by every d; one
+    table is held at a time."""
     for r in range(1, min(r_max, d_max) + 1):
-        spec = GrassmannianSpec(r, d_max)
-        layers = _zeta_layers(spec, (0,) * (r + 1), spec.dim // r)
+        layers = _zeta_layers(GrassmannianSpec(r, d_max))
         for d in range(r, d_max + 1):
             yield _oracle_spec_report(r, d, layers)
         del layers

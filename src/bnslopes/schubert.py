@@ -25,13 +25,13 @@ single box) is of this form; general Littlewood-Richardson coefficients
 are deliberately not provided.
 
 The oracle for integrals of zeta powers runs the zeta step of that rule
-alone: :func:`_zeta_layers` takes k forward steps from one index and
-counts the step sequences reaching each index.  From sigma_b it gives
-one integral; from the zero index of G(r, P^D) it gives, read at the
-dual index b*, every dimension-balanced integral of every G(r, P^d)
-with d <= D.  :func:`brute_zeta_integral` does the same expansion
-through :class:`ChowClass` and the general :func:`pieri_ek`, and stays
-as its independent reference.  The closed form is written once, on
+alone.  :func:`_zeta_layers` is the Pieri table of G(r, P^D): it counts
+the step sequences from the zero index to each index, up to the point
+class, and :func:`_table_count` reads from it, at the dual index b*,
+every dimension-balanced integral of every G(r, P^d) with d <= D.
+:func:`brute_zeta_integral` does the same expansion through
+:class:`ChowClass` and the general :func:`pieri_ek`, and stays as its
+independent reference.  The closed form is written once, on
 ints, in :func:`_closed_form`; :func:`zeta_power_integral` returns it
 as a ``Fraction``, and the schubert-oracle suite compares every layer
 entry with it directly, as one cross-multiplication
@@ -291,28 +291,26 @@ def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
         prev = x
 
 
-def _zeta_layers(
-    spec: GrassmannianSpec, b: Tuple[int, ...], k: int
-) -> List[Dict[Tuple[int, ...], int]]:
-    """The layers of k forward zeta steps from b: layer j maps each index
-    reached in j steps to the number of step sequences that reach it,
-    and layer k read at the point class is the integral of
-    sigma_b * zeta^k (the caller checks the dimension balance).
+def _zeta_layers(spec: GrassmannianSpec) -> List[Dict[Tuple[int, ...], int]]:
+    """The Pieri table of G(r, P^d): layer j maps each index reached in
+    j forward zeta steps from the zero index to the number of step
+    sequences that reach it, up to the point class at j = dim / r (for
+    r = 0, where zeta is the fundamental class, the zero layer alone).
 
     Duality.  Write b* = (box - b_r, ..., box - b_0).  The successors of
     b are the valid indices b + 1 - e_p, and c = b + 1 - e_p exactly when
     b* = c* + 1 - e_(r-p), so c is a successor of b exactly when b* is
     one of c*; the star maps the point class to the zero index.  So the
-    integral of sigma_b * zeta^k is layer k from the zero index, read at
-    b* (0 where b* is absent).
+    integral of sigma_b * zeta^k is layer k read at b* (0 where b* is
+    absent).
 
     Box independence.  Entries never fall along a path, so no entry of
     an index on a path to c exceeds the one of c at its position: the
     paths to c, and so the count at c, are the same on every
     G(r, P^D) whose box holds c."""
-    layers = [{b: 1}]
+    layers = [{(0,) * (spec.r + 1): 1}]
     box = spec.box
-    for _ in range(k):
+    for _ in range(spec.dim // spec.r if spec.r else 0):
         nxt: Dict[Tuple[int, ...], int] = {}
         get = nxt.get
         for c, n in layers[-1].items():
@@ -320,6 +318,12 @@ def _zeta_layers(
                 nxt[s] = get(s, 0) + n
         layers.append(nxt)
     return layers
+
+
+def _table_count(layers: List[Dict[Tuple[int, ...], int]], box: int, b: Tuple[int, ...], k: int) -> int:
+    """The integral of zeta^k against sigma_b on the G(r, P^d) of this box
+    from the table of any G(r, P^D), D >= d: layer k read at b*."""
+    return layers[k].get(tuple([box - x for x in reversed(b)]), 0)
 
 
 def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:

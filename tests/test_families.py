@@ -70,10 +70,9 @@ def cofactor_det(m):
     )
 
 
-def _layers_from_zero(r, d):
-    """The zeta layers the oracle reads for G(r, P^d) alone."""
-    spec = GrassmannianSpec(r, d)
-    return families._zeta_layers(spec, (0,) * (r + 1), spec.dim // r)
+def _table(r, d):
+    """The Pieri table of G(r, P^d) alone."""
+    return families._zeta_layers(GrassmannianSpec(r, d))
 
 
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
@@ -253,14 +252,14 @@ class TestIdentities:
             assert "brute" in rep.detail
 
     def test_castelnuovo_brute_gate(self, monkeypatch):
-        def sweep(spec, b, k):
-            raise AssertionError("Pieri sweep run past _BRUTE_LIMIT")
+        def table(spec):
+            raise AssertionError("Pieri table built past _BRUTE_LIMIT")
 
-        monkeypatch.setattr(families, "_zeta_layers", sweep)
+        monkeypatch.setattr(families, "_zeta_layers", table)
         rep = identity_castelnuovo(18, 17, 34)  # C(35, 18) indices
         assert rep.passed and rep.detail == "closed=1"
-        # the patch is live: below the limit the sweep does run
-        with pytest.raises(AssertionError, match="Pieri sweep"):
+        # the patch is live: below the limit the table is built
+        with pytest.raises(AssertionError, match="Pieri table"):
             identity_castelnuovo(6, 2, 6)
 
     def test_castelnuovo_without_brute(self):
@@ -660,7 +659,7 @@ class TestSuites:
     def test_schubert_oracle_suite_equals_standalone_reports(self):
         # each spec alone, on the layers of its own Grassmannian
         alone = {
-            (r, d): _oracle_spec_report(r, d, _layers_from_zero(r, d))
+            (r, d): _oracle_spec_report(r, d, _table(r, d))
             for r in range(1, 5)
             for d in range(r, 13)
         }
@@ -674,9 +673,9 @@ class TestSuites:
         runs, closed = [], []
         real_layers, real_closed = families._zeta_layers, families._closed_form
 
-        def counted_layers(spec, b, k):
-            runs.append((spec, b, k))
-            return real_layers(spec, b, k)
+        def counted_layers(spec):
+            runs.append(spec)
+            return real_layers(spec)
 
         def counted_closed(spec, b, k):
             closed.append(spec)
@@ -685,9 +684,37 @@ class TestSuites:
         monkeypatch.setattr(families, "_zeta_layers", counted_layers)
         monkeypatch.setattr(families, "_closed_form", counted_closed)
         assert all(rep.passed for rep in suite_reports("schubert-oracle"))
-        big = [GrassmannianSpec(r, 18) for r in range(1, 6)]
-        assert runs == [(spec, (0,) * (spec.r + 1), spec.dim // spec.r) for spec in big]
+        assert runs == [GrassmannianSpec(r, 18) for r in range(1, 6)]
         assert len(closed) == 34018
+
+    def test_identity_suites_build_one_table_per_brute_check(self, monkeypatch):
+        # every rho = 0 triple with g <= 12 lies below the brute-force
+        # gate: each castelnuovo check and each weierstrass identity whose
+        # pattern fits the box builds the table of its own G(r, P^d), and
+        # the aspect counts build none
+        triples = rho_zero_triples(12)
+        weierstrass = []
+        for g, r, d in triples:
+            patterns = [(1, 2) + (3,) * (r - 1)] if g >= 3 else []
+            if g >= 3 and r >= 2:
+                patterns.append((0, 1) + (2,) * (r - 2) + (3,))
+            weierstrass += [GrassmannianSpec(r, d) for b in patterns if b[-1] <= d - r]
+        want = {
+            "castelnuovo": [GrassmannianSpec(r, d) for _, r, d in triples],
+            "weierstrass": weierstrass,
+        }
+        unpatched = {name: suite_reports(name, max_g=12) for name in want}
+        real, runs = families._zeta_layers, []
+
+        def counted(spec):
+            runs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(families, "_zeta_layers", counted)
+        for name, specs in want.items():
+            runs.clear()
+            assert suite_reports(name, max_g=12) == unpatched[name]
+            assert runs == specs, name
 
     @pytest.mark.parametrize("key", [(0, 0, 0), (1, 1, 2), (2, 3, 5), (3, 3, 6)])
     def test_a_wrong_shared_entry_fails_every_spec_that_reads_it(self, monkeypatch, key):
@@ -697,10 +724,10 @@ class TestSuites:
         real = families._zeta_layers
         big = GrassmannianSpec(2, 8)
         k = sum(key) // 2
-        value = real(big, (0, 0, 0), big.dim // 2)[k][key]
+        value = real(big)[k][key]
 
-        def off_by_one(spec, b, steps):
-            layers = real(spec, b, steps)
+        def off_by_one(spec):
+            layers = real(spec)
             if spec == big:
                 layers[k][key] += 1
             return layers
@@ -721,7 +748,7 @@ class TestSuites:
             return (5, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", half)
-        rep = _oracle_spec_report(2, 6, _layers_from_zero(2, 6))
+        rep = _oracle_spec_report(2, 6, _table(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5/2", "brute=5")
 
@@ -734,7 +761,7 @@ class TestSuites:
             return (2 * 5 + 1, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", floor_right)
-        rep = _oracle_spec_report(2, 6, _layers_from_zero(2, 6))
+        rep = _oracle_spec_report(2, 6, _table(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=11/2", "brute=5")
 

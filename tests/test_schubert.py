@@ -16,6 +16,7 @@ from bnslopes.schubert import (
     InvalidIndexError,
     _balanced_tuples,
     _closed_form,
+    _table_count,
     _zeta_layers,
     _zeta_successors,
     balanced_pairs,
@@ -282,19 +283,16 @@ def _dual(b, box):
     return tuple(box - x for x in reversed(b))
 
 
-def _layers_from_zero(spec):
-    return _zeta_layers(spec, (0,) * (spec.r + 1), spec.dim // spec.r)
-
-
 class TestPieriOracles:
     def test_layers_from_zero_match_chow_expansion_at_the_dual(self):
         pairs = 0
         for r in range(1, 4):
             for d in range(r, 11):
                 spec = GrassmannianSpec(r, d)
-                layers = _layers_from_zero(spec)
+                layers = _zeta_layers(spec)
                 for idx, k in balanced_pairs(spec):
-                    got = layers[k].get(_dual(idx.b, spec.box), 0)
+                    got = _table_count(layers, spec.box, idx.b, k)
+                    assert got == layers[k].get(_dual(idx.b, spec.box), 0)
                     assert got == brute_zeta_integral(spec, idx, k), (r, d, idx.b, k)
                     pairs += 1
                 # every reached index is the dual of a balanced one, at its k
@@ -304,11 +302,11 @@ class TestPieriOracles:
 
     def test_table_matches_closed_form_on_g5_18(self):
         spec = GrassmannianSpec(5, 18)
-        layers = _layers_from_zero(spec)
+        layers = _zeta_layers(spec)
         pairs = list(balanced_pairs(spec))
         assert len(pairs) == 5427
         for idx, k in pairs:
-            got = layers[k].get(_dual(idx.b, spec.box), 0)
+            got = _table_count(layers, spec.box, idx.b, k)
             assert got == zeta_power_integral(spec, idx, k), (idx.b, k)
 
     def test_zeta_step_is_reversed_by_the_dual(self):
@@ -346,17 +344,20 @@ class TestPieriOracles:
         # the one balanced pair of G(0, P^4) is the point (4,) with k = 0,
         # whose dual is the zero index
         spec = GrassmannianSpec(0, 4)
-        layers = _zeta_layers(spec, (0,), 0)
+        layers = _zeta_layers(spec)
         assert layers == [{(0,): 1}]
         rep = _oracle_spec_report(0, 4, layers)
         assert rep.passed and rep.detail == "1 pairs"
 
-    def test_sweep_matches_chow_expansion_on_identity_patterns(self):
+    def test_table_matches_chow_expansion_on_identity_patterns(self):
         # every rho = 0 triple with g <= 12 lies below the brute-force gate
         # (the largest, G(11, P^22), has C(23, 12) = 1352078 indices)
         for g, r, d in rho_zero_triples(12):
             spec = GrassmannianSpec(r, d)
-            point = (spec.box,) * (r + 1)
+            layers = _zeta_layers(spec)
+            # the table runs from the zero index to the point class
+            assert len(layers) == g + 1 and layers[0] == {(0,) * (r + 1): 1}
+            assert list(layers[-1]) == [(spec.box,) * (r + 1)]
             patterns = [((0,) * (r + 1), g)]
             if g >= 3:
                 patterns.append(((1, 2) + (3,) * (r - 1), g - 3))
@@ -366,20 +367,25 @@ class TestPieriOracles:
                 if b[-1] > spec.box:
                     continue
                 brute = brute_zeta_integral(spec, make_index(spec, b), k)
-                layers = _zeta_layers(spec, b, k)
-                assert len(layers) == k + 1 and layers[0] == {b: 1}
-                assert layers[-1].get(point, 0) == brute, (g, r, d, b, k)
+                got = _table_count(layers, spec.box, b, k)
+                assert got == layers[k].get(_dual(b, spec.box), 0) == brute, (g, r, d, b, k)
 
-    def test_sweep_for_r_zero_keeps_b(self):
-        spec = GrassmannianSpec(0, 4)
-        assert _zeta_layers(spec, (4,), 3) == [{(4,): 1}] * 4
-        assert _zeta_layers(spec, (2,), 3) == [{(2,): 1}] * 4
+    def test_table_for_r_zero_takes_no_step(self):
+        # zeta is the fundamental class for r = 0: the table is the zero
+        # layer on every G(0, P^d), and it reads 1 at the point class only
+        for d in range(6):
+            spec = GrassmannianSpec(0, d)
+            layers = _zeta_layers(spec)
+            assert layers == [{(0,): 1}]
+            point = make_index(spec, (d,))
+            assert _table_count(layers, d, point.b, 0) == brute_zeta_integral(spec, point, 0) == 1
+            assert [_table_count(layers, d, (x,), 0) for x in range(d)] == [0] * d
 
     def test_layer_counts_do_not_depend_on_the_box(self):
         # from the zero index, the layers of G(r, P^d) are those of
         # G(r, P^D), D >= d, on the indices that the box d - r holds
         for r in range(1, 6):
-            runs = {d: _layers_from_zero(GrassmannianSpec(r, d)) for d in range(r, 15)}
+            runs = {d: _zeta_layers(GrassmannianSpec(r, d)) for d in range(r, 15)}
             for big, layers in runs.items():
                 for d in range(r, big + 1):
                     part = [
@@ -393,7 +399,7 @@ class TestPieriOracles:
         # (2, 2, 4) has k = 2 and (0, 0, 0) has k = 6: the report names
         # the lexicographically first failing b, whatever its k
         spec = GrassmannianSpec(2, 6)
-        layers = _layers_from_zero(spec)
+        layers = _zeta_layers(spec)
         layers[6][(4, 4, 4)] += 1
         layers[2][_dual((2, 2, 4), spec.box)] += 1
         rep = _oracle_spec_report(2, 6, layers)

@@ -41,7 +41,11 @@ is imported, a cost no bytecode cache saves; the records derive from
 on first use such as ``GrdParams._N``, so no record writes its field
 list out again as a constructor that sets one field per line.  Only
 ``schubert._zeta_layers`` takes zeta steps with ``_zeta_successors``,
-so no second Pieri dynamic program grows beside it.  The type hints of
+so no second Pieri dynamic program grows beside it, and it takes the
+Grassmannian alone: its table always runs from the zero index to the
+point class, so no second start beside it comes back either.
+``families`` imports nothing from ``numeric``: its one binomial, the
+size of the brute-force gate, is ``math.comb``.  The type hints of
 every function and method resolve with ``typing.get_type_hints``:
 ``from __future__ import annotations`` leaves them unevaluated at run
 time, so a name missing from the imports shows nowhere else.
@@ -58,6 +62,7 @@ from typing import get_type_hints
 
 import pytest
 
+from bnslopes import schubert
 from bnslopes.divisors import FAMILIES
 from bnslopes.families import SUITES
 
@@ -490,6 +495,39 @@ def test_only_the_zeta_layers_take_zeta_steps(path):
 def test_allowed_zeta_step_is_seen():
     calls = _calls(_tree(SRC / "schubert.py"), "_zeta_successors")
     assert [owner for owner, _ in calls] == ["_zeta_layers"]
+
+
+def test_zeta_layers_take_only_the_spec():
+    assert list(inspect.signature(schubert._zeta_layers).parameters) == ["spec"]
+
+
+def _numeric_imports(tree: ast.Module):
+    """Imports of the package's ``numeric`` module or of names from it."""
+
+    def match(node):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.split(".")[-1] == "numeric" or any(a.name == "numeric" for a in node.names)
+        return isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "numeric" for a in node.names)
+
+    return _owned(tree, match)
+
+
+def test_families_imports_nothing_from_numeric():
+    imports = _numeric_imports(_tree(SRC / "families.py"))
+    assert not imports, f"families.py: numeric imported at {imports}"
+
+
+def test_numeric_import_visitor_sees_every_form():
+    tree = ast.parse(
+        "from .numeric import binomial\n"
+        "from . import numeric\n"
+        "import bnslopes.numeric\n"
+        "from bnslopes.numeric import factorial\n"
+        "from .numerics import x\n"
+    )
+    assert _numeric_imports(tree) == [(None, 1), (None, 2), (None, 3), (None, 4)]
+    assert _numeric_imports(_tree(SRC / "divisors.py"))
 
 
 def _castelnuovo_factorials(tree: ast.Module):
