@@ -1,4 +1,7 @@
-"""Exact arithmetic primitives shared by every other module.
+"""Exact integer primitives: the zero-extended binomial that the
+divisor-class formulas in ``divisors`` are written with, and a checked
+factorial that nothing in the package calls any more (the benchmark's
+layer tracer still names it).
 
 Python integers are already arbitrary precision and
 :class:`fractions.Fraction` keeps values in lowest terms with a positive

@@ -24,21 +24,19 @@ Every prefactor is N times a number that does not depend on N, so every
 pushforward is N times an N-free class.  :func:`per_N_numerators`
 gives that class as one common denominator L and an iterator of integer
 numerators, lambda and delta_0 first, without computing N; the CLI
-prints from them directly.  Only delta_1..delta_3 of the delta tail are
-evaluated from the displayed brackets: every delta_i (i >= 1) is a
+prints from them directly.  Six values of each weighted bracket are
+read, lambda, psi and delta_0..delta_3: every delta_i (i >= 1) is a
 polynomial of degree <= 2 in i, so delta_4..delta_{g-1} follow from
-those three values by second differences, exactly.  A slope
--lambda/delta_0 reads only the first three numerators and costs O(1)
+delta_1..delta_3 by second differences, exactly, and only this tail is
+lazy, as running sums.  A slope -lambda/delta_0 therefore costs O(1)
 operations instead of O(g) operations on g-digit numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
 from math import comb, lcm
-from operator import add, mul
 from typing import Iterable, Iterator, List, Tuple
 
 from .record import Record
@@ -272,50 +270,33 @@ class TautCombo(Record):
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"
 
 
-def _quadratic_tail(rows: Iterator[int], count: int) -> Iterator[Iterable[int]]:
-    """The next ``count`` values of ``rows``, known to be the values of one
-    polynomial of degree <= 2 at consecutive points, as a single iterable
-    for ``chain.from_iterable``: the first three are read from ``rows``
-    and the rest follow by two running sums over the constant second
-    difference.  Nothing is read before the iterable is asked for, and
-    its values then pass at C speed.  With fewer than three values the
-    ones read are the answer."""
-    head = list(islice(rows, 3))
-    if len(head) < 3:
-        yield head
-    else:
-        f1, f2, f3 = head
-        diffs = accumulate(repeat(f3 - 2 * f2 + f1, count - 2), initial=f2 - f1)
-        yield accumulate(diffs, initial=f1)
-
-
 def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator[int]]:
     """A common denominator L and the integer numerators of the coordinates
-    of 1/N times the pushforward of a combination, by linearity, lazily in
-    the order lambda, psi, delta_0..delta_{g-1}; N is never computed.
+    of 1/N times the pushforward of a combination, by linearity, in the
+    order lambda, psi, delta_0..delta_{g-1}; N is never computed.
 
     Each bracket enters with the weight p_X * prefactor as an int pair,
     the product of the numerators over the product of the denominators,
     not reduced; L is the lcm of those denominators and p_lambda's.  No
-    Fraction product is formed, each numerator is an integer dot
-    product, and the scaled brackets are summed by chained ``map``s,
-    with no Python call per row.  The pulled-back lambda term pushes to
-    N·lambda because the covering map has generic degree N.  Classes
-    with zero coefficient are never evaluated, so e.g. a pure
-    b-combination works at g = 2 where the a and c formulas are out of
-    domain; their domain checks raise here, before any coordinate is
-    produced.
+    Fraction product is formed: each numerator is an integer weighted
+    sum.  The pulled-back lambda term pushes to N·lambda because the
+    covering map has generic degree N.  Classes with zero coefficient
+    are never evaluated, so e.g. a pure b-combination works at g = 2
+    where the a and c formulas are out of domain; their domain checks
+    raise here, before any coordinate is produced.
 
-    Only lambda, psi and delta_0..delta_3 are read from the brackets;
+    Six values of each weighted bracket are read, lambda, psi and
+    delta_0..delta_3, when the call is made, so a slope is O(1) work;
     delta_4..delta_{g-1} follow from delta_1..delta_3 by second
-    differences, and this is exact.  In every bracket delta_i (i >= 1)
-    is either (g-i) times a form linear in i (a and c) or (g-i)(g-i-1)
-    (b), a polynomial of degree <= 2 in i; a weighted sum of such
-    polynomials is one too, so its second difference is one constant
-    and two running sums from delta_1 rebuild the rest.  Reading lambda,
-    psi and delta_0 evaluates nothing past delta_0.
+    differences, lazily, as two running sums, and this is exact.  In
+    every bracket delta_i (i >= 1) is either (g-i) times a form linear
+    in i (a and c) or (g-i)(g-i-1) (b), a polynomial of degree <= 2 in
+    i; a weighted sum of such polynomials is one too, so its second
+    difference is one constant and two running sums from delta_1
+    rebuild the rest.
     """
-    nums, dens, brackets = [], [], []
+    g, lam = params.g, combo.p_lam
+    weighted = []
     for p, bracket in (
         (combo.p_a, _bracket_a),
         (combo.p_b, _bracket_b),
@@ -323,19 +304,18 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     ):
         if p:
             pre, coords = bracket(params)
-            nums.append(p.numerator * pre.numerator)
-            dens.append(p.denominator * pre.denominator)
-            brackets.append(coords)
-    if not brackets:
-        nums, dens, brackets = [0], [1], [repeat(0, params.g + 2)]
-    lam = combo.p_lam
-    L = lcm(lam.denominator, *dens)
-    ints = [n * (L // den) for n, den in zip(nums, dens)]
-    scaled = [map(partial(mul, w), coords) for w, coords in zip(ints, brackets)]
-    rows = reduce(partial(map, add), scaled)
-    lam_row = lam.numerator * (L // lam.denominator) + next(rows)
-    head = (lam_row, next(rows), next(rows))  # lambda, psi, delta_0
-    return L, chain(head, chain.from_iterable(_quadratic_tail(rows, params.g - 1)))
+            values = list(islice(coords, 6))
+            weighted.append((p.numerator * pre.numerator, p.denominator * pre.denominator, values))
+    L = lcm(lam.denominator, *(den for _, den, _ in weighted))
+    head = [lam.numerator * (L // lam.denominator)] + [0] * (min(6, g + 2) - 1)
+    for num, den, values in weighted:
+        w = num * (L // den)
+        head = [h + w * x for h, x in zip(head, values)]
+    if g <= 4:
+        return L, iter(head)
+    d1, d2, d3 = head[3:]
+    diffs = accumulate(repeat(d3 - 2 * d2 + d1, g - 3), initial=d2 - d1)
+    return L, chain(head[:3], accumulate(diffs, initial=d1))
 
 
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:

@@ -65,10 +65,14 @@ class TestCombos:
 
 class TestSlope:
     def test_genus10_value(self):
+        """The K_10 divisor has slope 7 (Farkas-Popa, J. Algebraic Geom. 14
+        (2005)), below 6 + 12/(g+1) at g = 10."""
         dc = push_combo(TautCombo.of(2, -1, -6, 1), GrdParams(10, 4, 12))
         assert slope(dc) == 7
 
     def test_genus21_value(self):
+        """The g^6_24 divisor on M_21 has slope 2459/377 (Farkas, Duke
+        Math. J. 135 (2006))."""
         dc = push_combo(TautCombo.of(2, -1, -8, 1), GrdParams(21, 6, 24))
         assert slope(dc) == Fraction(2459, 377)
 

@@ -51,7 +51,10 @@ every function and method resolve with ``typing.get_type_hints``:
 time, so a name missing from the imports shows nowhere else.
 ``tautpush.castelnuovo_N`` calls no ``factorial``: it steps along the
 short side of the rectangle by binomials, and a g! path would bring a
-g-digit dividend and one long division back.
+g-digit dividend and one long division back.  ``tautpush`` imports
+nothing from ``functools`` or ``operator``: ``per_N_numerators`` reads
+six values of each weighted bracket and sums them as plain integers, so
+no chain of ``map``s over every row comes back.
 """
 
 import ast
@@ -77,6 +80,7 @@ DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 FRACTION_BUILDERS = {"zeta_power_integral"}
 STEP_ALLOWED = {("schubert", "_zeta_layers")}
+FOLD_BANNED = {"functools", "operator"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -550,21 +554,22 @@ def test_factorial_visitor_sees_the_g_factorial_path():
     assert _castelnuovo_factorials(tree) == [("castelnuovo_N", 2), ("castelnuovo_N", 2)]
 
 
-def _dataclasses_imports(tree: ast.Module):
-    """``import dataclasses``, aliased or not, and ``from dataclasses import ...``;
-    a package's own module of that name is not the standard library's."""
+def _stdlib_imports(tree: ast.Module, modules):
+    """``import m``, aliased or not, and ``from m import ...`` for each
+    standard-library module name m in ``modules``; a package's own module
+    of that name is not the standard library's."""
 
     def match(node):
         if isinstance(node, ast.Import):
-            return any(alias.name == "dataclasses" for alias in node.names)
-        return isinstance(node, ast.ImportFrom) and node.module == "dataclasses" and not node.level
+            return any(alias.name in modules for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module in modules and not node.level
 
     return _owned(tree, match)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_dataclasses(path):
-    imports = _dataclasses_imports(_tree(path))
+    imports = _stdlib_imports(_tree(path), {"dataclasses"})
     assert not imports, f"{path.name}: dataclasses imported at {imports}"
 
 
@@ -577,7 +582,28 @@ def test_dataclasses_visitor_sees_aliases_and_nested_imports():
         "import dataclasses_json\n"
         "from .dataclasses import x\n"
     )
-    assert _dataclasses_imports(tree) == [(None, 1), (None, 2), ("f", 4)]
+    assert _stdlib_imports(tree, {"dataclasses"}) == [(None, 1), (None, 2), ("f", 4)]
+
+
+def test_tautpush_imports_nothing_from_functools_or_operator():
+    imports = _stdlib_imports(_tree(SRC / "tautpush.py"), FOLD_BANNED)
+    assert not imports, f"tautpush.py: functools or operator imported at {imports}"
+
+
+def test_fold_import_visitor_sees_every_form():
+    tree = ast.parse(
+        "from functools import partial, reduce\n"
+        "from operator import add, mul\n"
+        "import functools\n"
+        "import operator as op\n"
+        "def f():\n"
+        "    from functools import reduce\n"
+        "from itertools import accumulate\n"
+        "from .operator import x\n"
+        "import functools_extra\n"
+    )
+    assert _stdlib_imports(tree, FOLD_BANNED) == [(None, 1), (None, 2), (None, 3), (None, 4), ("f", 6)]
+    assert _stdlib_imports(_tree(SRC / "cli.py"), FOLD_BANNED)
 
 
 def _public_setattrs(tree: ast.Module):

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -318,19 +317,26 @@ def test_tail_oracle_catches_a_cubic_bracket(monkeypatch):
 
 
 def test_numerators_read_six_bracket_values(monkeypatch):
-    # lambda, psi and delta_0 read nothing past delta_0; the whole class
-    # reads delta_1..delta_3 more and no other bracket value
-    displayed = tautpush._bracket_c
+    # each weighted bracket gives lambda, psi and delta_0..delta_3 when the
+    # call is made and nothing more; the zero combo evaluates no bracket
     read = []
+    for name in _BRACKET_NAMES:
+        displayed = getattr(tautpush, name)
 
-    def counted_c(params):
-        pre, coords = displayed(params)
-        return pre, (read.append(x) or x for x in coords)
+        def counted(params, displayed=displayed, name=name):
+            pre, coords = displayed(params)
+            return pre, (read.append(name) or x for x in coords)
 
-    monkeypatch.setattr(tautpush, "_bracket_c", counted_c)
-    _, ints = per_N_numerators(TautCombo.of(0, 0, 1, 0), GrdParams(21, 6, 24))
-    assert [len(list(islice(ints, 3))), len(read)] == [3, 3]
-    assert [len(list(ints)), len(read)] == [20, 6]
+        monkeypatch.setattr(tautpush, name, counted)
+    six_each = sorted(_BRACKET_NAMES * 6)
+    _, ints = per_N_numerators(TautCombo.of(1, -1, 1, 0), GrdParams(21, 6, 24))
+    assert sorted(read) == six_each
+    assert len(list(ints)) == 23
+    assert sorted(read) == six_each
+    read.clear()
+    _, ints = per_N_numerators(TautCombo.of(0, 0, 0, 0), GrdParams(21, 6, 24))
+    assert list(ints) == [0] * 23
+    assert read == []
 
 
 def test_rho_zero_triples():
