@@ -24,8 +24,7 @@ coefficient for every family here.  Since N scales every coefficient
 and cancels in a/b0, :func:`slope_report` forms the slope from the
 integer numerators of the N-free lambda and delta_0 alone (O(1)
 operations per instance, not O(g) operations on g-digit numbers); the
-full pushforward of a :class:`SlopeReport` is computed only when it is
-first read.
+full pushforward of a :class:`SlopeReport` is computed on each read.
 
 :data:`FAMILIES`, the one list of families that ``slope --family`` reads,
 maps each name to its grid axes, its constructor and its combo.
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .numeric import binomial
 from .record import Record
@@ -186,8 +185,7 @@ def gp_slope_closed(r: int, s: int) -> Fraction:
 
         6 (2x + 7y^2 + 7xy + xy^2 + 12y + y^3) / (y (4+y) (y+1+x))
     """
-    if r < 1 or s < 1:
-        raise ParameterError(f"need r, s >= 1; got r={r}, s={s}")
+    _gp_check(r, s)
     x = (r + 1) + (s + 1)
     y = (r + 1) * (s + 1)
     num = 6 * (2 * x + 7 * y * y + 7 * x * y + x * y * y + 12 * y + y**3)
@@ -236,8 +234,7 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
     """
     if i == 2:
         raise ParameterError("syzygy slope closed form has a pole at i = 2")
-    if i < 0 or s < 0:
-        raise ParameterError(f"need i, s >= 0; got i={i}, s={s}")
+    _syzygy_check(i, s)
     t = s + 1
     value = Fraction(6 * _syzygy_f(i, t), t * (i + 2) * _syzygy_g(i, t))
     return -value if i < 2 else value
@@ -250,9 +247,6 @@ class FamilyParams(Record):
 
     __slots__ = _fields = ("family", "r", "s", "extra")
 
-    def __init__(self, family: str, r: int, s: int, extra: Optional[int] = None) -> None:
-        super().__init__(family, r, s, extra)
-
     def __lt__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -261,7 +255,7 @@ class FamilyParams(Record):
     @classmethod
     def gp(cls, r: int, s: int) -> "FamilyParams":
         _gp_check(r, s)
-        return cls("gp", r, s)
+        return cls("gp", r, s, None)
 
     @classmethod
     def hypersurface(cls, r: int, s: int, k: int) -> "FamilyParams":
@@ -307,20 +301,15 @@ def family_combo(params: FamilyParams) -> TautCombo:
 
 class SlopeReport(Record):
     """Slope of one family instance, with the slope bound 6 + 12/(g+1),
-    the strict below-bound verdict and, computed on first access and
-    kept, the pushforward.  r, g, d and N are read from ``grd``."""
+    the strict below-bound verdict and, computed on each read, the
+    pushforward.  r, g, d and N are read from ``grd``."""
 
-    _fields = ("family", "s", "extra", "slope", "bound", "below_bound", "combo", "grd")
-    __slots__ = _fields + ("_pushforward",)
+    __slots__ = _fields = ("family", "s", "extra", "slope", "bound", "below_bound", "combo", "grd")
     r, g, d, N = (property(attrgetter("grd." + name)) for name in ("r", "g", "d", "N"))
 
     @property
     def pushforward(self) -> DivisorClass:
-        try:
-            return self._pushforward
-        except AttributeError:
-            object.__setattr__(self, "_pushforward", push_combo(self.combo, self.grd))
-            return self._pushforward
+        return push_combo(self.combo, self.grd)
 
     def row(self) -> Dict[str, object]:
         """The flat schema shared by the JSON and CSV emitters:
@@ -344,7 +333,8 @@ def slope_report(params: FamilyParams) -> SlopeReport:
     comparison.  The slope is -lambda/delta_0 of two integer numerators,
     those of the N-free lambda and delta_0 coefficients over one common
     denominator L; N and L cancel in it.  This is O(1) work besides
-    computing N for the report."""
+    computing N for the report; the report's full pushforward is
+    computed on each read."""
     combo = family_combo(params)
     grd = GrdParams(params.g, params.r, params.d)
     L, ints = per_N_numerators(combo, grd)

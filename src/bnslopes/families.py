@@ -249,11 +249,6 @@ class CheckReport(Record):
 
     __slots__ = _fields = ("check", "params", "lhs", "rhs", "passed", "detail")
 
-    def __init__(
-        self, check: str, params: Dict[str, object], lhs: str, rhs: str, passed: bool, detail: str = ""
-    ) -> None:
-        super().__init__(check, params, lhs, rhs, passed, detail)
-
     def as_json_dict(self) -> Dict[str, object]:
         return {
             "check": self.check,
@@ -275,9 +270,12 @@ def _report(check: str, params: Dict[str, object], lhs, rhs, passed: bool, detai
     return CheckReport(check, params, str(lhs), str(rhs), passed, detail)
 
 
-# Keep brute-force cross-checks to Grassmannians whose full index set is
-# of manageable size; the closed form is itself oracle-checked
-# exhaustively on small specs, so nothing is lost on big ones.
+# Bound the time the identity suites spend on brute-force cross-checks,
+# with the size C(d+1, r+1) of the full index set of G(r, P^d) as a
+# proxy for it: the Pieri table holds only the indices reached from the
+# zero index, far fewer (1 213 of about 4.5e9 for G(17, P^34)).  The
+# closed form is itself oracle-checked exhaustively on small specs, so
+# nothing is lost on big ones.
 _BRUTE_LIMIT = 2_000_000
 
 
@@ -305,6 +303,8 @@ def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> Check
     """The Castelnuovo count equals the integral of zeta^g, via the
     closed form and (when tractable) the Pieri table."""
     N = GrdParams(g, r, d).N
+    if r < 1:
+        raise ParameterError(f"Castelnuovo identity needs r >= 1; got r={r}")
     spec = GrassmannianSpec(r, d)
     closed, br = _pattern_integral(spec, (0,) * (r + 1), g, brute=brute)
     ok = closed == N and br in (None, closed)
@@ -319,8 +319,10 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
             = -2d(2g-2-d) N / (3(g-1)).
     """
     params = GrdParams(g, r, d)
-    if g < 3:
-        raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
+    if g < 3 or r < 1:
+        raise ParameterError(
+            f"Weierstrass identity for a needs g >= 3 and r >= 1; got g={g}, r={r}"
+        )
     b = (1, 2) + (3,) * (r - 1)
     closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 3, brute=True)
     lhs = -2 * (g - 2) * closed

@@ -25,10 +25,10 @@ class Record:
     value per field, positionally in ``_fields`` order, and sets each
     once through ``object.__setattr__``, since assigning or deleting an
     attribute of a record raises ``AttributeError``.  A subclass defines
-    its own ``__init__`` only to supply a default or to validate, and
-    then passes every field on to ``super().__init__``.  Two
-    records are equal when they have the same type and equal field
-    tuples, and a record hashes by its field tuple.
+    its own ``__init__`` only to validate, and then passes every field
+    on to ``super().__init__``.  Two records are equal when they have
+    the same type and equal field tuples, and a record hashes by its
+    field tuple.
     """
 
     __slots__ = ()

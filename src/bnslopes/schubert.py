@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .record import Record
 
@@ -145,15 +145,10 @@ class ChowClass(Record):
 
     ``terms`` maps ascending index tuples to their coefficients.  All
     indices share codimension ``codim``; zero coefficients are never
-    stored, so the zero class has empty terms (the default).
+    stored, so the zero class has empty terms.
     """
 
     __slots__ = _fields = ("spec", "codim", "terms")
-
-    def __init__(
-        self, spec: GrassmannianSpec, codim: int, terms: Optional[Dict[Tuple[int, ...], int]] = None
-    ) -> None:
-        super().__init__(spec, codim, {} if terms is None else terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -202,8 +202,10 @@ class TestTwoCoordinateSlope:
         assert rep.slope == Fraction(2459, 377)
         assert calls == []
         assert rep.pushforward.lam == Fraction(2459, 95) * rep.N
-        assert rep.pushforward is rep.pushforward
         assert calls == ["push_combo"]
+        # computed on each read, never kept
+        assert rep.pushforward == rep.pushforward
+        assert calls == ["push_combo"] * 3
 
     def test_undefined_slope_reports_scaled_coefficients(self, monkeypatch):
         # with p_lam = 1/3 the numerators are over L = 3, which the
@@ -278,9 +280,9 @@ def test_each_slope_row_builds_its_combo_once(monkeypatch, capsys):
     [
         (lambda: hypersurface_combo(0, 1, 2), "needs r, s, k >= 1"),
         (lambda: syzygy_combo(-1, 0), "needs i, s >= 0"),
-        (lambda: gp_slope_closed(0, 1), "need r, s >= 1"),
-        (lambda: syzygy_slope_closed(-1, 0), "need i, s >= 0"),
-        (lambda: family_combo(FamilyParams("x", 1, 1)), "unknown family 'x'"),
+        (lambda: gp_slope_closed(0, 1), "Gieseker-Petri family needs r, s >= 1"),
+        (lambda: syzygy_slope_closed(-1, 0), "syzygy family needs i, s >= 0"),
+        (lambda: family_combo(FamilyParams("x", 1, 1, None)), "unknown family 'x'"),
     ],
 )
 def test_named_errors(call, fragment):

@@ -30,7 +30,7 @@ RECORDS = dict(
     DivisorClass=lambda: DivisorClass(1, 0, (2, 3)),
     Family=lambda: FAMILIES["gp"],
     SlopeReport=lambda: slope_report(FamilyParams.gp(1, 1)),
-    CheckReport=lambda: CheckReport("pieri", {"g": 6}, "1", "1", True),
+    CheckReport=lambda: CheckReport("pieri", {"g": 6}, "1", "1", True, ""),
 )
 
 
@@ -48,7 +48,7 @@ def test_records_differ_by_any_field_and_from_plain_tuples():
     assert TautCombo.of(2, -1, -6, 1) != TautCombo.of(2, -1, -8, 1)
     assert FamilyParams("hypersurface", 4, 1, 2) != FamilyParams("hypersurface", 4, 1, 3)
     assert GrassmannianSpec(2, 6) != (2, 6)
-    assert FamilyParams("gp", 1, 1) != ("gp", 1, 1, None)
+    assert FamilyParams("gp", 1, 1, None) != ("gp", 1, 1, None)
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -63,7 +63,11 @@ def test_copy_and_pickle_rebuild_an_equal_record(name):
         assert type(twin) is type(record) and twin == record
 
 
-WITHOUT_INIT = ("TautCombo", "DivisorClass", "SlopeReport", "Family")
+# every record but the three that validate: GrdParams, GrassmannianSpec
+# and SchubertIndex
+WITHOUT_INIT = (
+    "TautCombo", "DivisorClass", "SlopeReport", "Family", "CheckReport", "ChowClass", "FamilyParams",
+)
 
 
 @pytest.mark.parametrize("name", WITHOUT_INIT)
@@ -84,7 +88,7 @@ def test_wrong_value_count_names_the_record_and_its_fields(name):
 def test_slope_report_reads_r_g_d_and_n_from_its_grd():
     report = slope_report(FamilyParams.gp(2, 3))
     fields = ("family", "s", "extra", "slope", "bound", "below_bound", "combo", "grd")
-    assert type(report)._fields == fields
+    assert type(report)._fields == type(report).__slots__ == fields
     grd = report.grd
     assert (report.r, report.g, report.d, report.N) == (grd.r, grd.g, grd.d, grd.N) == (2, 12, 10, 462)
     with pytest.raises(TypeError) as err:
@@ -102,9 +106,9 @@ def test_family_params_sort_by_family_r_s_extra():
     rows = [
         FamilyParams("syzygy", 4, 1, 0),
         FamilyParams("hypersurface", 4, 1, 3),
-        FamilyParams("gp", 2, 1),
+        FamilyParams("gp", 2, 1, None),
         FamilyParams("hypersurface", 4, 1, 2),
-        FamilyParams("gp", 1, 3),
+        FamilyParams("gp", 1, 3, None),
         FamilyParams("hypersurface", 3, 2, 3),
     ]
     assert [(p.family, p.r, p.s, p.extra) for p in sorted(rows)] == [
@@ -116,7 +120,7 @@ def test_family_params_sort_by_family_r_s_extra():
         ("syzygy", 4, 1, 0),
     ]
     with pytest.raises(TypeError):
-        FamilyParams("gp", 1, 1) < ("gp", 1, 1, None)
+        FamilyParams("gp", 1, 1, None) < ("gp", 1, 1, None)
 
 
 @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)

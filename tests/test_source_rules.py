@@ -39,7 +39,10 @@ is imported, a cost no bytecode cache saves; the records derive from
 ``Record.__init__`` sets a record's fields: outside ``record.py``,
 ``object.__setattr__`` may set only an underscore slot, a value computed
 on first use such as ``GrdParams._N``, so no record writes its field
-list out again as a constructor that sets one field per line.  Only
+list out again as a constructor that sets one field per line.  A
+record defines its own ``__init__`` only to validate, so every such
+``__init__`` raises somewhere: one that only fills in a default is a
+second constructor that no caller needs.  Only
 ``schubert._zeta_layers`` takes zeta steps with ``_zeta_successors``,
 so no second Pieri dynamic program grows beside it, and it takes the
 Grassmannian alone: its table always runs from the zero index to the
@@ -647,6 +650,57 @@ def test_setattr_visitor_sees_public_and_computed_names():
         "    object.__getattribute__(self, 'z')\n"
     )
     assert _public_setattrs(tree) == [(None, 1), ("f", 4)]
+
+
+def _record_inits(tree: ast.Module):
+    """(class, line, raises) of each ``__init__`` of a class that names
+    ``Record`` among its bases; ``raises`` tells whether it contains a
+    ``raise``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if "Record" not in {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                raises = any(isinstance(sub, ast.Raise) for sub in ast.walk(item))
+                found.append((node.name, item.lineno, raises))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_record_constructors_only_validate(path):
+    inits = [(name, line) for name, line, raises in _record_inits(_tree(path)) if not raises]
+    assert not inits, f"{path.name}: record __init__ that raises nothing at {inits}"
+
+
+def test_validating_record_constructors_are_seen():
+    names = {name for path in SOURCES for name, _, _ in _record_inits(_tree(path))}
+    assert names == {"GrdParams", "GrassmannianSpec", "SchubertIndex"}
+
+
+def test_record_constructor_visitor_sees_defaults_and_skips_other_classes():
+    tree = ast.parse(
+        "class A(Record):\n"
+        "    def __init__(self, x=''):\n"
+        "        super().__init__(x)\n"
+        "class B(Record):\n"
+        "    def __init__(self, x):\n"
+        "        super().__init__(x)\n"
+        "        if x < 0:\n"
+        "            raise ValueError(x)\n"
+        "class C(record.Record):\n"
+        "    def __init__(self, x=None):\n"
+        "        super().__init__({} if x is None else x)\n"
+        "class D(ValueError):\n"
+        "    def __init__(self, x):\n"
+        "        super().__init__(x)\n"
+        "class E(Record):\n"
+        "    def row(self):\n"
+        "        return {}\n"
+    )
+    assert _record_inits(tree) == [("A", 2, False), ("B", 5, True), ("C", 10, False)]
 
 
 def _functions(module):
