@@ -144,30 +144,30 @@ def _emit(output: Optional[str], *parts: str) -> None:
 
 
 def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
+    if fmt == "pretty":
+        # exact slope plus a clearly approximate 6-digit decimal column; no N
+        lines = []
+        header = f"{'family':<14}{'r':>4}{'s':>4}{'extra':>6}{'g':>5}{'d':>5}  {'slope':<16}{'~slope':<12}{'bound':<10}{'below'}"
+        lines.append(header)
+        lines.append("-" * len(header))
+        for rep in reports:
+            approx = f"{float(rep.slope):.6g}"
+            lines.append(
+                f"{rep.family:<14}{rep.r:>4}{rep.s:>4}"
+                f"{'' if rep.extra is None else rep.extra:>6}{rep.g:>5}{rep.d:>5}  "
+                f"{rep.slope!s:<16}≈{approx:<11}{rep.bound!s:<10}"
+                f"{str(rep.below_bound).lower()}"
+            )
+        return "\n".join(lines) + "\n"
     rows = [rep.row() for rep in reports]
     if fmt == "json":
         return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([str(v).lower() if k == "below_bound" else v for k, v in row.items()])
-        return buf.getvalue()
-    # pretty: exact slope plus a clearly approximate 6-digit decimal column
-    lines = []
-    header = f"{'family':<14}{'r':>4}{'s':>4}{'extra':>6}{'g':>5}{'d':>5}  {'slope':<16}{'~slope':<12}{'bound':<10}{'below'}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for rep in reports:
-        approx = f"{float(rep.slope):.6g}"
-        lines.append(
-            f"{rep.family:<14}{rep.r:>4}{rep.s:>4}"
-            f"{'' if rep.extra is None else rep.extra:>6}{rep.g:>5}{rep.d:>5}  "
-            f"{rep.slope!s:<16}≈{approx:<11}{rep.bound!s:<10}"
-            f"{str(rep.below_bound).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([str(v).lower() if k == "below_bound" else v for k, v in row.items()])
+    return buf.getvalue()
 
 
 def cmd_slope(args) -> int:

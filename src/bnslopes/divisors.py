@@ -159,11 +159,12 @@ class SlopeUndefinedError(ValueError):
         )
 
 
-def _slope(lam: int | Fraction, delta0: int | Fraction, N: int, L: int) -> Fraction:
+def _slope(lam: int | Fraction, delta0: int | Fraction, L: int = 1, grd: GrdParams | None = None) -> Fraction:
     """-lam/delta0 for coefficients that are nonzero and of opposite sign.
-    They may be the numerators over L > 0 of N-free coefficients; an
-    error reports the coefficients themselves, N·lam/L and N·delta0/L."""
+    They may be the numerators over L > 0 of N-free coefficients at
+    ``grd``; an error reports N·lam/L and N·delta0/L, reading N then."""
     if lam == 0 or delta0 == 0 or (lam > 0) == (delta0 > 0):
+        N = 1 if grd is None else grd.N
         raise SlopeUndefinedError(Fraction(lam * N, L), Fraction(delta0 * N, L))
     return Fraction(-lam, delta0)
 
@@ -171,7 +172,7 @@ def _slope(lam: int | Fraction, delta0: int | Fraction, N: int, L: int) -> Fract
 def slope(dc: DivisorClass) -> Fraction:
     """Slope -lambda/delta_0 of a class whose lambda and delta_0
     coefficients are nonzero and of opposite sign."""
-    return _slope(dc.lam, dc.delta[0], 1, 1)
+    return _slope(dc.lam, dc.delta[0])
 
 
 def slope_bound(g: int) -> Fraction:
@@ -332,13 +333,13 @@ def slope_report(params: FamilyParams) -> SlopeReport:
     """Run the pipeline for one family instance: combo, slope, bound
     comparison.  The slope is -lambda/delta_0 of two integer numerators,
     those of the N-free lambda and delta_0 coefficients over one common
-    denominator L; N and L cancel in it.  This is O(1) work besides
-    computing N for the report; the report's full pushforward is
-    computed on each read."""
+    denominator L; N and L cancel in it.  This is O(1) work, and N is
+    computed only for the text of an undefined slope; the report's N
+    and full pushforward are computed on each read."""
     combo = family_combo(params)
     grd = GrdParams(params.g, params.r, params.d)
     L, ints = per_N_numerators(combo, grd)
     lam, _, delta0 = next(ints), next(ints), next(ints)
-    sl = _slope(lam, delta0, grd.N, L)
+    sl = _slope(lam, delta0, L, grd)
     bound = slope_bound(params.g)
     return SlopeReport(params.family, params.s, params.extra, sl, bound, sl < bound, combo, grd)

@@ -22,22 +22,21 @@ class on the pointed moduli space:
 
 On each family the pushforwards of the tautological classes a, b, c are
 known in closed form (zero over the tails family; explicit rank-3
-classes over the bridge; explicit degrees over the pencils).  The
-pullback tables (:func:`bridge_matrix`, :func:`tails_matrix`,
-:func:`pencil_matrix`) are lists of sparse rows, {column: value} with
-only the nonzero entries, each row holding at most three.  Together
-with the known pushforwards they determine the pushforwards uniquely,
-and :func:`reconstruct` re-derives them by solving the exact linear
-system; it is the strongest regression alarm in the package.  The rows
+classes over the bridge; explicit degrees over the pencils), each N
+times an N-free value, and stated per N.  The pullback tables
+(:func:`bridge_matrix`, :func:`tails_matrix`, :func:`pencil_matrix`)
+are lists of sparse rows, {column: value} with only the nonzero
+entries, each row holding at most three.  Together with the known
+values they determine the pushforwards uniquely, and
+:func:`reconstruct` re-derives them by solving the exact linear system
+per N; it is the strongest regression alarm in the package.  The rows
 are the same for a, b and c, so the reconstruct suite solves all three
 at once, as three right-hand sides.  The tables store their integral
 entries as ``int`` (only the tails coefficients of delta_1 and
-delta_{g-1} are ``Fraction``), and so do the pencil degrees.  One sparse
-eliminator serves every system and determinant: it takes an all-``int``
-row as it is, clears the denominators of a row holding a ``Fraction``
-once, and then works on integers only (fraction-free elimination in the
-manner of Bareiss, with each reduced row divided by its content); only
-the solutions and determinants come back as ``Fraction``.
+delta_{g-1} are ``Fraction``), and so do the pencil degrees.  One
+sparse eliminator, :func:`_forward_eliminate`, serves every system and
+determinant in integers only; only the solutions and determinants come
+back as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -84,7 +83,8 @@ from .tautpush import (
     DivisorClass,
     GrdParams,
     ParameterError,
-    push,
+    TautCombo,
+    per_N_numerators,
     rho_zero_triples,
 )
 
@@ -203,39 +203,40 @@ def pullbacks(
 
 
 def bridge_pushforward(which: str, params: GrdParams) -> DivisorClass:
-    """Pushforward of a, b or c over the bridge family, as a genus-2
-    class on the bridge base.  With T = 2dN(d-2g+2)/(3(g-1)), U = dN/(g-1) and
-    V = -N xi/(3(g-1)):
+    """1/N times the pushforward of a, b or c over the bridge family, as
+    a genus-2 class on the bridge base.  With T = 2d(d-2g+2)/(3(g-1)),
+    U = d/(g-1) and V = -xi/(3(g-1)):
 
         a -> T (3 psi - lambda - delta_1) + U (lambda + delta_1 - 4 psi)
         b -> U (lambda + delta_1 - 4 psi)
         c -> V (3 psi - lambda - delta_1)
     """
-    g, d, N = params.g, params.d, params.N
-    U = Fraction(d * N, g - 1)
+    g, d = params.g, params.d
+    U = Fraction(d, g - 1)
     if which == "b":
         return DivisorClass(U, -4 * U, (Fraction(0), U))
     if which == "a":
-        T = Fraction(2 * d * N * (d - 2 * g + 2), 3 * (g - 1))
+        T = Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1))
         return DivisorClass(U - T, 3 * T - 4 * U, (Fraction(0), U - T))
     if which == "c":
-        V = Fraction(-params.N, 3 * (g - 1)) * params.xi
+        V = -params.xi / (3 * (g - 1))
         return DivisorClass(-V, 3 * V, (Fraction(0), -V))
     raise ParameterError(f"unknown tautological class {which!r}")
 
 
 def pencil_degree(which: str, params: GrdParams, h: int) -> int:
-    """Degree of the pushforward of a, b or c over the pencil family of
-    type h:  a -> -d^2 N;  b -> -(2(g-h)-1) d N;  c -> -(rh + r(r+1)/2) N."""
-    g, r, d, N = params.g, params.r, params.d, params.N
+    """1/N times the degree of the pushforward of a, b or c over the
+    pencil family of type h:  a -> -d^2;  b -> -(2(g-h)-1) d;
+    c -> -(rh + r(r+1)/2)."""
+    g, r, d = params.g, params.r, params.d
     if not 1 <= h <= g - 1:
         raise ParameterError(f"pencil type needs 1 <= h <= g-1; got h={h}")
     if which == "a":
-        return -d * d * N
+        return -d * d
     if which == "b":
-        return -(2 * (g - h) - 1) * d * N
+        return -(2 * (g - h) - 1) * d
     if which == "c":
-        return -(r * h + r * (r + 1) // 2) * N
+        return -(r * h + r * (r + 1) // 2)
     raise ParameterError(f"unknown tautological class {which!r}")
 
 
@@ -345,8 +346,9 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         )
     b = (0, 1) + (2,) * (r - 2) + (3,)
     closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 2, brute=True)
-    lhs = -(closed + params.N)
-    rhs = Fraction(-params.N, 3 * (g - 1)) * params.xi
+    N = params.N
+    lhs = -(closed + N)
+    rhs = Fraction(-N, 3 * (g - 1)) * params.xi
     ok = lhs == rhs and br in (None, closed)
     detail = _integral_detail("integral", closed, br)
     return _report("weierstrass_c", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
@@ -580,29 +582,37 @@ def _solve_unique(
 
 def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
-    data alone, bypassing the closed-form coefficients; the system is
-    described in :func:`_reconstruct`.  Raises ReconstructionError when
-    the system has no unique solution."""
-    [got] = _reconstruct(_reconstruct_params(g, r, d), (which,))
+    data alone, bypassing the closed-form coefficients: N times the
+    one solution of the system described in :func:`_reconstruct`.
+    Raises ReconstructionError when the system has no unique solution."""
+    params = _reconstruct_params(g, r, d)
+    [got] = _reconstruct(params, (which,))
     if isinstance(got, ReconstructionError):
         raise got
-    return got
+    N = params.N
+    return DivisorClass.from_coefficients(N * x for x in got.coefficients())
 
 
 def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
-    """The triple (g, r, d) checked for reconstruction: rho = 0, and
-    g >= 5, which the tails family needs."""
+    """The triple (g, r, d) checked for reconstruction: rho = 0, g >= 5,
+    which the tails family needs, and r >= 1, without which every
+    pushforward is zero and every check compares zero with zero."""
     params = GrdParams(g, r, d)
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
+    if r < 1:
+        raise ParameterError(f"reconstruction needs r >= 1; got r={r}")
     return params
 
 
 def _reconstruct(
     params: GrdParams, classes: Sequence[str]
 ) -> List[DivisorClass | ReconstructionError]:
-    """Solve for the pushforwards of the named classes (each a, b or c)
-    at ``params`` from the special-family data, with one elimination.
+    """Solve for 1/N times the pushforwards of the named classes (each
+    a, b or c) at ``params`` from the special-family data, with one
+    elimination and no N: the right-hand sides are stated per N, and as
+    every row is linear, the solution is theirs for the pushforwards
+    divided by N.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
     psi, in that column order, and one more scalar mu in column g+2.
@@ -691,27 +701,21 @@ def _oracle_spec_report(r: int, d: int, layers: List[Dict[Tuple[int, ...], int]]
 
 
 def _reconstruct_report(
-    params: GrdParams, which: str, got: DivisorClass | ReconstructionError, expected: DivisorClass
+    params: GrdParams, N: int, which: str, got: DivisorClass | ReconstructionError, expected: DivisorClass
 ) -> CheckReport:
-    g, r, d = params.g, params.r, params.d
+    key = {"g": params.g, "r": params.r, "d": params.d, "class": which}
     if isinstance(got, ReconstructionError):
-        return _report("reconstruct", {"g": g, "r": r, "d": d, "class": which}, "-", "-", False, str(got))
+        return _report("reconstruct", key, "-", "-", False, str(got))
     pairs = enumerate(zip(got.coefficients(), expected.coefficients()))
     mismatch = next(((k, x, y) for k, (x, y) in pairs if x != y), None)
-    ok = mismatch is None
     detail = "matches closed form"
     if mismatch:
         k, x, y = mismatch
         name = ("λ", "ψ")[k] if k < 2 else f"δ{k - 2}"
-        detail = f"first mismatch at {name}: reconstructed {x}, closed form {y}"
-    return _report(
-        "reconstruct",
-        {"g": g, "r": r, "d": d, "class": which},
-        f"λ={got.lam}, δ0={got.delta[0]}, ψ={got.psi}",
-        f"λ={expected.lam}, δ0={expected.delta[0]}, ψ={expected.psi}",
-        ok,
-        detail,
-    )
+        detail = f"first mismatch at {name}: reconstructed {N * x}, closed form {N * y}"
+    text = "λ={}, δ0={}, ψ={}".format
+    lhs, rhs = (text(N * dc.lam, N * dc.delta[0], N * dc.psi) for dc in (got, expected))
+    return _report("reconstruct", key, lhs, rhs, mismatch is None, detail)
 
 
 def _epsilon_report() -> CheckReport:
@@ -727,9 +731,9 @@ def _epsilon_report() -> CheckReport:
     )
 
 
-def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> CheckReport:
-    """The bridge pullback of the pushforward differs from the known
-    genus-2 class by an exact multiple of the relation."""
+def _bridge_quotient_report(params: GrdParams, N: int, which: str, dc: DivisorClass) -> CheckReport:
+    """The bridge pullback of 1/N times the pushforward differs from the
+    known per-N genus-2 class by an exact multiple of the relation."""
     got = DivisorClass.from_coefficients(_apply(bridge_matrix(params.g), dc.coefficients()))
     want = bridge_pushforward(which, params)
     mu = relation_multiple(got, want)
@@ -737,10 +741,10 @@ def _bridge_quotient_report(params: GrdParams, which: str, dc: DivisorClass) -> 
     return _report(
         "bridge_quotient",
         {"g": params.g, "r": params.r, "d": params.d, "class": which},
-        text(*got.coefficients()),
-        text(*want.coefficients()),
+        text(*(N * x for x in got.coefficients())),
+        text(*(N * x for x in want.coefficients())),
         mu is not None,
-        f"multiple={mu}" if mu is not None else "not proportional to relation",
+        f"multiple={N * mu}" if mu is not None else "not proportional to relation",
     )
 
 
@@ -748,15 +752,25 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
     """psi vanishes for every family pushforward; a quadric-type instance
     is in addition symmetric in delta_i <-> delta_{g-i}, and a twin (the
     hypersurface with r = 2s+2 and k = 2) has the combo of syzygy i = 0.
-    ``first`` is the instance's first grid axis, as the report names it."""
-    pf = rep.pushforward
-    ok = pf.psi == 0 and (not quadric or pf.is_delta_symmetric())
+    ``first`` is the instance's first grid axis, as the report names it.
+
+    psi and the symmetry are read from the numerators of 1/N times the
+    pushforward, so N is computed only to print a nonzero psi.  For i >= 1 each delta_i is
+    alpha + beta i + gamma i^2 (see :func:`per_N_numerators`), so
+    delta_i - delta_{g-i} = (2i - g)(beta + gamma g): the class is
+    symmetric exactly when beta + gamma g = 0, which is delta_1 =
+    delta_{g-1} as 2 - g != 0 for g >= 3 (at g = 2 both are delta_1).
+    """
+    L, ints = per_N_numerators(rep.combo, rep.grd)
+    _, psi, _, *delta = ints
+    symmetric = delta[0] == delta[-1]
+    ok = psi == 0 and (not quadric or symmetric)
     if twin:
         ok = ok and rep.combo == syzygy_combo(0, rep.s)
     return _report(
         "structure",
         {"family": rep.family, "first": first, "s": rep.s},
-        f"psi={pf.psi}, symmetric={pf.is_delta_symmetric()}",
+        f"psi={Fraction(rep.N * psi, L) if psi else 0}, symmetric={symmetric}",
         f"psi=0, symmetric required={quadric}",
         ok,
         "hyper(k=2) == syzygy(0)" if twin else "",
@@ -794,14 +808,23 @@ def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Itera
     return _reconstruct_reports([_reconstruct_params(g, r, d) for g, r, d in triples])
 
 
+def _per_N_push(which: str, params: GrdParams) -> DivisorClass:
+    """1/N times the pushforward of a, b or c, from its per-N numerators."""
+    L, ints = per_N_numerators(TautCombo.of(*(int(which == x) for x in "abc"), 0), params)
+    return DivisorClass.from_coefficients(Fraction(x, L) for x in ints)
+
+
 def _reconstruct_reports(checked: Sequence[GrdParams]) -> Iterator[CheckReport]:
+    """Solves and compares 1/N times each class; N is computed once per
+    triple, and every value printed is N times the one compared."""
     for params in checked:
-        pushed = {which: push(which, params) for which in "abc"}
+        per_N = {which: _per_N_push(which, params) for which in "abc"}
         solved = _reconstruct(params, "abc")
-        for (which, dc), got in zip(pushed.items(), solved):
-            yield _reconstruct_report(params, which, got, dc)
-        for which, dc in pushed.items():
-            yield _bridge_quotient_report(params, which, dc)
+        N = params.N
+        for (which, dc), got in zip(per_N.items(), solved):
+            yield _reconstruct_report(params, N, which, got, dc)
+        for which, dc in per_N.items():
+            yield _bridge_quotient_report(params, N, which, dc)
     yield _epsilon_report()
 
 

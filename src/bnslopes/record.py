@@ -20,15 +20,15 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in constructor order in ``_fields`` and
-    keeps each in a slot of that name; its ``__slots__`` may add private
-    slots for values computed on first use.  The constructor takes one
-    value per field, positionally in ``_fields`` order, and sets each
-    once through ``object.__setattr__``, since assigning or deleting an
-    attribute of a record raises ``AttributeError``.  A subclass defines
-    its own ``__init__`` only to validate, and then passes every field
-    on to ``super().__init__``.  Two records are equal when they have
-    the same type and equal field tuples, and a record hashes by its
-    field tuple.
+    keeps each in a slot of that name: its ``__slots__`` are its
+    ``_fields``, so a record holds no hidden state.  The constructor
+    takes one value per field, positionally in ``_fields`` order, and
+    sets each once through ``object.__setattr__``, since assigning or
+    deleting an attribute of a record raises ``AttributeError``.  A
+    subclass defines its own ``__init__`` only to validate, and then
+    passes every field on to ``super().__init__``.  Two records are
+    equal when they have the same type and equal field tuples, and a
+    record hashes by its field tuple.
     """
 
     __slots__ = ()

@@ -111,10 +111,9 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
 
 class GrdParams(Record):
     """A Brill-Noether triple (g, r, d) with rho = 0 and its derived
-    quantities; N is computed on first use and kept."""
+    quantities; N is computed on each read."""
 
-    __slots__ = ("g", "r", "d", "_N")
-    _fields = ("g", "r", "d")
+    __slots__ = _fields = ("g", "r", "d")
 
     def __init__(self, g: int, r: int, d: int) -> None:
         super().__init__(g, r, d)
@@ -125,11 +124,7 @@ class GrdParams(Record):
 
     @property
     def N(self) -> int:
-        try:
-            return self._N
-        except AttributeError:
-            object.__setattr__(self, "_N", castelnuovo_N(self.g, self.r, self.d))
-            return self._N
+        return castelnuovo_N(self.g, self.r, self.d)
 
     @property
     def xi(self) -> Fraction:

@@ -94,6 +94,20 @@ class TestSlopeCommand:
         keys = [(r["family"], r["r"], r["s"], r["extra"]) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("fmt, per_row", [("pretty", 0), ("csv", 1), ("json", 1)])
+    def test_n_is_computed_only_for_the_rows_that_print_it(self, capsys, monkeypatch, fmt, per_row):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        code, _, _ = run(capsys, "slope", "--family", "gp", "--r", "1:3", "--s", "1:3", "--format", fmt)
+        assert code == 0
+        rows = [((r + 1) * (s + 1), r, r * (s + 2)) for r in range(1, 4) for s in range(1, 4)]
+        assert calls == rows * per_row
+
     def test_gp_large_r_thin_rectangle(self, capsys):
         # g = 802 on a 401 x 2 rectangle: N is Catalan(401)
         code, out, _ = run(capsys, "slope", "--family", "gp", "--r", "400", "--s", "1",
@@ -456,7 +470,7 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_reconstruct_failure_names_coordinate(self, capsys, monkeypatch):
-        closed_form = families.push
+        closed_form = families._per_N_push
 
         def off_at_delta3(which, params):
             dc = closed_form(which, params)
@@ -464,7 +478,7 @@ class TestVerifyCommand:
             delta[3] += 1
             return DivisorClass(dc.lam, dc.psi, tuple(delta))
 
-        monkeypatch.setattr(families, "push", off_at_delta3)
+        monkeypatch.setattr(families, "_per_N_push", off_at_delta3)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
                            "--triples", "10,4,12")
         assert code == 1
@@ -472,6 +486,11 @@ class TestVerifyCommand:
         assert [line.split("(")[0] for line in failed] == ["[FAIL] reconstruct"] * 3
         assert all("first mismatch at δ3:" in line for line in failed)
         assert out.splitlines()[-1] == "7 checks, 3 failures"
+        # compared per N, printed times N: the per-N offset 1 reads as N
+        N = GrdParams(10, 4, 12).N
+        for line, which in zip(failed, "abc"):
+            x = families.reconstruct(10, 4, 12, which).delta[3]
+            assert line.endswith(f"reconstructed {x}, closed form {x + N}]"), line
 
     def test_inconsistent_class_fails_alone(self, capsys, monkeypatch):
         # a, b and c share one elimination; a bad right-hand side for b
@@ -493,13 +512,13 @@ class TestVerifyCommand:
         assert len(out.splitlines()) == len(clean.splitlines()) == 8
 
     def test_bridge_failure_reads_not_proportional(self, capsys, monkeypatch):
-        closed_form = families.push
+        closed_form = families._per_N_push
 
         def off_at_lambda(which, params):
             dc = closed_form(which, params)
             return DivisorClass(dc.lam + 1, dc.psi, dc.delta)
 
-        monkeypatch.setattr(families, "push", off_at_lambda)
+        monkeypatch.setattr(families, "_per_N_push", off_at_lambda)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
                            "--triples", "10,4,12")
         assert code == 1
@@ -507,6 +526,11 @@ class TestVerifyCommand:
         assert len(bridge) == 3
         assert all(line.startswith("[FAIL]") for line in bridge)
         assert all(line.endswith("  [not proportional to relation]") for line in bridge)
+
+    def test_reconstruct_of_r_0_is_usage_error(self, capsys):
+        # at r = 0 every pushforward is zero, so the checks would compare zero with zero
+        code, out, err = run(capsys, "verify", "--suite", "reconstruct", "--triples", "5,0,0")
+        assert (code, out, err) == (2, "", "bnslopes: error: reconstruction needs r >= 1; got r=0\n")
 
     @pytest.mark.parametrize(
         "triple, text",

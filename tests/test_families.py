@@ -3,16 +3,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnslopes import families, tautpush
-from bnslopes.divisors import slope_report
+from bnslopes.divisors import SlopeReport, slope_report
 from bnslopes.families import (
     ReconstructionError,
     _aspect_report,
     _epsilon_report,
     _forward_eliminate,
     _oracle_spec_report,
+    _per_N_push,
     _solve_unique,
+    _structure_report,
     bridge_matrix,
     bridge_pushforward,
     epsilon_matrix,
@@ -38,6 +42,7 @@ from bnslopes.tautpush import (
     castelnuovo_N,
     push,
     push_b,
+    push_combo,
     rho_zero_triples,
 )
 
@@ -123,7 +128,7 @@ class TestPullbackTables:
             for h in range(1, g):
                 degrees = [pencil_degree(which, params, h) for which in "abc"]
                 assert all(type(x) is int for x in degrees), (g, h)
-                assert degrees[2] == -(r * h + Fraction(r * (r + 1), 2)) * params.N, (g, h)
+                assert degrees == [-d * d, -(2 * (g - h) - 1) * d, -(r * h + Fraction(r * (r + 1), 2))], (g, h)
 
 
 class TestEpsilonMatrix:
@@ -186,18 +191,21 @@ class TestEpsilonMatrix:
 
 
 class TestBridgeQuotient:
+    # the known bridge classes are 1/N times the pushforwards, so they
+    # are compared with the per-N closed form
     def test_push_b_differs_by_stated_multiple(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(g, push_b(params))
+        got, _, _ = pullbacks(g, _per_N_push("b", params))
         want = bridge_pushforward("b", params)
         mu = relation_multiple(got, want)
-        assert mu == Fraction(d * params.N, 2 * (g - 1))  # = 28
+        assert mu == Fraction(d, 2 * (g - 1))  # = 28/N with N = 42
+        assert mu * params.N == 28
 
     def test_raw_comparison_fails_without_quotient(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(g, push_b(params))
+        got, _, _ = pullbacks(g, _per_N_push("b", params))
         assert got != bridge_pushforward("b", params)
         assert relation_multiple(got, bridge_pushforward("b", params)) is not None
 
@@ -205,9 +213,13 @@ class TestBridgeQuotient:
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                got, _, _ = pullbacks(g, push(which, params))
+                got, _, _ = pullbacks(g, _per_N_push(which, params))
                 want = bridge_pushforward(which, params)
                 assert relation_multiple(got, want) is not None, (g, which)
+                # N times the known class is the bridge class of the pushforward
+                full, _, _ = pullbacks(g, push(which, params))
+                scaled = DivisorClass.from_coefficients(params.N * x for x in want.coefficients())
+                assert relation_multiple(full, scaled) == params.N * relation_multiple(got, want), (g, which)
 
     def test_difference_off_the_relation(self):
         want = bridge_pushforward("b", GrdParams(10, 4, 12))
@@ -220,12 +232,15 @@ class TestLemmaConsistency:
     # the pencil degrees and tails vanishing must hold for the closed-form
     # pushforwards themselves
     def test_pencil_degrees_match(self):
+        # the known degrees are 1/N times those of the pushforwards
         for g, r, d in ((6, 2, 6), (10, 4, 12)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                _, _, degrees = pullbacks(g, push(which, params))
                 expected = tuple(pencil_degree(which, params, h) for h in range(1, g))
+                _, _, degrees = pullbacks(g, _per_N_push(which, params))
                 assert degrees == expected, (g, which)
+                _, _, degrees = pullbacks(g, push(which, params))
+                assert degrees == tuple(params.N * x for x in expected), (g, which)
 
     def test_tails_pullback_vanishes(self):
         for g, r, d in ((6, 2, 6), (10, 4, 12), (21, 6, 24)):
@@ -560,9 +575,9 @@ class TestSuites:
 
         def counted(which, params):
             calls.append((params.g, which))
-            return push(which, params)
+            return _per_N_push(which, params)
 
-        monkeypatch.setattr(families, "push", counted)
+        monkeypatch.setattr(families, "_per_N_push", counted)
         reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
         assert calls == [(g, which) for g in (10, 21) for which in "abc"]
         assert len(reports) == 13 and all(r.passed for r in reports)
@@ -637,10 +652,37 @@ class TestSuites:
         assert failed == [("hypersurface", 2 * s + 2, s) for s in range(1, 5)]
 
     def test_structure_fails_where_a_quadric_type_class_is_not_symmetric(self, monkeypatch):
-        monkeypatch.setattr(DivisorClass, "is_delta_symmetric", lambda self: False)
+        real = families.per_N_numerators
+
+        def off_at_delta1(combo, params):
+            L, ints = real(combo, params)
+            lam, psi, delta0, delta1, *rest = ints
+            return L, iter([lam, psi, delta0, delta1 + 1, *rest])
+
+        monkeypatch.setattr(families, "per_N_numerators", off_at_delta1)
         failed = self.failed_structure_keys()
         syzygy = [("syzygy", 0, s) for s in (1, 2, 3)]
         assert failed == syzygy + [("hypersurface", 2 * s + 2, s) for s in range(1, 5)]
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sampled_from([t for t in rho_zero_triples(40) if t[0] >= 3]),
+        st.lists(st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6)), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_structure_reads_symmetry_from_delta_1_and_delta_g_minus_1(self, triple, coeffs, balance):
+        # the per-N check delta_1 == delta_{g-1} against every delta_i of
+        # the full pushforward; balancing p_c against p_a and p_b makes
+        # delta_1 = delta_{g-1}, so both verdicts are drawn
+        grd = GrdParams(*triple)
+        skew = [dc.delta[1] - dc.delta[-1] for dc in (push(which, grd) for which in "abc")]
+        if balance and skew[2]:
+            coeffs[2] = -(coeffs[0] * skew[0] + coeffs[1] * skew[1]) / skew[2]
+        combo = TautCombo.of(*coeffs)
+        want = push_combo(combo, grd).is_delta_symmetric()
+        assert want or not (balance and skew[2])
+        rep = _structure_report(SlopeReport("gp", 1, None, 0, 0, False, combo, grd), 1, True, False)
+        assert rep.lhs.endswith(f", symmetric={want}"), (rep.lhs, want)
 
     def test_schubert_oracle_default_caps_count(self):
         reports = suite_reports("schubert-oracle")
@@ -791,6 +833,7 @@ _P626 = GrdParams(6, 2, 6)
         (lambda: identity_weierstrass_a(3, 0, 0), "Weierstrass identity for a needs g >= 3 and r >= 1; got g=3, r=0"),
         (lambda: identity_castelnuovo(1, 0, 0), "Castelnuovo identity needs r >= 1; got r=0"),
         (lambda: identity_pieri(4, 1, 3), "Pieri identity check needs r >= 2"),
+        (lambda: reconstruct(5, 0, 0, "a"), "reconstruction needs r >= 1; got r=0"),
     ],
 )
 def test_named_errors(call, fragment):

@@ -127,6 +127,23 @@ def test_reconstruct_sweep_bytes(fmt, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _SWEEP_SHA256[fmt]
 
 
+# SHA-256 of the stdout of `verify --suite reconstruct` at four triples
+# with 240 <= g <= 961, where N has hundreds of digits.
+_LARGE_G_TRIPLES = "240,15,240;400,199,597;480,23,483;961,30,960"
+_LARGE_G_SHA256 = {
+    "pretty": "f0bef1bd141fa81b929e1abc7c775828efeb018d35fcabaa42735db4d2d2268f",
+    "json": "63ddb37e690f9aa6def429a24d628916cd9e8b6d846edccf801b1a72618c67ea",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_LARGE_G_SHA256))
+def test_reconstruct_large_g_bytes(fmt, capsys):
+    code = main(["verify", "--suite", "reconstruct", "--triples", _LARGE_G_TRIPLES, "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _LARGE_G_SHA256[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
 @pytest.mark.parametrize("args", sorted(_BEYOND_CAPS_SHA256), ids=lambda args: args[0])
 def test_verify_bytes_beyond_default_caps(args, fmt, capsys):

@@ -1,8 +1,8 @@
 """The package's value records derive from ``record.Record``, whose
 methods are plain source: one positional constructor, equality and hash
 by the field tuple where records serve as dict or set keys, the row
-order of ``FamilyParams``, read-only fields, and values computed on
-first use and kept."""
+order of ``FamilyParams``, read-only fields, and no hidden state: a
+derived value such as ``GrdParams.N`` is computed on each read."""
 
 import copy
 import pickle
@@ -143,7 +143,7 @@ def test_repr_names_every_field():
     assert repr(FamilyParams.gp(1, 2)) == "FamilyParams(family='gp', r=1, s=2, extra=None)"
 
 
-def test_n_is_computed_once_per_params(monkeypatch):
+def test_n_is_computed_on_each_read(monkeypatch):
     calls = []
     original = tautpush.castelnuovo_N
 
@@ -155,8 +155,9 @@ def test_n_is_computed_once_per_params(monkeypatch):
     params = GrdParams(21, 6, 24)
     assert calls == []
     first, second = params.N, params.N
-    assert first is second and first == original(21, 6, 24)
-    assert calls == [(21, 6, 24)]
+    assert first == second == original(21, 6, 24)
+    assert calls == [(21, 6, 24)] * 2
+    assert type(params).__slots__ == ("g", "r", "d")
 
 
 def test_push_error_prints_the_params(capsys):

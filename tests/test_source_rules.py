@@ -36,10 +36,11 @@ that defines it.  No module imports ``dataclasses``: its decorator
 generates and ``exec``s every method of a record each time the package
 is imported, a cost no bytecode cache saves; the records derive from
 ``record.Record``, whose methods are plain source.  Only
-``Record.__init__`` sets a record's fields: outside ``record.py``,
-``object.__setattr__`` may set only an underscore slot, a value computed
-on first use such as ``GrdParams._N``, so no record writes its field
-list out again as a constructor that sets one field per line.  A
+``Record.__init__`` sets a record's fields: no ``object.__setattr__``
+appears outside ``record.py``, so no record writes its field list out
+again as a constructor that sets one field per line, or keeps a value
+computed on first use.  Every record's ``__slots__`` are its
+``_fields``, so a record holds no hidden state.  A
 record defines its own ``__init__`` only to validate, so every such
 ``__init__`` raises somewhere: one that only fills in a default is a
 second constructor that no caller needs.  Only
@@ -71,6 +72,7 @@ import pytest
 from bnslopes import schubert
 from bnslopes.divisors import FAMILIES
 from bnslopes.families import SUITES
+from bnslopes.record import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bnslopes"
@@ -609,47 +611,59 @@ def test_fold_import_visitor_sees_every_form():
     assert _stdlib_imports(_tree(SRC / "cli.py"), FOLD_BANNED)
 
 
-def _public_setattrs(tree: ast.Module):
-    """``object.__setattr__`` calls whose slot name is not an underscore
-    string literal."""
-
-    def private(arg):
-        return isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.startswith("_")
+def _object_setattrs(tree: ast.Module):
+    """``object.__setattr__`` calls, whatever slot they name."""
 
     def match(node):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
             return False
         func = node.func
-        return (
-            func.attr == "__setattr__"
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "object"
-            and not (len(node.args) > 1 and private(node.args[1]))
-        )
+        return func.attr == "__setattr__" and isinstance(func.value, ast.Name) and func.value.id == "object"
 
     return _owned(tree, match)
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "record"], ids=lambda p: p.stem)
 def test_only_the_record_constructor_sets_fields(path):
-    calls = _public_setattrs(_tree(path))
-    assert not calls, f"{path.name}: object.__setattr__ of a public name at {calls}"
+    calls = _object_setattrs(_tree(path))
+    assert not calls, f"{path.name}: object.__setattr__ at {calls}"
 
 
 def test_record_constructor_is_seen():
-    assert [owner for owner, _ in _public_setattrs(_tree(SRC / "record.py"))] == ["__init__"]
+    assert [owner for owner, _ in _object_setattrs(_tree(SRC / "record.py"))] == ["__init__"]
 
 
-def test_setattr_visitor_sees_public_and_computed_names():
+def test_setattr_visitor_sees_every_object_setattr():
     tree = ast.parse(
         "object.__setattr__(self, 'x', 1)\n"
         "def f(self, name):\n"
-        "    object.__setattr__(self, '_N', 2)\n"
+        "    object.__setattr__(self, '_x', 2)\n"
         "    object.__setattr__(self, name, 3)\n"
         "    other.__setattr__(self, 'y', 4)\n"
         "    object.__getattribute__(self, 'z')\n"
     )
-    assert _public_setattrs(tree) == [(None, 1), ("f", 4)]
+    assert _object_setattrs(tree) == [(None, 1), ("f", 3), ("f", 4)]
+
+
+def _record_classes():
+    """Every subclass of ``record.Record`` that a module of the package defines."""
+    for path in SOURCES:
+        module = import_module("bnslopes" if path.stem == "__init__" else f"bnslopes.{path.stem}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, Record) and obj is not Record and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_record_slots_are_its_fields():
+    hidden = [(cls.__name__, cls.__slots__) for cls in _record_classes() if cls.__slots__ != cls._fields]
+    assert not hidden, f"records with slots beyond their fields: {hidden}"
+
+
+def test_every_record_class_is_seen():
+    assert {cls.__name__ for cls in _record_classes()} == {
+        "CheckReport", "ChowClass", "DivisorClass", "Family", "FamilyParams", "GrassmannianSpec",
+        "GrdParams", "SchubertIndex", "SlopeReport", "TautCombo",
+    }
 
 
 def _record_inits(tree: ast.Module):
