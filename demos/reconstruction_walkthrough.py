@@ -36,8 +36,8 @@ print(f"  {dc}")
 
 print()
 print("What the test families see (the known values are stated per N):")
-bridge, tails, degrees = pullbacks(g, dc)
-per_N = bridge_pushforward("b", params)
+bridge, tails, degrees = pullbacks(dc)
+per_N = bridge_pushforward(params)[1]
 known = DivisorClass.from_coefficients(N * x for x in per_N.coefficients())
 print(f"  bridge pullback:   {bridge}")
 print(f"  known bridge class: {known} = N x ({per_N})")
@@ -46,7 +46,7 @@ print(f"  they differ by {mu} x (10λ - δ0 - 2δ1) -- equal in the rank-3 quoti
 print(f"  tails pullback vanishes: {not any(tails)}")
 print("  pencil degrees vs the known values:")
 for h in (1, 2, 5, 9):
-    per_N = pencil_degree("b", params, h)
+    per_N = pencil_degree(params, h)[1]
     print(f"    h={h}: {degrees[h - 1]} (known: N x {per_N} = {N * per_N})")
 
 print()

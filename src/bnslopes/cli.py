@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .divisors import FAMILIES, FamilyParams, SlopeReport, SlopeUndefinedError, slope_report
 from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
-from .tautpush import GrdParams, ParameterError, TautCombo, per_N_numerators
+from .tautpush import CLASSES, GrdParams, ParameterError, TautCombo, per_N_numerators
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--r", type=int, required=True)
     pu.add_argument("--d", type=int, required=True)
     which = pu.add_mutually_exclusive_group(required=True)
-    which.add_argument("--class", dest="cls", choices=["a", "b", "c"])
+    which.add_argument("--class", dest="cls", choices=CLASSES)
     which.add_argument("--combo", type=_combo, help="p_a,p_b,p_c,p_lambda as exact rationals")
     pu.add_argument(
         "--normalize",
@@ -212,7 +212,7 @@ def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
 
 def cmd_push(args) -> int:
     params = GrdParams(args.g, args.r, args.d)
-    combo = args.combo or TautCombo.of(*(int(args.cls == x) for x in "abc"), 0)
+    combo = args.combo or TautCombo.unit(args.cls)
     L, ints = per_N_numerators(combo, params)
     lam, psi, *delta = _times(1 if args.normalize == "N" else params.N, L, ints)
     # the bytes of json.dumps(sort_keys=True, indent=2): every value is a

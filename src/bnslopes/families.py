@@ -23,20 +23,20 @@ class on the pointed moduli space:
 On each family the pushforwards of the tautological classes a, b, c are
 known in closed form (zero over the tails family; explicit rank-3
 classes over the bridge; explicit degrees over the pencils), each N
-times an N-free value, and stated per N.  The pullback tables
-(:func:`bridge_matrix`, :func:`tails_matrix`, :func:`pencil_matrix`)
-are lists of sparse rows, {column: value} with only the nonzero
-entries, each row holding at most three.  Together with the known
-values they determine the pushforwards uniquely, and
+times an N-free value, and stated per N as one value per class.  The
+pullback tables (:func:`bridge_matrix`, :func:`tails_matrix`,
+:func:`pencil_matrix`) are lists of sparse rows, {column: value} with
+only the nonzero entries, each row holding at most three.  Together
+with the known values they determine the pushforwards uniquely, and
 :func:`reconstruct` re-derives them by solving the exact linear system
 per N; it is the strongest regression alarm in the package.  The rows
-are the same for a, b and c, so the reconstruct suite solves all three
-at once, as three right-hand sides.  The tables store their integral
-entries as ``int`` (only the tails coefficients of delta_1 and
-delta_{g-1} are ``Fraction``), and so do the pencil degrees.  One
-sparse eliminator, :func:`_forward_eliminate`, serves every system and
-determinant in integers only; only the solutions and determinants come
-back as ``Fraction``.
+are the same for a, b and c, so each always carries all three
+right-hand sides, under the keys g+3..g+5, and one elimination solves
+them.  The tables store their integral entries as ``int`` (only the
+tails coefficients of delta_1 and delta_{g-1} are ``Fraction``), as do
+the pencil degrees.  One sparse eliminator, :func:`_forward_eliminate`,
+serves every system and determinant in integers only; only solutions
+and determinants come back as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -80,6 +80,7 @@ from .schubert import (
     zeta_power_integral,
 )
 from .tautpush import (
+    CLASSES,
     DivisorClass,
     GrdParams,
     ParameterError,
@@ -186,25 +187,21 @@ def _apply(m: Table, vec: Sequence[Fraction]) -> List[Fraction]:
     return [sum((x * vec[j] for j, x in row.items()), Fraction(0)) for row in m]
 
 
-def pullbacks(
-    g: int, dc: DivisorClass
-) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """Apply the three pullback tables to a divisor class.  Returns
-    (bridge, tails, degrees): the genus-2 class on the bridge base, the
-    coefficients of eps_2..eps_{g-2} on the tails base, and the pencil
-    degrees for h = 1..g-1."""
-    if dc.g != g:
-        raise ParameterError(f"class has genus {dc.g}, expected {g}")
-    vec = dc.coefficients()
+def pullbacks(dc: DivisorClass) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """Apply the three pullback tables of genus g = dc.g to a class.
+    Returns (bridge, tails, degrees): the genus-2 class on the bridge
+    base, the coefficients of eps_2..eps_{g-2} on the tails base, and
+    the pencil degrees for h = 1..g-1."""
+    g, vec = dc.g, dc.coefficients()
     bridge = DivisorClass.from_coefficients(_apply(bridge_matrix(g), vec))
     tails = tuple(_apply(tails_matrix(g), vec))
     degrees = tuple(_apply(pencil_matrix(g), vec))
     return bridge, tails, degrees
 
 
-def bridge_pushforward(which: str, params: GrdParams) -> DivisorClass:
-    """1/N times the pushforward of a, b or c over the bridge family, as
-    a genus-2 class on the bridge base.  With T = 2d(d-2g+2)/(3(g-1)),
+def bridge_pushforward(params: GrdParams) -> Tuple[DivisorClass, DivisorClass, DivisorClass]:
+    """1/N times the pushforwards of a, b and c over the bridge family, as
+    genus-2 classes on the bridge base.  With T = 2d(d-2g+2)/(3(g-1)),
     U = d/(g-1) and V = -xi/(3(g-1)):
 
         a -> T (3 psi - lambda - delta_1) + U (lambda + delta_1 - 4 psi)
@@ -212,32 +209,21 @@ def bridge_pushforward(which: str, params: GrdParams) -> DivisorClass:
         c -> V (3 psi - lambda - delta_1)
     """
     g, d = params.g, params.d
+    T = Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1))
     U = Fraction(d, g - 1)
-    if which == "b":
-        return DivisorClass(U, -4 * U, (Fraction(0), U))
-    if which == "a":
-        T = Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1))
-        return DivisorClass(U - T, 3 * T - 4 * U, (Fraction(0), U - T))
-    if which == "c":
-        V = -params.xi / (3 * (g - 1))
-        return DivisorClass(-V, 3 * V, (Fraction(0), -V))
-    raise ParameterError(f"unknown tautological class {which!r}")
+    V = -params.xi / (3 * (g - 1))
+    xy = ((T, U), (0, U), (V, 0))  # the coefficients of the two brackets
+    return tuple(DivisorClass(y - x, 3 * x - 4 * y, (Fraction(0), y - x)) for x, y in xy)
 
 
-def pencil_degree(which: str, params: GrdParams, h: int) -> int:
-    """1/N times the degree of the pushforward of a, b or c over the
+def pencil_degree(params: GrdParams, h: int) -> Tuple[int, int, int]:
+    """1/N times the degrees of the pushforwards of a, b and c over the
     pencil family of type h:  a -> -d^2;  b -> -(2(g-h)-1) d;
     c -> -(rh + r(r+1)/2)."""
     g, r, d = params.g, params.r, params.d
     if not 1 <= h <= g - 1:
         raise ParameterError(f"pencil type needs 1 <= h <= g-1; got h={h}")
-    if which == "a":
-        return -d * d
-    if which == "b":
-        return -(2 * (g - h) - 1) * d
-    if which == "c":
-        return -(r * h + r * (r + 1) // 2)
-    raise ParameterError(f"unknown tautological class {which!r}")
+    return -d * d, -(2 * (g - h) - 1) * d, -(r * h + r * (r + 1) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +569,11 @@ def _solve_unique(
 def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
     data alone, bypassing the closed-form coefficients: N times the
-    one solution of the system described in :func:`_reconstruct`.
+    class's solution of the system described in :func:`_reconstruct`.
     Raises ReconstructionError when the system has no unique solution."""
+    TautCombo.unit(which)  # an unknown class is named before any elimination
     params = _reconstruct_params(g, r, d)
-    [got] = _reconstruct(params, (which,))
+    got = _reconstruct(params)[CLASSES.index(which)]
     if isinstance(got, ReconstructionError):
         raise got
     N = params.N
@@ -605,21 +592,18 @@ def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
     return params
 
 
-def _reconstruct(
-    params: GrdParams, classes: Sequence[str]
-) -> List[DivisorClass | ReconstructionError]:
-    """Solve for 1/N times the pushforwards of the named classes (each
-    a, b or c) at ``params`` from the special-family data, with one
-    elimination and no N: the right-hand sides are stated per N, and as
-    every row is linear, the solution is theirs for the pushforwards
-    divided by N.
+def _reconstruct(params: GrdParams) -> List[DivisorClass | ReconstructionError]:
+    """Solve for 1/N times the pushforwards of a, b and c at ``params``
+    from the special-family data, with one elimination and no N: the
+    right-hand sides are stated per N, and as every row is linear, the
+    solution is theirs for the pushforwards divided by N.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
     psi, in that column order, and one more scalar mu in column g+2.
     Every row of a pullback table is a sparse row over
     (lambda, psi, delta_*); moving its entries to those columns, adding a
-    mu entry and one right-hand side per class under the keys g+3, g+4,
-    ... makes it a row of the system:
+    mu entry and the right-hand sides of a, b and c under the keys g+3,
+    g+4 and g+5 makes it a row of the system:
 
     * for each pencil type h: the pencil degree of the class;
     * for each tails class eps_i: the pullback of the class vanishes,
@@ -627,25 +611,23 @@ def _reconstruct(
     * the bridge pullback plus mu times the relation
       10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class.
 
-    Only the right-hand sides depend on the class, so the rows are built
-    and eliminated (see :func:`_forward_eliminate`) once for all classes,
-    in that order.  They stay short, never holding more than four
-    unknowns: pencil row h pivots on delta_min(h, g-h), pencil g-h then
-    cancels to a psi-only row, and each tails row moves from delta to
-    delta along the pencil pivots until it finds a free column.  psi comes
-    after the deltas because it sits in every pencil row: as a leading
-    column it would make every pencil row reduce by the first one and pick
-    up its delta entries, while as the last class column it only rides
-    along.  ``params`` comes from :func:`_reconstruct_params`.  Returns,
-    per class, its DivisorClass or its ReconstructionError.
+    The rows are eliminated (see :func:`_forward_eliminate`) in that
+    order, and stay short, never holding more than four unknowns: pencil
+    row h pivots on delta_min(h, g-h), pencil g-h then cancels to a
+    psi-only row, and each tails row moves from delta to delta along the
+    pencil pivots until it finds a free column.  psi comes after the
+    deltas because it sits in every pencil row: as a leading column it
+    would make every pencil row reduce by the first one and pick up its
+    delta entries, while as the last class column it only rides along.
+    ``params`` comes from :func:`_reconstruct_params`.  Returns, for a, b
+    and c in turn, its DivisorClass or its ReconstructionError.
     """
     g = params.g
-    bridge_targets = [bridge_pushforward(which, params).coefficients() for which in classes]
-    pencils = enumerate(pencil_matrix(g), start=1)
+    bridge_targets = zip(*(dc.coefficients() for dc in bridge_pushforward(params)))
     system = (
-        [(row, 0, [pencil_degree(which, params, h) for which in classes]) for h, row in pencils]
+        [(row, 0, pencil_degree(params, h)) for h, row in enumerate(pencil_matrix(g), start=1)]
         + [(row, 0, ()) for row in tails_matrix(g)]
-        + list(zip(bridge_matrix(g), _RELATION, zip(*bridge_targets)))
+        + list(zip(bridge_matrix(g), _RELATION, bridge_targets))
     )
     # table column j -> system column: lambda stays, psi goes last, delta_i to 1 + i
     column = [0, g + 1, *range(1, g + 1)]
@@ -663,7 +645,7 @@ def _reconstruct(
         sol
         if isinstance(sol, ReconstructionError)
         else DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
-        for sol in _solve_unique(rows, g + 3, len(classes))
+        for sol in _solve_unique(rows, g + 3, len(CLASSES))
     ]
 
 
@@ -731,11 +713,12 @@ def _epsilon_report() -> CheckReport:
     )
 
 
-def _bridge_quotient_report(params: GrdParams, N: int, which: str, dc: DivisorClass) -> CheckReport:
+def _bridge_quotient_report(
+    params: GrdParams, N: int, which: str, dc: DivisorClass, want: DivisorClass
+) -> CheckReport:
     """The bridge pullback of 1/N times the pushforward differs from the
-    known per-N genus-2 class by an exact multiple of the relation."""
+    known per-N genus-2 class ``want`` by an exact multiple of the relation."""
     got = DivisorClass.from_coefficients(_apply(bridge_matrix(params.g), dc.coefficients()))
-    want = bridge_pushforward(which, params)
     mu = relation_multiple(got, want)
     text = "{}·λ + {}·ψ + {}·δ0 + {}·δ1".format
     return _report(
@@ -810,7 +793,7 @@ def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Itera
 
 def _per_N_push(which: str, params: GrdParams) -> DivisorClass:
     """1/N times the pushforward of a, b or c, from its per-N numerators."""
-    L, ints = per_N_numerators(TautCombo.of(*(int(which == x) for x in "abc"), 0), params)
+    L, ints = per_N_numerators(TautCombo.unit(which), params)
     return DivisorClass.from_coefficients(Fraction(x, L) for x in ints)
 
 
@@ -818,13 +801,13 @@ def _reconstruct_reports(checked: Sequence[GrdParams]) -> Iterator[CheckReport]:
     """Solves and compares 1/N times each class; N is computed once per
     triple, and every value printed is N times the one compared."""
     for params in checked:
-        per_N = {which: _per_N_push(which, params) for which in "abc"}
-        solved = _reconstruct(params, "abc")
+        per_N = [_per_N_push(which, params) for which in CLASSES]
+        solved = _reconstruct(params)
         N = params.N
-        for (which, dc), got in zip(per_N.items(), solved):
+        for which, got, dc in zip(CLASSES, solved, per_N):
             yield _reconstruct_report(params, N, which, got, dc)
-        for which, dc in per_N.items():
-            yield _bridge_quotient_report(params, N, which, dc)
+        for which, dc, want in zip(CLASSES, per_N, bridge_pushforward(params)):
+            yield _bridge_quotient_report(params, N, which, dc, want)
     yield _epsilon_report()
 
 

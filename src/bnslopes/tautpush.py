@@ -42,6 +42,7 @@ from typing import Iterable, Iterator, List, Tuple
 from .record import Record
 
 __all__ = [
+    "CLASSES",
     "DivisorClass",
     "GrdParams",
     "ParameterError",
@@ -56,6 +57,8 @@ __all__ = [
     "rho",
     "rho_zero_triples",
 ]
+
+CLASSES = ("a", "b", "c")  # the tautological classes, in TautCombo's coefficient order
 
 
 class ParameterError(ValueError):
@@ -261,6 +264,13 @@ class TautCombo(Record):
     def of(cls, p_a, p_b, p_c, p_lam) -> "TautCombo":
         return cls(Fraction(p_a), Fraction(p_b), Fraction(p_c), Fraction(p_lam))
 
+    @classmethod
+    def unit(cls, which: str) -> "TautCombo":
+        """The combination of the one class named ``which``, a, b or c."""
+        if which not in CLASSES:
+            raise ParameterError(f"unknown tautological class {which!r}; expected a, b or c")
+        return cls.of(*(int(which == x) for x in CLASSES), 0)
+
     def __str__(self) -> str:
         return f"({self.p_a})a + ({self.p_b})b + ({self.p_c})c + ({self.p_lam})λ"
 
@@ -335,16 +345,9 @@ def push_c(params: GrdParams) -> DivisorClass:
     return push_combo(TautCombo.of(0, 0, 1, 0), params)
 
 
-_PUSHES = {"a": push_a, "b": push_b, "c": push_c}
-
-
 def push(which: str, params: GrdParams) -> DivisorClass:
-    """Dispatch to push_a / push_b / push_c by name."""
-    try:
-        fn = _PUSHES[which]
-    except KeyError:
-        raise ParameterError(f"unknown tautological class {which!r}; expected a, b or c")
-    return fn(params)
+    """Pushforward of the class named ``which``, a, b or c."""
+    return push_combo(TautCombo.unit(which), params)
 
 
 def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:

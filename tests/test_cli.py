@@ -499,8 +499,9 @@ class TestVerifyCommand:
         _, clean, _ = run(capsys, *argv)
         degree = families.pencil_degree
 
-        def off_for_b_at_h1(which, params, h):
-            return degree(which, params, h) + (which == "b" and h == 1)
+        def off_for_b_at_h1(params, h):
+            a, b, c = degree(params, h)
+            return a, b + (h == 1), c
 
         monkeypatch.setattr(families, "pencil_degree", off_for_b_at_h1)
         code, out, _ = run(capsys, *argv)
@@ -510,6 +511,25 @@ class TestVerifyCommand:
         assert [y for _, y in changed] == [bad, "7 checks, 1 failures"]
         assert changed[0][0].startswith("[pass] reconstruct(g=10,r=4,d=12,class=b)")
         assert len(out.splitlines()) == len(clean.splitlines()) == 8
+
+    def test_wrong_bridge_class_fails_its_own_class_only(self, capsys, monkeypatch):
+        # the bridge classes of a, b and c are built together; a bad class
+        # for c must fail c's reconstruction and bridge check and nothing else
+        known = families.bridge_pushforward
+
+        def off_for_c_at_lambda(params):
+            a, b, c = known(params)
+            return a, b, DivisorClass(c.lam + 1, c.psi, c.delta)
+
+        monkeypatch.setattr(families, "bridge_pushforward", off_for_c_at_lambda)
+        code, out, _ = run(capsys, "verify", "--suite", "reconstruct", "--triples", "10,4,12")
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+        assert failed == [
+            "[FAIL] reconstruct(g=10,r=4,d=12,class=c)",
+            "[FAIL] bridge_quotient(g=10,r=4,d=12,class=c)",
+        ]
+        assert out.splitlines()[-1] == "7 checks, 2 failures"
 
     def test_bridge_failure_reads_not_proportional(self, capsys, monkeypatch):
         closed_form = families._per_N_push

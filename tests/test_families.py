@@ -41,7 +41,6 @@ from bnslopes.tautpush import (
     TautCombo,
     castelnuovo_N,
     push,
-    push_b,
     push_combo,
     rho_zero_triples,
 )
@@ -92,27 +91,27 @@ def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
 class TestPullbackTables:
     def test_lambda_pulls_back_cleanly(self):
         g = 8
-        bridge, tails, degrees = pullbacks(g, unit_class(g, "lam"))
+        bridge, tails, degrees = pullbacks(unit_class(g, "lam"))
         assert bridge.coefficients() == (1, 0, 0, 0)
         assert not any(tails)
         assert all(x == 0 for x in degrees)
 
     def test_delta_g_minus_2_hits_psi(self):
         g = 8
-        bridge, _, _ = pullbacks(g, unit_class(g, "delta", g - 2))
+        bridge, _, _ = pullbacks(unit_class(g, "delta", g - 2))
         assert bridge.psi == -1
         assert bridge.lam == bridge.delta[0] == bridge.delta[1] == 0
 
     def test_psi_degrees(self):
         g = 8
-        bridge, tails, degrees = pullbacks(g, unit_class(g, "psi"))
+        bridge, tails, degrees = pullbacks(unit_class(g, "psi"))
         assert bridge.coefficients() == (0, 0, 0, 0)
         assert not any(tails)
         assert degrees == tuple(Fraction(2 * h - 1) for h in range(1, g))
 
     def test_middle_delta_cancels_on_pencils(self):
         g = 8
-        _, _, degrees = pullbacks(g, unit_class(g, "delta", g // 2))
+        _, _, degrees = pullbacks(unit_class(g, "delta", g // 2))
         assert degrees[g // 2 - 1] == 0
 
     def test_integral_entries_are_ints(self):
@@ -126,9 +125,9 @@ class TestPullbackTables:
         for g, r, d in ((5, 4, 8), (6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24), (120, 23, 138)):
             params = GrdParams(g, r, d)
             for h in range(1, g):
-                degrees = [pencil_degree(which, params, h) for which in "abc"]
+                degrees = pencil_degree(params, h)
                 assert all(type(x) is int for x in degrees), (g, h)
-                assert degrees == [-d * d, -(2 * (g - h) - 1) * d, -(r * h + Fraction(r * (r + 1), 2))], (g, h)
+                assert degrees == (-d * d, -(2 * (g - h) - 1) * d, -(r * h + Fraction(r * (r + 1), 2))), (g, h)
 
 
 class TestEpsilonMatrix:
@@ -196,8 +195,8 @@ class TestBridgeQuotient:
     def test_push_b_differs_by_stated_multiple(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(g, _per_N_push("b", params))
-        want = bridge_pushforward("b", params)
+        got, _, _ = pullbacks(_per_N_push("b", params))
+        _, want, _ = bridge_pushforward(params)
         mu = relation_multiple(got, want)
         assert mu == Fraction(d, 2 * (g - 1))  # = 28/N with N = 42
         assert mu * params.N == 28
@@ -205,24 +204,24 @@ class TestBridgeQuotient:
     def test_raw_comparison_fails_without_quotient(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(g, _per_N_push("b", params))
-        assert got != bridge_pushforward("b", params)
-        assert relation_multiple(got, bridge_pushforward("b", params)) is not None
+        got, _, _ = pullbacks(_per_N_push("b", params))
+        _, want, _ = bridge_pushforward(params)
+        assert got != want
+        assert relation_multiple(got, want) is not None
 
     def test_all_classes_all_triples(self):
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
-            for which in "abc":
-                got, _, _ = pullbacks(g, _per_N_push(which, params))
-                want = bridge_pushforward(which, params)
+            for which, want in zip("abc", bridge_pushforward(params)):
+                got, _, _ = pullbacks(_per_N_push(which, params))
                 assert relation_multiple(got, want) is not None, (g, which)
                 # N times the known class is the bridge class of the pushforward
-                full, _, _ = pullbacks(g, push(which, params))
+                full, _, _ = pullbacks(push(which, params))
                 scaled = DivisorClass.from_coefficients(params.N * x for x in want.coefficients())
                 assert relation_multiple(full, scaled) == params.N * relation_multiple(got, want), (g, which)
 
     def test_difference_off_the_relation(self):
-        want = bridge_pushforward("b", GrdParams(10, 4, 12))
+        _, want, _ = bridge_pushforward(GrdParams(10, 4, 12))
         got = DivisorClass(want.lam + 1, want.psi, want.delta)
         assert relation_multiple(got, want) is None
         assert relation_multiple(want, want) == 0
@@ -235,18 +234,18 @@ class TestLemmaConsistency:
         # the known degrees are 1/N times those of the pushforwards
         for g, r, d in ((6, 2, 6), (10, 4, 12)):
             params = GrdParams(g, r, d)
-            for which in "abc":
-                expected = tuple(pencil_degree(which, params, h) for h in range(1, g))
-                _, _, degrees = pullbacks(g, _per_N_push(which, params))
+            known = zip(*(pencil_degree(params, h) for h in range(1, g)))
+            for which, expected in zip("abc", known):
+                _, _, degrees = pullbacks(_per_N_push(which, params))
                 assert degrees == expected, (g, which)
-                _, _, degrees = pullbacks(g, push(which, params))
+                _, _, degrees = pullbacks(push(which, params))
                 assert degrees == tuple(params.N * x for x in expected), (g, which)
 
     def test_tails_pullback_vanishes(self):
         for g, r, d in ((6, 2, 6), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which in "abc":
-                _, tails, _ = pullbacks(g, push(which, params))
+                _, tails, _ = pullbacks(push(which, params))
                 assert not any(tails), (g, which)
 
     def test_lemma_data_shape(self):
@@ -552,8 +551,8 @@ class TestReconstruct:
     def test_wrong_pencil_degree_is_inconsistent(self, monkeypatch):
         real = families.pencil_degree
 
-        def off_by_one(which, params, h):
-            return real(which, params, h) + (h == 1)
+        def off_by_one(params, h):
+            return tuple(x + (h == 1) for x in real(params, h))
 
         monkeypatch.setattr(families, "pencil_degree", off_by_one)
         with pytest.raises(ReconstructionError, match="inconsistent"):
@@ -616,7 +615,7 @@ class TestSuites:
         assert len(reports) == 62 and all(r.passed for r in reports)
 
     def test_bridge_quotient_skips_dense_tables(self, monkeypatch):
-        def dense(g, dc):
+        def dense(dc):
             raise AssertionError("pullbacks builds the tails and pencil tables")
 
         monkeypatch.setattr(families, "pullbacks", dense)
@@ -825,10 +824,9 @@ _P626 = GrdParams(6, 2, 6)
     "call, fragment",
     [
         (lambda: tails_matrix(4), "tails family needs g >= 5"),
-        (lambda: pullbacks(6, push_b(GrdParams(8, 3, 9))), "class has genus 8, expected 6"),
-        (lambda: pencil_degree("a", _P626, 0), "needs 1 <= h <= g-1; got h=0"),
-        (lambda: pencil_degree("a", _P626, 6), "needs 1 <= h <= g-1; got h=6"),
-        (lambda: pencil_degree("x", _P626, 1), "unknown tautological class 'x'"),
+        (lambda: pencil_degree(_P626, 0), "needs 1 <= h <= g-1; got h=0"),
+        (lambda: pencil_degree(_P626, 6), "needs 1 <= h <= g-1; got h=6"),
+        (lambda: _per_N_push("x", _P626), "unknown tautological class 'x'"),
         (lambda: identity_weierstrass_a(2, 1, 2), "Weierstrass identity for a needs g >= 3"),
         (lambda: identity_weierstrass_a(3, 0, 0), "Weierstrass identity for a needs g >= 3 and r >= 1; got g=3, r=0"),
         (lambda: identity_castelnuovo(1, 0, 0), "Castelnuovo identity needs r >= 1; got r=0"),

@@ -24,6 +24,10 @@ never compares a suite name with ``==``, so a new suite is one table
 entry rather than one more branch.  Likewise no module compares a
 family name from ``divisors.FAMILIES`` with ``==``, and only
 ``divisors`` spells one out: a new family is one table entry.  No
+module compares a value with the class names ``"a"``, ``"b"`` or
+``"c"`` either: a class is picked by ``tautpush.TautCombo.unit``, the
+one place an unknown name is refused, or by position in
+``tautpush.CLASSES``.  No
 ``Fraction`` is made of a nonzero integer literal alone (``Fraction(0)``
 may still start a sum): an integral constant stays an ``int``, so
 integral table entries reach the eliminator without a ``Fraction`` to
@@ -58,7 +62,9 @@ short side of the rectangle by binomials, and a g! path would bring a
 g-digit dividend and one long division back.  ``tautpush`` imports
 nothing from ``functools`` or ``operator``: ``per_N_numerators`` reads
 six values of each weighted bracket and sums them as plain integers, so
-no chain of ``map``s over every row comes back.
+no chain of ``map``s over every row comes back.  Every module-level
+import is read somewhere in its module, so a name that a change stops
+using leaves the imports with it.
 """
 
 import ast
@@ -73,6 +79,7 @@ from bnslopes import schubert
 from bnslopes.divisors import FAMILIES
 from bnslopes.families import SUITES
 from bnslopes.record import Record
+from bnslopes.tautpush import CLASSES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bnslopes"
@@ -392,6 +399,12 @@ def test_suites_are_not_chosen_by_comparing_names():
     assert not lines, f"families.py: suite name compared with == at lines {lines}"
 
 
+def test_classes_are_not_chosen_by_comparing_names():
+    lines = {path.name: _name_comparisons(_tree(path), set(CLASSES)) for path in SOURCES}
+    lines = {name: found for name, found in lines.items() if found}
+    assert not lines, f"class name compared with == at {lines}"
+
+
 def _string_constants(tree: ast.Module, names) -> list:
     """Lines of the string constants from ``names``."""
     return sorted(
@@ -609,6 +622,44 @@ def test_fold_import_visitor_sees_every_form():
     )
     assert _stdlib_imports(tree, FOLD_BANNED) == [(None, 1), (None, 2), (None, 3), (None, 4), ("f", 6)]
     assert _stdlib_imports(_tree(SRC / "cli.py"), FOLD_BANNED)
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """(name, line) of each module-level import whose bound name no
+    ``Name`` node reads; an ``Attribute`` chain ``a.b.c`` reads its root
+    ``a``, and an annotation counts as a read.  ``from __future__``
+    imports are exempt."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((name, node.lineno))
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    unused = _unused_imports(_tree(path))
+    assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+def test_unused_import_visitor_sees_aliases_and_annotations():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import List, Sequence as Seq\n"
+        "from .m import used, unused\n"
+        "def f(x: List[int]) -> Seq:\n"
+        "    import sys\n"
+        "    return os.path.join(used, json.dumps(x))\n"
+    )
+    assert _unused_imports(tree) == [("j", 3), ("unused", 5)]
 
 
 def _object_setattrs(tree: ast.Module):

@@ -197,6 +197,13 @@ class TestPushCombo:
         assert dc.psi == 0
         assert all(x == 0 for x in dc.delta)
 
+    def test_unit_combos_are_the_named_pushes(self):
+        assert [TautCombo.unit(which) for which in tautpush.CLASSES] == [
+            TautCombo.of(1, 0, 0, 0), TautCombo.of(0, 1, 0, 0), TautCombo.of(0, 0, 1, 0),
+        ]
+        p = GrdParams(10, 4, 12)
+        assert [push(which, p) for which in "abc"] == [push_a(p), push_b(p), push_c(p)]
+
     def test_pure_lambda_skips_out_of_domain_pushes(self):
         # only the lambda term is evaluated, so g = 2 is fine
         dc = push_combo(TautCombo.of(0, 0, 0, 1), GrdParams(2, 1, 2))
