@@ -43,10 +43,11 @@ Weierstrass fiber which are re-checked here numerically
 (:func:`identity_weierstrass_a`, :func:`identity_weierstrass_c`,
 :func:`identity_pieri` and the aspect counts).  Their integrals of zeta
 powers come from the closed form and, on Grassmannians of tractable
-size, from one read of the Grassmannian's Pieri table.  The
-schubert-oracle suite checks the closed form on every dimension-balanced
-integral against one such table per r, of the largest Grassmannian,
-read on every smaller one.  Each verify suite is one entry of a table
+size, from one read of the Grassmannian's Pieri table, one table per
+triple.  The schubert-oracle suite checks the closed form on every
+dimension-balanced integral against one such table per r, of the
+largest Grassmannian, read on every smaller one where the closed form
+is nonzero, and a count of the table's entries proves the rest.  Each verify suite is one entry of a table
 from its name to a generator of reports; :func:`suite_reports` runs
 one, or all of them in table order.
 """
@@ -54,6 +55,7 @@ one, or all of them in table order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm, prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -133,6 +135,8 @@ def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fractio
 Row = Dict[int, int | Fraction]
 Table = List[Row]
 IntRow = Dict[int, int]
+# The Pieri table of schubert._zeta_layers: one map per layer.
+Layers = List[Dict[Tuple[int, ...], int]]
 
 # Every pullback table is a list of sparse rows {column: value} that
 # store only nonzero entries.  Columns follow DivisorClass.coefficients():
@@ -266,20 +270,26 @@ def _report(check: str, params: Dict[str, object], lhs, rhs, passed: bool, detai
 _BRUTE_LIMIT = 2_000_000
 
 
+def _brute_table(spec: GrassmannianSpec, b: Tuple[int, ...]) -> Optional[Layers]:
+    """The Pieri table of G(r, P^d) for reading the pattern b, or None
+    when b overflows the box (both integrals are then 0) or the index set
+    of G(r, P^d), C(d+1, r+1) indices, exceeds _BRUTE_LIMIT."""
+    if b[-1] <= spec.box and comb(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
+        return _zeta_layers(spec)
+    return None
+
+
 def _pattern_integral(
-    spec: GrassmannianSpec, b: Tuple[int, ...], k: int, *, brute: bool
+    spec: GrassmannianSpec, b: Tuple[int, ...], k: int, layers: Optional[Layers]
 ) -> Tuple[Fraction, Optional[int]]:
     """Integral of zeta^k against sigma_b by the closed form and, when
-    asked and the index set of G(r, P^d) (C(d+1, r+1) indices) is within
-    _BRUTE_LIMIT, by one read of the Pieri table of G(r, P^d); None when
-    not run.  An out-of-box pattern means the cycle vanishes and both
-    integrals are zero."""
+    ``layers`` is the Pieri table of G(r, P^d), by one read of it; None
+    when no table is given.  An out-of-box pattern means the cycle
+    vanishes and both integrals are zero."""
     if b[-1] > spec.box:
         return Fraction(0), 0
     closed = zeta_power_integral(spec, make_index(spec, b), k)
-    if brute and comb(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
-        return closed, _table_count(_zeta_layers(spec), spec.box, b, k)
-    return closed, None
+    return closed, None if layers is None else _table_count(layers, spec.box, b, k)
 
 
 def _integral_detail(label: str, closed: Fraction, br: Optional[int]) -> str:
@@ -293,10 +303,25 @@ def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> Check
     if r < 1:
         raise ParameterError(f"Castelnuovo identity needs r >= 1; got r={r}")
     spec = GrassmannianSpec(r, d)
-    closed, br = _pattern_integral(spec, (0,) * (r + 1), g, brute=brute)
+    b = (0,) * (r + 1)
+    closed, br = _pattern_integral(spec, b, g, _brute_table(spec, b) if brute else None)
     ok = closed == N and br in (None, closed)
     detail = _integral_detail("closed", closed, br)
     return _report("castelnuovo", {"g": g, "r": r, "d": d}, closed, N, ok, detail)
+
+
+def _weierstrass_a_index(r: int) -> Tuple[int, ...]:
+    """The pattern (1, 2, 3, ..., 3) of the Weierstrass identity for a."""
+    return (1, 2) + (3,) * (r - 1)
+
+
+def _weierstrass_table(params: GrdParams) -> Optional[Layers]:
+    """The one Pieri table that both Weierstrass identities of a triple
+    read.  The pattern of c, (0, 1, 2, ..., 2, 3), is used only for
+    r >= 2, and then it ends in 3 as the pattern of a does, so a's
+    pattern decides whether the table is needed."""
+    spec = GrassmannianSpec(params.r, params.d)
+    return _brute_table(spec, _weierstrass_a_index(params.r))
 
 
 def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
@@ -310,10 +335,14 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for a needs g >= 3 and r >= 1; got g={g}, r={r}"
         )
-    b = (1, 2) + (3,) * (r - 1)
-    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 3, brute=True)
+    return _weierstrass_a_report(params, params.N, _weierstrass_table(params))
+
+
+def _weierstrass_a_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
+    g, r, d = params.g, params.r, params.d
+    closed, br = _pattern_integral(GrassmannianSpec(r, d), _weierstrass_a_index(r), g - 3, layers)
     lhs = -2 * (g - 2) * closed
-    rhs = Fraction(-2 * d * (2 * g - 2 - d) * params.N, 3 * (g - 1))
+    rhs = Fraction(-2 * d * (2 * g - 2 - d) * N, 3 * (g - 1))
     ok = lhs == rhs and br in (None, closed)
     detail = _integral_detail("integral", closed, br)
     return _report("weierstrass_a", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
@@ -330,9 +359,13 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
         )
+    return _weierstrass_c_report(params, params.N, _weierstrass_table(params))
+
+
+def _weierstrass_c_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
+    g, r, d = params.g, params.r, params.d
     b = (0, 1) + (2,) * (r - 2) + (3,)
-    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 2, brute=True)
-    N = params.N
+    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 2, layers)
     lhs = -(closed + N)
     rhs = Fraction(-N, 3 * (g - 1)) * params.xi
     ok = lhs == rhs and br in (None, closed)
@@ -375,7 +408,7 @@ def identity_pieri(g: int, r: int, d: int) -> CheckReport:
     )
 
 
-def _aspect_report(g: int, r: int, d: int) -> CheckReport:
+def _aspect_report(params: GrdParams, N: int) -> CheckReport:
     """Aspect counts: the aspects compatible with a maximally ramified
     series at the Weierstrass point form two families, of
     (2g-2-d) N / (2(g-1)) and d N / (2(g-1)) aspects with multiplicity.
@@ -387,12 +420,12 @@ def _aspect_report(g: int, r: int, d: int) -> CheckReport:
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
     the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
     """
-    N = GrdParams(g, r, d).N
+    g, r, d = params.g, params.r, params.d
     n1 = Fraction((2 * g - 2 - d) * N, 2 * (g - 1))
     n2 = Fraction(d * N, 2 * (g - 1))
     spec = GrassmannianSpec(r, d)
-    s1, _ = _pattern_integral(spec, (0,) + (2,) * r, g - 2, brute=False)
-    s2, _ = _pattern_integral(spec, (1, 1) + (2,) * (r - 1), g - 2, brute=False)
+    s1, _ = _pattern_integral(spec, (0,) + (2,) * r, g - 2, None)
+    s2, _ = _pattern_integral(spec, (1, 1) + (2,) * (r - 1), g - 2, None)
     ok = n1 + n2 == N and s1 == n1 and s2 == n2
     integral_counts = n1.denominator == 1 and n2.denominator == 1
     return _report(
@@ -653,33 +686,66 @@ def _reconstruct(params: GrdParams) -> List[DivisorClass | ReconstructionError]:
 # Verification suites
 
 
-def _oracle_spec_report(r: int, d: int, layers: List[Dict[Tuple[int, ...], int]]) -> CheckReport:
+def _oracle_spec_report(r: int, d: int, layers: Layers, reach: int) -> CheckReport:
     """Exhaustive comparison of the closed form with Pieri counts over
     every dimension-balanced (b, k) on G(r, P^d), in lexicographic order
-    of b, each count one :func:`_table_count` read of ``layers``, the
-    Pieri table of some G(r, P^D) with D >= d.  The closed form is
-    compared on ints, as ``num == brute * den``.  Its den is positive,
-    so that holds exactly when den divides num with quotient brute: a
-    closed form that is not an integer, or is another integer, is a
-    failed check."""
+    of b, each count a :func:`_table_count` read of ``layers``, the Pieri
+    table of some G(r, P^D) with D >= d.  The closed form is compared on
+    ints, as ``num == brute * den``.  Its den is positive, so that holds
+    exactly when den divides num with quotient brute: a closed form that
+    is not an integer, or is another integer, is a failed check.
+
+    The table is read only where the closed form is nonzero, and a count
+    proves every other pair.  With box = d - r, let P be the balanced
+    pairs where num != 0, and R those whose dual index
+    b* = (box - b_r, ..., box - b_0) is an entry of layer k; ``reach`` is
+    |R|, counted by :func:`_reach_counts`.  The fast pass reads the table
+    at each pair of P and requires ``num == entry * den``; with num != 0
+    that needs an entry, so P is a subset of R.  If also |P| = |R|, then
+    P = R: every other pair reads 0, as b* is absent from layer k, and
+    has num = 0, so it compares 0 with 0.  The verdict is then the
+    pair-by-pair one, for any table and any closed form.  When a
+    comparison fails or the counts differ, the ordered scan compares
+    every pair, and its report names the first (b, k) that fails.  An
+    overcount of R (an entry that no balanced pair reaches) only costs
+    that scan.
+    """
     spec = GrassmannianSpec(r, d)
-    box = spec.box
-    checked = 0
+    box, pairs, reads, failed = spec.box, 0, 0, False
     for b, k in _balanced_tuples(spec):
-        brute = _table_count(layers, box, b, k)
         num, den = _closed_form(spec, b, k)
-        if num != brute * den:
-            return _report(
-                "schubert_oracle",
-                {"r": r, "d": d},
-                f"closed({b},k={k})={Fraction(num, den)}",
-                f"brute={brute}",
-                False,
-            )
-        checked += 1
-    return _report(
-        "schubert_oracle", {"r": r, "d": d}, checked, checked, True, f"{checked} pairs"
-    )
+        pairs += 1
+        if num:
+            reads += 1
+            if num != _table_count(layers, box, b, k) * den:
+                failed = True
+                break
+    if failed or reads != reach:
+        for b, k in _balanced_tuples(spec):
+            brute = _table_count(layers, box, b, k)
+            num, den = _closed_form(spec, b, k)
+            if num != brute * den:
+                return _report(
+                    "schubert_oracle",
+                    {"r": r, "d": d},
+                    f"closed({b},k={k})={Fraction(num, den)}",
+                    f"brute={brute}",
+                    False,
+                )
+    return _report("schubert_oracle", {"r": r, "d": d}, pairs, pairs, True, f"{pairs} pairs")
+
+
+def _reach_counts(layers: Layers, r: int, top: int) -> List[int]:
+    """|R| of :func:`_oracle_spec_report` for each box B <= ``top``, from
+    one pass over the table.  A balanced pair's b* has sum r*k, so each
+    entry c of layer k with that sum counts, in the bucket c[-1]; item B
+    accumulates the buckets up to B, the entries that the box B holds."""
+    buckets = [0] * (top + 1)
+    for k, layer in enumerate(layers):
+        for c in layer:
+            if c[-1] <= top and sum(c) == r * k:
+                buckets[c[-1]] += 1
+    return list(accumulate(buckets))
 
 
 def _reconstruct_report(
@@ -761,12 +827,14 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
 
 
 def _oracle_suite(*, r_max: int, d_max: int, **_) -> Iterator[CheckReport]:
-    """One Pieri table per r, of G(r, P^d_max), read by every d; one
-    table is held at a time."""
+    """One Pieri table per r, of G(r, P^d_max), read by every d, and one
+    pass over it that counts the entries each box can reach; one table
+    is held at a time."""
     for r in range(1, min(r_max, d_max) + 1):
         layers = _zeta_layers(GrassmannianSpec(r, d_max))
+        reach = _reach_counts(layers, r, d_max - r)
         for d in range(r, d_max + 1):
-            yield _oracle_spec_report(r, d, layers)
+            yield _oracle_spec_report(r, d, layers, reach[d - r])
         del layers
 
 
@@ -775,12 +843,17 @@ def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
 
 
 def _weierstrass_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
+    """One GrdParams, one N and at most one Pieri table per triple,
+    shared by the triple's reports."""
     for g, r, d in rho_zero_triples(max_g):
+        params = GrdParams(g, r, d)
+        N = params.N
         if g >= 3:
-            yield identity_weierstrass_a(g, r, d)
+            layers = _weierstrass_table(params)
+            yield _weierstrass_a_report(params, N, layers)
             if r >= 2:
-                yield identity_weierstrass_c(g, r, d)
-        yield _aspect_report(g, r, d)
+                yield _weierstrass_c_report(params, N, layers)
+        yield _aspect_report(params, N)
 
 
 def _pieri_suite(*, max_g: int, **_) -> Iterator[CheckReport]:

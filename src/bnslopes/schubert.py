@@ -33,9 +33,12 @@ every dimension-balanced integral of every G(r, P^d) with d <= D.
 :class:`ChowClass` and the general :func:`pieri_ek`, and stays as its
 independent reference.  The closed form is written once, on
 ints, in :func:`_closed_form`; :func:`zeta_power_integral` returns it
-as a ``Fraction``, and the schubert-oracle suite compares every layer
-entry with it directly, as one cross-multiplication
-``num == entry * den`` per pair.
+as a ``Fraction``, and the schubert-oracle suite compares layer entries
+with it directly, as one cross-multiplication ``num == entry * den``
+per pair.  The closed form tests for vanishing before it builds
+anything, and the suite reads the table only where it is nonzero: a
+count of the table entries that each box can reach proves all the
+vanishing pairs at once.
 """
 
 from __future__ import annotations
@@ -235,14 +238,16 @@ def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[in
     valid whenever r*k + sum(b) equals dim X, which the caller checks;
     the value is 0 as soon as any factorial argument k - d + r + a_i is
     negative (the geometric vanishing of the cycle).  The a_i strictly
-    increase, so a_0 gives the smallest argument and is the only one
-    tested, before anything is computed; every factorial argument is
-    then >= 0, so :func:`math.factorial` is called directly.
+    increase, so a_0 = b_0 gives the smallest argument and is the only
+    one tested, before a is built: the form returns (0, 1) exactly when
+    k < (d - r) - b_0.  Otherwise every factorial argument is >= 0, so
+    :func:`math.factorial` is called directly, and num is not 0, as the
+    a_i are distinct.
     """
-    a = [bi + i for i, bi in enumerate(b)]
     shift = k - spec.d + spec.r
-    if shift + a[0] < 0:
+    if shift + b[0] < 0:
         return 0, 1
+    a = [bi + i for i, bi in enumerate(b)]
     num = factorial(k)
     for ai, aj in combinations(a, 2):
         num *= aj - ai

@@ -15,6 +15,7 @@ from bnslopes.families import (
     _forward_eliminate,
     _oracle_spec_report,
     _per_N_push,
+    _reach_counts,
     _solve_unique,
     _structure_report,
     bridge_matrix,
@@ -33,7 +34,7 @@ from bnslopes.families import (
     suite_reports,
     tails_matrix,
 )
-from bnslopes.schubert import GrassmannianSpec, balanced_pairs
+from bnslopes.schubert import GrassmannianSpec, _balanced_tuples, balanced_pairs
 from bnslopes.tautpush import (
     DivisorClass,
     GrdParams,
@@ -77,6 +78,17 @@ def cofactor_det(m):
 def _table(r, d):
     """The Pieri table of G(r, P^d) alone."""
     return families._zeta_layers(GrassmannianSpec(r, d))
+
+
+def _spec_report(r, d, layers):
+    """The oracle report of G(r, P^d) on ``layers``, with the reach
+    count of its own box."""
+    return _oracle_spec_report(r, d, layers, _reach_counts(layers, r, d - r)[-1])
+
+
+def _aspects(g, r, d):
+    params = GrdParams(g, r, d)
+    return _aspect_report(params, params.N)
 
 
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
@@ -317,21 +329,21 @@ class TestIdentities:
 
 class TestAspects:
     def test_genus10(self):
-        assert _aspect_report(10, 4, 12).lhs == "(14,28)"
+        assert _aspects(10, 4, 12).lhs == "(14,28)"
 
     def test_genus4(self):
-        assert _aspect_report(4, 1, 3).lhs == "(1,1)"
+        assert _aspects(4, 1, 3).lhs == "(1,1)"
 
     def test_genus21_sums_to_N(self):
         N = GrdParams(21, 6, 24).N
         n1, n2 = Fraction(16 * N, 40), Fraction(24 * N, 40)
-        rep = _aspect_report(21, 6, 24)
+        rep = _aspects(21, 6, 24)
         assert rep.lhs == f"({n1},{n2})"
         assert n1 + n2 == N and rep.rhs == f"sum={N}" and rep.passed
 
     def test_reports_with_schubert_cross_check(self):
         for g, r, d in rho_zero_triples(10):
-            rep = _aspect_report(g, r, d)
+            rep = _aspects(g, r, d)
             assert rep.passed, rep
 
 
@@ -610,6 +622,18 @@ class TestSuites:
         assert calls == [(21, 6, 24)]
         assert len(reports) == 7 and all(r.passed for r in reports)
 
+    def test_weierstrass_suite_computes_N_once_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(g, r, d):
+            calls.append((g, r, d))
+            return castelnuovo_N(g, r, d)
+
+        monkeypatch.setattr(tautpush, "castelnuovo_N", counted)
+        reports = suite_reports("weierstrass", max_g=12)
+        assert calls == rho_zero_triples(12)
+        assert len(calls) == 23 and len(reports) == 62
+
     def test_weierstrass_suite_reports_every_triple(self):
         reports = suite_reports("weierstrass", max_g=12)
         assert len(reports) == 62 and all(r.passed for r in reports)
@@ -700,7 +724,7 @@ class TestSuites:
     def test_schubert_oracle_suite_equals_standalone_reports(self):
         # each spec alone, on the layers of its own Grassmannian
         alone = {
-            (r, d): _oracle_spec_report(r, d, _table(r, d))
+            (r, d): _spec_report(r, d, _table(r, d))
             for r in range(1, 5)
             for d in range(r, 13)
         }
@@ -730,16 +754,18 @@ class TestSuites:
 
     def test_identity_suites_build_one_table_per_brute_check(self, monkeypatch):
         # every rho = 0 triple with g <= 12 lies below the brute-force
-        # gate: each castelnuovo check and each weierstrass identity whose
-        # pattern fits the box builds the table of its own G(r, P^d), and
-        # the aspect counts build none
+        # gate: each castelnuovo check builds the table of its own
+        # G(r, P^d); the weierstrass suite builds one per triple with
+        # g >= 3 whose pattern of a fits the box, read by both identities
+        # (the pattern of c ends in 3 as well), and the aspect counts
+        # build none
         triples = rho_zero_triples(12)
-        weierstrass = []
-        for g, r, d in triples:
-            patterns = [(1, 2) + (3,) * (r - 1)] if g >= 3 else []
-            if g >= 3 and r >= 2:
-                patterns.append((0, 1) + (2,) * (r - 2) + (3,))
-            weierstrass += [GrassmannianSpec(r, d) for b in patterns if b[-1] <= d - r]
+        weierstrass = [
+            GrassmannianSpec(r, d)
+            for g, r, d in triples
+            if g >= 3 and ((1, 2) + (3,) * (r - 1))[-1] <= d - r
+        ]
+        assert len(weierstrass) == 21
         want = {
             "castelnuovo": [GrassmannianSpec(r, d) for _, r, d in triples],
             "weierstrass": weierstrass,
@@ -782,6 +808,93 @@ class TestSuites:
             want[2, d] = (f"closed({b},k={k})={value}", f"brute={value + 1}")
         assert failed == want
 
+    @pytest.mark.parametrize("key, k", [((0, 0, 2), 1), ((0, 0, 4), 2), ((1, 1, 4), 3)])
+    def test_an_entry_planted_where_the_closed_form_vanishes_fails_every_spec_that_reads_it(
+        self, monkeypatch, key, k
+    ):
+        # key has the codimension 2k of layer k but is no entry of it, so
+        # the closed form vanishes at its dual; G(2, P^d) reads it for
+        # every d with key[-1] <= d - 2
+        real = families._zeta_layers
+        big = GrassmannianSpec(2, 8)
+
+        def planted(spec):
+            layers = real(spec)
+            if spec == big:
+                layers[k][key] = 7
+            return layers
+
+        assert key not in real(big)[k]
+        monkeypatch.setattr(families, "_zeta_layers", planted)
+        reports = suite_reports("schubert-oracle", r_max=2, d_max=8)
+        failed = {(rep.params["r"], rep.params["d"]): (rep.lhs, rep.rhs) for rep in reports if not rep.passed}
+        want = {}
+        for d in range(key[-1] + 2, 9):
+            b = tuple(d - 2 - x for x in reversed(key))
+            want[2, d] = (f"closed({b},k={k})=0", "brute=7")
+        assert failed == want
+
+    def test_a_closed_form_zeroed_at_a_nonzero_pair_fails_its_spec(self, monkeypatch):
+        # (2, 2, 4) with k = 2 on G(2, P^6) reads 1 at its dual (0, 2, 2)
+        real = families._closed_form
+        spec26 = GrassmannianSpec(2, 6)
+
+        def zeroed(spec, b, k):
+            return (0, 1) if (spec, b) == (spec26, (2, 2, 4)) else real(spec, b, k)
+
+        monkeypatch.setattr(families, "_closed_form", zeroed)
+        reports = suite_reports("schubert-oracle", r_max=2, d_max=8)
+        failed = {(rep.params["r"], rep.params["d"]): (rep.lhs, rep.rhs) for rep in reports if not rep.passed}
+        assert failed == {(2, 6): ("closed((2, 2, 4),k=2)=0", "brute=1")}
+
+    @pytest.mark.parametrize("key, k", [((0, 0, 2), 2), ((0, 1, 1), 0), ((1, 2, 3), 4)])
+    def test_an_entry_off_its_codimension_is_never_read(self, monkeypatch, key, k):
+        # no balanced pair's dual index lies in layer k unless its sum is
+        # 2k: every report passes, and the table is read as often as
+        # without the planted entry
+        real_layers, real_count, reads = families._zeta_layers, families._table_count, []
+        big = GrassmannianSpec(2, 8)
+
+        def planted(spec):
+            layers = real_layers(spec)
+            if spec == big:
+                layers[k][key] = 7
+            return layers
+
+        def counted(layers, box, b, k):
+            reads.append(1)
+            return real_count(layers, box, b, k)
+
+        assert sum(key) != 2 * k
+        monkeypatch.setattr(families, "_table_count", counted)
+        unplanted = suite_reports("schubert-oracle", r_max=2, d_max=8)
+        n_unplanted, reads[:] = len(reads), []
+        monkeypatch.setattr(families, "_zeta_layers", planted)
+        assert suite_reports("schubert-oracle", r_max=2, d_max=8) == unplanted
+        assert all(rep.passed for rep in unplanted) and len(reads) == n_unplanted
+
+    def test_schubert_oracle_reads_the_table_only_where_the_closed_form_is_nonzero(self, monkeypatch):
+        real, reads = families._table_count, []
+
+        def counted(layers, box, b, k):
+            reads.append(1)
+            return real(layers, box, b, k)
+
+        monkeypatch.setattr(families, "_table_count", counted)
+        assert all(rep.passed for rep in suite_reports("schubert-oracle"))
+        assert len(reads) == 6825  # of 34018 balanced pairs
+
+    def test_reach_counts_are_the_nonzero_closed_forms(self):
+        # on a true table R = P: for every box, the entries a balanced
+        # pair can reach are the pairs whose closed form is nonzero
+        for r in range(1, 5):
+            layers = _table(r, 12)
+            reach = _reach_counts(layers, r, 12 - r)
+            for d in range(r, 13):
+                spec = GrassmannianSpec(r, d)
+                nonzero = sum(bool(families._closed_form(spec, b, k)[0]) for b, k in _balanced_tuples(spec))
+                assert reach[d - r] == nonzero, (r, d)
+
     def test_oracle_fails_on_a_non_integral_closed_form(self, monkeypatch):
         real = families._closed_form
 
@@ -789,7 +902,7 @@ class TestSuites:
             return (5, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", half)
-        rep = _oracle_spec_report(2, 6, _table(2, 6))
+        rep = _spec_report(2, 6, _table(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5/2", "brute=5")
 
@@ -802,7 +915,7 @@ class TestSuites:
             return (2 * 5 + 1, 2) if b == (0, 0, 0) else real(spec, b, k)
 
         monkeypatch.setattr(families, "_closed_form", floor_right)
-        rep = _oracle_spec_report(2, 6, _table(2, 6))
+        rep = _spec_report(2, 6, _table(2, 6))
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=11/2", "brute=5")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnslopes.families import _oracle_spec_report
+from bnslopes.families import _oracle_spec_report, _reach_counts
 from bnslopes.schubert import (
     BalanceError,
     ChowClass,
@@ -262,6 +262,17 @@ def test_closed_form_matches_displayed_formula():
     assert vanishing > 0
 
 
+def test_closed_form_vanishes_exactly_below_the_box_minus_b0():
+    # the (0, 1) return is exact: k < (d - r) - b_0 is the one vanishing
+    for r in range(1, 5):
+        for d in range(r, 13):
+            spec = GrassmannianSpec(r, d)
+            for b, k in _balanced_tuples(spec):
+                got = _closed_form(spec, b, k)
+                assert (got == (0, 1)) == (k < spec.box - b[0]), (r, d, b, k)
+                assert got[0] != 0 or got == (0, 1), (r, d, b, k)
+
+
 @lru_cache(maxsize=None)
 def _balanced(r, d):
     spec = GrassmannianSpec(r, d)
@@ -346,7 +357,7 @@ class TestPieriOracles:
         spec = GrassmannianSpec(0, 4)
         layers = _zeta_layers(spec)
         assert layers == [{(0,): 1}]
-        rep = _oracle_spec_report(0, 4, layers)
+        rep = _oracle_spec_report(0, 4, layers, _reach_counts(layers, 0, 4)[-1])
         assert rep.passed and rep.detail == "1 pairs"
 
     def test_table_matches_chow_expansion_on_identity_patterns(self):
@@ -402,7 +413,7 @@ class TestPieriOracles:
         layers = _zeta_layers(spec)
         layers[6][(4, 4, 4)] += 1
         layers[2][_dual((2, 2, 4), spec.box)] += 1
-        rep = _oracle_spec_report(2, 6, layers)
+        rep = _oracle_spec_report(2, 6, layers, _reach_counts(layers, 2, 4)[-1])
         assert not rep.passed
         assert (rep.lhs, rep.rhs) == ("closed((0, 0, 0),k=6)=5", "brute=6")
 
