@@ -35,8 +35,8 @@ right-hand sides, under the keys g+3..g+5, and one elimination solves
 them.  The tables store their integral entries as ``int`` (only the
 tails coefficients of delta_1 and delta_{g-1} are ``Fraction``), as do
 the pencil degrees.  One sparse eliminator, :func:`_forward_eliminate`,
-serves every system and determinant in integers only; only solutions
-and determinants come back as ``Fraction``.
+serves every system and determinant in integers only; a solution comes
+back as int numerators over one denominator, a determinant as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -135,6 +135,7 @@ def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fractio
 Row = Dict[int, int | Fraction]
 Table = List[Row]
 IntRow = Dict[int, int]
+PerN = Tuple[int, List[int]]  # a per-N class or a solution: a denominator, int numerators
 # The Pieri table of schubert._zeta_layers: one map per layer.
 Layers = List[Dict[Tuple[int, ...], int]]
 
@@ -187,8 +188,8 @@ def pencil_matrix(g: int) -> Table:
     return rows
 
 
-def _apply(m: Table, vec: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((x * vec[j] for j, x in row.items()), Fraction(0)) for row in m]
+def _apply(m: Table, vec: Sequence[int | Fraction]) -> List[int | Fraction]:
+    return [sum(x * vec[j] for j, x in row.items()) for row in m]
 
 
 def pullbacks(dc: DivisorClass) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
@@ -479,16 +480,16 @@ def _forward_eliminate(
     entries under keys from ``ncols`` up (right-hand sides) ride along.
 
     Each row is copied once, so the caller's rows stay as they were.  A
-    row whose entries are all ``int`` is taken as it is; a row holding a
-    ``Fraction`` is cleared of denominators: with L the lcm of its
-    denominators, x becomes x.numerator * (L // x.denominator).  Rows are
-    then taken in order.  While an earlier row pivots on the row's leading
-    (smallest) column, with pivot entry p against the row's entry q, the
-    row becomes a*row - b*prow for a = p/gcd(p, q), b = q/gcd(p, q), which
-    touches only the pivot row's stored entries and drops every entry
-    that cancels, and is then divided by its content (the gcd of its
-    entries).  It ends as the pivot of its new leading column or with no
-    entry before ``ncols``.  No dense row or column is ever scanned.
+    row with no ``Fraction`` entry is taken as it is; a row holding one
+    is cleared of denominators: with L the lcm of its denominators, x
+    becomes x.numerator * (L // x.denominator).  Rows are then taken in
+    order.  While an earlier row pivots on the row's leading (smallest)
+    column, with pivot entry p against the row's entry q, the row becomes
+    a*row - b*prow for a = p/gcd(p, q), b = q/gcd(p, q), which touches
+    only the pivot row's stored entries and drops every entry that
+    cancels, and is then divided by its content (the gcd of its entries).
+    It ends as the pivot of its new leading column or with no entry
+    before ``ncols``.  No dense row or column is ever scanned.
 
     Returns the pivot rows keyed by their pivot column, in the order they
     were found (a pivot row holds no entry left of its pivot column), the
@@ -503,17 +504,13 @@ def _forward_eliminate(
     rest: List[IntRow] = []
     num = den = 1
     for given in rows:
-        if all(type(x) is int for x in given.values()):
-            row = dict(given)
-        else:
+        if Fraction in map(type, given.values()):
             clear = lcm(*(x.denominator for x in given.values()))
             row = {j: x.numerator * (clear // x.denominator) for j, x in given.items()}
             num *= clear
-        while True:
-            lead = min(row, default=ncols)
-            if lead >= ncols:
-                rest.append(row)
-                break
+        else:
+            row = dict(given)
+        while (lead := min(row, default=ncols)) < ncols:
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = row
@@ -537,6 +534,8 @@ def _forward_eliminate(
                 den *= c
                 for j in row:
                     row[j] //= c
+        else:
+            rest.append(row)
     return pivots, rest, (num, den)
 
 
@@ -565,52 +564,54 @@ def matrix_determinant(rows: Sequence[Row]) -> Fraction:
     return Fraction(sign * den * prod(row[col] for col, row in pivots.items()), num)
 
 
-def _solve_unique(
-    rows: Iterable[Row], ncols: int, k: int
-) -> List[List[Fraction] | ReconstructionError]:
+def _solve_unique(rows: Iterable[Row], ncols: int, k: int) -> List[PerN | ReconstructionError]:
     """Solve an (over-determined) exact linear system for k right-hand
     sides, stored in sparse rows under the keys ncols..ncols+k-1, with
-    one elimination.  Returns, per right-hand side, its unique solution
-    as ``Fraction``s or the ReconstructionError saying why there is none:
-    inconsistent when some row reduces to a nonzero entry in that
-    right-hand side's column and no unknown's (the other right-hand sides
-    keep their solutions), or underdetermined when the rank is below
-    ``ncols``."""
+    one elimination and one pass of integer back-substitution.  Returns,
+    per right-hand side, its unique solution as (D, numerators), D the
+    least common denominator of the unknowns, or the ReconstructionError
+    saying why there is none: inconsistent when some row reduces to a
+    nonzero entry in that right-hand side's column and no unknown's (the
+    other right-hand sides keep their solutions), or underdetermined when
+    the rank is below ``ncols``."""
     pivots, rest, _ = _forward_eliminate(rows, ncols)
-    rank = len(pivots)
-    out: List[List[Fraction] | ReconstructionError] = []
-    for rhs in range(ncols, ncols + k):
-        if any(rhs in row for row in rest):
-            out.append(ReconstructionError("linear system is inconsistent"))
-        elif rank < ncols:
-            msg = f"linear system is underdetermined (rank {rank} < {ncols} unknowns)"
-            out.append(ReconstructionError(msg))
-        else:
-            sol = [Fraction(0)] * ncols
-            for col in reversed(range(ncols)):
-                row = pivots[col]
-                known = [(x, sol[j]) for j, x in row.items() if col < j < ncols]
-                # the known values over one common denominator, in ints
-                den = lcm(*(y.denominator for _, y in known))
-                num = row.get(rhs, 0) * den
-                num -= sum(x * y.numerator * (den // y.denominator) for x, y in known)
-                sol[col] = Fraction(num, row[col] * den)
-            out.append(sol)
+    under = f"linear system is underdetermined (rank {len(pivots)} < {ncols} unknowns)"
+    out: List = [  # a right-hand side to solve: its key, then each unknown's reduced num and den
+        ReconstructionError("linear system is inconsistent") if any(rhs in row for row in rest)
+        else ReconstructionError(under) if len(pivots) < ncols else (rhs, [0] * ncols, [1] * ncols)
+        for rhs in range(ncols, ncols + k)
+    ]
+    solving = [sol for sol in out if type(sol) is tuple]
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for rhs, nums, dens in solving:
+            num, den = row.get(rhs, 0), 1
+            for j, x in row.items():
+                if col < j < ncols:  # subtract x times the known unknown nums[j] / dens[j]
+                    num, den = num * dens[j] - x * nums[j] * den, den * dens[j]
+            den *= row[col]
+            c = gcd(num, den)  # a negative den is fine: D below is a positive lcm
+            nums[col], dens[col] = num // c, den // c
+    for i, sol in enumerate(out):
+        if type(sol) is tuple:
+            D = lcm(*sol[2])
+            out[i] = D, [x * (D // y) for x, y in zip(sol[1], sol[2])]
     return out
 
 
 def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
     data alone, bypassing the closed-form coefficients: N times the
-    class's solution of the system described in :func:`_reconstruct`.
-    Raises ReconstructionError when the system has no unique solution."""
+    class's solution (D, numerators) of the system described in
+    :func:`_reconstruct`, each coordinate Fraction(N * x, D).  Raises
+    ReconstructionError when the system has no unique solution."""
     TautCombo.unit(which)  # an unknown class is named before any elimination
     params = _reconstruct_params(g, r, d)
-    got = _reconstruct(params)[CLASSES.index(which)]
+    got = _reconstruct(params, bridge_pushforward(params))[CLASSES.index(which)]
     if isinstance(got, ReconstructionError):
         raise got
-    N = params.N
-    return DivisorClass.from_coefficients(N * x for x in got.coefficients())
+    N, (D, xs) = params.N, got
+    return DivisorClass.from_coefficients(Fraction(N * x, D) for x in xs)
 
 
 def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
@@ -625,11 +626,12 @@ def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
     return params
 
 
-def _reconstruct(params: GrdParams) -> List[DivisorClass | ReconstructionError]:
+def _reconstruct(params: GrdParams, bridge: Sequence[DivisorClass]) -> List[PerN | ReconstructionError]:
     """Solve for 1/N times the pushforwards of a, b and c at ``params``
     from the special-family data, with one elimination and no N: the
     right-hand sides are stated per N, and as every row is linear, the
-    solution is theirs for the pushforwards divided by N.
+    solution is theirs for the pushforwards divided by N.  ``bridge`` is
+    :func:`bridge_pushforward` of ``params``.
 
     The unknowns are the class coordinates lambda, delta_0..delta_{g-1},
     psi, in that column order, and one more scalar mu in column g+2.
@@ -653,10 +655,11 @@ def _reconstruct(params: GrdParams) -> List[DivisorClass | ReconstructionError]:
     would make every pencil row reduce by the first one and pick up its
     delta entries, while as the last class column it only rides along.
     ``params`` comes from :func:`_reconstruct_params`.  Returns, for a, b
-    and c in turn, its DivisorClass or its ReconstructionError.
+    and c in turn, its :func:`_solve_unique` solution in the class order
+    (lambda, psi, delta_*) or its ReconstructionError.
     """
     g = params.g
-    bridge_targets = zip(*(dc.coefficients() for dc in bridge_pushforward(params)))
+    bridge_targets = zip(*(dc.coefficients() for dc in bridge))
     system = (
         [(row, 0, pencil_degree(params, h)) for h, row in enumerate(pencil_matrix(g), start=1)]
         + [(row, 0, ()) for row in tails_matrix(g)]
@@ -664,20 +667,12 @@ def _reconstruct(params: GrdParams) -> List[DivisorClass | ReconstructionError]:
     )
     # table column j -> system column: lambda stays, psi goes last, delta_i to 1 + i
     column = [0, g + 1, *range(1, g + 1)]
-    rows = []
-    for row, mu, targets in system:
-        eq = {column[j]: x for j, x in row.items()}
-        if mu:
-            eq[g + 2] = mu
-        for key, target in enumerate(targets, start=g + 3):
-            if target:
-                eq[key] = target
-        rows.append(eq)
-
-    return [
-        sol
-        if isinstance(sol, ReconstructionError)
-        else DivisorClass(sol[0], sol[g + 1], tuple(sol[1 : g + 1]))
+    rows = [
+        {column[j]: x for j, x in row.items()} | {key: y for key, y in enumerate((mu, *targets), g + 2) if y}
+        for row, mu, targets in system
+    ]
+    return [  # class coordinate j is system column column[j]
+        sol if isinstance(sol, ReconstructionError) else (sol[0], [sol[1][c] for c in column])
         for sol in _solve_unique(rows, g + 3, len(CLASSES))
     ]
 
@@ -749,21 +744,22 @@ def _reach_counts(layers: Layers, r: int, top: int) -> List[int]:
 
 
 def _reconstruct_report(
-    params: GrdParams, N: int, which: str, got: DivisorClass | ReconstructionError, expected: DivisorClass
+    params: GrdParams, N: int, which: str, got: PerN | ReconstructionError, expected: PerN
 ) -> CheckReport:
+    """The solved class (D, xs) against the closed form's per-N numerators
+    (L, ys), as x * L == y * D per coordinate; only printed values are Fractions."""
     key = {"g": params.g, "r": params.r, "d": params.d, "class": which}
     if isinstance(got, ReconstructionError):
         return _report("reconstruct", key, "-", "-", False, str(got))
-    pairs = enumerate(zip(got.coefficients(), expected.coefficients()))
-    mismatch = next(((k, x, y) for k, (x, y) in pairs if x != y), None)
+    (D, xs), (L, ys) = got, expected
+    k = next((k for k, (x, y) in enumerate(zip(xs, ys)) if x * L != y * D), None)
     detail = "matches closed form"
-    if mismatch:
-        k, x, y = mismatch
+    if k is not None:
         name = ("λ", "ψ")[k] if k < 2 else f"δ{k - 2}"
-        detail = f"first mismatch at {name}: reconstructed {N * x}, closed form {N * y}"
+        detail = f"first mismatch at {name}: reconstructed {Fraction(N * xs[k], D)}, closed form {Fraction(N * ys[k], L)}"
     text = "λ={}, δ0={}, ψ={}".format
-    lhs, rhs = (text(N * dc.lam, N * dc.delta[0], N * dc.psi) for dc in (got, expected))
-    return _report("reconstruct", key, lhs, rhs, mismatch is None, detail)
+    lhs, rhs = (text(*(Fraction(N * v[i], den) for i in (0, 2, 1))) for den, v in (got, expected))
+    return _report("reconstruct", key, lhs, rhs, k is None, detail)
 
 
 def _epsilon_report() -> CheckReport:
@@ -780,11 +776,13 @@ def _epsilon_report() -> CheckReport:
 
 
 def _bridge_quotient_report(
-    params: GrdParams, N: int, which: str, dc: DivisorClass, want: DivisorClass
+    params: GrdParams, N: int, which: str, per_N: PerN, want: DivisorClass
 ) -> CheckReport:
-    """The bridge pullback of 1/N times the pushforward differs from the
-    known per-N genus-2 class ``want`` by an exact multiple of the relation."""
-    got = DivisorClass.from_coefficients(_apply(bridge_matrix(params.g), dc.coefficients()))
+    """The bridge pullback of 1/N times the pushforward, applied to its per-N
+    numerators (L, ints) and then divided by L, differs from the known
+    per-N genus-2 class ``want`` by an exact multiple of the relation."""
+    L, ints = per_N
+    got = DivisorClass.from_coefficients(Fraction(v, L) for v in _apply(bridge_matrix(params.g), ints))
     mu = relation_multiple(got, want)
     text = "{}·λ + {}·ψ + {}·δ0 + {}·δ1".format
     return _report(
@@ -864,23 +862,25 @@ def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Itera
     return _reconstruct_reports([_reconstruct_params(g, r, d) for g, r, d in triples])
 
 
-def _per_N_push(which: str, params: GrdParams) -> DivisorClass:
-    """1/N times the pushforward of a, b or c, from its per-N numerators."""
+def _per_N_push(which: str, params: GrdParams) -> PerN:
+    """1/N times the pushforward of a, b or c, as (L, a list of its per-N numerators)."""
     L, ints = per_N_numerators(TautCombo.unit(which), params)
-    return DivisorClass.from_coefficients(Fraction(x, L) for x in ints)
+    return L, list(ints)
 
 
 def _reconstruct_reports(checked: Sequence[GrdParams]) -> Iterator[CheckReport]:
-    """Solves and compares 1/N times each class; N is computed once per
-    triple, and every value printed is N times the one compared."""
+    """Solves and compares 1/N times each class; the closed form's per-N
+    numerators, the bridge classes and N are computed once per triple,
+    and every value printed is N times the one compared."""
     for params in checked:
         per_N = [_per_N_push(which, params) for which in CLASSES]
-        solved = _reconstruct(params)
+        bridge = bridge_pushforward(params)
+        solved = _reconstruct(params, bridge)
         N = params.N
-        for which, got, dc in zip(CLASSES, solved, per_N):
-            yield _reconstruct_report(params, N, which, got, dc)
-        for which, dc, want in zip(CLASSES, per_N, bridge_pushforward(params)):
-            yield _bridge_quotient_report(params, N, which, dc, want)
+        for which, got, expected in zip(CLASSES, solved, per_N):
+            yield _reconstruct_report(params, N, which, got, expected)
+        for which, push, want in zip(CLASSES, per_N, bridge):
+            yield _bridge_quotient_report(params, N, which, push, want)
     yield _epsilon_report()
 
 

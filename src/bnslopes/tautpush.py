@@ -240,6 +240,15 @@ def _bracket_c(params: GrdParams) -> Bracket:
                                   - 6q d(r+1)(g-2) psi
                                   + ((g+1) p - 3r(r+2) q) delta_0
                                   + 6 sum_i (g-i)(i p + (g-i-2) r(r+2) q) delta_i ]
+
+    On the canonical line m = 1 (g = r + 1, d = 2g - 2, N = 1) this is
+    C(g, 2) psi minus Cukierman's Weierstrass divisor (Duke Math. J. 58,
+    1989), -lambda + C(g+1, 2) psi - sum_i C(g-i+1, 2) delta_i.  By hand:
+    3g - 2d + r - 3 = 0 there, so xi = 3(g-1), and r(r+2) = (g-1)(g+1).
+    Then lambda is (-3(g+3) + 5(g+1)) / (2(g-2)) = 1, psi is
+    -(2g-2)g / (2(g-1)) = -g, delta_0 is 0, and delta_i is
+    (g-i)(3i + (g-i-2)(g+1)) / (2(g-2)), where 3i + (g-i-2)(g+1) =
+    (g-i+1)(g-2), which leaves C(g-i+1, 2).
     """
     g, r, d = params.g, params.r, params.d
     if g < 3:

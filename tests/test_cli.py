@@ -473,10 +473,9 @@ class TestVerifyCommand:
         closed_form = families._per_N_push
 
         def off_at_delta3(which, params):
-            dc = closed_form(which, params)
-            delta = list(dc.delta)
-            delta[3] += 1
-            return DivisorClass(dc.lam, dc.psi, tuple(delta))
+            L, ints = closed_form(which, params)
+            ints[2 + 3] += L  # 1/N times the class, plus one at delta_3
+            return L, ints
 
         monkeypatch.setattr(families, "_per_N_push", off_at_delta3)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
@@ -535,8 +534,9 @@ class TestVerifyCommand:
         closed_form = families._per_N_push
 
         def off_at_lambda(which, params):
-            dc = closed_form(which, params)
-            return DivisorClass(dc.lam + 1, dc.psi, dc.delta)
+            L, ints = closed_form(which, params)
+            ints[0] += L  # 1/N times the class, plus one at lambda
+            return L, ints
 
         monkeypatch.setattr(families, "_per_N_push", off_at_lambda)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",

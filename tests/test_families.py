@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -56,13 +57,55 @@ def sparse(rows, rhs=None, entry=Fraction):
     return [{j: entry(x) for j, x in enumerate(row) if x} for row in rows]
 
 
+def as_fractions(sol):
+    """A solver solution (D, numerators) as its values, after checking
+    its shape: int numerators over D, the least positive common
+    denominator of the values."""
+    D, xs = sol
+    assert type(D) is int and D > 0 and all(type(x) is int for x in xs), sol
+    values = [Fraction(x, D) for x in xs]
+    assert D == lcm(*(v.denominator for v in values)), sol
+    return values
+
+
 def solve_one(rows, ncols):
     """The solver on a single right-hand side, raising its error the way
-    reconstruct does."""
+    reconstruct does; the solution comes back as its values."""
     [sol] = _solve_unique(rows, ncols, 1)
     if isinstance(sol, ReconstructionError):
         raise sol
-    return sol
+    return as_fractions(sol)
+
+
+def gauss_jordan(a, b, n):
+    """Reference solver, independent of the eliminator: dense Gauss-Jordan
+    over Fractions on the augmented matrix [a | b] with n unknowns.
+    Returns the unique solution, or "inconsistent" or "underdetermined",
+    checked in that order as the solver does."""
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    rank = 0
+    for c in range(n):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[rank])]
+        rank += 1
+    if any(row[n] for row in m[rank:]):
+        return "inconsistent"
+    if rank < n:
+        return "underdetermined"
+    return [row[n] for row in m[:n]]
+
+
+def per_N_class(which, params):
+    """1/N times the pushforward of a, b or c as a DivisorClass, from the
+    suite's closed-form side."""
+    L, ints = _per_N_push(which, params)
+    return DivisorClass.from_coefficients(Fraction(x, L) for x in ints)
 
 
 def cofactor_det(m):
@@ -207,7 +250,7 @@ class TestBridgeQuotient:
     def test_push_b_differs_by_stated_multiple(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(_per_N_push("b", params))
+        got, _, _ = pullbacks(per_N_class("b", params))
         _, want, _ = bridge_pushforward(params)
         mu = relation_multiple(got, want)
         assert mu == Fraction(d, 2 * (g - 1))  # = 28/N with N = 42
@@ -216,7 +259,7 @@ class TestBridgeQuotient:
     def test_raw_comparison_fails_without_quotient(self):
         g, r, d = 10, 4, 12
         params = GrdParams(g, r, d)
-        got, _, _ = pullbacks(_per_N_push("b", params))
+        got, _, _ = pullbacks(per_N_class("b", params))
         _, want, _ = bridge_pushforward(params)
         assert got != want
         assert relation_multiple(got, want) is not None
@@ -225,7 +268,7 @@ class TestBridgeQuotient:
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which, want in zip("abc", bridge_pushforward(params)):
-                got, _, _ = pullbacks(_per_N_push(which, params))
+                got, _, _ = pullbacks(per_N_class(which, params))
                 assert relation_multiple(got, want) is not None, (g, which)
                 # N times the known class is the bridge class of the pushforward
                 full, _, _ = pullbacks(push(which, params))
@@ -248,7 +291,7 @@ class TestLemmaConsistency:
             params = GrdParams(g, r, d)
             known = zip(*(pencil_degree(params, h) for h in range(1, g)))
             for which, expected in zip("abc", known):
-                _, _, degrees = pullbacks(_per_N_push(which, params))
+                _, _, degrees = pullbacks(per_N_class(which, params))
                 assert degrees == expected, (g, which)
                 _, _, degrees = pullbacks(push(which, params))
                 assert degrees == tuple(params.N * x for x in expected), (g, which)
@@ -351,6 +394,12 @@ class TestSolver:
     def test_unique_solution(self):
         rows = sparse(((1, 1), (1, -1), (2, 0)), (3, 1, 4))
         assert solve_one(rows, 2) == [Fraction(2), Fraction(1)]
+        assert _solve_unique(rows, 2, 1) == [(1, [2, 1])]
+        assert gauss_jordan(((1, 1), (1, -1), (2, 0)), (3, 1, 4), 2) == [2, 1]
+        # one least common denominator for the unknowns, whatever the pivots
+        rows = sparse(((4, 0), (0, -6), (2, 3)), (2, 2, 0))
+        assert _solve_unique(rows, 2, 1) == [(6, [3, -2])]
+        assert gauss_jordan(((4, 0), (0, -6), (2, 3)), (2, 2, 0), 2) == [Fraction(1, 2), Fraction(-1, 3)]
 
     def test_inconsistent(self):
         with pytest.raises(ReconstructionError, match="inconsistent"):
@@ -398,7 +447,7 @@ class TestSolver:
                 rows = m + [[sum(c) for c in zip(*m)]]
                 rhs = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
                 sol = solve_one(sparse(rows, rhs), n)
-                assert sol == x and all(type(y) is Fraction for y in sol), m
+                assert sol == x == gauss_jordan(rows, rhs, n), m
 
         # rectangular systems with fractional entries, some with all-zero
         # columns or a perturbed right-hand side
@@ -423,12 +472,14 @@ class TestSolver:
             else:
                 outcome = "unique"
             outcomes.add(outcome)
+            reference = gauss_jordan(a, b, n)
             if outcome != "unique":
+                assert reference == outcome, a
                 with pytest.raises(ReconstructionError, match=outcome):
                     solve_one(sparse(a, b), n)
                 continue
             sol = solve_one(sparse(a, b), n)
-            assert all(type(y) is Fraction for y in sol), a
+            assert sol == reference, a
             assert [sum(ai * yi for ai, yi in zip(row, sol)) for row in a] == b, a
             if not perturbed:
                 assert sol == x, a
@@ -507,8 +558,14 @@ class TestSolver:
             rows = [row + [b[i] for b in bs] for i, row in enumerate(a)]
             single = [outcome(sol) for b in bs for sol in _solve_unique(sparse(a, b), n, 1)]
             assert [outcome(sol) for sol in _solve_unique(sparse(rows), n, k)] == single, a
+            for b, sol in zip(bs, single):
+                reference = gauss_jordan(a, b, n)
+                if isinstance(reference, str):
+                    assert reference in sol, a
+                else:
+                    assert as_fractions(sol) == reference, a
             seen.update(type(sol) for sol in single)
-        assert seen == {list, str}
+        assert seen == {tuple, str}
 
 
 class TestReconstruct:
@@ -592,6 +649,42 @@ class TestSuites:
         reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
         assert calls == [(g, which) for g in (10, 21) for which in "abc"]
         assert len(reports) == 13 and all(r.passed for r in reports)
+
+    def test_reconstruct_suite_builds_one_bridge_triple_per_triple(self, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params.g)
+            return bridge_pushforward(params)
+
+        monkeypatch.setattr(families, "bridge_pushforward", counted)
+        reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
+        assert calls == [10, 21]
+        assert len(reports) == 13 and all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("which", ["a", "b", "c"])
+    @pytest.mark.parametrize(
+        "index, name", [(0, "λ"), (1, "ψ"), (2, "δ0"), (3, "δ1"), (22, "δ20")]
+    )
+    def test_perturbed_coordinate_fails_its_own_class_by_name(self, monkeypatch, which, index, name):
+        # psi is the last unknown of the system but the second coordinate of
+        # a class, so a slip in mapping the solution back would show here
+        closed_form = families._per_N_push
+
+        def off_by_one(w, params):
+            L, ints = closed_form(w, params)
+            if w == which:
+                ints[index] += L  # 1/N times the class, plus one at that coordinate
+            return L, ints
+
+        monkeypatch.setattr(families, "_per_N_push", off_by_one)
+        reports = suite_reports("reconstruct", triples=[(21, 6, 24)])
+        failed = [(r.check, r.params.get("class")) for r in reports if not r.passed]
+        # the bridge reads lambda, delta_0, delta_{g-2} and delta_{g-1}, not psi or delta_1
+        bridge_reads = index in (0, 2, 22)
+        assert failed == [("reconstruct", which)] + [("bridge_quotient", which)] * bridge_reads
+        [rep] = [r for r in reports if r.check == "reconstruct" and not r.passed]
+        assert rep.detail.startswith(f"first mismatch at {name}: ")
 
     def test_reconstruct_suite_solves_once_per_triple(self, monkeypatch):
         calls = []

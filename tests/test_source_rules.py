@@ -34,7 +34,12 @@ integral table entries reach the eliminator without a ``Fraction`` to
 clear.  Inside ``schubert`` a
 ``Fraction`` is built only by ``zeta_power_integral``, which returns the
 closed form as one: the oracle path, from the closed form's (num, den)
-to the table entries, stays on ints.  ``bnslopes/__init__.py`` holds its
+to the table entries, stays on ints.  Likewise inside ``families``
+``_forward_eliminate``, ``_solve_unique`` and ``_reconstruct`` build no
+``Fraction``, nested functions included: a solution stays int
+numerators over one denominator, and only the public ``reconstruct``
+and the printed values of a report turn it into ``Fraction``s.
+``bnslopes/__init__.py`` holds its
 docstring and nothing else, so each name has one import path: the module
 that defines it.  No module imports ``dataclasses``: its decorator
 generates and ``exec``s every method of a record each time the package
@@ -91,6 +96,7 @@ DECIMAL_ALLOWED = {("cli", "_times")}
 DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 FRACTION_BUILDERS = {"zeta_power_integral"}
+INT_SOLVER = {"_forward_eliminate", "_solve_unique", "_reconstruct"}
 STEP_ALLOWED = {("schubert", "_zeta_layers")}
 FOLD_BANNED = {"functools", "operator"}
 
@@ -505,6 +511,41 @@ def test_fraction_visitor_sees_qualified_and_nested_calls():
         "    return Fraction, y.Fraction\n"
     )
     assert _calls(tree, "Fraction") == [(None, 1), ("g", 4)]
+
+
+def _calls_within(tree: ast.Module, functions, callee: str):
+    """(function, line) of each call of ``callee``, as :func:`_calls`
+    finds them, anywhere inside a module-level function named in
+    ``functions``, its nested functions included."""
+    return [
+        (node.name, line)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions
+        for _, line in _calls(node, callee)
+    ]
+
+
+def test_families_solver_builds_no_fraction():
+    tree = _tree(SRC / "families.py")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert INT_SOLVER <= defined
+    calls = _calls_within(tree, INT_SOLVER, "Fraction")
+    assert not calls, f"families.py: Fraction built at {calls}"
+    assert "reconstruct" in {owner for owner, _ in _calls(tree, "Fraction")}
+
+
+def test_solver_fraction_visitor_sees_nested_calls_and_skips_other_functions():
+    tree = ast.parse(
+        "def _solve_unique():\n"
+        "    def inner():\n"
+        "        return fractions.Fraction(1, 2)\n"
+        "    return [Fraction(x, 3) for x in t], Fraction\n"
+        "def reconstruct():\n"
+        "    return Fraction(1, 2)\n"
+        "class _reconstruct:\n"
+        "    x = Fraction(1, 2)\n"
+    )
+    assert _calls_within(tree, INT_SOLVER, "Fraction") == [("_solve_unique", 3), ("_solve_unique", 4)]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)

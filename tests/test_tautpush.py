@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bnslopes import tautpush
 from bnslopes.schubert import GrassmannianSpec, brute_zeta_integral, make_index
 from bnslopes.tautpush import (
+    DivisorClass,
     GrdParams,
     ParameterError,
     TautCombo,
@@ -344,6 +345,61 @@ def test_numerators_read_six_bracket_values(monkeypatch):
     _, ints = per_N_numerators(TautCombo.of(0, 0, 0, 0), GrdParams(21, 6, 24))
     assert list(ints) == [0] * 23
     assert read == []
+
+
+# The canonical line m = 1: g = r + 1 and d = 2g - 2, where N = 1.
+_CANONICAL = [(g, g - 1, 2 * g - 2) for g in range(3, 201)]
+
+
+class TestCanonicalLine:
+    """On the line m = 1 the g^r_d is the canonical series and N = 1, so
+    classical results fix the pushforwards without the paper's formulas.
+    The brackets' psi coefficients, -4(g-1) for a, -2(g-1) for b and -g
+    for c, say that the series is normalized at the marked point."""
+
+    def test_line_is_rho_zero_with_N_1(self):
+        assert set(_CANONICAL) == {t for t in rho_zero_triples(200) if t[1] == t[0] - 1 and t[0] >= 3}
+        assert all(castelnuovo_N(*t) == 1 for t in _CANONICAL)
+
+    def test_c_is_binomial_psi_minus_the_weierstrass_divisor(self):
+        """Cukierman, *Families of Weierstrass points*, Duke Math. J. 58
+        (1989): the Weierstrass divisor on the pointed moduli space is
+
+            W = -lambda + C(g+1, 2) psi - sum_{i=1}^{g-1} C(g-i+1, 2) delta_i.
+
+        Weierstrass points are where the canonical series fails to
+        separate (g-1)-jets at p, and with the series normalized at p the
+        jet bundle has c_1 = C(g, 2) psi; so the pushforward of c is
+        C(g, 2) psi - W, on every coordinate: lambda 1, psi -g, delta_0 0
+        and delta_i C(g-i+1, 2)."""
+        for g, r, d in _CANONICAL:
+            W = DivisorClass(
+                -1, math.comb(g + 1, 2), (0,) + tuple(-math.comb(g - i + 1, 2) for i in range(1, g))
+            )
+            want = [-x for x in W.coefficients()]
+            want[1] += math.comb(g, 2)
+            assert list(push_c(GrdParams(g, r, d)).coefficients()) == want, g
+
+    def test_a_and_b_agree_with_mumfords_kappa(self):
+        """Mumford, *Towards an enumerative geometry of the moduli space of
+        curves* (1983): kappa_1 = 12 lambda - delta.  With c_1(L) = K - psi
+        on the interior, b = kappa_1 - 2(g-1) psi and a = kappa_1 - 4(g-1) psi,
+        so both have lambda 12 and delta_0 -1, and a - b = -2(g-1) psi on
+        every coordinate, the delta_i included.  The delta_i (i >= 1) of a
+        and b alone depend on how the limit series is twisted, and no
+        outside value is claimed for them."""
+        for g, r, d in _CANONICAL:
+            params = GrdParams(g, r, d)
+            a, b = push_a(params), push_b(params)
+            assert (a.lam, a.delta[0], a.psi) == (12, -1, -4 * (g - 1)), g
+            assert (b.lam, b.delta[0], b.psi) == (12, -1, -2 * (g - 1)), g
+            diff = [x - y for x, y in zip(a.coefficients(), b.coefficients())]
+            assert diff == [0, -2 * (g - 1)] + [0] * g, g
+
+    def test_a_minus_b_is_pure_psi_only_on_the_line(self):
+        params = GrdParams(6, 2, 6)  # m = 2, off the line
+        diff = [x - y for x, y in zip(push_a(params).coefficients(), push_b(params).coefficients())]
+        assert diff[0] and any(diff[2:])  # not a multiple of psi
 
 
 def test_rho_zero_triples():
