@@ -13,13 +13,16 @@ three cheap one-parameter families of pointed stable curves:
 
 Every pushforward is N times an N-free class (N the Castelnuovo count),
 so the known bridge classes and pencil degrees are stated per N, and
-the system is solved per N.  Stacking all of these gives an exact
+the system is solved per N.  The bridge classes come as int numerators
+over one denominator D, the shape every class has inside the package.  Stacking all of these gives an exact
 linear system with a unique solution -- which, times N, must agree,
 coefficient for coefficient, with the closed-form pushforwards.  This
 script spells that out at (g, r, d) = (10, 4, 12).
 
 Run:  python demos/reconstruction_walkthrough.py
 """
+
+from fractions import Fraction
 
 from bnslopes.families import bridge_pushforward, pencil_degree, pullbacks, reconstruct, relation_multiple
 from bnslopes.tautpush import DivisorClass, GrdParams, push, push_b, rho
@@ -37,11 +40,12 @@ print(f"  {dc}")
 print()
 print("What the test families see (the known values are stated per N):")
 bridge, tails, degrees = pullbacks(dc)
-per_N = bridge_pushforward(params)[1]
-known = DivisorClass.from_coefficients(N * x for x in per_N.coefficients())
+D, nums = bridge_pushforward(params)[1]
+per_N = DivisorClass.from_coefficients(Fraction(x, D) for x in nums)
+known = DivisorClass.from_coefficients(Fraction(N * x, D) for x in nums)
 print(f"  bridge pullback:   {bridge}")
 print(f"  known bridge class: {known} = N x ({per_N})")
-mu = relation_multiple(bridge, known)
+mu = relation_multiple(bridge.coefficients(), known.coefficients())
 print(f"  they differ by {mu} x (10λ - δ0 - 2δ1) -- equal in the rank-3 quotient")
 print(f"  tails pullback vanishes: {not any(tails)}")
 print("  pencil degrees vs the known values:")

@@ -32,11 +32,12 @@ with the known values they determine the pushforwards uniquely, and
 per N; it is the strongest regression alarm in the package.  The rows
 are the same for a, b and c, so each always carries all three
 right-hand sides, under the keys g+3..g+5, and one elimination solves
-them.  The tables store their integral entries as ``int`` (only the
-tails coefficients of delta_1 and delta_{g-1} are ``Fraction``), as do
-the pencil degrees.  One sparse eliminator, :func:`_forward_eliminate`,
-serves every system and determinant in integers only; a solution comes
-back as int numerators over one denominator, a determinant as ``Fraction``.
+them.  Every table entry is an ``int`` (each tails row is scaled by
+(g-1)(g-2)), and every known value is int numerators over one positive
+denominator, as :func:`tautpush.per_N_numerators` gives the closed form.
+One sparse eliminator, :func:`_forward_eliminate`, takes these int rows
+for every system and determinant; a solution comes back in that shape,
+and a determinant, like every value handed out or printed, as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -47,9 +48,9 @@ size, from one read of the Grassmannian's Pieri table, one table per
 triple.  The schubert-oracle suite checks the closed form on every
 dimension-balanced integral against one such table per r, of the
 largest Grassmannian, read on every smaller one where the closed form
-is nonzero, and a count of the table's entries proves the rest.  Each verify suite is one entry of a table
-from its name to a generator of reports; :func:`suite_reports` runs
-one, or all of them in table order.
+is nonzero, and a count of the table's entries proves the rest.  Each
+verify suite is one entry of a table from its name to a generator of
+reports; :func:`suite_reports` runs one, or all of them in table order.
 """
 
 from __future__ import annotations
@@ -121,20 +122,19 @@ class ReconstructionError(RuntimeError):
     underdetermined, so it had no unique solution."""
 
 
-def relation_multiple(got: DivisorClass, want: DivisorClass) -> Optional[Fraction]:
+def relation_multiple(got: Sequence[int | Fraction], want: Sequence[int | Fraction]) -> Optional[Fraction]:
     """The scalar mu with got - want = mu * (10 lambda - delta_0 - 2 delta_1)
-    for two classes on the genus-2 bridge base, or None when their
-    difference is not proportional to the relation."""
-    diff = [x - y for x, y in zip(got.coefficients(), want.coefficients())]
-    mu = Fraction(diff[0], _RELATION[0])
-    if all(x == mu * r for x, r in zip(diff, _RELATION)):
-        return mu
+    for two classes on the genus-2 bridge base, as coordinate vectors over
+    one denominator, or None when their difference is not proportional to
+    the relation; int vectors are compared as ints."""
+    diff = [x - y for x, y in zip(got, want)]
+    if all(10 * x == diff[0] * r for x, r in zip(diff, _RELATION)):
+        return Fraction(diff[0], 10)
     return None
 
 
-Row = Dict[int, int | Fraction]
+Row = Dict[int, int]
 Table = List[Row]
-IntRow = Dict[int, int]
 PerN = Tuple[int, List[int]]  # a per-N class or a solution: a denominator, int numerators
 # The Pieri table of schubert._zeta_layers: one map per layer.
 Layers = List[Dict[Tuple[int, ...], int]]
@@ -159,16 +159,15 @@ def tails_matrix(g: int) -> Table:
     lambda, psi, delta_0 -> 0; delta_i -> eps_i; and
 
         delta_1     -> -sum (g-i)(g-i-1) / ((g-1)(g-2)) eps_i,
-        delta_{g-1} -> -sum (g-i)(i-1) / (g-2) eps_i.
-    """
+        delta_{g-1} -> -sum (g-i)(i-1) / (g-2) eps_i,
+
+    each row times (g-1)(g-2), so its entries are ints: a scaled row has
+    the same solutions, and :func:`pullbacks` divides the scale out."""
     if g < 5:
         raise ParameterError(f"tails family needs g >= 5; got g={g}")
+    scale = (g - 1) * (g - 2)
     return [
-        {
-            3: Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)),
-            2 + i: 1,
-            g + 1: Fraction(-(g - i) * (i - 1), g - 2),
-        }
+        {3: -(g - i) * (g - i - 1), 2 + i: scale, g + 1: -(g - i) * (i - 1) * (g - 1)}
         for i in range(2, g - 1)
     ]
 
@@ -199,12 +198,12 @@ def pullbacks(dc: DivisorClass) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tup
     the pencil degrees for h = 1..g-1."""
     g, vec = dc.g, dc.coefficients()
     bridge = DivisorClass.from_coefficients(_apply(bridge_matrix(g), vec))
-    tails = tuple(_apply(tails_matrix(g), vec))
+    tails = tuple(Fraction(x, (g - 1) * (g - 2)) for x in _apply(tails_matrix(g), vec))
     degrees = tuple(_apply(pencil_matrix(g), vec))
     return bridge, tails, degrees
 
 
-def bridge_pushforward(params: GrdParams) -> Tuple[DivisorClass, DivisorClass, DivisorClass]:
+def bridge_pushforward(params: GrdParams) -> Tuple[PerN, PerN, PerN]:
     """1/N times the pushforwards of a, b and c over the bridge family, as
     genus-2 classes on the bridge base.  With T = 2d(d-2g+2)/(3(g-1)),
     U = d/(g-1) and V = -xi/(3(g-1)):
@@ -212,13 +211,16 @@ def bridge_pushforward(params: GrdParams) -> Tuple[DivisorClass, DivisorClass, D
         a -> T (3 psi - lambda - delta_1) + U (lambda + delta_1 - 4 psi)
         b -> U (lambda + delta_1 - 4 psi)
         c -> V (3 psi - lambda - delta_1)
-    """
+
+    Each is (D, int numerators of lambda, psi, delta_0, delta_1) with one
+    D = 3(g-1)q, xi = p/q in lowest terms: T, U, V are 2d(d-2g+2)q, 3dq, -p
+    over D."""
     g, d = params.g, params.d
-    T = Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1))
-    U = Fraction(d, g - 1)
-    V = -params.xi / (3 * (g - 1))
+    p, q = params.xi.as_integer_ratio()
+    D = 3 * (g - 1) * q
+    T, U, V = 2 * d * (d - 2 * g + 2) * q, 3 * d * q, -p
     xy = ((T, U), (0, U), (V, 0))  # the coefficients of the two brackets
-    return tuple(DivisorClass(y - x, 3 * x - 4 * y, (Fraction(0), y - x)) for x, y in xy)
+    return tuple((D, [y - x, 3 * x - 4 * y, 0, y - x]) for x, y in xy)
 
 
 def pencil_degree(params: GrdParams, h: int) -> Tuple[int, int, int]:
@@ -443,7 +445,7 @@ def _aspect_report(params: GrdParams, N: int) -> CheckReport:
 # Epsilon intersection matrix and exact linear algebra
 
 
-def epsilon_matrix(g: int) -> Tuple[List[IntRow], bool]:
+def epsilon_matrix(g: int) -> Tuple[Table, bool]:
     """Intersection matrix of the tails-family boundary classes eps_i
     (columns 0..g-4 for i = 2..g-2) with the standard test curves (rows,
     j = 1..g-3), as sparse rows {column: value} of at most three nonzero
@@ -472,44 +474,34 @@ def epsilon_matrix(g: int) -> Tuple[List[IntRow], bool]:
     return rows, matrix_determinant(rows) == (g - 1) ** 2 * (g - 4) // 2
 
 
-def _forward_eliminate(
-    rows: Iterable[Row], ncols: int
-) -> Tuple[Dict[int, IntRow], List[IntRow], Tuple[int, int]]:
-    """Reduce sparse rows of nonzero ``int`` or ``Fraction`` entries to
-    row echelon form over the columns 0..ncols-1, in integers only;
-    entries under keys from ``ncols`` up (right-hand sides) ride along.
+def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row], List[Row], Tuple[int, int]]:
+    """Reduce sparse rows of nonzero ``int`` entries to row echelon form
+    over the columns 0..ncols-1; entries under keys from ``ncols`` up
+    (right-hand sides) ride along.
 
-    Each row is copied once, so the caller's rows stay as they were.  A
-    row with no ``Fraction`` entry is taken as it is; a row holding one
-    is cleared of denominators: with L the lcm of its denominators, x
-    becomes x.numerator * (L // x.denominator).  Rows are then taken in
-    order.  While an earlier row pivots on the row's leading (smallest)
-    column, with pivot entry p against the row's entry q, the row becomes
-    a*row - b*prow for a = p/gcd(p, q), b = q/gcd(p, q), which touches
-    only the pivot row's stored entries and drops every entry that
-    cancels, and is then divided by its content (the gcd of its entries).
-    It ends as the pivot of its new leading column or with no entry
-    before ``ncols``.  No dense row or column is ever scanned.
+    Each row is copied once, so the caller's rows stay as they were, and
+    rows are taken in order.  While an earlier row pivots on the row's
+    leading (smallest) column, with pivot entry p against the row's entry
+    q, the row becomes a*row - b*prow for a = p/gcd(p, q),
+    b = q/gcd(p, q), which touches only the pivot row's stored entries
+    and drops every entry that cancels, and is then divided by its
+    content (the gcd of its entries).  It ends as the pivot of its new
+    leading column or with no entry before ``ncols``.  No dense row or
+    column is ever scanned.
 
     Returns the pivot rows keyed by their pivot column, in the order they
     were found (a pivot row holds no entry left of its pivot column), the
     rows left without a pivot, and the scale (num, den) by which the steps
-    multiplied the determinant of the rows.  Clearing a row multiplies it
-    by L, and an all-``int`` row adds no factor; a reduction multiplies it
-    by a, as it scales the row by a and subtracts a multiple of another
-    row; dividing out a content c divides it by c.  So num is the product
-    of every L and every a, den of every content.
+    multiplied the determinant of the rows.  A reduction multiplies it by
+    a, as it scales the row by a and subtracts a multiple of another row;
+    dividing out a content c divides it by c.  So num is the product of
+    every a, den of every content.
     """
-    pivots: Dict[int, IntRow] = {}
-    rest: List[IntRow] = []
+    pivots: Dict[int, Row] = {}
+    rest: List[Row] = []
     num = den = 1
     for given in rows:
-        if Fraction in map(type, given.values()):
-            clear = lcm(*(x.denominator for x in given.values()))
-            row = {j: x.numerator * (clear // x.denominator) for j, x in given.items()}
-            num *= clear
-        else:
-            row = dict(given)
+        row = dict(given)
         while (lead := min(row, default=ncols)) < ncols:
             prow = pivots.get(lead)
             if prow is None:
@@ -541,10 +533,9 @@ def _forward_eliminate(
 
 def matrix_determinant(rows: Sequence[Row]) -> Fraction:
     """Exact determinant of the square matrix whose n = len(rows) rows
-    are given as sparse rows {column: value} of nonzero ``int`` or
-    ``Fraction`` entries over the columns 0..n-1, from one integer
-    elimination (see :func:`_forward_eliminate`); no dense row is built
-    or scanned.  It is 0 unless every row becomes the pivot of some
+    are given as sparse rows {column: value} of nonzero ``int`` entries
+    over the columns 0..n-1, from one elimination (see
+    :func:`_forward_eliminate`); no dense row is built or scanned.  It is 0 unless every row becomes the pivot of some
     column.  The eliminated rows then have determinant sign times
     the product of the pivots, the sign being that of the permutation
     taking pivot-discovery order to column order; by the elimination's
@@ -626,7 +617,7 @@ def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
     return params
 
 
-def _reconstruct(params: GrdParams, bridge: Sequence[DivisorClass]) -> List[PerN | ReconstructionError]:
+def _reconstruct(params: GrdParams, bridge: Sequence[PerN]) -> List[PerN | ReconstructionError]:
     """Solve for 1/N times the pushforwards of a, b and c at ``params``
     from the special-family data, with one elimination and no N: the
     right-hand sides are stated per N, and as every row is linear, the
@@ -644,7 +635,9 @@ def _reconstruct(params: GrdParams, bridge: Sequence[DivisorClass]) -> List[PerN
     * for each tails class eps_i: the pullback of the class vanishes,
       one equation per eps_i coefficient;
     * the bridge pullback plus mu times the relation
-      10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class.
+      10 lambda - delta_0 - 2 delta_1 equals the known genus-2 class, whose
+      int numerators over D are the right-hand sides: the bridge row and
+      its mu entry are multiplied by D.
 
     The rows are eliminated (see :func:`_forward_eliminate`) in that
     order, and stay short, never holding more than four unknowns: pencil
@@ -658,12 +651,13 @@ def _reconstruct(params: GrdParams, bridge: Sequence[DivisorClass]) -> List[PerN
     and c in turn, its :func:`_solve_unique` solution in the class order
     (lambda, psi, delta_*) or its ReconstructionError.
     """
-    g = params.g
-    bridge_targets = zip(*(dc.coefficients() for dc in bridge))
+    g, D = params.g, bridge[0][0]  # the three bridge classes share D
+    bridge_rows = ({j: D * x for j, x in row.items()} for row in bridge_matrix(g))
+    bridge_targets = zip(*(nums for _, nums in bridge))
     system = (
         [(row, 0, pencil_degree(params, h)) for h, row in enumerate(pencil_matrix(g), start=1)]
         + [(row, 0, ()) for row in tails_matrix(g)]
-        + list(zip(bridge_matrix(g), _RELATION, bridge_targets))
+        + list(zip(bridge_rows, (D * x for x in _RELATION), bridge_targets))
     )
     # table column j -> system column: lambda stays, psi goes last, delta_i to 1 + i
     column = [0, g + 1, *range(1, g + 1)]
@@ -775,23 +769,23 @@ def _epsilon_report() -> CheckReport:
     )
 
 
-def _bridge_quotient_report(
-    params: GrdParams, N: int, which: str, per_N: PerN, want: DivisorClass
-) -> CheckReport:
-    """The bridge pullback of 1/N times the pushforward, applied to its per-N
-    numerators (L, ints) and then divided by L, differs from the known
-    per-N genus-2 class ``want`` by an exact multiple of the relation."""
-    L, ints = per_N
-    got = DivisorClass.from_coefficients(Fraction(v, L) for v in _apply(bridge_matrix(params.g), ints))
-    mu = relation_multiple(got, want)
+def _bridge_quotient_report(params: GrdParams, N: int, which: str, per_N: PerN, want: PerN) -> CheckReport:
+    """The bridge pullback of 1/N times the pushforward, its per-N
+    numerators (L, ints) through the bridge table, differs from the known
+    per-N genus-2 class ``want`` = (D, numerators) by an exact multiple of
+    the relation.  The two are compared on ints, cross-multiplied to the
+    denominator L*D; only the printed values are Fractions."""
+    (L, ints), (D, nums) = per_N, want
+    got = _apply(bridge_matrix(params.g), ints)
+    mu = relation_multiple([x * D for x in got], [y * L for y in nums])
     text = "{}·λ + {}·ψ + {}·δ0 + {}·δ1".format
     return _report(
         "bridge_quotient",
         {"g": params.g, "r": params.r, "d": params.d, "class": which},
-        text(*(N * x for x in got.coefficients())),
-        text(*(N * x for x in want.coefficients())),
+        text(*(Fraction(N * x, L) for x in got)),
+        text(*(Fraction(N * y, D) for y in nums)),
         mu is not None,
-        f"multiple={N * mu}" if mu is not None else "not proportional to relation",
+        f"multiple={N * mu / (L * D)}" if mu is not None else "not proportional to relation",
     )
 
 

@@ -186,11 +186,11 @@ class DivisorClass(Record):
         return " + ".join(parts)
 
 
-# A bracket is the N-free prefactor of a displayed pushforward formula and
-# an iterator over the bracket's integer coordinates in the order lambda,
-# psi, delta_0, ..., delta_{g-1}; only the delta_i with i >= 1 are produced
-# lazily.
-Bracket = Tuple[Fraction, Iterator[int]]
+# A bracket is the N-free prefactor of a displayed pushforward formula, as
+# an int pair (num, den) with den > 0, not reduced, and an iterator over the
+# bracket's integer coordinates in the order lambda, psi, delta_0, ...,
+# delta_{g-1}; only the delta_i with i >= 1 are produced lazily.
+Bracket = Tuple[Tuple[int, int], Iterator[int]]
 
 
 def _bracket_a(params: GrdParams) -> Bracket:
@@ -208,7 +208,7 @@ def _bracket_a(params: GrdParams) -> Bracket:
     psi = -6 * d * (g - 2)
     delta0 = 2 * g * g - g * d + 3 * g - 4 * d - 2
     deltas = (6 * (g - i) * (g * d + 2 * i * g - 2 * i * d - 2 * d) for i in range(1, g))
-    return Fraction(d, 6 * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
+    return (d, 6 * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
 def _bracket_b(params: GrdParams) -> Bracket:
@@ -221,7 +221,7 @@ def _bracket_b(params: GrdParams) -> Bracket:
     if g < 2:
         raise ParameterError(f"pushforward of b needs g >= 2 ((g-1) vanishes at g={g})")
     deltas = (4 * (g - i) * (g - i - 1) for i in range(1, g))
-    return Fraction(d, 2 * (g - 1)), chain((12, -2 * (g - 1), -1), deltas)
+    return (d, 2 * (g - 1)), chain((12, -2 * (g - 1), -1), deltas)
 
 
 def _bracket_c(params: GrdParams) -> Bracket:
@@ -253,14 +253,13 @@ def _bracket_c(params: GrdParams) -> Bracket:
     g, r, d = params.g, params.r, params.d
     if g < 3:
         raise ParameterError(f"pushforward of c needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
-    x = params.xi
-    p, q = x.numerator, x.denominator
+    p, q = params.xi.as_integer_ratio()
     rq = r * (r + 2) * q
     lam = 6 * (-(g + 3) * p + 5 * rq)
     psi = -6 * q * d * (r + 1) * (g - 2)
     delta0 = (g + 1) * p - 3 * rq
     deltas = (6 * (g - i) * (i * p + (g - i - 2) * rq) for i in range(1, g))
-    return Fraction(1, 12 * q * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
+    return (1, 12 * q * (g - 1) * (g - 2)), chain((lam, psi, delta0), deltas)
 
 
 class TautCombo(Record):
@@ -317,9 +316,9 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
         (combo.p_c, _bracket_c),
     ):
         if p:
-            pre, coords = bracket(params)
+            (num, den), coords = bracket(params)
             values = list(islice(coords, 6))
-            weighted.append((p.numerator * pre.numerator, p.denominator * pre.denominator, values))
+            weighted.append((p.numerator * num, p.denominator * den, values))
     L = lcm(lam.denominator, *(den for _, den, _ in weighted))
     head = [lam.numerator * (L // lam.denominator)] + [0] * (min(6, g + 2) - 1)
     for num, den, values in weighted:

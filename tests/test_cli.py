@@ -369,8 +369,8 @@ def _displayed_fold(combo, params, scale):
     brackets = (tautpush._bracket_a, tautpush._bracket_b, tautpush._bracket_c)
     for p, bracket in zip((combo.p_a, combo.p_b, combo.p_c), brackets):
         if p:
-            pre, ints = bracket(params)
-            weight = scale * p * pre
+            pre, ints = bracket(params)  # the prefactor as an int pair (num, den)
+            weight = scale * p * Fraction(*pre)
             coords = [x + weight * y for x, y in zip(coords, ints)]
     return coords
 
@@ -517,8 +517,8 @@ class TestVerifyCommand:
         known = families.bridge_pushforward
 
         def off_for_c_at_lambda(params):
-            a, b, c = known(params)
-            return a, b, DivisorClass(c.lam + 1, c.psi, c.delta)
+            a, b, (D, c) = known(params)
+            return a, b, (D, [c[0] + D, *c[1:]])  # the per-N class of c, plus one at lambda
 
         monkeypatch.setattr(families, "bridge_pushforward", off_for_c_at_lambda)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct", "--triples", "10,4,12")

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -48,13 +48,32 @@ from bnslopes.tautpush import (
 )
 
 
-def sparse(rows, rhs=None, entry=Fraction):
+def clear(rows):
+    """Dense rows of ints and Fractions, each multiplied by the lcm L of
+    its entries' denominators so that it holds ints only, as a caller
+    hands rational rows to the eliminator, and the product of the L: for
+    square rows det(cleared) = det(rows) * prod L."""
+    out, scale = [], 1
+    for row in rows:
+        L = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * L) for x in row])
+        scale *= L
+    return out, scale
+
+
+def sparse(rows, rhs=None):
     """Dense rows, and a right-hand side under the key len(row), as the
-    eliminator's sparse rows of their nonzero entries, each passed
-    through ``entry`` (made a Fraction by default)."""
+    eliminator's sparse int rows of their nonzero entries; a row holding a
+    Fraction is cleared first (see clear), which keeps the solutions."""
     if rhs is not None:
         rows = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return [{j: entry(x) for j, x in enumerate(row) if x} for row in rows]
+    return [{j: x for j, x in enumerate(row) if x} for row in clear(rows)[0]]
+
+
+def values(per_N):
+    """A class given as (D, int numerators) as its list of values."""
+    D, xs = per_N
+    return [Fraction(x, D) for x in xs]
 
 
 def as_fractions(sol):
@@ -63,9 +82,9 @@ def as_fractions(sol):
     denominator of the values."""
     D, xs = sol
     assert type(D) is int and D > 0 and all(type(x) is int for x in xs), sol
-    values = [Fraction(x, D) for x in xs]
-    assert D == lcm(*(v.denominator for v in values)), sol
-    return values
+    vs = values(sol)
+    assert D == lcm(*(v.denominator for v in vs)), sol
+    return vs
 
 
 def solve_one(rows, ncols):
@@ -171,9 +190,21 @@ class TestPullbackTables:
 
     def test_integral_entries_are_ints(self):
         for g in (5, 8, 21, 60):
-            rows = pencil_matrix(g) + bridge_matrix(g)
+            rows = pencil_matrix(g) + bridge_matrix(g) + tails_matrix(g)
             assert all(type(x) is int for row in rows for x in row.values()), g
-            assert all(type(row[2 + i]) is int for i, row in enumerate(tails_matrix(g), start=2)), g
+
+    @pytest.mark.parametrize("g", [5, 8, 21])
+    def test_tails_values_of_unit_classes(self, g):
+        # the coefficients of eps_2..eps_{g-2} as the tails docstring
+        # displays them, so the table's (g-1)(g-2) scale must be divided out
+        eps = range(2, g - 1)
+        _, tails, _ = pullbacks(unit_class(g, "delta", 1))
+        assert tails == tuple(Fraction(-(g - i) * (g - i - 1), (g - 1) * (g - 2)) for i in eps)
+        for k in eps:
+            _, tails, _ = pullbacks(unit_class(g, "delta", k))
+            assert tails == tuple(int(i == k) for i in eps), k
+        _, tails, _ = pullbacks(unit_class(g, "delta", g - 1))
+        assert tails == tuple(Fraction(-(g - i) * (i - 1), g - 2) for i in eps)
 
     def test_pencil_degrees_are_ints(self):
         # r(r+1)/2 is integral for odd and even r alike
@@ -188,13 +219,13 @@ class TestPullbackTables:
 class TestEpsilonMatrix:
     def test_g5(self):
         m, nonsingular = epsilon_matrix(5)
-        assert m == sparse(((4, 0), (-1, 2)), entry=int)
+        assert m == sparse(((4, 0), (-1, 2)))
         assert matrix_determinant(m) == 8
         assert nonsingular
 
     def test_g6(self):
         m, nonsingular = epsilon_matrix(6)
-        assert m == sparse(((5, 0, 0), (-1, 1, 3), (0, -1, 2)), entry=int)
+        assert m == sparse(((5, 0, 0), (-1, 1, 3), (0, -1, 2)))
         assert matrix_determinant(m) == 25
         assert nonsingular
 
@@ -252,7 +283,7 @@ class TestBridgeQuotient:
         params = GrdParams(g, r, d)
         got, _, _ = pullbacks(per_N_class("b", params))
         _, want, _ = bridge_pushforward(params)
-        mu = relation_multiple(got, want)
+        mu = relation_multiple(got.coefficients(), values(want))
         assert mu == Fraction(d, 2 * (g - 1))  # = 28/N with N = 42
         assert mu * params.N == 28
 
@@ -261,25 +292,47 @@ class TestBridgeQuotient:
         params = GrdParams(g, r, d)
         got, _, _ = pullbacks(per_N_class("b", params))
         _, want, _ = bridge_pushforward(params)
-        assert got != want
-        assert relation_multiple(got, want) is not None
+        assert list(got.coefficients()) != values(want)
+        assert relation_multiple(got.coefficients(), values(want)) is not None
 
     def test_all_classes_all_triples(self):
         for g, r, d in ((6, 2, 6), (8, 3, 9), (10, 4, 12), (21, 6, 24)):
             params = GrdParams(g, r, d)
             for which, want in zip("abc", bridge_pushforward(params)):
                 got, _, _ = pullbacks(per_N_class(which, params))
-                assert relation_multiple(got, want) is not None, (g, which)
+                mu = relation_multiple(got.coefficients(), values(want))
+                assert mu is not None, (g, which)
                 # N times the known class is the bridge class of the pushforward
                 full, _, _ = pullbacks(push(which, params))
-                scaled = DivisorClass.from_coefficients(params.N * x for x in want.coefficients())
-                assert relation_multiple(full, scaled) == params.N * relation_multiple(got, want), (g, which)
+                scaled = [params.N * x for x in values(want)]
+                assert relation_multiple(full.coefficients(), scaled) == params.N * mu, (g, which)
+                # on the ints cross-multiplied to L*D, as the suite compares
+                # them, the multiple is L*D times the per-N one
+                (L, ints), (D, nums) = _per_N_push(which, params), want
+                got_ints = [v * D for v in families._apply(bridge_matrix(g), ints)]
+                assert relation_multiple(got_ints, [y * L for y in nums]) == L * D * mu, (g, which)
 
     def test_difference_off_the_relation(self):
-        _, want, _ = bridge_pushforward(GrdParams(10, 4, 12))
-        got = DivisorClass(want.lam + 1, want.psi, want.delta)
+        want = values(bridge_pushforward(GrdParams(10, 4, 12))[1])
+        got = [want[0] + 1, *want[1:]]
         assert relation_multiple(got, want) is None
         assert relation_multiple(want, want) == 0
+
+    def test_classes_are_int_numerators_over_one_denominator(self):
+        # D = 3(g-1) den(xi) for all three, and the values are the
+        # docstring's T, U and V brackets
+        for g, r, d in rho_zero_triples(40):
+            params = GrdParams(g, r, d)
+            T = Fraction(2 * d * (d - 2 * g + 2), 3 * (g - 1))
+            U = Fraction(d, g - 1)
+            V = -params.xi / (3 * (g - 1))
+            expected = [
+                [y - x, 3 * x - 4 * y, 0, y - x] for x, y in ((T, U), (0, U), (V, 0))
+            ]
+            got = bridge_pushforward(params)
+            assert [D for D, _ in got] == [3 * (g - 1) * params.xi.denominator] * 3, (g, r, d)
+            assert all(type(y) is int for _, nums in got for y in nums), (g, r, d)
+            assert [values(c) for c in got] == expected, (g, r, d)
 
 
 class TestLemmaConsistency:
@@ -311,6 +364,81 @@ class TestLemmaConsistency:
         assert (len(tails), len(pencils)) == (5, 7)
         assert all(0 <= j <= g + 1 and x != 0 for row in tails + pencils for j, x in row.items())
         assert pencils[g // 2 - 1] == {1: g - 1}
+
+
+# every rho = 0 triple with 3 <= g <= 200 (and r >= 1): 897 of them
+_TRIPLES_3_200 = [t for t in rho_zero_triples(200) if t[0] >= 3]
+
+
+class TestClassicalTestCurves:
+    """Test curves from outside the paper's own families, on every rho = 0
+    triple with 3 <= g <= 200, read from the closed forms' per-N
+    numerators (L, ints): a per-N coordinate x / L."""
+
+    def test_elliptic_tail_pencil_meets_a_b_and_c_in_degree_zero(self):
+        """The elliptic-tail pencil (Harris-Morrison, Moduli of Curves,
+        GTM 187, 1998, ch. 3): a fixed general curve of genus g-1, which
+        carries the marked point, joined at a base point to a pencil of
+        plane cubics.  It has degree 1 on lambda, 12 on delta_0 and -1 on
+        the class of the joining node; the marked point lies on the
+        genus-(g-1) side, so that class is delta_{g-1}, and psi and every
+        other delta_i have degree 0.
+
+        The value 0 for a, b and c is not derived here from outside: an
+        argument by limit linear series on C and the moving elliptic tail
+        (Eisenbud-Harris, Invent. Math. 85, 1986) is not written out.  So
+        this checks a pipeline identity, lambda + 12 delta_0 - delta_{g-1}
+        = 0 per N, which the unique solution of the reconstruction system
+        implies at g >= 5, on every triple, g = 3 and 4 included."""
+        for g, r, d in _TRIPLES_3_200:
+            params = GrdParams(g, r, d)
+            for which in "abc":
+                _, (lam, _, delta0, *delta) = _per_N_push(which, params)
+                assert lam + 12 * delta0 - delta[-1] == 0, (g, r, d, which)
+
+    def test_fixed_curve_fiber_of_c_is_the_pluecker_count(self):
+        """The fiber over a fixed general curve C, the marked point p moving
+        along C: psi has degree 2g-2 on it, lambda and every delta_i 0.
+
+        The pointed ramification divisor W, the (C, p) at which one of the
+        N series on C ramifies at p, is the degeneracy locus of V ->
+        J^r_p(L); with L normalized at p, c_1(J^r_p(L)) = C(r+1, 2) psi, so
+        W = N C(r+1, 2) psi - c on the interior.  On the fiber W counts the
+        ramification points of each of the N series with their weights,
+        and by Pluecker's formula (Arbarello-Cornalba-Griffiths-Harris,
+        Geometry of Algebraic Curves I, 1985, ch. I) a g^r_d has total
+        ramification weight (r+1)d + (r+1)r(g-1).  So per N,
+        (C(r+1, 2) - psi_c)(2g-2) = (r+1)d + (r+1)r(g-1), which is
+        psi_c (2g-2) = -(r+1)d."""
+        for g, r, d in _TRIPLES_3_200:
+            L, (_, psi, *_) = _per_N_push("c", GrdParams(g, r, d))
+            weight = (r + 1) * d + (r + 1) * r * (g - 1)
+            assert (comb(r + 1, 2) * L - psi) * (2 * g - 2) == weight * L, (g, r, d)
+            assert psi * (2 * g - 2) == -(r + 1) * d * L, (g, r, d)
+
+    def test_pencils_h_and_g_minus_h_sum_to_the_fixed_curve_fiber(self):
+        """Pencil families h and g-h (Harris-Morrison, GTM 187, ch. 3) move
+        the marked point along the genus-h and the genus-(g-h) component
+        of one fixed curve.  Their rows of pencil_matrix sum to the fiber
+        row, degree 2g-2 on psi and 0 elsewhere, as their delta terms
+        cancel; so their known per-N degrees sum to the fiber's values,
+        a -2d^2, b -2d(g-1) and c -(r+1)d, and so does (2g-2) psi of each
+        closed form.  For c that value is Pluecker's count (the test
+        above); for a and b no outside derivation is claimed, and the
+        test checks that pencil_degree and the closed forms agree."""
+        for g, r, d in _TRIPLES_3_200:
+            params = GrdParams(g, r, d)
+            fiber = (-2 * d * d, -2 * d * (g - 1), -(r + 1) * d)
+            rows = pencil_matrix(g)
+            for h in range(1, g):
+                one, other = rows[h - 1], rows[g - h - 1]
+                both = {j: one.get(j, 0) + other.get(j, 0) for j in one.keys() | other.keys()}
+                assert {j: x for j, x in both.items() if x} == {1: 2 * g - 2}, (g, h)
+                degrees = zip(pencil_degree(params, h), pencil_degree(params, g - h))
+                assert tuple(x + y for x, y in degrees) == fiber, (g, r, d, h)
+            for which, value in zip("abc", fiber):
+                L, (_, psi, *_) = _per_N_push(which, params)
+                assert psi * (2 * g - 2) == value * L, (g, r, d, which)
 
 
 class TestIdentities:
@@ -505,9 +633,11 @@ class TestSolver:
                 m[-1] = [Fraction(-7, 3) * x for x in m[0]]
             det = cofactor_det(m)
             singular += det == 0
-            # entries keep their type, so all-int, all-Fraction and mixed rows occur
-            got = matrix_determinant(sparse(m, entry=lambda x: x))
-            assert got == det and type(got) is Fraction, m
+            # each row is cleared on its own, so all-int rows (L = 1),
+            # all-Fraction and mixed rows occur
+            ints, scale = clear(m)
+            got = matrix_determinant(sparse(ints))
+            assert got == det * scale and type(got) is Fraction, m
         assert singular
 
     def test_determinant_of_int_rows_matches_fraction_rows(self):
@@ -524,8 +654,12 @@ class TestSolver:
                 m[-1] = [3 * x for x in m[0]]
             det = cofactor_det(m)
             singular += det == 0
-            got = matrix_determinant(sparse(m, entry=int))
-            assert got == matrix_determinant(sparse(m)) == det and type(got) is Fraction, m
+            got = matrix_determinant(sparse(m))
+            # the same rows over denominators, cleared again by the caller
+            ks = [rng.randint(1, 12) for _ in m]
+            ints, scale = clear([[Fraction(x, k) for x in row] for row, k in zip(m, ks)])
+            assert matrix_determinant(sparse(ints)) == Fraction(det * scale, prod(ks)), m
+            assert got == det and type(got) is Fraction, m
         assert singular
 
     def test_int_rows_are_copied_and_add_no_scale(self):
@@ -533,10 +667,11 @@ class TestSolver:
         pivots, rest, scale = _forward_eliminate(rows, 2)
         assert (pivots, rest, scale) == ({0: {0: 1, 1: 1}, 1: {1: 1}}, [], (1, 1))
         assert rows == [{0: 1, 1: 1}, {0: 1, 1: 2}]
-        # a row holding a Fraction is cleared, and its lcm enters the scale
-        rows = [{0: Fraction(3), 1: Fraction(1, 2)}, {1: Fraction(2)}]
+        # the rows (3, 1/2) and (0, 2) cleared by the caller are taken as
+        # they are: the eliminator adds no factor for them
+        rows = sparse(((3, Fraction(1, 2)), (0, 2)))
         pivots, rest, scale = _forward_eliminate(rows, 2)
-        assert (pivots, rest, scale) == ({0: {0: 6, 1: 1}, 1: {1: 2}}, [], (2, 1))
+        assert (pivots, rest, scale) == ({0: {0: 6, 1: 1}, 1: {1: 2}}, [], (1, 1))
         assert all(type(x) is int for row in pivots.values() for x in row.values())
 
     def test_k_right_hand_sides_match_single_solves(self):
@@ -691,6 +826,7 @@ class TestSuites:
 
         def counted(rows, ncols, k):
             calls.append((ncols, k))
+            assert all(type(x) is int for row in rows for x in row.values())  # the eliminator takes int rows only
             return _solve_unique(rows, ncols, k)
 
         monkeypatch.setattr(families, "_solve_unique", counted)

@@ -73,22 +73,25 @@ print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
 
 
 def test_module_entry_point_optimized():
-    # `python -O` strips assert statements; the checks must not rely on them
+    # `python -O` strips assert statements; the checks must not rely on them.
+    # Every golden is byte-identical under two hash seeds, so no output
+    # depends on the iteration order of a set or of a dict of str keys.
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _RUN_CASES, json.dumps(CASES)],
-        env=env,
-        capture_output=True,
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["optimize"] == 1
-    assert sorted(got["results"]) == sorted(CASES)
-    for name, (code, out) in got["results"].items():
-        assert code == 0, name
-        assert out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8", PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _RUN_CASES, json.dumps(CASES)],
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["optimize"] == 1
+        assert sorted(got["results"]) == sorted(CASES)
+        for name, (code, out) in got["results"].items():
+            assert code == 0, name
+            assert out.encode("utf-8") == (GOLDEN / name).read_bytes(), (hash_seed, name)
 
 
 # SHA-256 of the stdout of `verify --suite reconstruct` over every rho = 0

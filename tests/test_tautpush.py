@@ -146,9 +146,11 @@ class TestPushforwards:
 
     @pytest.mark.parametrize("bracket", [tautpush._bracket_a, tautpush._bracket_b, tautpush._bracket_c])
     def test_brackets_are_integral(self, bracket):
-        # the module docstring's "integer-coefficient bracket", every triple
+        # the module docstring's "integer-coefficient bracket", every triple,
+        # behind a prefactor that is an int pair with a positive denominator
         for triple in _TRIPLES_3_60:
-            _, coords = bracket(GrdParams(*triple))
+            (num, den), coords = bracket(GrdParams(*triple))
+            assert type(num) is int and type(den) is int and den > 0, triple
             coords = list(coords)
             assert len(coords) == triple[0] + 2
             assert all(type(x) is int for x in coords), triple
@@ -269,8 +271,8 @@ def _bracket_fold(combo, params):
     coords = [combo.p_lam] + [Fraction(0)] * (params.g + 1)
     for p, name in zip((combo.p_a, combo.p_b, combo.p_c), _BRACKET_NAMES):
         if p:
-            pre, ints = getattr(tautpush, name)(params)
-            coords = [x + p * pre * y for x, y in zip(coords, ints)]
+            pre, ints = getattr(tautpush, name)(params)  # the prefactor as an int pair (num, den)
+            coords = [x + p * Fraction(*pre) * y for x, y in zip(coords, ints)]
     return coords
 
 
