@@ -30,6 +30,9 @@ from .tautpush import CLASSES, GrdParams, ParameterError, TautCombo, per_N_numer
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# Every grid axis of some family, in table order: the slope parser's axis flags.
+AXES = tuple(dict.fromkeys(axis for family in FAMILIES.values() for axis in family.axes))
+
 # Slope grids are built in full before any slope is computed, so their size is capped.
 MAX_GRID_POINTS = 10**6
 
@@ -83,10 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sl = sub.add_parser("slope", help="slope table for a divisor family over a parameter grid")
     sl.add_argument("--family", required=True, choices=list(FAMILIES))
-    sl.add_argument("--r", type=_span, help="r value or inclusive range lo:hi")
-    sl.add_argument("--s", type=_span, help="s value or inclusive range lo:hi")
-    sl.add_argument("--i", type=_span, help="syzygy index value or range")
-    sl.add_argument("--k", type=_span, help="hypersurface degree value or range")
+    for axis in AXES:
+        takers = ", ".join(name for name, family in FAMILIES.items() if axis in family.axes)
+        sl.add_argument(f"--{axis}", type=_span, help=f"{axis} value or inclusive range lo:hi; taken by {takers}")
     sl.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     sl.add_argument("--output", help="write to this path instead of stdout")
     sl.set_defaults(run=cmd_slope)
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _grid(args) -> List[FamilyParams]:
     family = FAMILIES[args.family]
-    for name in ("i", "r", "s", "k"):  # every axis flag of the slope parser
+    for name in AXES:
         given = getattr(args, name) is not None
         if given != (name in family.axes):
             need = "is not an axis of" if given else "is required for"

@@ -26,8 +26,11 @@ integer numerators of the N-free lambda and delta_0 alone (O(1)
 operations per instance, not O(g) operations on g-digit numbers); the
 full pushforward of a :class:`SlopeReport` is computed on each read.
 
-:data:`FAMILIES`, the one list of families that ``slope --family`` reads,
-maps each name to its grid axes, its constructor and its combo.
+:data:`FAMILIES`, the one list of families, maps each name to its grid
+axes, its constructor and its combo; ``slope`` takes its ``--family``
+names and its axis flags from it.  The constructor, a
+:class:`FamilyParams` classmethod, is the family's one input check, and
+``FamilyParams.g``/``.d`` the one (g, d) of an instance.
 
 Closed-form slope polynomials exist as oracles for the Gieseker-Petri
 family (:func:`gp_slope_closed`) and the syzygy family
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, Tuple
+from typing import Dict
 
 from .numeric import binomial
 from .record import Record
@@ -71,39 +74,61 @@ __all__ = [
     "syzygy_slope_closed",
 ]
 
-def _family_grd(r: int, s: int) -> Tuple[int, int]:
-    """g = (r+1)(s+1), d = r(s+2); rho vanishes automatically."""
-    g = (r + 1) * (s + 1)
-    d = r * (s + 2)
-    return g, d
 
+class FamilyParams(Record):
+    """A single divisor-family instance: which family, its (r, s), and
+    the extra index (k for hypersurface, i for syzygy).  Instances order
+    by (family, r, s, extra), the row order of slope tables.  Each
+    classmethod is its family's one input check; the combos and the
+    closed-form slopes check their input by building an instance."""
 
-def _gp_check(r: int, s: int) -> None:
-    if r < 1 or s < 1:
-        raise ParameterError(f"Gieseker-Petri family needs r, s >= 1; got r={r}, s={s}")
+    __slots__ = _fields = ("family", "r", "s", "extra")
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) < self._key(other)
+
+    @classmethod
+    def gp(cls, r: int, s: int) -> "FamilyParams":
+        if r < 1 or s < 1:
+            raise ParameterError(f"Gieseker-Petri family needs r, s >= 1; got r={r}, s={s}")
+        return cls("gp", r, s, None)
+
+    @classmethod
+    def hypersurface(cls, r: int, s: int, k: int) -> "FamilyParams":
+        if r < 1 or s < 1 or k < 1:
+            raise ParameterError(f"hypersurface family needs r, s, k >= 1; got r={r}, s={s}, k={k}")
+        params = cls("hypersurface", r, s, k)
+        lhs = binomial(r + k, k)
+        rhs = k * params.d - params.g + 1
+        if lhs != rhs:
+            raise ParameterError(
+                f"hypersurface rank balance fails at (r={r}, s={s}, k={k}): "
+                f"C(r+k,k) = {lhs} but kd - g + 1 = {rhs}"
+            )
+        return params
+
+    @classmethod
+    def syzygy(cls, i: int, s: int) -> "FamilyParams":
+        if i < 0 or s < 0:
+            raise ParameterError(f"syzygy family needs i, s >= 0; got i={i}, s={s}")
+        return cls("syzygy", (i + 2) * s + 2 * (i + 1), s, i)
+
+    @property
+    def g(self) -> int:
+        return (self.r + 1) * (self.s + 1)
+
+    @property
+    def d(self) -> int:
+        return self.r * (self.s + 2)
 
 
 def gp_combo(r: int, s: int) -> TautCombo:
     """Gieseker-Petri class (r+1)/2 (-a+b) + (d+1-g) c - r lambda."""
-    _gp_check(r, s)
-    g, d = _family_grd(r, s)
+    params = FamilyParams.gp(r, s)
     half = Fraction(r + 1, 2)
-    return TautCombo.of(-half, half, d + 1 - g, -r)
-
-
-def _hypersurface_check(r: int, s: int, k: int) -> None:
-    if r < 1 or s < 1 or k < 1:
-        raise ParameterError(
-            f"hypersurface family needs r, s, k >= 1; got r={r}, s={s}, k={k}"
-        )
-    g, d = _family_grd(r, s)
-    lhs = binomial(r + k, k)
-    rhs = k * d - g + 1
-    if lhs != rhs:
-        raise ParameterError(
-            f"hypersurface rank balance fails at (r={r}, s={s}, k={k}): "
-            f"C(r+k,k) = {lhs} but kd - g + 1 = {rhs}"
-        )
+    return TautCombo.of(-half, half, params.d + 1 - params.g, -r)
 
 
 def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
@@ -112,13 +137,8 @@ def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
     Defined only when the source and target of the restriction map have
     equal rank: C(r+k, k) = kd - g + 1.
     """
-    _hypersurface_check(r, s, k)
+    FamilyParams.hypersurface(r, s, k)
     return TautCombo.of(Fraction(k * k, 2), Fraction(-k, 2), -binomial(r + k, k - 1), 1)
-
-
-def _syzygy_check(i: int, s: int) -> None:
-    if i < 0 or s < 0:
-        raise ParameterError(f"syzygy family needs i, s >= 0; got i={i}, s={s}")
 
 
 def syzygy_combo(i: int, s: int) -> TautCombo:
@@ -128,9 +148,8 @@ def syzygy_combo(i: int, s: int) -> TautCombo:
     All four coefficients are binomial expressions; the zero convention
     C(n, k<0) = 0 makes them total in i (at i = 0 only the leading terms
     survive and the combo collapses to (2, -1, -(r+2), 1))."""
-    _syzygy_check(i, s)
-    r = (i + 2) * s + 2 * (i + 1)
-    g, d = _family_grd(r, s)
+    params = FamilyParams.syzygy(i, s)
+    r, g, d = params.r, params.g, params.d
     p_a = (
         2 * binomial(r, i)
         - 2 * binomial(r - 1, i - 1)
@@ -186,7 +205,7 @@ def gp_slope_closed(r: int, s: int) -> Fraction:
 
         6 (2x + 7y^2 + 7xy + xy^2 + 12y + y^3) / (y (4+y) (y+1+x))
     """
-    _gp_check(r, s)
+    FamilyParams.gp(r, s)
     x = (r + 1) + (s + 1)
     y = (r + 1) * (s + 1)
     num = 6 * (2 * x + 7 * y * y + 7 * x * y + x * y * y + 12 * y + y**3)
@@ -235,46 +254,10 @@ def syzygy_slope_closed(i: int, s: int) -> Fraction:
     """
     if i == 2:
         raise ParameterError("syzygy slope closed form has a pole at i = 2")
-    _syzygy_check(i, s)
+    FamilyParams.syzygy(i, s)
     t = s + 1
     value = Fraction(6 * _syzygy_f(i, t), t * (i + 2) * _syzygy_g(i, t))
     return -value if i < 2 else value
-
-
-class FamilyParams(Record):
-    """A single divisor-family instance: which family, its (r, s), and
-    the extra index (k for hypersurface, i for syzygy).  Instances order
-    by (family, r, s, extra), the row order of slope tables."""
-
-    __slots__ = _fields = ("family", "r", "s", "extra")
-
-    def __lt__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) < self._key(other)
-
-    @classmethod
-    def gp(cls, r: int, s: int) -> "FamilyParams":
-        _gp_check(r, s)
-        return cls("gp", r, s, None)
-
-    @classmethod
-    def hypersurface(cls, r: int, s: int, k: int) -> "FamilyParams":
-        _hypersurface_check(r, s, k)
-        return cls("hypersurface", r, s, k)
-
-    @classmethod
-    def syzygy(cls, i: int, s: int) -> "FamilyParams":
-        _syzygy_check(i, s)
-        return cls("syzygy", (i + 2) * s + 2 * (i + 1), s, i)
-
-    @property
-    def g(self) -> int:
-        return (self.r + 1) * (self.s + 1)
-
-    @property
-    def d(self) -> int:
-        return self.r * (self.s + 2)
 
 
 class Family(Record):

@@ -487,7 +487,7 @@ def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row],
     and drops every entry that cancels, and is then divided by its
     content (the gcd of its entries).  It ends as the pivot of its new
     leading column or with no entry before ``ncols``.  No dense row or
-    column is ever scanned.
+    column is ever scanned.  A negative column key raises ValueError.
 
     Returns the pivot rows keyed by their pivot column, in the order they
     were found (a pivot row holds no entry left of its pivot column), the
@@ -505,6 +505,8 @@ def _forward_eliminate(rows: Iterable[Row], ncols: int) -> Tuple[Dict[int, Row],
         while (lead := min(row, default=ncols)) < ncols:
             prow = pivots.get(lead)
             if prow is None:
+                if lead < 0:  # a negative key always leads its row
+                    raise ValueError(f"row has a negative column key {lead}")
                 pivots[lead] = row
                 break
             p, q = prow[lead], row.pop(lead)

@@ -189,6 +189,22 @@ class TestSlopeCommand:
         assert (code, out) == (2, "")
         assert err == f"bnslopes: error: --{missing} is required for family {family}\n"
 
+    def test_axis_flags_are_the_union_of_family_axes(self, capsys):
+        assert cli.AXES == tuple(AXES)
+        args = vars(cli.build_parser().parse_args(["slope", "--family", "gp"]))
+        assert set(args) - {"command", "family", "format", "output", "run"} == set(AXES)
+        with pytest.raises(SystemExit):
+            main(["slope", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for axis in AXES:
+            takers = ", ".join(name for name, family in FAMILIES.items() if axis in family.axes)
+            assert f"--{axis} {axis.upper()} {axis} value or inclusive range lo:hi; taken by {takers}" in text
+
+    def test_two_axis_errors_report_the_first_axis_of_the_table(self, capsys):
+        # --r (missing) comes before --i (not taken) in table order
+        code, out, err = run(capsys, "slope", "--family", "gp", "--s", "1", "--i", "3")
+        assert (code, out, err) == (2, "", "bnslopes: error: --r is required for family gp\n")
+
     def test_balance_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "slope", "--family", "hypersurface",
                            "--r", "2", "--s", "1", "--k", "2")

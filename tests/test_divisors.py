@@ -261,6 +261,21 @@ def test_constructor_and_combo_raise_one_text(make, combo, args, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "make, oracle, args",
+    [
+        (FamilyParams.gp, gp_slope_closed, (0, 1)),
+        (FamilyParams.syzygy, syzygy_slope_closed, (-1, 0)),
+    ],
+)
+def test_closed_form_raises_constructor_text(make, oracle, args):
+    with pytest.raises(ParameterError) as expected:
+        make(*args)
+    with pytest.raises(ParameterError) as err:
+        oracle(*args)
+    assert str(err.value) == str(expected.value)
+
+
 def test_each_slope_row_builds_its_combo_once(monkeypatch, capsys):
     calls = []
     original = divisors.gp_combo

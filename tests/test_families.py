@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -547,6 +551,20 @@ class TestSolver:
         assert (sorted(pivots), matrix_determinant(sparse(m))) == ([0, 1], -6)
         assert list(pivots) == [1, 0] and rest == []
         assert [pivots[c] for c in sorted(pivots)] == [{0: 3, 1: 1}, {1: 2}]
+
+    def test_negative_column_key_is_value_error(self):
+        with pytest.raises(ValueError, match="negative column key -1"):
+            _solve_unique([{-1: 1, 0: 1, 2: 5}, {0: 2, 2: 4}], 2, 1)
+        # a child process with a time bound: a determinant that never
+        # returns fails this test instead of hanging the suite
+        code = (
+            "from bnslopes.families import matrix_determinant\n"
+            "try:\n    matrix_determinant([{0: 4}, {-1: -1, 0: 2}])\n"
+            "except ValueError as exc:\n    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert (child.returncode, child.stdout) == (0, "row has a negative column key -1\n"), child.stderr
 
     def test_against_cofactor_expansion_and_substitution(self):
         def rank(m):

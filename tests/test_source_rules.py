@@ -872,6 +872,6 @@ def test_type_hints_resolve(path):
 
 def test_function_walk_sees_methods_properties_and_class_methods():
     names = {fn.__qualname__ for fn in _functions(import_module("bnslopes.divisors"))}
-    assert {"_family_grd", "SlopeReport.row", "SlopeReport.pushforward", "FamilyParams.gp"} <= names
+    assert {"_slope", "SlopeReport.row", "SlopeReport.pushforward", "FamilyParams.gp"} <= names
     # SlopeReport's r, g, d and N are attrgetter properties, not functions
     assert not {"SlopeReport.r", "SlopeReport.N", "FAMILIES"} & names
