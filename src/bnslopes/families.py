@@ -43,14 +43,16 @@ The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
 (:func:`identity_weierstrass_a`, :func:`identity_weierstrass_c`,
 :func:`identity_pieri` and the aspect counts).  Their integrals of zeta
-powers come from the closed form and, on Grassmannians of tractable
-size, from one read of the Grassmannian's Pieri table, one table per
-triple.  The schubert-oracle suite checks the closed form on every
-dimension-balanced integral against one such table per r, of the
-largest Grassmannian, read on every smaller one where the closed form
-is nonzero, and a count of the table's entries proves the rest.  Each
-verify suite is one entry of a table from its name to a generator of
-reports; :func:`suite_reports` runs one, or all of them in table order.
+powers, and Castelnuovo's N as that of zeta^g, come from the int closed
+form as the schubert-oracle suite reads it and, on Grassmannians of
+tractable size, from one read of the Pieri table, one table per triple;
+one report routine makes a broken identity a failed check.  The
+schubert-oracle suite checks the closed form on every dimension-balanced
+integral against one such table per r, of the largest Grassmannian, read
+on every smaller one where the closed form is nonzero, and a count of
+the table's entries proves the rest.  Each verify suite is one entry of
+a table from its name to a generator of reports; :func:`suite_reports`
+runs one, or all of them in table order.
 """
 
 from __future__ import annotations
@@ -76,11 +78,9 @@ from .schubert import (
     _closed_form,
     _table_count,
     _zeta_layers,
-    make_index,
     pieri_ek,
     schubert_class,
     zeta,
-    zeta_power_integral,
 )
 from .tautpush import (
     CLASSES,
@@ -273,58 +273,61 @@ def _report(check: str, params: Dict[str, object], lhs, rhs, passed: bool, detai
 _BRUTE_LIMIT = 2_000_000
 
 
-def _brute_table(spec: GrassmannianSpec, b: Tuple[int, ...]) -> Optional[Layers]:
+def _brute_table(params: GrdParams, b: Tuple[int, ...]) -> Optional[Layers]:
     """The Pieri table of G(r, P^d) for reading the pattern b, or None
     when b overflows the box (both integrals are then 0) or the index set
     of G(r, P^d), C(d+1, r+1) indices, exceeds _BRUTE_LIMIT."""
+    spec = GrassmannianSpec(params.r, params.d)
     if b[-1] <= spec.box and comb(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
         return _zeta_layers(spec)
     return None
 
 
 def _pattern_integral(
-    spec: GrassmannianSpec, b: Tuple[int, ...], k: int, layers: Optional[Layers]
+    params: GrdParams, b: Tuple[int, ...], k: int, layers: Optional[Layers]
 ) -> Tuple[Fraction, Optional[int]]:
-    """Integral of zeta^k against sigma_b by the closed form and, when
-    ``layers`` is the Pieri table of G(r, P^d), by one read of it; None
-    when no table is given.  An out-of-box pattern means the cycle
-    vanishes and both integrals are zero."""
+    """Integral of zeta^k against sigma_b on G(r, P^d) by the int closed
+    form and, when ``layers`` is the Pieri table of G(r, P^d), by one read
+    of it; None when no table is given.  An out-of-box pattern means the
+    cycle vanishes and both integrals are zero.  Every pattern given here
+    is ascending, of length r + 1, with |b| = r(g - k) (k = g for zeros,
+    g - 3 for a's, g - 2 for c's and the aspects'), so r*k + |b| = rg,
+    which rho = 0, g = (r+1)(g-d+r), makes (r+1)(d-r) = dim G(r, P^d)."""
+    spec = GrassmannianSpec(params.r, params.d)
     if b[-1] > spec.box:
         return Fraction(0), 0
-    closed = zeta_power_integral(spec, make_index(spec, b), k)
+    closed = Fraction(*_closed_form(spec, b, k))
     return closed, None if layers is None else _table_count(layers, spec.box, b, k)
 
 
-def _integral_detail(label: str, closed: Fraction, br: Optional[int]) -> str:
-    return f"{label}={closed}" + ("" if br is None else f" brute={br}")
+def _pattern_report(
+    check: str, params: GrdParams, b: Tuple[int, ...], k: int, layers: Optional[Layers],
+    scale: int, shift: int, rhs: int | Fraction, label: str,
+) -> CheckReport:
+    """The identity scale * I + shift == rhs for the integral I of zeta^k
+    against sigma_b, which also passes only when the table read, if any,
+    is I; the detail names I as ``label`` and the table read as brute."""
+    closed, br = _pattern_integral(params, b, k, layers)
+    lhs = scale * closed + shift
+    detail = f"{label}={closed}" + ("" if br is None else f" brute={br}")
+    key = {"g": params.g, "r": params.r, "d": params.d}
+    return _report(check, key, lhs, rhs, lhs == rhs and br in (None, closed), detail)
 
 
 def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> CheckReport:
     """The Castelnuovo count equals the integral of zeta^g, via the
     closed form and (when tractable) the Pieri table."""
-    N = GrdParams(g, r, d).N
+    params = GrdParams(g, r, d)
     if r < 1:
         raise ParameterError(f"Castelnuovo identity needs r >= 1; got r={r}")
-    spec = GrassmannianSpec(r, d)
     b = (0,) * (r + 1)
-    closed, br = _pattern_integral(spec, b, g, _brute_table(spec, b) if brute else None)
-    ok = closed == N and br in (None, closed)
-    detail = _integral_detail("closed", closed, br)
-    return _report("castelnuovo", {"g": g, "r": r, "d": d}, closed, N, ok, detail)
+    layers = _brute_table(params, b) if brute else None
+    return _pattern_report("castelnuovo", params, b, g, layers, 1, 0, params.N, "closed")
 
 
 def _weierstrass_a_index(r: int) -> Tuple[int, ...]:
     """The pattern (1, 2, 3, ..., 3) of the Weierstrass identity for a."""
     return (1, 2) + (3,) * (r - 1)
-
-
-def _weierstrass_table(params: GrdParams) -> Optional[Layers]:
-    """The one Pieri table that both Weierstrass identities of a triple
-    read.  The pattern of c, (0, 1, 2, ..., 2, 3), is used only for
-    r >= 2, and then it ends in 3 as the pattern of a does, so a's
-    pattern decides whether the table is needed."""
-    spec = GrassmannianSpec(params.r, params.d)
-    return _brute_table(spec, _weierstrass_a_index(params.r))
 
 
 def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
@@ -338,17 +341,14 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for a needs g >= 3 and r >= 1; got g={g}, r={r}"
         )
-    return _weierstrass_a_report(params, params.N, _weierstrass_table(params))
+    return _weierstrass_a_report(params, params.N, _brute_table(params, _weierstrass_a_index(r)))
 
 
 def _weierstrass_a_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
     g, r, d = params.g, params.r, params.d
-    closed, br = _pattern_integral(GrassmannianSpec(r, d), _weierstrass_a_index(r), g - 3, layers)
-    lhs = -2 * (g - 2) * closed
     rhs = Fraction(-2 * d * (2 * g - 2 - d) * N, 3 * (g - 1))
-    ok = lhs == rhs and br in (None, closed)
-    detail = _integral_detail("integral", closed, br)
-    return _report("weierstrass_a", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
+    b = _weierstrass_a_index(r)
+    return _pattern_report("weierstrass_a", params, b, g - 3, layers, -2 * (g - 2), 0, rhs, "integral")
 
 
 def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
@@ -362,18 +362,14 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
         )
-    return _weierstrass_c_report(params, params.N, _weierstrass_table(params))
+    return _weierstrass_c_report(params, params.N, _brute_table(params, _weierstrass_a_index(r)))
 
 
 def _weierstrass_c_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
-    g, r, d = params.g, params.r, params.d
+    g, r = params.g, params.r
     b = (0, 1) + (2,) * (r - 2) + (3,)
-    closed, br = _pattern_integral(GrassmannianSpec(r, d), b, g - 2, layers)
-    lhs = -(closed + N)
     rhs = Fraction(-N, 3 * (g - 1)) * params.xi
-    ok = lhs == rhs and br in (None, closed)
-    detail = _integral_detail("integral", closed, br)
-    return _report("weierstrass_c", {"g": g, "r": r, "d": d}, lhs, rhs, ok, detail)
+    return _pattern_report("weierstrass_c", params, b, g - 2, layers, -1, -N, rhs, "integral")
 
 
 def identity_pieri(g: int, r: int, d: int) -> CheckReport:
@@ -397,7 +393,7 @@ def identity_pieri(g: int, r: int, d: int) -> CheckReport:
 
     start = schubert_class(spec, (0, 1) + (2,) * (r - 1))
     shifted = pieri_ek(start, r + 1)
-    target = (1, 2) + (3,) * (r - 1)
+    target = _weierstrass_a_index(r)
     terms2 = {target: 1} if target[-1] <= spec.box else {}
     expected2 = ChowClass(spec, start.codim + r + 1, terms2)
     ok2 = shifted == expected2
@@ -426,9 +422,8 @@ def _aspect_report(params: GrdParams, N: int) -> CheckReport:
     g, r, d = params.g, params.r, params.d
     n1 = Fraction((2 * g - 2 - d) * N, 2 * (g - 1))
     n2 = Fraction(d * N, 2 * (g - 1))
-    spec = GrassmannianSpec(r, d)
-    s1, _ = _pattern_integral(spec, (0,) + (2,) * r, g - 2, None)
-    s2, _ = _pattern_integral(spec, (1, 1) + (2,) * (r - 1), g - 2, None)
+    s1, _ = _pattern_integral(params, (0,) + (2,) * r, g - 2, None)
+    s2, _ = _pattern_integral(params, (1, 1) + (2,) * (r - 1), g - 2, None)
     ok = n1 + n2 == N and s1 == n1 and s2 == n2
     integral_counts = n1.denominator == 1 and n2.denominator == 1
     return _report(
@@ -837,13 +832,14 @@ def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
 
 
 def _weierstrass_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
-    """One GrdParams, one N and at most one Pieri table per triple,
-    shared by the triple's reports."""
+    """One GrdParams, one N and at most one Pieri table per triple, shared
+    by the triple's reports; the pattern of a decides whether it is built,
+    as that of c, (0, 1, 2, ..., 2, 3), read only for r >= 2, ends in 3."""
     for g, r, d in rho_zero_triples(max_g):
         params = GrdParams(g, r, d)
         N = params.N
         if g >= 3:
-            layers = _weierstrass_table(params)
+            layers = _brute_table(params, _weierstrass_a_index(r))
             yield _weierstrass_a_report(params, N, layers)
             if r >= 2:
                 yield _weierstrass_c_report(params, N, layers)

@@ -31,14 +31,15 @@ class, and :func:`_table_count` reads from it, at the dual index b*,
 every dimension-balanced integral of every G(r, P^d) with d <= D.
 :func:`brute_zeta_integral` does the same expansion through
 :class:`ChowClass` and the general :func:`pieri_ek`, and stays as its
-independent reference.  The closed form is written once, on
-ints, in :func:`_closed_form`; :func:`zeta_power_integral` returns it
-as a ``Fraction``, and the schubert-oracle suite compares layer entries
-with it directly, as one cross-multiplication ``num == entry * den``
-per pair.  The closed form tests for vanishing before it builds
-anything, and the suite reads the table only where it is nonzero: a
-count of the table entries that each box can reach proves all the
-vanishing pairs at once.
+independent reference.  The closed form is written once, on ints, in
+:func:`_closed_form`; :func:`zeta_power_integral` checks balance and
+returns it as a ``Fraction``, and the verify suites read the ints: the
+schubert-oracle suite compares layer entries with them, as one
+cross-multiplication ``num == entry * den`` per pair, and the identity
+suites read them at their patterns.  The closed form tests for
+vanishing before it builds anything, and the suite reads the table
+only where it is nonzero: a count of the table entries that each box
+can reach proves all the vanishing pairs at once.
 """
 
 from __future__ import annotations
@@ -235,11 +236,13 @@ def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[in
 
         integral = k! / prod_i (k - d + r + a_i)!  *  prod_{i<j} (a_j - a_i),
 
-    valid whenever r*k + sum(b) equals dim X, which the caller checks;
-    the value is 0 as soon as any factorial argument k - d + r + a_i is
-    negative (the geometric vanishing of the cycle).  The a_i strictly
-    increase, so a_0 = b_0 gives the smallest argument and is the only
-    one tested, before a is built: the form returns (0, 1) exactly when
+    valid whenever r*k + sum(b) equals dim X: :func:`zeta_power_integral`
+    checks that, the schubert-oracle suite reads :func:`_balanced_tuples`,
+    and the identity suites patterns that rho = 0 balances.  The value is
+    0 as soon as any factorial argument k - d + r + a_i is negative (the
+    geometric vanishing of the cycle).  The a_i strictly increase, so
+    a_0 = b_0 gives the smallest argument and is the only one tested,
+    before a is built: the form returns (0, 1) exactly when
     k < (d - r) - b_0.  Otherwise every factorial argument is >= 0, so
     :func:`math.factorial` is called directly, and num is not 0, as the
     a_i are distinct.

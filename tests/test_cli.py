@@ -612,6 +612,18 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"bnslopes: error: cap {cap} must be >= 0; got -1\n"
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("--suite", "castelnuovo", "--max-g", "0"), "0 checks, 0 failures\n"),
+            (("--suite", "castelnuovo", "--max-g", "0", "--format", "json"), "[]\n"),
+            (("--suite", "schubert-oracle", "--r-max", "0"), "0 checks, 0 failures\n"),
+        ],
+    )
+    def test_a_cap_that_selects_nothing_is_an_empty_pass(self, capsys, argv, out):
+        # pinned as it stands, so that making it a usage error is a choice
+        assert run(capsys, "verify", *argv) == (0, out, "")
+
     def test_caps_default_to_the_suite_defaults(self):
         args = cli.build_parser().parse_args(["verify"])
         params = inspect.signature(families.suite_reports).parameters

@@ -501,6 +501,37 @@ class TestIdentities:
         for g, r, d in ((6, 2, 6), (10, 4, 12), (21, 6, 24), (3, 2, 4)):
             assert identity_pieri(g, r, d).passed, (g, r, d)
 
+    def test_identities_read_the_closed_form_that_families_reads(self, monkeypatch):
+        # the identity suites read the int closed form as the oracle does:
+        # one more than it fails every report whose pattern fits the box,
+        # the aspect counts' (1, 1, 2, ..., 2) included, and raises nothing
+        real = families._closed_form
+
+        def one_more(spec, b, k):
+            num, den = real(spec, b, k)
+            return num + den, den
+
+        patterns = {
+            "castelnuovo": lambda r: (0,) * (r + 1),
+            "weierstrass_a": lambda r: (1, 2) + (3,) * (r - 1),
+            "weierstrass_c": lambda r: (0, 1) + (2,) * (r - 2) + (3,),
+            "aspects": lambda r: (1, 1) + (2,) * (r - 1),
+        }
+        monkeypatch.setattr(families, "_closed_form", one_more)
+        reports = suite_reports("castelnuovo") + suite_reports("weierstrass")
+        fits = [patterns[rep.check](rep.params["r"])[-1] <= rep.params["d"] - rep.params["r"] for rep in reports]
+        assert [rep for rep, fit in zip(reports, fits) if rep.passed == fit] == []
+        assert {rep.check for rep, fit in zip(reports, fits) if fit} == set(patterns)
+
+    def test_an_unbalanced_pattern_is_a_failed_check(self):
+        # the builder reads the closed form unvalidated: a pattern off the
+        # dimension balance, such as zeta^(g+1) or zeta^(g-1) against the
+        # fundamental class, is a failed check and never a BalanceError
+        params, b = GrdParams(6, 2, 6), (0, 0, 0)
+        for k, layers in ((7, None), (5, families._brute_table(params, b))):
+            rep = families._pattern_report("castelnuovo", params, b, k, layers, 1, 0, params.N, "closed")
+            assert not rep.passed, rep
+
 
 class TestAspects:
     def test_genus10(self):
