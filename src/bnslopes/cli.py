@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .divisors import FAMILIES, FamilyParams, SlopeReport, SlopeUndefinedError, slope_report
@@ -57,7 +56,7 @@ def _combo(text: str) -> TautCombo:
             f"combo needs four comma-separated rationals (p_a,p_b,p_c,p_lambda); got {text!r}"
         )
     try:
-        return TautCombo(*(Fraction(p) for p in parts))
+        return TautCombo.of(*parts)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"combo entries must be exact rationals p/q with q != 0; got {text!r}"

@@ -46,13 +46,14 @@ Weierstrass fiber which are re-checked here numerically
 powers, and Castelnuovo's N as that of zeta^g, come from the int closed
 form as the schubert-oracle suite reads it and, on Grassmannians of
 tractable size, from one read of the Pieri table, one table per triple;
-one report routine makes a broken identity a failed check.  The
-schubert-oracle suite checks the closed form on every dimension-balanced
-integral against one such table per r, of the largest Grassmannian, read
-on every smaller one where the closed form is nonzero, and a count of
-the table's entries proves the rest.  Each verify suite is one entry of
-a table from its name to a generator of reports; :func:`suite_reports`
-runs one, or all of them in table order.
+both read 0 at a pattern past the box, and one report routine makes a
+broken identity a failed check.  The schubert-oracle suite checks the
+closed form on every dimension-balanced integral against one such table
+per r, of the largest Grassmannian, read on every smaller one where the
+closed form is nonzero, and a count of the table's entries proves the
+rest.  Each verify suite is one entry of a table from its name to a
+generator of reports; :func:`suite_reports` runs one, or all of them in
+table order.
 """
 
 from __future__ import annotations
@@ -273,31 +274,12 @@ def _report(check: str, params: Dict[str, object], lhs, rhs, passed: bool, detai
 _BRUTE_LIMIT = 2_000_000
 
 
-def _brute_table(params: GrdParams, b: Tuple[int, ...]) -> Optional[Layers]:
-    """The Pieri table of G(r, P^d) for reading the pattern b, or None
-    when b overflows the box (both integrals are then 0) or the index set
-    of G(r, P^d), C(d+1, r+1) indices, exceeds _BRUTE_LIMIT."""
-    spec = GrassmannianSpec(params.r, params.d)
-    if b[-1] <= spec.box and comb(spec.d + 1, spec.r + 1) <= _BRUTE_LIMIT:
-        return _zeta_layers(spec)
+def _brute_table(params: GrdParams) -> Optional[Layers]:
+    """The Pieri table of G(r, P^d), or None when its index set,
+    C(d+1, r+1) indices, exceeds _BRUTE_LIMIT."""
+    if comb(params.d + 1, params.r + 1) <= _BRUTE_LIMIT:
+        return _zeta_layers(GrassmannianSpec(params.r, params.d))
     return None
-
-
-def _pattern_integral(
-    params: GrdParams, b: Tuple[int, ...], k: int, layers: Optional[Layers]
-) -> Tuple[Fraction, Optional[int]]:
-    """Integral of zeta^k against sigma_b on G(r, P^d) by the int closed
-    form and, when ``layers`` is the Pieri table of G(r, P^d), by one read
-    of it; None when no table is given.  An out-of-box pattern means the
-    cycle vanishes and both integrals are zero.  Every pattern given here
-    is ascending, of length r + 1, with |b| = r(g - k) (k = g for zeros,
-    g - 3 for a's, g - 2 for c's and the aspects'), so r*k + |b| = rg,
-    which rho = 0, g = (r+1)(g-d+r), makes (r+1)(d-r) = dim G(r, P^d)."""
-    spec = GrassmannianSpec(params.r, params.d)
-    if b[-1] > spec.box:
-        return Fraction(0), 0
-    closed = Fraction(*_closed_form(spec, b, k))
-    return closed, None if layers is None else _table_count(layers, spec.box, b, k)
 
 
 def _pattern_report(
@@ -305,9 +287,16 @@ def _pattern_report(
     scale: int, shift: int, rhs: int | Fraction, label: str,
 ) -> CheckReport:
     """The identity scale * I + shift == rhs for the integral I of zeta^k
-    against sigma_b, which also passes only when the table read, if any,
-    is I; the detail names I as ``label`` and the table read as brute."""
-    closed, br = _pattern_integral(params, b, k, layers)
+    against sigma_b on G(r, P^d), by the int closed form, which passes
+    only if the read of ``layers``, the table of G(r, P^d) if given, is I;
+    the detail names I as ``label`` and the read as brute.  Each pattern
+    here is ascending, of length r + 1, with |b| = r(g - k) (k = g for
+    zeros, g - 3 for a's, g - 2 for c's), so r*k + |b| = rg, which
+    rho = 0, g = (r+1)(g-d+r), makes (r+1)(d-r) = dim G(r, P^d): balanced,
+    so a pattern past the box reads 0 from both."""
+    spec = GrassmannianSpec(params.r, params.d)
+    closed = Fraction(*_closed_form(spec, b, k))
+    br = None if layers is None else _table_count(layers, spec.box, b, k)
     lhs = scale * closed + shift
     detail = f"{label}={closed}" + ("" if br is None else f" brute={br}")
     key = {"g": params.g, "r": params.r, "d": params.d}
@@ -321,7 +310,7 @@ def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> Check
     if r < 1:
         raise ParameterError(f"Castelnuovo identity needs r >= 1; got r={r}")
     b = (0,) * (r + 1)
-    layers = _brute_table(params, b) if brute else None
+    layers = _brute_table(params) if brute else None
     return _pattern_report("castelnuovo", params, b, g, layers, 1, 0, params.N, "closed")
 
 
@@ -341,7 +330,7 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for a needs g >= 3 and r >= 1; got g={g}, r={r}"
         )
-    return _weierstrass_a_report(params, params.N, _brute_table(params, _weierstrass_a_index(r)))
+    return _weierstrass_a_report(params, params.N, _brute_table(params))
 
 
 def _weierstrass_a_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
@@ -362,7 +351,7 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
         raise ParameterError(
             f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
         )
-    return _weierstrass_c_report(params, params.N, _brute_table(params, _weierstrass_a_index(r)))
+    return _weierstrass_c_report(params, params.N, _brute_table(params))
 
 
 def _weierstrass_c_report(params: GrdParams, N: int, layers: Optional[Layers]) -> CheckReport:
@@ -417,13 +406,15 @@ def _aspect_report(params: GrdParams, N: int) -> CheckReport:
 
     The compatible aspect on the opposite component has vanishing
     c_i = d - a_{r-i} and ramification b_i = c_i - i, which works out to
-    the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d.
+    the fixed patterns (0,2,...,2) and (1,1,2,...,2) independent of d,
+    balanced at k = g - 2 as |b| = 2r.
     """
     g, r, d = params.g, params.r, params.d
+    spec = GrassmannianSpec(r, d)
     n1 = Fraction((2 * g - 2 - d) * N, 2 * (g - 1))
     n2 = Fraction(d * N, 2 * (g - 1))
-    s1, _ = _pattern_integral(params, (0,) + (2,) * r, g - 2, None)
-    s2, _ = _pattern_integral(params, (1, 1) + (2,) * (r - 1), g - 2, None)
+    s1 = Fraction(*_closed_form(spec, (0,) + (2,) * r, g - 2))
+    s2 = Fraction(*_closed_form(spec, (1, 1) + (2,) * (r - 1), g - 2))
     ok = n1 + n2 == N and s1 == n1 and s2 == n2
     integral_counts = n1.denominator == 1 and n2.denominator == 1
     return _report(
@@ -833,13 +824,12 @@ def _castelnuovo_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
 
 def _weierstrass_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
     """One GrdParams, one N and at most one Pieri table per triple, shared
-    by the triple's reports; the pattern of a decides whether it is built,
-    as that of c, (0, 1, 2, ..., 2, 3), read only for r >= 2, ends in 3."""
+    by the triple's reports."""
     for g, r, d in rho_zero_triples(max_g):
         params = GrdParams(g, r, d)
         N = params.N
         if g >= 3:
-            layers = _brute_table(params, _weierstrass_a_index(r))
+            layers = _brute_table(params)
             yield _weierstrass_a_report(params, N, layers)
             if r >= 2:
                 yield _weierstrass_c_report(params, N, layers)

@@ -39,7 +39,9 @@ cross-multiplication ``num == entry * den`` per pair, and the identity
 suites read them at their patterns.  The closed form tests for
 vanishing before it builds anything, and the suite reads the table
 only where it is nonzero: a count of the table entries that each box
-can reach proves all the vanishing pairs at once.
+can reach proves all the vanishing pairs at once.  Both reads are
+total: a balanced pattern past the box reads 0 from each, and the
+table reads 0 at every k outside its layers.
 """
 
 from __future__ import annotations
@@ -245,7 +247,9 @@ def _closed_form(spec: GrassmannianSpec, b: Tuple[int, ...], k: int) -> Tuple[in
     before a is built: the form returns (0, 1) exactly when
     k < (d - r) - b_0.  Otherwise every factorial argument is >= 0, so
     :func:`math.factorial` is called directly, and num is not 0, as the
-    a_i are distinct.
+    a_i are distinct.  The form is total on balanced patterns: were
+    b_r > d - r and k >= (d - r) - b_0, then |b| = dim - r*k <=
+    (d - r) + r*b_0 < r*b_0 + b_r <= |b|, so such a b returns (0, 1).
     """
     shift = k - spec.d + spec.r
     if shift + b[0] < 0:
@@ -325,8 +329,10 @@ def _zeta_layers(spec: GrassmannianSpec) -> List[Dict[Tuple[int, ...], int]]:
 
 def _table_count(layers: List[Dict[Tuple[int, ...], int]], box: int, b: Tuple[int, ...], k: int) -> int:
     """The integral of zeta^k against sigma_b on the G(r, P^d) of this box
-    from the table of any G(r, P^D), D >= d: layer k read at b*."""
-    return layers[k].get(tuple([box - x for x in reversed(b)]), 0)
+    from the table of any G(r, P^D), D >= d: layer k read at b*, and 0
+    for every k outside the layers.  A b that overflows the box reads 0,
+    as b*_0 = box - b_r < 0 and no layer holds such an index."""
+    return layers[k].get(tuple([box - x for x in reversed(b)]), 0) if 0 <= k < len(layers) else 0
 
 
 def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:

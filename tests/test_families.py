@@ -502,35 +502,41 @@ class TestIdentities:
             assert identity_pieri(g, r, d).passed, (g, r, d)
 
     def test_identities_read_the_closed_form_that_families_reads(self, monkeypatch):
-        # the identity suites read the int closed form as the oracle does:
-        # one more than it fails every report whose pattern fits the box,
-        # the aspect counts' (1, 1, 2, ..., 2) included, and raises nothing
+        # the identity suites read the int closed form as the oracle does,
+        # at every pattern, those that overflow the box included: one more
+        # than it fails every report and raises nothing
         real = families._closed_form
 
         def one_more(spec, b, k):
             num, den = real(spec, b, k)
             return num + den, den
 
-        patterns = {
-            "castelnuovo": lambda r: (0,) * (r + 1),
-            "weierstrass_a": lambda r: (1, 2) + (3,) * (r - 1),
-            "weierstrass_c": lambda r: (0, 1) + (2,) * (r - 2) + (3,),
-            "aspects": lambda r: (1, 1) + (2,) * (r - 1),
-        }
         monkeypatch.setattr(families, "_closed_form", one_more)
         reports = suite_reports("castelnuovo") + suite_reports("weierstrass")
-        fits = [patterns[rep.check](rep.params["r"])[-1] <= rep.params["d"] - rep.params["r"] for rep in reports]
-        assert [rep for rep, fit in zip(reports, fits) if rep.passed == fit] == []
-        assert {rep.check for rep, fit in zip(reports, fits) if fit} == set(patterns)
+        assert len(reports) == 85
+        assert [rep for rep in reports if rep.passed] == []
+        assert {rep.check for rep in reports} == {"castelnuovo", "weierstrass_a", "weierstrass_c", "aspects"}
+        # at (3, 2, 4) the patterns of a and c overflow the box
+        assert any(rep.params == {"g": 3, "r": 2, "d": 4} for rep in reports)
 
     def test_an_unbalanced_pattern_is_a_failed_check(self):
         # the builder reads the closed form unvalidated: a pattern off the
         # dimension balance, such as zeta^(g+1) or zeta^(g-1) against the
         # fundamental class, is a failed check and never a BalanceError
         params, b = GrdParams(6, 2, 6), (0, 0, 0)
-        for k, layers in ((7, None), (5, families._brute_table(params, b))):
+        for k, layers in ((7, None), (5, families._brute_table(params))):
             rep = families._pattern_report("castelnuovo", params, b, k, layers, 1, 0, params.N, "closed")
             assert not rep.passed, rep
+
+    @pytest.mark.parametrize("k, detail", [(7, "closed=7/12 brute=0"), (-1, "closed=0 brute=0")])
+    def test_an_exponent_outside_the_table_reads_zero(self, k, detail):
+        # the table of G(2, P^6) has layers 0..6: past them, and before
+        # them, it reads 0 and never an IndexError or a layer from the end
+        params = GrdParams(6, 2, 6)
+        layers = families._brute_table(params)
+        assert len(layers) == 7
+        rep = families._pattern_report("castelnuovo", params, (0, 0, 0), k, layers, 1, 0, 5, "closed")
+        assert not rep.passed and rep.detail == detail, rep
 
 
 class TestAspects:
@@ -1034,16 +1040,10 @@ class TestSuites:
         # every rho = 0 triple with g <= 12 lies below the brute-force
         # gate: each castelnuovo check builds the table of its own
         # G(r, P^d); the weierstrass suite builds one per triple with
-        # g >= 3 whose pattern of a fits the box, read by both identities
-        # (the pattern of c ends in 3 as well), and the aspect counts
-        # build none
+        # g >= 3, read by both identities, and the aspect counts build none
         triples = rho_zero_triples(12)
-        weierstrass = [
-            GrassmannianSpec(r, d)
-            for g, r, d in triples
-            if g >= 3 and ((1, 2) + (3,) * (r - 1))[-1] <= d - r
-        ]
-        assert len(weierstrass) == 21
+        weierstrass = [GrassmannianSpec(r, d) for g, r, d in triples if g >= 3]
+        assert len(weierstrass) == 22 and GrassmannianSpec(2, 4) in weierstrass
         want = {
             "castelnuovo": [GrassmannianSpec(r, d) for _, r, d in triples],
             "weierstrass": weierstrass,

@@ -273,6 +273,24 @@ def test_closed_form_vanishes_exactly_below_the_box_minus_b0():
                 assert got[0] != 0 or got == (0, 1), (r, d, b, k)
 
 
+def test_a_balanced_pattern_past_the_box_reads_zero_from_both():
+    # r*k + |b| = dim with b_r > d - r: the closed form returns (0, 1)
+    # and the table of G(r, P^13) reads 0 at every box, as b*_0 < 0
+    pairs = 0
+    for r in range(1, 6):
+        layers = _zeta_layers(GrassmannianSpec(r, 13))
+        for d in range(r, 14):
+            spec = GrassmannianSpec(r, d)
+            for b in combinations_with_replacement(range(spec.box + 4), r + 1):
+                k, rem = divmod(spec.dim - sum(b), r)
+                if b[-1] <= spec.box or rem or k < 0:
+                    continue
+                assert _closed_form(spec, b, k) == (0, 1), (r, d, b, k)
+                assert _table_count(layers, spec.box, b, k) == 0, (r, d, b, k)
+                pairs += 1
+    assert pairs == 9788
+
+
 @lru_cache(maxsize=None)
 def _balanced(r, d):
     spec = GrassmannianSpec(r, d)

@@ -102,10 +102,9 @@ INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 FRACTION_ALLOWED = {
     (module, name)
     for module, names in {
-        "cli": "_combo",
         "divisors": "gp_combo hypersurface_combo syzygy_combo _slope slope_bound gp_slope_closed "
         "syzygy_slope_closed",
-        "families": "relation_multiple pullbacks matrix_determinant reconstruct _pattern_integral "
+        "families": "relation_multiple pullbacks matrix_determinant reconstruct _pattern_report "
         "_weierstrass_a_report _weierstrass_c_report _aspect_report _oracle_spec_report "
         "_reconstruct_report _bridge_quotient_report _structure_report",
         "schubert": "zeta_power_integral",
