@@ -364,20 +364,19 @@ def _weierstrass_c_report(params: GrdParams, N: int, layers: Optional[Layers]) -
 def identity_pieri(g: int, r: int, d: int) -> CheckReport:
     """Pieri bookkeeping used at the Weierstrass fiber:
 
-    (i)  zeta * (single box) = sigma_{(1,...,1)} + sigma_{(0,1,...,1,2)},
-         the second term only when d - r >= 2;
+    (i)  zeta * (single box) = sigma_{(1,...,1)} + sigma_{(0,1,...,1,2)};
     (ii) the full shift of sigma_{(0,1,2,...,2)} is sigma_{(1,2,3,...,3)}
          (the zero class when the target overflows the box).
+    The triple is checked for rho = 0 and r >= 2, so the box
+    d - r = r(g - d + r) >= 2 holds both terms of (i).
     """
+    params = GrdParams(g, r, d)
     if r < 2:
         raise ParameterError(f"Pieri identity check needs r >= 2; got r={r}")
     spec = GrassmannianSpec(r, d)
 
     got1 = pieri_ek(zeta(spec), 1)
-    terms1 = {(1,) * (r + 1): 1}
-    if spec.box >= 2:
-        terms1[(0,) + (1,) * (r - 1) + (2,)] = 1
-    expected1 = ChowClass(spec, r + 1, terms1)
+    expected1 = ChowClass(spec, r + 1, {(1,) * (r + 1): 1, (0,) + (1,) * (r - 1) + (2,): 1})
     ok1 = got1 == expected1
 
     start = schubert_class(spec, (0, 1) + (2,) * (r - 1))
@@ -389,7 +388,7 @@ def identity_pieri(g: int, r: int, d: int) -> CheckReport:
 
     return _report(
         "pieri",
-        {"g": g, "r": r, "d": d},
+        {"g": params.g, "r": params.r, "d": params.d},
         f"h·ζ = {got1}; shift = {shifted}",
         f"{expected1}; {expected2}",
         ok1 and ok2,

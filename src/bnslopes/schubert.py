@@ -1,5 +1,6 @@
 """Schubert calculus on the Grassmannian X = G(r, P^d) of projective
-r-planes in projective d-space.
+r-planes in projective d-space, 1 <= r <= d: :class:`GrassmannianSpec`
+refuses r = 0, where zeta would be the fundamental class.
 
 A Schubert cycle sigma_b is indexed by an integer sequence
 
@@ -94,8 +95,8 @@ class GrassmannianSpec(Record):
 
     def __init__(self, r: int, d: int) -> None:
         super().__init__(r, d)
-        if not 0 <= r <= d:
-            raise InvalidIndexError(f"need 0 <= r <= d for G(r, P^d); got r={r}, d={d}")
+        if not 1 <= r <= d:
+            raise InvalidIndexError(f"need 1 <= r <= d for G(r, P^d); got r={r}, d={d}")
 
     @property
     def dim(self) -> int:
@@ -126,9 +127,9 @@ class SchubertIndex(Record):
             raise InvalidIndexError(f"index length must be r+1 = {spec.r + 1}; got {len(b)}")
         if any(b[i] > b[i + 1] for i in range(len(b) - 1)):
             raise InvalidIndexError(f"index must be ascending (b_0 <= ... <= b_r); got {b}")
-        if b and b[0] < 0:
+        if b[0] < 0:
             raise InvalidIndexError(f"index entries must be >= 0; got b_0 = {b[0]}")
-        if b and b[-1] > spec.box:
+        if b[-1] > spec.box:
             raise InvalidIndexError(f"index entries must be <= d-r = {spec.box}; got b_r = {b[-1]}")
 
     @property
@@ -171,9 +172,7 @@ def schubert_class(spec: GrassmannianSpec, b: Sequence[int]) -> ChowClass:
 
 
 def zeta(spec: GrassmannianSpec) -> ChowClass:
-    """The codimension-r special cycle σ{1,...,1,0} (requires r >= 1)."""
-    if spec.r < 1:
-        raise InvalidIndexError("zeta degenerates to the fundamental class for r = 0")
+    """The codimension-r special cycle σ{1,...,1,0}."""
     return schubert_class(spec, (0,) + (1,) * spec.r)
 
 
@@ -270,9 +269,6 @@ def brute_zeta_integral(spec: GrassmannianSpec, b: SchubertIndex, k: int) -> int
     the point-class coefficient as an int."""
     _check_balance(spec, b, k)
     c = ChowClass(spec, b.codim, {b.b: 1})
-    if spec.r == 0:
-        # zeta is the fundamental class; multiplication is the identity.
-        return integral(c)
     for _ in range(k):
         c = pieri_ek(c, spec.r)
     return integral(c)
@@ -285,8 +281,7 @@ def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
     b[-1] < box, and ascending iff p is first or b[p-1] < b[p].  Each
     successor is built from one list of the raised entries by lowering
     entry p back to b[p] for the one ``tuple`` copy and raising it again
-    afterwards.  For r = 0 the only successor is b itself, as zeta is
-    then the fundamental class."""
+    afterwards."""
     up = [x + 1 for x in b]
     stop = 0 if b[-1] < box else len(b) - 1
     prev = b[0] - 1
@@ -301,8 +296,7 @@ def _zeta_successors(b: Tuple[int, ...], box: int) -> Iterator[Tuple[int, ...]]:
 def _zeta_layers(spec: GrassmannianSpec) -> List[Dict[Tuple[int, ...], int]]:
     """The Pieri table of G(r, P^d): layer j maps each index reached in
     j forward zeta steps from the zero index to the number of step
-    sequences that reach it, up to the point class at j = dim / r (for
-    r = 0, where zeta is the fundamental class, the zero layer alone).
+    sequences that reach it, up to the point class at j = dim / r.
 
     Duality.  Write b* = (box - b_r, ..., box - b_0).  The successors of
     b are the valid indices b + 1 - e_p, and c = b + 1 - e_p exactly when
@@ -317,7 +311,7 @@ def _zeta_layers(spec: GrassmannianSpec) -> List[Dict[Tuple[int, ...], int]]:
     G(r, P^D) whose box holds c."""
     layers = [{(0,) * (spec.r + 1): 1}]
     box = spec.box
-    for _ in range(spec.dim // spec.r if spec.r else 0):
+    for _ in range(spec.dim // spec.r):
         nxt: Dict[Tuple[int, ...], int] = {}
         get = nxt.get
         for c, n in layers[-1].items():
@@ -331,16 +325,15 @@ def _table_count(layers: List[Dict[Tuple[int, ...], int]], box: int, b: Tuple[in
     """The integral of zeta^k against sigma_b on the G(r, P^d) of this box
     from the table of any G(r, P^D), D >= d: layer k read at b*, and 0
     for every k outside the layers.  A b that overflows the box reads 0,
-    as b*_0 = box - b_r < 0 and no layer holds such an index."""
+    as b*_0 = box - b_r < 0 and no layer holds such an index.  The 0 past
+    the layers is exact: as r >= 1 they end at k = dim / r, and a balanced
+    pair has r*k = dim - |b| <= dim; zeta^k is 0 once r*k > dim."""
     return layers[k].get(tuple([box - x for x in reversed(b)]), 0) if 0 <= k < len(layers) else 0
 
 
 def _balanced_tuples(spec: GrassmannianSpec) -> Iterator[tuple[Tuple[int, ...], int]]:
     """:func:`balanced_pairs` on plain ascending tuples, unvalidated."""
     r, dim = spec.r, spec.dim
-    if r == 0:
-        yield (spec.box,), 0
-        return
     for b in combinations_with_replacement(range(spec.box + 1), r + 1):
         rem = dim - sum(b)
         if rem % r == 0:

@@ -462,6 +462,10 @@ class TestIdentities:
         # the patch is live: below the limit the table is built
         with pytest.raises(AssertionError, match="Pieri table"):
             identity_castelnuovo(6, 2, 6)
+        # the gate counts C(d+1, r+1): C(36, 6) = 1947792 is admitted, where
+        # C(37, 6) or C(36, 7) would both refuse G(5, P^35)
+        with pytest.raises(AssertionError, match="Pieri table"):
+            identity_castelnuovo(36, 5, 35)
 
     def test_castelnuovo_without_brute(self):
         assert identity_castelnuovo(6, 2, 6, brute=False).detail == "closed=5"
@@ -1222,6 +1226,7 @@ _P626 = GrdParams(6, 2, 6)
         (lambda: identity_weierstrass_a(3, 0, 0), "Weierstrass identity for a needs g >= 3 and r >= 1; got g=3, r=0"),
         (lambda: identity_castelnuovo(1, 0, 0), "Castelnuovo identity needs r >= 1; got r=0"),
         (lambda: identity_pieri(4, 1, 3), "Pieri identity check needs r >= 2"),
+        (lambda: identity_pieri(99, 2, 4), r"rho\(99,2,4\) = -192 != 0"),
         (lambda: reconstruct(5, 0, 0, "a"), "reconstruction needs r >= 1; got r=0"),
     ],
 )

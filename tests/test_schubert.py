@@ -43,6 +43,10 @@ class TestSpecAndIndex:
     def test_spec_rejects_bad_r(self):
         with pytest.raises(InvalidIndexError):
             GrassmannianSpec(4, 3)
+        # G(0, P^d) is refused: zeta would be the fundamental class there
+        for d in range(6):
+            with pytest.raises(InvalidIndexError, match="need 1 <= r <= d"):
+                GrassmannianSpec(0, d)
 
     def test_make_index_zeta_small(self):
         idx = make_index(G13, (0, 1))
@@ -135,7 +139,7 @@ class TestPieri:
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_application_order_commutes_sampled(self, data):
-        r = data.draw(st.integers(min_value=0, max_value=4), label="r")
+        r = data.draw(st.integers(min_value=1, max_value=4), label="r")
         spec = GrassmannianSpec(r, data.draw(st.integers(min_value=r, max_value=9), label="d"))
         b = data.draw(st.sampled_from(list(combinations_with_replacement(range(spec.box + 1), r + 1))))
         i, j = data.draw(st.lists(st.integers(min_value=1, max_value=r + 1), min_size=2, max_size=2))
@@ -213,17 +217,6 @@ class TestIntegrals:
         b = make_index(spec, (0, 2, 2))
         assert zeta_power_integral(spec, b, 1) == 0
         assert brute_zeta_integral(spec, b, 1) == 0
-
-    def test_r_zero_brute_force_is_the_identity(self):
-        # on G(0, P^3) zeta is the fundamental class, so only the point
-        # class balances and every power of zeta integrates to 1 against it
-        spec = GrassmannianSpec(0, 3)
-        point = make_index(spec, (3,))
-        assert [brute_zeta_integral(spec, point, k) for k in range(5)] == [1] * 5
-
-    def test_zeta_needs_positive_r(self):
-        with pytest.raises(InvalidIndexError):
-            zeta(GrassmannianSpec(0, 4))
 
 
 def test_oracle_exhaustive_small():
@@ -360,23 +353,10 @@ class TestPieriOracles:
                     indices += 1
         assert indices == 1981
 
-    def test_zeta_step_for_r_zero_keeps_b(self):
-        assert list(_zeta_successors((2,), 4)) == [(2,)]
-        assert list(_zeta_successors((4,), 4)) == [(4,)]
-
     def test_zeta_step_at_the_box_raises_all_but_the_last(self):
         assert list(_zeta_successors((0, 1, 3), 3)) == [(1, 2, 3)]
         assert list(_zeta_successors((0, 2, 2, 2), 2)) == []
         assert list(_zeta_successors((0, 1, 2), 3)) == [(0, 2, 3), (1, 1, 3), (1, 2, 2)]
-
-    def test_table_for_r_zero_is_the_point(self):
-        # the one balanced pair of G(0, P^4) is the point (4,) with k = 0,
-        # whose dual is the zero index
-        spec = GrassmannianSpec(0, 4)
-        layers = _zeta_layers(spec)
-        assert layers == [{(0,): 1}]
-        rep = _oracle_spec_report(0, 4, layers, _reach_counts(layers, 0, 4)[-1])
-        assert rep.passed and rep.detail == "1 pairs"
 
     def test_table_matches_chow_expansion_on_identity_patterns(self):
         # every rho = 0 triple with g <= 12 lies below the brute-force gate
@@ -398,17 +378,6 @@ class TestPieriOracles:
                 brute = brute_zeta_integral(spec, make_index(spec, b), k)
                 got = _table_count(layers, spec.box, b, k)
                 assert got == layers[k].get(_dual(b, spec.box), 0) == brute, (g, r, d, b, k)
-
-    def test_table_for_r_zero_takes_no_step(self):
-        # zeta is the fundamental class for r = 0: the table is the zero
-        # layer on every G(0, P^d), and it reads 1 at the point class only
-        for d in range(6):
-            spec = GrassmannianSpec(0, d)
-            layers = _zeta_layers(spec)
-            assert layers == [{(0,): 1}]
-            point = make_index(spec, (d,))
-            assert _table_count(layers, d, point.b, 0) == brute_zeta_integral(spec, point, 0) == 1
-            assert [_table_count(layers, d, (x,), 0) for x in range(d)] == [0] * d
 
     def test_layer_counts_do_not_depend_on_the_box(self):
         # from the zero index, the layers of G(r, P^d) are those of
