@@ -307,8 +307,6 @@ def identity_castelnuovo(g: int, r: int, d: int, *, brute: bool = True) -> Check
     """The Castelnuovo count equals the integral of zeta^g, via the
     closed form and (when tractable) the Pieri table."""
     params = GrdParams(g, r, d)
-    if r < 1:
-        raise ParameterError(f"Castelnuovo identity needs r >= 1; got r={r}")
     b = (0,) * (r + 1)
     layers = _brute_table(params) if brute else None
     return _pattern_report("castelnuovo", params, b, g, layers, 1, 0, params.N, "closed")
@@ -326,10 +324,8 @@ def identity_weierstrass_a(g: int, r: int, d: int) -> CheckReport:
             = -2d(2g-2-d) N / (3(g-1)).
     """
     params = GrdParams(g, r, d)
-    if g < 3 or r < 1:
-        raise ParameterError(
-            f"Weierstrass identity for a needs g >= 3 and r >= 1; got g={g}, r={r}"
-        )
+    if g < 3:
+        raise ParameterError(f"Weierstrass identity for a needs g >= 3; got g={g}")
     return _weierstrass_a_report(params, params.N, _brute_table(params))
 
 
@@ -345,12 +341,12 @@ def identity_weierstrass_c(g: int, r: int, d: int) -> CheckReport:
 
         -( integral(sigma_{(0,1,2,...,2,3)} zeta^{g-2}) + N )
             = -xi N / (3(g-1)).
+
+    Its pattern needs r >= 2, which gives g = (r+1)m >= 3.
     """
     params = GrdParams(g, r, d)
-    if g < 3 or r < 2:
-        raise ParameterError(
-            f"Weierstrass identity for c needs g >= 3 and r >= 2; got g={g}, r={r}"
-        )
+    if r < 2:
+        raise ParameterError(f"Weierstrass identity for c needs r >= 2; got r={r}")
     return _weierstrass_c_report(params, params.N, _brute_table(params))
 
 
@@ -593,14 +589,11 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
 
 
 def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
-    """The triple (g, r, d) checked for reconstruction: rho = 0, g >= 5,
-    which the tails family needs, and r >= 1, without which every
-    pushforward is zero and every check compares zero with zero."""
+    """The triple (g, r, d) checked by :class:`GrdParams` and for g >= 5,
+    which the tails family needs."""
     params = GrdParams(g, r, d)
     if g < 5:
         raise ParameterError(f"reconstruction needs g >= 5; got g={g}")
-    if r < 1:
-        raise ParameterError(f"reconstruction needs r >= 1; got r={r}")
     return params
 
 

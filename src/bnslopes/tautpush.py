@@ -93,17 +93,11 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
     so C(cols+j, cols) divides T(j, cols) C((j+1)cols, cols).  No g! is
     formed, and each divisor C(cols+j, j) with j < rows <= sqrt(g) is
     far shorter than N.
+
+    The triple is checked by :class:`GrdParams`, so m >= 1 and r >= 1.
     """
-    if rho(g, r, d) != 0:
-        raise ParameterError(
-            f"Castelnuovo count needs rho = 0; rho({g},{r},{d}) = {rho(g, r, d)}"
-        )
-    m = g - d + r
-    if m < 0:
-        raise ParameterError(f"need g-d+r >= 0; got {m}")
-    if r < 0:
-        raise ParameterError(f"need r >= 0; got {r}")
-    rows, cols = sorted((r + 1, m))
+    GrdParams(g, r, d)
+    rows, cols = sorted((r + 1, g - d + r))
     n = 1
     for j in range(1, rows):
         n, rem = divmod(n * comb((j + 1) * cols, cols), comb(cols + j, cols))
@@ -113,15 +107,18 @@ def castelnuovo_N(g: int, r: int, d: int) -> int:
 
 
 class GrdParams(Record):
-    """A Brill-Noether triple (g, r, d) with rho = 0 and its derived
-    quantities; N is computed on each read."""
+    """A Brill-Noether triple (g, r, d) with g, r >= 1 and rho = 0, as
+    G(r, P^d) needs, and its derived quantities; N is computed on each
+    read.  This is the one check of a triple: it accepts exactly the
+    triples of :func:`rho_zero_triples`, since rho = 0 makes
+    g = (r+1)m with m = g-d+r >= 1 and d = r(m+1) >= 2."""
 
     __slots__ = _fields = ("g", "r", "d")
 
     def __init__(self, g: int, r: int, d: int) -> None:
         super().__init__(g, r, d)
-        if g < 1 or r < 0 or d < 0:
-            raise ParameterError(f"need g >= 1 and r, d >= 0; got {self}")
+        if g < 1 or r < 1:
+            raise ParameterError(f"need g >= 1 and r >= 1; got {self}")
         if (n := rho(g, r, d)) != 0:
             raise ParameterError(f"rho({g},{r},{d}) = {n} != 0")
 
@@ -216,10 +213,10 @@ def _bracket_b(params: GrdParams) -> Bracket:
 
         (d N / (2(g-1))) * [ 12 lambda - delta_0
                              + 4 sum_i (g-i)(g-i-1) delta_i - 2(g-1) psi ]
+
+    Every triple has g = (r+1)m >= 2, so g-1 never vanishes.
     """
     g, d = params.g, params.d
-    if g < 2:
-        raise ParameterError(f"pushforward of b needs g >= 2 ((g-1) vanishes at g={g})")
     deltas = (4 * (g - i) * (g - i - 1) for i in range(1, g))
     return (d, 2 * (g - 1)), chain((12, -2 * (g - 1), -1), deltas)
 
@@ -362,7 +359,8 @@ def rho_zero_triples(max_g: int) -> List[Tuple[int, int, int]]:
     """All rho = 0 triples with r >= 1 and g <= max_g.
 
     They are parameterized by r >= 1 and m = g-d+r >= 1 through
-    g = (r+1)m, d = g + r - m.  (r = 0 forces d = 0 and is degenerate.)
+    g = (r+1)m, d = g + r - m: exactly the triples :class:`GrdParams`
+    accepts.
     """
     out = []
     for r in range(1, max_g):

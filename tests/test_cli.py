@@ -440,7 +440,7 @@ _GP_COMBO = ("-31/2", "31/2", "-30", "-30")
         ((961, 30, 960), "c", False),
         ((961, 30, 960), _GP_COMBO, False),
         ((961, 30, 960), _GP_COMBO, True),
-        ((1, 0, 0), (0, 0, 0, 1), False),  # delta has one entry
+        ((2, 1, 2), (0, 0, 0, 1), False),  # delta at the smallest genus
         ((2, 1, 2), (0, 1, 0, 0), False),
     ],
 )
@@ -472,6 +472,22 @@ def test_push_builds_no_fraction_per_coordinate(monkeypatch, what):
         monkeypatch.undo()
         counts.append(count)
     assert counts[0] == counts[1] < 32, counts
+
+
+@pytest.mark.parametrize(
+    "argv, triple",
+    [
+        (("push", "--g", "5", "--r", "0", "--d", "0", "--class", "a"), "5,0,0"),
+        (("push", "--g", "1", "--r", "0", "--d", "0", "--class", "b"), "1,0,0"),
+        (("verify", "--suite", "reconstruct", "--triples", "5,0,0"), "5,0,0"),
+    ],
+    ids=["push-a", "push-b", "verify-reconstruct"],
+)
+def test_r_0_is_usage_error(capsys, argv, triple):
+    """r = 0 is refused by the one check of a triple, whatever reads it:
+    every pushforward there would be zero, and G(0, P^d) is no Grassmannian."""
+    want = f"bnslopes: error: need g >= 1 and r >= 1; got (g,r,d)=({triple})\n"
+    assert run(capsys, *argv) == (2, "", want)
 
 
 class TestVerifyCommand:
@@ -562,11 +578,6 @@ class TestVerifyCommand:
         assert len(bridge) == 3
         assert all(line.startswith("[FAIL]") for line in bridge)
         assert all(line.endswith("  [not proportional to relation]") for line in bridge)
-
-    def test_reconstruct_of_r_0_is_usage_error(self, capsys):
-        # at r = 0 every pushforward is zero, so the checks would compare zero with zero
-        code, out, err = run(capsys, "verify", "--suite", "reconstruct", "--triples", "5,0,0")
-        assert (code, out, err) == (2, "", "bnslopes: error: reconstruction needs r >= 1; got r=0\n")
 
     @pytest.mark.parametrize(
         "triple, text",

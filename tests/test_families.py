@@ -1223,11 +1223,11 @@ _P626 = GrdParams(6, 2, 6)
         (lambda: pencil_degree(_P626, 6), "needs 1 <= h <= g-1; got h=6"),
         (lambda: _per_N_push("x", _P626), "unknown tautological class 'x'"),
         (lambda: identity_weierstrass_a(2, 1, 2), "Weierstrass identity for a needs g >= 3"),
-        (lambda: identity_weierstrass_a(3, 0, 0), "Weierstrass identity for a needs g >= 3 and r >= 1; got g=3, r=0"),
-        (lambda: identity_castelnuovo(1, 0, 0), "Castelnuovo identity needs r >= 1; got r=0"),
+        (lambda: identity_weierstrass_a(3, 0, 0), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(3,0,0\)"),
+        (lambda: identity_castelnuovo(1, 0, 0), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(1,0,0\)"),
         (lambda: identity_pieri(4, 1, 3), "Pieri identity check needs r >= 2"),
         (lambda: identity_pieri(99, 2, 4), r"rho\(99,2,4\) = -192 != 0"),
-        (lambda: reconstruct(5, 0, 0, "a"), "reconstruction needs r >= 1; got r=0"),
+        (lambda: reconstruct(5, 0, 0, "a"), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(5,0,0\)"),
     ],
 )
 def test_named_errors(call, fragment):

@@ -164,4 +164,4 @@ def test_push_error_prints_the_params(capsys):
     assert main(["push", "--g", "0", "--r", "0", "--d", "0", "--class", "a"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "bnslopes: error: need g >= 1 and r, d >= 0; got (g,r,d)=(0,0,0)\n"
+    assert captured.err == "bnslopes: error: need g >= 1 and r >= 1; got (g,r,d)=(0,0,0)\n"

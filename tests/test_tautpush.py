@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnslopes import tautpush
+from bnslopes import families, tautpush
+from bnslopes.families import identity_castelnuovo, identity_weierstrass_a
 from bnslopes.schubert import GrassmannianSpec, brute_zeta_integral, make_index
 from bnslopes.tautpush import (
     DivisorClass,
@@ -63,7 +65,7 @@ class TestCastelnuovo:
 
     def test_rejects_negative_r(self):
         # rho and g-d+r both vanish here; an empty product must not pass for N
-        with pytest.raises(ParameterError, match=r"r >= 0"):
+        with pytest.raises(ParameterError, match=r"r >= 1; got \(g,r,d\)=\(0,-1,-1\)"):
             castelnuovo_N(0, -1, -1)
 
     def test_non_integral_count_is_named_error(self, monkeypatch):
@@ -72,12 +74,15 @@ class TestCastelnuovo:
         with pytest.raises(ArithmeticError, match=r"\(10,4,12\)"):
             castelnuovo_N(10, 4, 12)
 
-    def test_empty_and_one_row_rectangles_count_one(self):
-        # m = 0 is the empty rectangle; r = 0 (so d = 0) is a single row of g boxes
+    def test_empty_and_one_row_rectangles_are_refused(self):
+        # m = 0 is the empty rectangle (g = 0); r = 0 (so d = 0) is a single
+        # row of g boxes: neither is a triple, though rho vanishes on both
         for r in range(6):
-            assert castelnuovo_N(0, r, r) == 1
+            with pytest.raises(ParameterError, match="need g >= 1 and r >= 1"):
+                castelnuovo_N(0, r, r)
         for g in range(6):
-            assert castelnuovo_N(g, 0, 0) == 1
+            with pytest.raises(ParameterError, match="need g >= 1 and r >= 1"):
+                castelnuovo_N(g, 0, 0)
 
     @pytest.mark.parametrize("triple", [(961, 30, 960), (2751, 130, 2860)])
     def test_large_genus_equals_displayed_formula(self, triple):
@@ -89,10 +94,11 @@ class TestCastelnuovo:
 
     def test_rectangles_equal_their_transpose(self):
         # N counts standard tableaux of the (r+1) x m rectangle, so the
-        # displayed formula on the orientation with fewer rows is cheap
+        # displayed formula on the orientation with fewer rows is cheap;
+        # rows = r + 1 >= 2, and one-row rectangles come in as cols = m = 1
         sides = (1, 2, 3, 5, 10, 30, 100, 300, 1000, 1500, 3000)
-        shapes = [(rows, cols) for rows in sides for cols in sides if rows * cols <= 3000]
-        assert len(shapes) == 70
+        shapes = [(rows, cols) for rows in sides[1:] for cols in sides if rows * cols <= 3000]
+        assert len(shapes) == 59
         for rows, cols in shapes:
             few, many = sorted((rows, cols))
             g = rows * cols
@@ -101,7 +107,7 @@ class TestCastelnuovo:
 
     def test_thin_rectangles(self):
         # m = 1: one standard tableau of a column; m = 2: Catalan(r+1)
-        for r in range(1000):
+        for r in range(1, 1000):
             assert castelnuovo_N(r + 1, r, 2 * r) == 1
             assert castelnuovo_N(2 * r + 2, r, 3 * r) == math.comb(2 * r + 2, r + 1) // (r + 2)
 
@@ -276,8 +282,8 @@ def _bracket_fold(combo, params):
     return coords
 
 
-# g = 1..5 put 0..4 entries in the delta_{i >= 1} tail
-_TAIL_TRIPLES = [(1, 0, 0)] + rho_zero_triples(120) + [(961, 30, 960)]
+# g = 2..5 put 1..4 entries in the delta_{i >= 1} tail
+_TAIL_TRIPLES = rho_zero_triples(120) + [(961, 30, 960)]
 _TAIL_COMBOS = {
     "a": (1, 0, 0, 0),
     "b": (0, 1, 0, 0),
@@ -414,12 +420,38 @@ def test_rho_zero_triples():
     assert triples == sorted(triples)
 
 
+def _refuses(read, triple):
+    try:
+        read(*triple)
+    except ParameterError:
+        return True
+    return False
+
+
+def test_one_domain_over_a_box_of_raw_ints():
+    """GrdParams is the one check of a triple: in a box of raw ints it
+    accepts exactly the rho_zero_triples there, every other reader of a
+    triple refuses the rest, and reconstruction adds only g >= 5."""
+    box = list(itertools.product(range(-2, 41), range(-2, 9), range(-2, 51)))
+    accepted, leaks = [], []
+    for triple in box:
+        if not _refuses(GrdParams, triple):
+            accepted.append(triple)
+            continue
+        for read in (castelnuovo_N, identity_castelnuovo, identity_weierstrass_a):
+            if not _refuses(read, triple):
+                leaks.append((read.__name__, triple))
+    assert leaks == []
+    assert accepted == [(g, r, d) for g, r, d in rho_zero_triples(40) if r <= 8 and d <= 50]
+    reconstructed = [t for t in box if not _refuses(families._reconstruct_params, t)]
+    assert reconstructed == [t for t in accepted if t[0] >= 5]
+
+
 @pytest.mark.parametrize(
     "call, fragment",
     [
-        (lambda: castelnuovo_N(-2, 1, 0), r"need g-d\+r >= 0; got -1"),  # rho = 0, m = -1
+        (lambda: castelnuovo_N(-2, 1, 0), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(-2,1,0\)"),  # rho = 0, m = -1
         (lambda: GrdParams(0, 0, 0), "need g >= 1"),
-        (lambda: push_b(GrdParams(1, 0, 0)), "pushforward of b needs g >= 2"),
         (lambda: push("x", GrdParams(6, 2, 6)), "unknown tautological class 'x'"),
     ],
 )
