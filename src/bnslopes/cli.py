@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -180,35 +181,35 @@ def cmd_slope(args) -> int:
 def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
     """str(Fraction(N·x, L)) for each x, exactly, without building a Fraction.
 
-    With b = gcd(x, L), x/L = (x/b)/(L/b) in lowest terms, and for
-    a = gcd(N, L/b), N·x/L = (N/a)·(x/b) / (L/(a·b)) in lowest terms.
-    N/a is converted to decimal once per distinct L/b and each numerator
-    is one multiplication by x/b: int-to-str is quadratic in the number
-    of digits on CPython 3.11, a decimal product and its str are not.
-    The context cannot round: with Inexact and Rounded trapped, a step
-    that is not exact raises instead of printing a wrong digit.
+    Let g = gcd(N, L), N1 = N/g and L1 = L/g.  N1 and L1 are coprime, so
+    gcd(N·x, L) = g·gcd(N1·x, L1) = g·gcd(x, L1), and with c = gcd(x, L1)
+    the lowest terms of N·x/L are N1·(x/c) over L1/c.  So N1 is converted
+    to decimal once per call, and each numerator is one multiplication by
+    x/c: int-to-str is quadratic in the number of digits on CPython 3.11,
+    a decimal product and its str are not, and neither reads the
+    interpreter's int/str digit cap.  x = 0 gives c = L1 and prints 0; a
+    gcd is never negative, so the sign of x stays on the numerator.  The
+    context cannot round: with Inexact and Rounded trapped, a step that
+    is not exact raises instead of printing a wrong digit.
 
-    The strings come back as one list because the caller needs all of
-    them, split into lambda, psi and the delta rows it joins; a list
-    filled in the loop costs no generator resume per coordinate.
+    The per-coordinate gcd, quotient, product and str run as C-level
+    maps; the caller needs all the strings, as one list.
     """
     ctx = decimal.Context(
         prec=decimal.MAX_PREC,
         Emax=decimal.MAX_EMAX,
         traps=[decimal.Inexact, decimal.Rounded],
     )
-    quotients = {}
-    out = []
-    for x in ints:
-        b = math.gcd(x, L)
-        den = L // b
-        if den not in quotients:
-            a = math.gcd(N, den)
-            quotients[den] = ctx.create_decimal(N // a), den // a
-        big, rest = quotients[den]
-        num = str(ctx.multiply(big, x // b))
-        out.append(num if rest == 1 else f"{num}/{rest}")
-    return out
+    g = math.gcd(N, L)
+    big = itertools.repeat(ctx.create_decimal(N // g))
+    L1 = L // g
+    if L1 == 1:
+        return list(map(ctx.to_sci_string, map(ctx.multiply, big, ints)))
+    ints = list(ints)
+    cs = list(map(math.gcd, ints, itertools.repeat(L1)))
+    nums = map(ctx.to_sci_string, map(ctx.multiply, big, map(operator.floordiv, ints, cs)))
+    dens = map(operator.floordiv, itertools.repeat(L1), cs)
+    return [num if d == 1 else f"{num}/{d}" for num, d in zip(nums, dens)]
 
 
 def cmd_push(args) -> int:
@@ -246,10 +247,11 @@ def cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    # N has about g digits, and CPython (3.10.7 on) refuses to convert an
-    # int of more than 4300 digits to or from a string by default; lift
-    # that cap for this call only, parsing included, so a combo entry may
-    # be that long too.  0 means no cap, also where the interpreter has none.
+    # CPython (3.10.7 on) refuses to convert an int of more than 4300
+    # digits to or from a string by default.  Push numerators go through
+    # decimal and never meet that cap, but a longer --combo entry, str(N)
+    # in the slope rows and the verify report strings do; lift it for this
+    # call only.  0 means no cap, also where the interpreter has none.
     max_digits = getattr(sys, "get_int_max_str_digits", int)()
     if max_digits:
         sys.set_int_max_str_digits(0)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import inspect
 import io
 import json
@@ -11,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnslopes import cli, families, tautpush
@@ -472,6 +473,61 @@ def test_push_builds_no_fraction_per_coordinate(monkeypatch, what):
         monkeypatch.undo()
         counts.append(count)
     assert counts[0] == counts[1] < 32, counts
+
+
+# N1 = N/gcd(N, L) of more than 4300 digits, so that its str would pass
+# the interpreter's default int/str cap
+_HUGE = 10**4300 + 7
+
+
+@settings(deadline=None, max_examples=60)
+@example(num=_HUGE, den=1, shared=6, xs=[0, -5, 7])  # L1 = 1: integers only
+@example(num=35, den=2, shared=6, xs=[0, -5, 6])  # L1 = 2
+@given(
+    num=st.one_of(st.integers(1, 10**40), st.integers(10**4300, 10**4400)),
+    den=st.one_of(st.integers(1, 64), st.integers(1, 10**12)),
+    shared=st.integers(1, 10**6),
+    xs=st.lists(st.one_of(st.just(0), st.integers(-64, 64), st.integers(-(10**30), 10**30)), max_size=12),
+)
+def test_times_is_str_of_exact_fraction(num, den, shared, xs):
+    """``cli._times`` prints str(Fraction(N·x, L)) for each x, and reads
+    no int/str conversion of its own: it runs under the interpreter's
+    default digit cap, which is lifted only around the oracle."""
+    N, L = shared * num, shared * den
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        got = cli._times(N, L, iter(xs))
+        sys.set_int_max_str_digits(0)
+        want = [str(Fraction(N * x, L)) for x in xs]
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert got == want
+
+
+@pytest.mark.parametrize("triple", [(21, 6, 24), (480, 15, 465), (961, 30, 960)])
+def test_push_converts_one_decimal(monkeypatch, triple):
+    """Each push converts one number to decimal, N/gcd(N, L), however many
+    denominators its coordinates reduce to."""
+    count = 0
+
+    class Counting(decimal.Context):
+        def create_decimal(self, *args):
+            nonlocal count
+            count += 1
+            return super().create_decimal(*args)
+
+    monkeypatch.setattr(decimal, "Context", Counting)
+    g, r, d = triple
+    base = ["push", "--g", str(g), "--r", str(r), "--d", str(d)]
+    combo = "--combo=" + ",".join(_GP_COMBO)
+    counts = []
+    for extra in (["--class", "a"], ["--class", "b"], ["--class", "c"], [combo], [combo, "--normalize", "N"]):
+        count = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(base + extra) == 0
+        counts.append(count)
+    assert counts == [1] * 5
 
 
 @pytest.mark.parametrize(
