@@ -832,21 +832,17 @@ def _pieri_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
     return (identity_pieri(g, r, d) for g, r, d in rho_zero_triples(max_g) if r >= 2)
 
 
-def _reconstruct_suite(*, triples: Sequence[Tuple[int, int, int]], **_) -> Iterator[CheckReport]:
-    return _reconstruct_reports([_reconstruct_params(g, r, d) for g, r, d in triples])
-
-
 def _per_N_push(which: str, params: GrdParams) -> PerN:
     """1/N times the pushforward of a, b or c, as (L, a list of its per-N numerators)."""
     L, ints = per_N_numerators(TautCombo.unit(which), params)
     return L, list(ints)
 
 
-def _reconstruct_reports(checked: Sequence[GrdParams]) -> Iterator[CheckReport]:
+def _reconstruct_suite(*, triples: Sequence[GrdParams], **_) -> Iterator[CheckReport]:
     """Solves and compares 1/N times each class; the closed form's per-N
     numerators, the bridge classes and N are computed once per triple,
     and every value printed is N times the one compared."""
-    for params in checked:
+    for params in triples:
         per_N = [_per_N_push(which, params) for which in CLASSES]
         bridge = bridge_pushforward(params)
         solved = _reconstruct(params, bridge)
@@ -881,9 +877,9 @@ def _symmetry_suite(**_) -> Iterator[CheckReport]:
     yield from (_structure_report(rep, rep.r, rep.r > 1, rep.r > 1) for rep in hyper)
 
 
-# Each suite takes suite_reports' caps as keyword arguments and names those
-# it reads.  Calling a suite checks the caps it reads; its reports are
-# computed as it is iterated.
+# Each suite takes suite_reports' checked caps as keyword arguments and
+# names those it reads.  Calling a suite checks nothing and computes
+# nothing; its reports are computed as it is iterated.
 _SUITES = {
     "schubert-oracle": _oracle_suite,
     "castelnuovo": _castelnuovo_suite,
@@ -907,13 +903,14 @@ def suite_reports(
     d_max: int = DEFAULT_D_MAX,
     triples: Sequence[Tuple[int, int, int]] = DEFAULT_RECONSTRUCT_TRIPLES,
 ) -> List[CheckReport]:
-    """Run one named verification suite, or 'all' in table order, and return its reports."""
+    """Run one named verification suite, or 'all' in table order, and return its reports.
+
+    Every cap, each triple included, is checked here before any suite runs."""
     if suite != "all" and suite not in _SUITES:
         raise ParameterError(f"unknown verification suite {suite!r}")
-    caps = {"max_g": max_g, "r_max": r_max, "d_max": d_max, "triples": triples}
-    for name in ("max_g", "r_max", "d_max"):
-        if caps[name] < 0:
-            raise ParameterError(f"cap {name} must be >= 0; got {caps[name]}")
-    # every chosen suite checks its caps before the first one runs
-    runs = [_SUITES[name](**caps) for name in SUITES if suite in ("all", name)]
-    return [rep for run in runs for rep in run]
+    caps = {"max_g": max_g, "r_max": r_max, "d_max": d_max}
+    for name, cap in caps.items():
+        if cap < 0:
+            raise ParameterError(f"cap {name} must be >= 0; got {cap}")
+    caps["triples"] = [_reconstruct_params(g, r, d) for g, r, d in triples]
+    return [rep for name in SUITES if suite in ("all", name) for rep in _SUITES[name](**caps)]

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -647,10 +648,20 @@ class TestVerifyCommand:
         assert (code, out, err) == (2, "", f"bnslopes: error: {text}\n")
         assert made == []
 
-    def test_triples_are_not_checked_by_suites_that_do_not_read_them(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "castelnuovo", "--triples", "5,1,3")
-        assert code == 0
-        assert out.endswith(" checks, 0 failures\n")
+    @pytest.mark.parametrize("suite", [*families.SUITES, "all"])
+    @pytest.mark.parametrize(
+        "triple, text",
+        [
+            ("5,1,3", "rho(5,1,3) = -1 != 0"),
+            ("4,1,3", "reconstruction needs g >= 5; got g=4"),
+            ("5,0,0", "need g >= 1 and r >= 1; got (g,r,d)=(5,0,0)"),
+        ],
+        ids=["5,1,3", "4,1,3", "5,0,0"],
+    )
+    def test_triples_are_checked_whichever_suite_runs(self, capsys, triple, text, suite):
+        # as a negative cap is refused by a suite that does not read it
+        code, out, err = run(capsys, "verify", "--suite", suite, "--triples", triple)
+        assert (code, out, err) == (2, "", f"bnslopes: error: {text}\n")
 
     def test_schubert_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "schubert-oracle",
@@ -717,6 +728,70 @@ def test_parse_error_says_what_was_expected(capsys, argv, expected):
     assert last.endswith(expected), last
     # argparse names the type function when it raises ValueError
     assert not any(word.startswith("_") for word in captured.err.split()), captured.err
+
+
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process ``main`` call, argparse's
+    SystemExit read as the exit code; for Hypothesis tests, which take no capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_VALID_TRIPLES = ("6,2,6", "8,3,9")
+_INVALID_TRIPLES = ("5,1,3", "4,1,3", "5,0,0")
+_MALFORMED_TRIPLES = ("a,b,c", "6,2", "")
+
+
+def _optional(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, str(v))))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([*families.SUITES, "all"]),
+    _optional("--max-g", st.integers(-2, 7)),
+    _optional("--r-max", st.integers(-1, 3)),
+    _optional("--d-max", st.integers(-1, 7)),
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(_VALID_TRIPLES + _INVALID_TRIPLES + _MALFORMED_TRIPLES), min_size=1, max_size=3),
+    ),
+    _optional("--format", st.sampled_from(["pretty", "json"])),
+)
+def test_verify_exit_code_contract(suite, max_g, r_max, d_max, chunks, fmt):
+    triples = () if chunks is None else ("--triples", ";".join(chunks))
+    argv = ["verify", "--suite", suite, *max_g, *r_max, *d_max, *triples, *fmt]
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        one_line = len(lines) == 1 and lines[0].startswith("bnslopes: error: ")
+        usage = lines[0].startswith("usage: bnslopes verify") and lines[-1].startswith("bnslopes verify: error: ")
+        assert one_line or usage, err
+    else:
+        assert err == ""
+    assert _main_in_process(argv)[1] == out
+    negative_cap = any(int(cap[1]) < 0 for cap in (max_g, r_max, d_max) if cap)
+    bad_triple = chunks is not None and any(c not in _VALID_TRIPLES for c in chunks)
+    assert (code == 2) == (negative_cap or bad_triple)
+
+
+def test_readme_commands_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bnslopes ")]
+    assert len(commands) == 9
+    for argv in commands:
+        code, out, err = _main_in_process(argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 def test_one_parser_serves_successive_commands(capsys):

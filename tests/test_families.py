@@ -832,6 +832,24 @@ class TestSuites:
         each = [str(r) for name in families.SUITES for r in suite_reports(name, **caps)]
         assert [str(r) for r in suite_reports("all", **caps)] == each
 
+    @pytest.mark.parametrize("name", [*families.SUITES, "all"])
+    def test_every_suite_refuses_a_bad_triple(self, name):
+        with pytest.raises(ParameterError, match=r"^rho\(5,1,3\) = -1 != 0$"):
+            suite_reports(name, triples=[(5, 1, 3)])
+
+    @pytest.mark.parametrize("name", families.SUITES)
+    def test_a_suite_only_iterates(self, monkeypatch, name):
+        # suite_reports checks every cap, so calling a suite has nothing to do
+        calls = []
+        for fn in ("_report", "_zeta_layers", "_reconstruct"):
+            real = getattr(families, fn)
+            monkeypatch.setattr(families, fn, lambda *a, fn=fn, real=real, **k: calls.append(fn) or real(*a, **k))
+        caps = {"max_g": 8, "r_max": 2, "d_max": 8, "triples": [GrdParams(6, 2, 6)]}
+        run = families._SUITES[name](**caps)
+        assert calls == []
+        reports = list(run)
+        assert reports and calls
+
     def test_reconstruct_suite_pushes_once(self, monkeypatch):
         calls = []
 
