@@ -2,9 +2,9 @@
 the verification suites.
 
 Output is byte-deterministic for a fixed invocation: rows are sorted
-canonically, rationals always render as exact "p/q" strings, the slope
-and verify JSON emitters sort their keys, and ``push`` writes the bytes
-of ``json.dumps(sort_keys=True, indent=2)`` directly.  Exit codes:
+canonically, rationals render as exact "p/q" strings (``push``'s by
+``tautpush._times``), JSON keys are sorted, and ``push`` writes the
+bytes of ``json.dumps(sort_keys=True, indent=2)`` directly.  Exit codes:
 0 success, 1 verification failure, 2 usage, parameter or I/O error.
 """
 
@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import functools
 import io
 import itertools
 import json
 import math
-import operator
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .divisors import FAMILIES, FamilyParams, SlopeReport, SlopeUndefinedError, slope_report
 from .families import DEFAULT_D_MAX, DEFAULT_MAX_G, DEFAULT_R_MAX, DEFAULT_RECONSTRUCT_TRIPLES, SUITES, suite_reports
 from .schubert import BalanceError, CodimensionError, InvalidIndexError
-from .tautpush import CLASSES, GrdParams, ParameterError, TautCombo, per_N_numerators
+from .tautpush import CLASSES, GrdParams, ParameterError, TautCombo, _times, per_N_numerators
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -148,10 +146,8 @@ def _emit(output: Optional[str], *parts: str) -> None:
 def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
     if fmt == "pretty":
         # exact slope plus a clearly approximate 6-digit decimal column; no N
-        lines = []
         header = f"{'family':<14}{'r':>4}{'s':>4}{'extra':>6}{'g':>5}{'d':>5}  {'slope':<16}{'~slope':<12}{'bound':<10}{'below'}"
-        lines.append(header)
-        lines.append("-" * len(header))
+        lines = [header, "-" * len(header)]
         for rep in reports:
             approx = f"{float(rep.slope):.6g}"
             lines.append(
@@ -176,40 +172,6 @@ def cmd_slope(args) -> int:
     reports = [slope_report(p) for p in sorted(_grid(args))]
     _emit(args.output, _slope_rows_text(reports, args.format))
     return 0
-
-
-def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
-    """str(Fraction(N·x, L)) for each x, exactly, without building a Fraction.
-
-    Let g = gcd(N, L), N1 = N/g and L1 = L/g.  N1 and L1 are coprime, so
-    gcd(N·x, L) = g·gcd(N1·x, L1) = g·gcd(x, L1), and with c = gcd(x, L1)
-    the lowest terms of N·x/L are N1·(x/c) over L1/c.  So N1 is converted
-    to decimal once per call, and each numerator is one multiplication by
-    x/c: int-to-str is quadratic in the number of digits on CPython 3.11,
-    a decimal product and its str are not, and neither reads the
-    interpreter's int/str digit cap.  x = 0 gives c = L1 and prints 0; a
-    gcd is never negative, so the sign of x stays on the numerator.  The
-    context cannot round: with Inexact and Rounded trapped, a step that
-    is not exact raises instead of printing a wrong digit.
-
-    The per-coordinate gcd, quotient, product and str run as C-level
-    maps; the caller needs all the strings, as one list.
-    """
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        traps=[decimal.Inexact, decimal.Rounded],
-    )
-    g = math.gcd(N, L)
-    big = itertools.repeat(ctx.create_decimal(N // g))
-    L1 = L // g
-    if L1 == 1:
-        return list(map(ctx.to_sci_string, map(ctx.multiply, big, ints)))
-    ints = list(ints)
-    cs = list(map(math.gcd, ints, itertools.repeat(L1)))
-    nums = map(ctx.to_sci_string, map(ctx.multiply, big, map(operator.floordiv, ints, cs)))
-    dens = map(operator.floordiv, itertools.repeat(L1), cs)
-    return [num if d == 1 else f"{num}/{d}" for num, d in zip(nums, dens)]
 
 
 def cmd_push(args) -> int:
@@ -247,11 +209,11 @@ def cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    # CPython (3.10.7 on) refuses to convert an int of more than 4300
-    # digits to or from a string by default.  Push numerators go through
-    # decimal and never meet that cap, but a longer --combo entry, str(N)
-    # in the slope rows and the verify report strings do; lift it for this
-    # call only.  0 means no cap, also where the interpreter has none.
+    # CPython (3.10.7 on) caps int/str conversion at 4300 digits by default.
+    # tautpush._times prints push and the reconstruct, bridge and structure
+    # reports without it; a longer --combo entry, str(N) in the slope rows and
+    # the identity and aspect reports need it lifted, for this call only.
+    # 0 means no cap, also where the interpreter has none.
     max_digits = getattr(sys, "get_int_max_str_digits", int)()
     if max_digits:
         sys.set_int_max_str_digits(0)

@@ -37,7 +37,7 @@ them.  Every table entry is an ``int`` (each tails row is scaled by
 denominator, as :func:`tautpush.per_N_numerators` gives the closed form.
 One sparse eliminator, :func:`_forward_eliminate`, takes these int rows
 for every system and determinant; a solution comes back in that shape,
-and a determinant, like every value handed out or printed, as ``Fraction``.
+and a determinant, like every value handed out, as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -89,6 +89,7 @@ from .tautpush import (
     GrdParams,
     ParameterError,
     TautCombo,
+    _times,
     per_N_numerators,
     rho_zero_triples,
 )
@@ -721,7 +722,7 @@ def _reconstruct_report(
     params: GrdParams, N: int, which: str, got: PerN | ReconstructionError, expected: PerN
 ) -> CheckReport:
     """The solved class (D, xs) against the closed form's per-N numerators
-    (L, ys), as x * L == y * D per coordinate; only printed values are Fractions."""
+    (L, ys), as x * L == y * D per coordinate, each printed N times by ``_times``."""
     key = {"g": params.g, "r": params.r, "d": params.d, "class": which}
     if isinstance(got, ReconstructionError):
         return _report("reconstruct", key, "-", "-", False, str(got))
@@ -730,9 +731,10 @@ def _reconstruct_report(
     detail = "matches closed form"
     if k is not None:
         name = ("λ", "ψ")[k] if k < 2 else f"δ{k - 2}"
-        detail = f"first mismatch at {name}: reconstructed {Fraction(N * xs[k], D)}, closed form {Fraction(N * ys[k], L)}"
+        (x,), (y,) = (_times(N, den, [v[k]]) for den, v in (got, expected))
+        detail = f"first mismatch at {name}: reconstructed {x}, closed form {y}"
     text = "λ={}, δ0={}, ψ={}".format
-    lhs, rhs = (text(*(Fraction(N * v[i], den) for i in (0, 2, 1))) for den, v in (got, expected))
+    lhs, rhs = (text(*_times(N, den, (v[0], v[2], v[1]))) for den, v in (got, expected))
     return _report("reconstruct", key, lhs, rhs, k is None, detail)
 
 
@@ -754,7 +756,7 @@ def _bridge_quotient_report(params: GrdParams, N: int, which: str, per_N: PerN, 
     numerators (L, ints) through the bridge table, differs from the known
     per-N genus-2 class ``want`` = (D, numerators) by an exact multiple of
     the relation.  The two are compared on ints, cross-multiplied to the
-    denominator L*D; only the printed values are Fractions."""
+    denominator L*D, and each value is printed N times by ``_times``."""
     (L, ints), (D, nums) = per_N, want
     got = _apply(bridge_matrix(params.g), ints)
     mu = relation_multiple([x * D for x in got], [y * L for y in nums])
@@ -762,10 +764,10 @@ def _bridge_quotient_report(params: GrdParams, N: int, which: str, per_N: PerN, 
     return _report(
         "bridge_quotient",
         {"g": params.g, "r": params.r, "d": params.d, "class": which},
-        text(*(Fraction(N * x, L) for x in got)),
-        text(*(Fraction(N * y, D) for y in nums)),
+        text(*_times(N, L, got)),
+        text(*_times(N, D, nums)),
         mu is not None,
-        f"multiple={N * mu / (L * D)}" if mu is not None else "not proportional to relation",
+        f"multiple={_times(N, mu.denominator * L * D, [mu.numerator])[0]}" if mu is not None else "not proportional to relation",
     )
 
 
@@ -791,7 +793,7 @@ def _structure_report(rep: SlopeReport, first: int, quadric: bool, twin: bool) -
     return _report(
         "structure",
         {"family": rep.family, "first": first, "s": rep.s},
-        f"psi={Fraction(rep.N * psi, L) if psi else 0}, symmetric={symmetric}",
+        f"psi={_times(rep.N, L, [psi])[0] if psi else 0}, symmetric={symmetric}",
         f"psi=0, symmetric required={quadric}",
         ok,
         "hyper(k=2) == syzygy(0)" if twin else "",

@@ -21,22 +21,24 @@ integer-coefficient bracket) and divided symbolically, so each line can
 be audited term by term.
 
 Every prefactor is N times a number that does not depend on N, so every
-pushforward is N times an N-free class.  :func:`per_N_numerators`
-gives that class as one common denominator L and an iterator of integer
-numerators, lambda and delta_0 first, without computing N; the CLI
-prints from them directly.  Six values of each weighted bracket are
-read, lambda, psi and delta_0..delta_3: every delta_i (i >= 1) is a
-polynomial of degree <= 2 in i, so delta_4..delta_{g-1} follow from
-delta_1..delta_3 by second differences, exactly, and only this tail is
-lazy, as running sums.  A slope -lambda/delta_0 therefore costs O(1)
-operations instead of O(g) operations on g-digit numbers.
+pushforward is N times an N-free class.  :func:`per_N_numerators` gives
+that class as one common denominator L and an iterator of integer
+numerators, lambda and delta_0 first, without computing N, and
+:func:`_times` prints N times it for ``push`` and the verify reports.
+Six values of each weighted bracket are read, lambda, psi and
+delta_0..delta_3: every delta_i (i >= 1) is a polynomial of degree <= 2
+in i, so delta_4..delta_{g-1} follow from delta_1..delta_3 by second
+differences, exactly, and only this tail is lazy, as running sums, so a
+slope -lambda/delta_0 costs O(1) operations, not O(g) on g-digit numbers.
 """
 
 from __future__ import annotations
 
+import decimal
+import operator
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, List, Tuple
 
 from .record import Record
@@ -326,6 +328,40 @@ def per_N_numerators(combo: TautCombo, params: GrdParams) -> Tuple[int, Iterator
     d1, d2, d3 = head[3:]
     diffs = accumulate(repeat(d3 - 2 * d2 + d1, g - 3), initial=d2 - d1)
     return L, chain(head[:3], accumulate(diffs, initial=d1))
+
+
+def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
+    """str(Fraction(N·x, L)) for each x, exactly, without building a Fraction.
+
+    Let g = gcd(N, L), N1 = N/g and L1 = L/g.  N1 and L1 are coprime, so
+    gcd(N·x, L) = g·gcd(N1·x, L1) = g·gcd(x, L1), and with c = gcd(x, L1)
+    the lowest terms of N·x/L are N1·(x/c) over L1/c.  So N1 is converted
+    to decimal once per call, and each numerator is one multiplication by
+    x/c: int-to-str is quadratic in the number of digits on CPython 3.11,
+    a decimal product and its str are not, and neither reads the
+    interpreter's int/str digit cap.  x = 0 gives c = L1 and prints 0; a
+    gcd is never negative, so the sign of x stays on the numerator.  The
+    context cannot round: with Inexact and Rounded trapped, a step that
+    is not exact raises instead of printing a wrong digit.
+
+    The per-coordinate gcd, quotient, product and str run as C-level
+    maps; the caller needs all the strings, as one list.
+    """
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    g = gcd(N, L)
+    big = repeat(ctx.create_decimal(N // g))
+    L1 = L // g
+    if L1 == 1:
+        return list(map(ctx.to_sci_string, map(ctx.multiply, big, ints)))
+    ints = list(ints)
+    cs = list(map(gcd, ints, repeat(L1)))
+    nums = map(ctx.to_sci_string, map(ctx.multiply, big, map(operator.floordiv, ints, cs)))
+    dens = map(operator.floordiv, repeat(L1), cs)
+    return [num if d == 1 else f"{num}/{d}" for num, d in zip(nums, dens)]
 
 
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:

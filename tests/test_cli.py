@@ -20,6 +20,7 @@ from bnslopes import cli, families, tautpush
 from bnslopes.cli import main
 from bnslopes.divisors import FAMILIES, Family
 from bnslopes.tautpush import (
+    CLASSES,
     DivisorClass,
     GrdParams,
     ParameterError,
@@ -491,14 +492,14 @@ _HUGE = 10**4300 + 7
     xs=st.lists(st.one_of(st.just(0), st.integers(-64, 64), st.integers(-(10**30), 10**30)), max_size=12),
 )
 def test_times_is_str_of_exact_fraction(num, den, shared, xs):
-    """``cli._times`` prints str(Fraction(N·x, L)) for each x, and reads
+    """``tautpush._times`` prints str(Fraction(N·x, L)) for each x, and reads
     no int/str conversion of its own: it runs under the interpreter's
     default digit cap, which is lifted only around the oracle."""
     N, L = shared * num, shared * den
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        got = cli._times(N, L, iter(xs))
+        got = tautpush._times(N, L, iter(xs))
         sys.set_int_max_str_digits(0)
         want = [str(Fraction(N * x, L)) for x in xs]
     finally:
@@ -751,6 +752,28 @@ def _optional(flag, values):
     return st.one_of(st.just(()), values.map(lambda v: (flag, str(v))))
 
 
+def _exit_code_contract(argv):
+    """Runs ``argv`` twice in process and checks the exit-code contract:
+    exit 0, 1 or 2 and no traceback; on exit 2 nothing on stdout and one
+    ``bnslopes: error:`` line or the subcommand's argparse usage message
+    on stderr, otherwise nothing on stderr; the same stdout both times.
+    Returns the exit code."""
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        prog = f"bnslopes {argv[0]}"
+        one_line = len(lines) == 1 and lines[0].startswith("bnslopes: error: ")
+        usage = lines[0].startswith(f"usage: {prog}") and lines[-1].startswith(f"{prog}: error: ")
+        assert one_line or usage, err
+    else:
+        assert err == ""
+    assert _main_in_process(argv)[1] == out
+    return code
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.sampled_from([*families.SUITES, "all"]),
@@ -766,21 +789,64 @@ def _optional(flag, values):
 def test_verify_exit_code_contract(suite, max_g, r_max, d_max, chunks, fmt):
     triples = () if chunks is None else ("--triples", ";".join(chunks))
     argv = ["verify", "--suite", suite, *max_g, *r_max, *d_max, *triples, *fmt]
-    code, out, err = _main_in_process(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert out == ""
-        lines = err.splitlines()
-        one_line = len(lines) == 1 and lines[0].startswith("bnslopes: error: ")
-        usage = lines[0].startswith("usage: bnslopes verify") and lines[-1].startswith("bnslopes verify: error: ")
-        assert one_line or usage, err
-    else:
-        assert err == ""
-    assert _main_in_process(argv)[1] == out
+    code = _exit_code_contract(argv)
     negative_cap = any(int(cap[1]) < 0 for cap in (max_g, r_max, d_max) if cap)
     bad_triple = chunks is not None and any(c not in _VALID_TRIPLES for c in chunks)
     assert (code == 2) == (negative_cap or bad_triple)
+
+
+# Axis spans: good ones, a value or a range, and bad ones, 0, negative,
+# reversed, empty or malformed; no value passes 4, so no genus passes 175
+# (syzygy i = s = 4) and no grid 64 points.
+_GOOD_SPANS = st.one_of(
+    st.integers(1, 4).map(str),
+    st.integers(1, 3).map(lambda a: f"{a}:{a + 1}"),
+)
+_SPANS = st.one_of(
+    _GOOD_SPANS,
+    st.integers(-2, 0).map(str),
+    st.sampled_from(["-2:-1", "0:1", "3:1", "", ":", "1:", ":3", "x", "1:y", "1.5"]),
+)
+
+
+@settings(deadline=2000, max_examples=100)
+@given(
+    st.sampled_from([*FAMILIES, "nonsense"]),
+    st.lists(_GOOD_SPANS, min_size=len(AXES), max_size=len(AXES)),
+    st.dictionaries(st.sampled_from(AXES), _SPANS, max_size=2),
+    st.sampled_from([(), *(("--format", f) for f in ("pretty", "json", "csv", "xml"))]),
+)
+def test_slope_exit_code_contract(family, good, drawn, fmt):
+    # the family's own axes get good spans, which the drawn spans override or
+    # join, so that many draws reach a grid and the rest name every bad input
+    spans = dict(zip(FAMILIES[family].axes, good)) if family in FAMILIES else {}
+    spans.update(drawn)
+    axes = [f"--{axis}={span}" for axis, span in spans.items()]
+    assert _exit_code_contract(["slope", "--family", family, *axes, *fmt]) in (0, 2)
+
+
+_BAD_WHICH = [
+    (), ("--class", "d"), ("--class", "a", "--combo=1,0,0,0"), ("--combo=1/0,0,0,0",),
+    ("--combo=1,2,3",), ("--combo=a,b,c,d",), ("--combo=",), ("--combo=1,-1,1/2,x",), ("--combo=1,2,3,4,5",),
+]
+
+
+@settings(deadline=2000, max_examples=100)
+@given(
+    st.one_of(st.sampled_from(rho_zero_triples(60)), st.tuples(*[st.integers(-2, 60)] * 3)),
+    st.one_of(
+        st.sampled_from(CLASSES).map(lambda c: ("--class", c)),
+        st.lists(st.fractions(-9, 9, max_denominator=12), min_size=4, max_size=4).map(
+            lambda ps: ("--combo=" + ",".join(map(str, ps)),)
+        ),
+        st.sampled_from(_BAD_WHICH),
+    ),
+    st.sampled_from([(), ("--normalize", "N"), ("--normalize", "M")]),
+)
+def test_push_exit_code_contract(triple, which, normalize):
+    g, r, d = map(str, triple)
+    argv = ["push", "--g", g, "--r", r, "--d", d, *which, *normalize]
+    assert _exit_code_contract(argv) in (0, 2)
 
 
 def test_readme_commands_run():

@@ -916,6 +916,22 @@ class TestSuites:
         assert [r.check for r in reports] == ["epsilon_nonsingular"]
         assert reports[0].passed
 
+    def test_reconstruct_reports_ignore_the_int_str_digit_cap(self):
+        # N has 1066 digits here, and every printed value is N times a per-N
+        # coordinate; 640 is the lowest cap CPython accepts
+        triples = [(961, 30, 960)]
+        assert len(str(castelnuovo_N(*triples[0]))) == 1066
+        cap = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = suite_reports("reconstruct", triples=triples)
+            sys.set_int_max_str_digits(640)
+            got = suite_reports("reconstruct", triples=triples)
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert got == want
+        assert len(got) == 7 and all(r.passed for r in got)
+
     def test_reconstruct_suite_computes_N_once_per_triple(self, monkeypatch):
         calls = []
 

@@ -8,7 +8,7 @@ table, in ``cli._slope_rows_text``.  No function is memoized with
 carry tables over from one call to the next, so repeated calls would no
 longer each do their own work.  The one allowed is the argument parser
 builder, ``cli.build_parser``.  ``decimal`` serves only to print N times
-a coordinate, in ``cli._times``: there every ``Context`` traps
+a coordinate, in ``tautpush._times``: there every ``Context`` traps
 ``Inexact`` and ``Rounded``, so no decimal step can round, and nothing
 else of the module is used (no ``Decimal`` operator falls back to the
 default 28-digit context).  Every name a module exports in ``__all__``,
@@ -66,10 +66,11 @@ every function and method resolve with ``typing.get_type_hints``:
 time, so a name missing from the imports shows nowhere else.
 ``tautpush.castelnuovo_N`` calls no ``factorial``: it steps along the
 short side of the rectangle by binomials, and a g! path would bring a
-g-digit dividend and one long division back.  ``tautpush`` imports
-nothing from ``functools`` or ``operator``: ``per_N_numerators`` reads
-six values of each weighted bracket and sums them as plain integers, so
-no chain of ``map``s over every row comes back.  Every module-level
+g-digit dividend and one long division back.  In ``tautpush`` only
+``_times``, which prints every coordinate, names ``functools`` or
+``operator``: ``per_N_numerators`` reads six values of each weighted
+bracket and sums them as plain integers, so no chain of ``map``s over
+every row comes back.  Every module-level
 import is read somewhere in its module, so a name that a change stops
 using leaves the imports with it.
 """
@@ -94,7 +95,7 @@ SOURCES = sorted(SRC.glob("*.py"))
 FLOAT_ALLOWED = {("cli", "_slope_rows_text")}
 CACHE_ALLOWED = {("cli", "build_parser")}
 MEMOIZERS = {"cache", "lru_cache"}
-DECIMAL_ALLOWED = {("cli", "_times")}
+DECIMAL_ALLOWED = {("tautpush", "_times")}
 DECIMAL_NAMES = {"Context", "MAX_PREC", "MAX_EMAX", "Inexact", "Rounded"}
 INDEX_BUILDERS = {"make_index", "balanced_pairs"}
 # Every function that builds a Fraction, by module: each hands a value to
@@ -105,8 +106,7 @@ FRACTION_ALLOWED = {
         "divisors": "gp_combo hypersurface_combo syzygy_combo _slope slope_bound gp_slope_closed "
         "syzygy_slope_closed",
         "families": "relation_multiple pullbacks matrix_determinant reconstruct _pattern_report "
-        "_weierstrass_a_report _weierstrass_c_report _aspect_report _oracle_spec_report "
-        "_reconstruct_report _bridge_quotient_report _structure_report",
+        "_weierstrass_a_report _weierstrass_c_report _aspect_report _oracle_spec_report",
         "schubert": "zeta_power_integral",
         "tautpush": "xi of push_combo",
     }.items()
@@ -118,6 +118,7 @@ INT_SOLVER = {"_forward_eliminate", "_solve_unique", "_reconstruct"}
 INT_PRODUCERS = {"_bracket_a", "_bracket_b", "_bracket_c", "per_N_numerators", "tails_matrix", "bridge_pushforward"}
 STEP_ALLOWED = {("schubert", "_zeta_layers")}
 FOLD_BANNED = {"functools", "operator"}
+FOLD_ALLOWED = {("tautpush", "_times")}  # the renderer maps over every coordinate it prints
 
 
 def _tree(path: Path) -> ast.Module:
@@ -232,17 +233,18 @@ def test_index_visitor_sees_calls_in_nested_functions():
     assert _index_constructions(tree) == [(None, 1), ("g", 4)]
 
 
-def _decimal_uses(tree: ast.Module):
-    """References to the ``decimal`` module, imports from it and aliased
-    imports of it; a plain ``import decimal`` is not a use."""
+def _module_uses(tree: ast.Module, modules):
+    """References to each standard-library module in ``modules``, imports
+    from it and aliased imports of it; a plain ``import m`` is not a use,
+    and a package's own module of that name is not the standard library's."""
 
     def match(node):
         if isinstance(node, ast.Name):
-            return node.id == "decimal"
+            return node.id in modules
         if isinstance(node, ast.ImportFrom):
-            return node.module == "decimal"
+            return node.module in modules and not node.level
         if isinstance(node, ast.Import):
-            return any(a.name == "decimal" and a.asname for a in node.names)
+            return any(a.name in modules and a.asname for a in node.names)
         return False
 
     return _owned(tree, match)
@@ -271,7 +273,7 @@ def _traps(call: ast.Call):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_decimal_only_in_exact_renderer(path):
     tree = _tree(path)
-    uses = _decimal_uses(tree)
+    uses = _module_uses(tree, {"decimal"})
     stray = [(owner, line) for owner, line in uses if (path.stem, owner) not in DECIMAL_ALLOWED]
     assert not stray, f"{path.name}: decimal used at {stray}"
     names = {node.attr for node in _decimal_attributes(tree)}
@@ -286,8 +288,8 @@ def test_decimal_only_in_exact_renderer(path):
 
 
 def test_allowed_decimal_is_seen():
-    tree = _tree(SRC / "cli.py")
-    assert {owner for owner, _ in _decimal_uses(tree)} == {"_times"}
+    tree = _tree(SRC / "tautpush.py")
+    assert {owner for owner, _ in _module_uses(tree, {"decimal"})} == {"_times"}
     contexts = [node for node in _decimal_attributes(tree) if node.attr == "Context"]
     assert len(contexts) == 1
 
@@ -299,7 +301,7 @@ def test_decimal_visitor_sees_imports_and_missing_traps():
         "def f():\n"
         "    return decimal.Context(traps=[decimal.Inexact])\n"
     )
-    assert _decimal_uses(tree) == [(None, 1), (None, 2), ("f", 4), ("f", 4)]
+    assert _module_uses(tree, {"decimal"}) == [(None, 1), (None, 2), ("f", 4), ("f", 4)]
     (call,) = [c for c in ast.walk(tree) if isinstance(c, ast.Call)]
     assert _traps(call) == {"Inexact"}
 
@@ -673,12 +675,14 @@ def test_dataclasses_visitor_sees_aliases_and_nested_imports():
     assert _stdlib_imports(tree, {"dataclasses"}) == [(None, 1), (None, 2), ("f", 4)]
 
 
-def test_tautpush_imports_nothing_from_functools_or_operator():
-    imports = _stdlib_imports(_tree(SRC / "tautpush.py"), FOLD_BANNED)
-    assert not imports, f"tautpush.py: functools or operator imported at {imports}"
+def test_tautpush_names_functools_or_operator_only_in_the_renderer():
+    uses = _module_uses(_tree(SRC / "tautpush.py"), FOLD_BANNED)
+    stray = [(owner, line) for owner, line in uses if ("tautpush", owner) not in FOLD_ALLOWED]
+    assert not stray, f"tautpush.py: functools or operator used at {stray}"
+    assert {("tautpush", owner) for owner, _ in uses} == FOLD_ALLOWED
 
 
-def test_fold_import_visitor_sees_every_form():
+def test_fold_visitor_sees_every_form():
     tree = ast.parse(
         "from functools import partial, reduce\n"
         "from operator import add, mul\n"
@@ -686,12 +690,13 @@ def test_fold_import_visitor_sees_every_form():
         "import operator as op\n"
         "def f():\n"
         "    from functools import reduce\n"
+        "    return functools.reduce(operator.add, [])\n"
         "from itertools import accumulate\n"
         "from .operator import x\n"
         "import functools_extra\n"
     )
-    assert _stdlib_imports(tree, FOLD_BANNED) == [(None, 1), (None, 2), (None, 3), (None, 4), ("f", 6)]
-    assert _stdlib_imports(_tree(SRC / "cli.py"), FOLD_BANNED)
+    assert _module_uses(tree, FOLD_BANNED) == [(None, 1), (None, 2), (None, 4), ("f", 6), ("f", 7), ("f", 7)]
+    assert _module_uses(_tree(SRC / "cli.py"), FOLD_BANNED)
 
 
 def _unused_imports(tree: ast.Module) -> list:
