@@ -3,8 +3,9 @@ the verification suites.
 
 Output is byte-deterministic for a fixed invocation: rows are sorted
 canonically, rationals render as exact "p/q" strings (``push``'s by
-``tautpush._times``), JSON keys are sorted, and ``push`` writes the
-bytes of ``json.dumps(sort_keys=True, indent=2)`` directly.  Exit codes:
+``tautpush._times``), JSON keys are sorted, and ``push`` and ``slope``
+write the bytes of ``json.dumps(sort_keys=True, indent=2)`` without its
+pure-Python encoder.  Each call makes one argparse pass.  Exit codes:
 0 success, 1 verification failure, 2 usage, parameter or I/O error.
 """
 
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--output", help="write to this path instead of stdout")
     ve.set_defaults(run=cmd_verify)
 
+    p.commands = sub.choices  # the subparsers action's public map of command parsers
     return p
 
 
@@ -159,7 +161,11 @@ def _slope_rows_text(reports: Sequence[SlopeReport], fmt: str) -> str:
         return "\n".join(lines) + "\n"
     rows = [rep.row() for rep in reports]
     if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        # the bytes of json.dumps(rows, sort_keys=True, indent=2) from the C
+        # encoder, which indent turns off: the rows are flat and an encoded
+        # string holds no newline, so "},\n    {" occurs only between rows
+        text = json.dumps(rows, sort_keys=True, separators=(",\n    ", ": "))
+        return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
@@ -209,6 +215,10 @@ def cmd_verify(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # One argparse pass: a named command's arguments go to its parser alone, as
+    # the top-level parser hands them on; any other argv goes through it whole.
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     # CPython (3.10.7 on) caps int/str conversion at 4300 digits by default.
     # tautpush._times prints push and the reconstruct, bridge and structure
     # reports without it; a longer --combo entry, str(N) in the slope rows and
@@ -218,7 +228,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if max_digits:
         sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.run(args)
     except (
         ParameterError,

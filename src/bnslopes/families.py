@@ -218,7 +218,7 @@ def bridge_pushforward(params: GrdParams) -> Tuple[PerN, PerN, PerN]:
     D = 3(g-1)q, xi = p/q in lowest terms: T, U, V are 2d(d-2g+2)q, 3dq, -p
     over D."""
     g, d = params.g, params.d
-    p, q = params.xi.as_integer_ratio()
+    p, q = params._xi_pair()
     D = 3 * (g - 1) * q
     T, U, V = 2 * d * (d - 2 * g + 2) * q, 3 * d * q, -p
     xy = ((T, U), (0, U), (V, 0))  # the coefficients of the two brackets

@@ -134,14 +134,18 @@ class GrdParams(Record):
 
             xi = 3(g-1) + (r-1)(g+r+1)(3g-2d+r-3) / (g-d+2r+1)
 
-        entering the pushforward of c.  (The same quantity appears both in
-        the statement of the pushforward formulas and in the genus-2 test
-        family computations; they are one and the same.)  With rho = 0 and
-        m = g/(r+1) the denominator is m+r+1 >= 2.
+        that enters the pushforward of c and the genus-2 bridge family.
+        With rho = 0 and m = g/(r+1) the denominator is m+r+1 >= 2.
         """
+        return Fraction(*self._xi_pair())
+
+    def _xi_pair(self) -> Tuple[int, int]:
+        """xi as (p, q) in lowest terms with q > 0, as the c bracket reads it."""
         g, r, d = self.g, self.r, self.d
         den = g - d + 2 * r + 1
-        return 3 * (g - 1) + Fraction((r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), den)
+        num = 3 * (g - 1) * den + (r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3)
+        k = gcd(num, den)
+        return num // k, den // k
 
     def __str__(self) -> str:
         return f"(g,r,d)=({self.g},{self.r},{self.d})"
@@ -252,7 +256,7 @@ def _bracket_c(params: GrdParams) -> Bracket:
     g, r, d = params.g, params.r, params.d
     if g < 3:
         raise ParameterError(f"pushforward of c needs g >= 3 ((g-1)(g-2) vanishes at g={g})")
-    p, q = params.xi.as_integer_ratio()
+    p, q = params._xi_pair()
     rq = r * (r + 2) * q
     lam = 6 * (-(g + 3) * p + 5 * rq)
     psi = -6 * q * d * (r + 1) * (g - 2)
@@ -269,7 +273,8 @@ class TautCombo(Record):
 
     @classmethod
     def of(cls, p_a, p_b, p_c, p_lam) -> "TautCombo":
-        return cls(Fraction(p_a), Fraction(p_b), Fraction(p_c), Fraction(p_lam))
+        """An int or Fraction coefficient is kept as it is; a str becomes a Fraction."""
+        return cls(*[p if type(p) in (int, Fraction) else Fraction(p) for p in (p_a, p_b, p_c, p_lam)])
 
     @classmethod
     def unit(cls, which: str) -> "TautCombo":

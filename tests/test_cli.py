@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnslopes import cli, families, tautpush
+from bnslopes import cli, divisors, families, tautpush
 from bnslopes.cli import main
-from bnslopes.divisors import FAMILIES, Family
+from bnslopes.divisors import FAMILIES, Family, FamilyParams, SlopeUndefinedError, slope_report
+from bnslopes.schubert import BalanceError, CodimensionError, InvalidIndexError
 from bnslopes.tautpush import (
     CLASSES,
     DivisorClass,
@@ -130,6 +131,16 @@ class TestSlopeCommand:
         assert (code, out) == (2, "")
         assert err == "bnslopes: error: Gieseker-Petri family needs r, s >= 1; got r=0, s=1\n"
 
+    def test_undefined_slope_is_usage_error(self, capsys, monkeypatch):
+        # main's error clause takes SlopeUndefinedError: exit 2, one line, N·p_lam = 2
+        monkeypatch.setattr(divisors, "family_combo", lambda fp: TautCombo.of(0, 0, 0, 1))
+        code, out, err = run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "bnslopes: error: slope undefined: need nonzero lambda and delta_0 coefficients "
+            "of opposite sign, got lambda = 2, delta_0 = 0\n"
+        )
+
     def test_jobs_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "slope", "--family", "gp", "--r", "1", "--s", "1", "--jobs", "2")
@@ -231,6 +242,33 @@ class TestSlopeCommand:
         assert err.startswith("bnslopes: error: ")
         assert err.count("\n") == 1
         assert "No such file or directory" in err
+
+
+# Small grids of every family, extra None and an int (syzygy i = 2 among
+# them); syzygy rows with s >= 1 are below the bound, those with s = 0 on it.
+_SLOPE_PARAMS = st.one_of(
+    st.builds(FamilyParams.gp, st.integers(1, 5), st.integers(1, 5)),
+    st.builds(FamilyParams.syzygy, st.integers(0, 3), st.integers(0, 3)),
+    st.integers(1, 6).map(lambda s: FamilyParams.hypersurface(1, s, 2)),
+    st.integers(1, 3).map(lambda s: FamilyParams.hypersurface(2 * s + 2, s, 2)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@example(
+    [FamilyParams.gp(1, 1), FamilyParams.syzygy(2, 0), FamilyParams.syzygy(2, 1), FamilyParams.hypersurface(4, 1, 2)]
+)
+@example([FamilyParams.gp(30, 30)])  # g = 961
+@given(st.lists(_SLOPE_PARAMS, min_size=1, max_size=6))
+def test_slope_json_is_the_bytes_of_json_dumps(params):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as main does for the call
+    try:
+        reports = [slope_report(p) for p in params]
+        want = json.dumps([rep.row() for rep in reports], sort_keys=True, indent=2) + "\n"
+        assert cli._slope_rows_text(reports, "json") == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestPushCommand:
@@ -731,16 +769,73 @@ def test_parse_error_says_what_was_expected(capsys, argv, expected):
     assert not any(word.startswith("_") for word in captured.err.split()), captured.err
 
 
-def _main_in_process(argv):
-    """(exit code, stdout, stderr) of one in-process ``main`` call, argparse's
-    SystemExit read as the exit code; for Hypothesis tests, which take no capsys."""
+def _main_in_process(argv, entry=main):
+    """(exit code, stdout, stderr) of one in-process ``entry`` call, ``main``
+    unless another is given, argparse's SystemExit read as the exit code;
+    for Hypothesis tests, which take no capsys."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser_main(argv):
+    """The reference dispatch for ``main``: the whole argv goes through the
+    top-level parser, which hands a command's arguments on to that command's
+    parser, under the same error clause and int/str digit-cap lift."""
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
+    if max_digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        args = cli.build_parser().parse_args(argv)
+        return args.run(args)
+    except (
+        ParameterError,
+        SlopeUndefinedError,
+        InvalidIndexError,
+        CodimensionError,
+        BalanceError,
+        OSError,
+    ) as exc:
+        print(f"bnslopes: error: {exc}", file=sys.stderr)
+        return cli.USAGE_ERROR
+    finally:
+        if max_digits:
+            sys.set_int_max_str_digits(max_digits)
+
+
+_SLOPE_GP = ["slope", "--family", "gp", "--r", "1", "--s", "1"]
+_PUSH_6 = ["push", "--g", "6", "--r", "2", "--d", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_SLOPE_GP, "--jobs", "2"],
+        [*_SLOPE_GP, "stray"],
+        [*_SLOPE_GP, "-x"],
+        ["slope", "--fam", "gp", "--r", "1", "--s", "1:2", "--format", "json"],
+        [*_PUSH_6, "--cl", "a", "--norm", "N"],
+        ["slope", "--family=gp", "--r=1:2", "--s=1", "--format=csv"],
+        ["slope", "-h"],
+        ["-h"],
+        [],
+        ["frob"],
+        ["--", *_SLOPE_GP],
+        ["slope", "--", "--family", "gp", "--r", "1", "--s", "1"],
+        [*_SLOPE_GP, "--r", "2"],
+        [*_PUSH_6, "--class", "a", "--combo", "1,0,0,0"],
+        ["slope", "--family", "gp", "--r", "-1", "--s", "1"],
+        ["verify", "--suite", "castelnuovo", "--bogus"],
+        ["verify", "--suite", "castelnuovo", "--max-g", "8", "--format", "json"],
+    ],
+)
+def test_main_dispatches_as_the_full_parser(argv):
+    # main parses a command's arguments with that command's parser alone
+    assert _main_in_process(argv) == _main_in_process(argv, _full_parser_main)
 
 
 _VALID_TRIPLES = ("6,2,6", "8,3,9")
@@ -753,10 +848,11 @@ def _optional(flag, values):
 
 
 def _exit_code_contract(argv):
-    """Runs ``argv`` twice in process and checks the exit-code contract:
-    exit 0, 1 or 2 and no traceback; on exit 2 nothing on stdout and one
+    """Runs ``argv`` in process and checks the exit-code contract: exit 0,
+    1 or 2 and no traceback; on exit 2 nothing on stdout and one
     ``bnslopes: error:`` line or the subcommand's argparse usage message
-    on stderr, otherwise nothing on stderr; the same stdout both times.
+    on stderr, otherwise nothing on stderr.  A second run, through the
+    full-parser reference, gives the same exit code, stdout and stderr.
     Returns the exit code."""
     code, out, err = _main_in_process(argv)
     assert code in (0, 1, 2)
@@ -770,7 +866,7 @@ def _exit_code_contract(argv):
         assert one_line or usage, err
     else:
         assert err == ""
-    assert _main_in_process(argv)[1] == out
+    assert _main_in_process(argv, _full_parser_main) == (code, out, err)
     return code
 
 

@@ -72,7 +72,11 @@ g-digit dividend and one long division back.  In ``tautpush`` only
 bracket and sums them as plain integers, so no chain of ``map``s over
 every row comes back.  Every module-level
 import is read somewhere in its module, so a name that a change stops
-using leaves the imports with it.
+using leaves the imports with it.  ``cli`` reads no single-underscore
+attribute of another object: argparse's internals, such as
+``_subparsers`` or ``_actions``, differ across the Pythons the package
+supports, so the dispatch uses the public ``choices`` map of the
+subparsers action.
 """
 
 import ast
@@ -204,6 +208,35 @@ def test_memoizer_visitor_sees_imports_and_decorators():
         "    pass\n"
     )
     assert _memoizer_uses(tree) == [(None, 1), ("f", 3)]
+
+
+def _private_attributes(tree: ast.Module):
+    """``x._name`` on any ``x`` but ``self`` and ``cls``; a dunder such as
+    ``__class__`` is not a single-underscore name."""
+
+    def match(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        )
+
+    return _owned(tree, match)
+
+
+def test_cli_reads_no_private_attribute():
+    reads = _private_attributes(_tree(SRC / "cli.py"))
+    assert not reads, f"cli.py: single-underscore attribute read at {reads}"
+
+
+def test_private_attribute_visitor_sees_other_objects_only():
+    tree = ast.parse(
+        "sub = p._subparsers\n"
+        "def f(self, cls):\n"
+        "    return self._x, cls._y, p.__class__, p.choices, p.parser._actions[0]\n"
+    )
+    assert _private_attributes(tree) == [(None, 1), ("f", 3)]
 
 
 def _index_constructions(tree: ast.Module):

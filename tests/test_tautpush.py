@@ -125,6 +125,16 @@ class TestXi:
         assert GrdParams(21, 6, 24).xi == 312
         assert GrdParams(4, 1, 3).xi == 9  # r = 1 kills the correction term
 
+    def test_int_pair_is_the_displayed_xi_in_lowest_terms(self):
+        for g, r, d in rho_zero_triples(200):
+            p = GrdParams(g, r, d)
+            num, den = p._xi_pair()
+            assert type(num) is int and type(den) is int, (g, r, d)
+            assert den > 0 and math.gcd(num, den) == 1, (g, r, d)
+            assert (num, den) == p.xi.as_integer_ratio(), (g, r, d)
+            displayed = 3 * (g - 1) + Fraction((r - 1) * (g + r + 1) * (3 * g - 2 * d + r - 3), g - d + 2 * r + 1)
+            assert p.xi == displayed, (g, r, d)
+
 
 class TestPushforwards:
     def test_push_b_psi_coefficient(self):
@@ -212,6 +222,19 @@ class TestPushCombo:
         ]
         p = GrdParams(10, 4, 12)
         assert [push(which, p) for which in "abc"] == [push_a(p), push_b(p), push_c(p)]
+
+    def test_int_coefficients_stay_ints(self):
+        # an int or Fraction entry is kept, a str becomes a Fraction; the
+        # record is equal to, hashes as and prints as the all-Fraction one
+        half = Fraction(1, 2)
+        assert TautCombo.of(half, 0, 0, 0).p_a is half
+        combo = TautCombo.of(1, "1/2", 0, -3)
+        assert [(type(x), x) for x in (combo.p_a, combo.p_b, combo.p_c, combo.p_lam)] == [
+            (int, 1), (Fraction, Fraction(1, 2)), (int, 0), (int, -3),
+        ]
+        fractions = TautCombo(Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-3))
+        assert combo == fractions and hash(combo) == hash(fractions)
+        assert str(combo) == str(fractions) == "(1)a + (1/2)b + (0)c + (-3)λ"
 
     def test_pure_lambda_skips_out_of_domain_pushes(self):
         # only the lambda term is evaluated, so g = 2 is fine
