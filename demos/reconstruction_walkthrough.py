@@ -22,8 +22,6 @@ script spells that out at (g, r, d) = (10, 4, 12).
 Run:  python demos/reconstruction_walkthrough.py
 """
 
-from fractions import Fraction
-
 from bnslopes.families import bridge_pushforward, pencil_degree, pullbacks, reconstruct, relation_multiple
 from bnslopes.tautpush import DivisorClass, GrdParams, push, push_b, rho
 
@@ -41,8 +39,8 @@ print()
 print("What the test families see (the known values are stated per N):")
 bridge, tails, degrees = pullbacks(dc)
 D, nums = bridge_pushforward(params)[1]
-per_N = DivisorClass.from_coefficients(Fraction(x, D) for x in nums)
-known = DivisorClass.from_coefficients(Fraction(N * x, D) for x in nums)
+per_N = DivisorClass.of(1, D, nums)
+known = DivisorClass.of(N, D, nums)
 print(f"  bridge pullback:   {bridge}")
 print(f"  known bridge class: {known} = N x ({per_N})")
 mu = relation_multiple(bridge.coefficients(), known.coefficients())

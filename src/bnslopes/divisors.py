@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 from .numeric import binomial
 from .record import Record
@@ -127,8 +127,7 @@ class FamilyParams(Record):
 def gp_combo(r: int, s: int) -> TautCombo:
     """Gieseker-Petri class (r+1)/2 (-a+b) + (d+1-g) c - r lambda."""
     params = FamilyParams.gp(r, s)
-    half = Fraction(r + 1, 2)
-    return TautCombo.of(-half, half, params.d + 1 - params.g, -r)
+    return TautCombo.of(Fraction(-(r + 1), 2), Fraction(r + 1, 2), params.d + 1 - params.g, -r)
 
 
 def hypersurface_combo(r: int, s: int, k: int) -> TautCombo:
@@ -178,25 +177,27 @@ class SlopeUndefinedError(ValueError):
         )
 
 
-def _slope(lam: int | Fraction, delta0: int | Fraction, L: int = 1, grd: GrdParams | None = None) -> Fraction:
-    """-lam/delta0 for coefficients that are nonzero and of opposite sign.
-    They may be the numerators over L > 0 of N-free coefficients at
-    ``grd``; an error reports N·lam/L and N·delta0/L, reading N then."""
+def _slope(lam: int, delta0: int, scale: Callable[[], Tuple[int | Fraction, int]]) -> Fraction:
+    """-lam/delta0 for int numerators that are nonzero and of opposite
+    sign, those of the coefficients N·lam/L and N·delta0/L with N/L > 0.
+    N/L cancels, so ``scale`` gives (N, L) only for the text of an
+    undefined slope: a slope never reads N."""
     if lam == 0 or delta0 == 0 or (lam > 0) == (delta0 > 0):
-        N = 1 if grd is None else grd.N
+        N, L = scale()
         raise SlopeUndefinedError(Fraction(lam * N, L), Fraction(delta0 * N, L))
     return Fraction(-lam, delta0)
 
 
 def slope(dc: DivisorClass) -> Fraction:
     """Slope -lambda/delta_0 of a class whose lambda and delta_0
-    coefficients are nonzero and of opposite sign."""
-    return _slope(dc.lam, dc.delta[0])
+    coefficients are nonzero and of opposite sign, from their two
+    numerators: the class's positive scale cancels."""
+    return _slope(dc.nums[0], dc.nums[2], lambda: (dc.scale, 1))
 
 
 def slope_bound(g: int) -> Fraction:
-    """The classical slope bound 6 + 12/(g+1)."""
-    return 6 + Fraction(12, g + 1)
+    """The classical slope bound 6 + 12/(g+1) = (6g + 18)/(g+1)."""
+    return Fraction(6 * g + 18, g + 1)
 
 
 def gp_slope_closed(r: int, s: int) -> Fraction:
@@ -323,6 +324,6 @@ def slope_report(params: FamilyParams) -> SlopeReport:
     grd = GrdParams(params.g, params.r, params.d)
     L, ints = per_N_numerators(combo, grd)
     lam, _, delta0 = next(ints), next(ints), next(ints)
-    sl = _slope(lam, delta0, L, grd)
+    sl = _slope(lam, delta0, lambda: (grd.N, L))
     bound = slope_bound(params.g)
     return SlopeReport(params.family, params.s, params.extra, sl, bound, sl < bound, combo, grd)

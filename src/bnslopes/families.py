@@ -37,7 +37,7 @@ them.  Every table entry is an ``int`` (each tails row is scaled by
 denominator, as :func:`tautpush.per_N_numerators` gives the closed form.
 One sparse eliminator, :func:`_forward_eliminate`, takes these int rows
 for every system and determinant; a solution comes back in that shape,
-and a determinant, like every value handed out, as ``Fraction``.
+N times it as a ``DivisorClass``, and a determinant as ``Fraction``.
 
 The bridge computation rests on Schubert-calculus identities at the
 Weierstrass fiber which are re-checked here numerically
@@ -142,10 +142,10 @@ PerN = Tuple[int, List[int]]  # a per-N class or a solution: a denominator, int 
 Layers = List[Dict[Tuple[int, ...], int]]
 
 # Every pullback table is a list of sparse rows {column: value} that
-# store only nonzero entries.  Columns follow DivisorClass.coefficients():
-# lambda is column 0, psi column 1, and delta_i column 2 + i, so a table
-# row applied to a class's coefficient vector gives one pulled-back
-# coordinate.
+# store only nonzero entries.  Columns follow DivisorClass.nums: lambda
+# is column 0, psi column 1, and delta_i column 2 + i, so a table row
+# applied to a class's numerators gives one pulled-back coordinate over
+# the class's scale.
 
 
 def bridge_matrix(g: int) -> Table:
@@ -189,7 +189,7 @@ def pencil_matrix(g: int) -> Table:
     return rows
 
 
-def _apply(m: Table, vec: Sequence[int | Fraction]) -> List[int | Fraction]:
+def _apply(m: Table, vec: Sequence[int]) -> List[int]:
     return [sum(x * vec[j] for j, x in row.items()) for row in m]
 
 
@@ -198,10 +198,10 @@ def pullbacks(dc: DivisorClass) -> Tuple[DivisorClass, Tuple[Fraction, ...], Tup
     Returns (bridge, tails, degrees): the genus-2 class on the bridge
     base, the coefficients of eps_2..eps_{g-2} on the tails base, and
     the pencil degrees for h = 1..g-1."""
-    g, vec = dc.g, dc.coefficients()
-    bridge = DivisorClass.from_coefficients(_apply(bridge_matrix(g), vec))
-    tails = tuple(Fraction(x, (g - 1) * (g - 2)) for x in _apply(tails_matrix(g), vec))
-    degrees = tuple(_apply(pencil_matrix(g), vec))
+    g, scale, nums = dc.g, dc.scale, dc.nums
+    bridge = DivisorClass.of(scale, 1, _apply(bridge_matrix(g), nums))
+    tails = tuple(scale * Fraction(x, (g - 1) * (g - 2)) for x in _apply(tails_matrix(g), nums))
+    degrees = tuple(scale * x for x in _apply(pencil_matrix(g), nums))
     return bridge, tails, degrees
 
 
@@ -578,15 +578,14 @@ def reconstruct(g: int, r: int, d: int, which: str) -> DivisorClass:
     """Re-derive the pushforward of a, b or c from the special-family
     data alone, bypassing the closed-form coefficients: N times the
     class's solution (D, numerators) of the system described in
-    :func:`_reconstruct`, each coordinate Fraction(N * x, D).  Raises
-    ReconstructionError when the system has no unique solution."""
+    :func:`_reconstruct`.  Raises ReconstructionError when the system has
+    no unique solution."""
     TautCombo.unit(which)  # an unknown class is named before any elimination
     params = _reconstruct_params(g, r, d)
     got = _reconstruct(params, bridge_pushforward(params))[CLASSES.index(which)]
     if isinstance(got, ReconstructionError):
         raise got
-    N, (D, xs) = params.N, got
-    return DivisorClass.from_coefficients(Fraction(N * x, D) for x in xs)
+    return DivisorClass.of(params.N, *got)
 
 
 def _reconstruct_params(g: int, r: int, d: int) -> GrdParams:
@@ -834,18 +833,13 @@ def _pieri_suite(*, max_g: int, **_) -> Iterator[CheckReport]:
     return (identity_pieri(g, r, d) for g, r, d in rho_zero_triples(max_g) if r >= 2)
 
 
-def _per_N_push(which: str, params: GrdParams) -> PerN:
-    """1/N times the pushforward of a, b or c, as (L, a list of its per-N numerators)."""
-    L, ints = per_N_numerators(TautCombo.unit(which), params)
-    return L, list(ints)
-
-
 def _reconstruct_suite(*, triples: Sequence[GrdParams], **_) -> Iterator[CheckReport]:
     """Solves and compares 1/N times each class; the closed form's per-N
     numerators, the bridge classes and N are computed once per triple,
     and every value printed is N times the one compared."""
     for params in triples:
-        per_N = [_per_N_push(which, params) for which in CLASSES]
+        pushes = (per_N_numerators(TautCombo.unit(which), params) for which in CLASSES)
+        per_N = [(L, list(ints)) for L, ints in pushes]
         bridge = bridge_pushforward(params)
         solved = _reconstruct(params, bridge)
         N = params.N

@@ -15,7 +15,7 @@ The three tautological classes upstairs are
     c = c_1 of the bundle of sections V,
 
 and :func:`push_a`, :func:`push_b`, :func:`push_c` return their images
-downstairs as exact :class:`DivisorClass` vectors.  The formulas are
+downstairs as exact :class:`DivisorClass` values.  The formulas are
 kept in their prefactored display shape (a stated prefactor times an
 integer-coefficient bracket) and divided symbolically, so each line can
 be audited term by term.
@@ -152,41 +152,53 @@ class GrdParams(Record):
 
 
 class DivisorClass(Record):
-    """Exact divisor class in the basis lambda, psi, delta_0..delta_{g-1}.
+    """Exact divisor class: ``scale`` times the g + 2 int numerators
+    ``nums`` of lambda, psi, delta_0..delta_{g-1}, zeros included.
 
-    ``delta`` always has length g, zeros included, so classes can be fed
-    to the pullback tables and the reconstruction solver coordinatewise.
+    The form is canonical, so equal classes have equal fields: ``scale``
+    is a positive Fraction and the numerators have gcd 1, or the scale
+    and every numerator are 0 (the zero class).  :meth:`of` reduces a
+    class to it; the constructor only checks it.
     """
 
-    __slots__ = _fields = ("lam", "psi", "delta")
+    __slots__ = _fields = ("scale", "nums")
 
-    @property
-    def g(self) -> int:
-        return len(self.delta)
+    def __init__(self, scale: Fraction, nums: Tuple[int, ...]) -> None:
+        super().__init__(scale, nums)
+        if type(scale) is not Fraction or type(nums) is not tuple or scale < 0 or gcd(*nums) != (1 if scale else 0):
+            raise ValueError("DivisorClass fields not in canonical form; DivisorClass.of reduces a class to it")
+
+    @classmethod
+    def of(cls, N: int | Fraction, L: int, ints: Iterable[int]) -> "DivisorClass":
+        """The class N/L times the int coordinates ``ints``, for N >= 0 and
+        L > 0: the gcd c of the coordinates moves into the scale N·c/L."""
+        nums = tuple(ints)
+        c = gcd(*nums) if N else 0
+        if not c:
+            return cls(Fraction(0), (0,) * len(nums))
+        return cls(Fraction(N * c, L), tuple(x // c for x in nums))
+
+    g = property(lambda self: len(self.nums) - 2)
+    # the Fraction coordinates, each the scale times its numerator
+    lam = property(lambda self: self.scale * self.nums[0])
+    psi = property(lambda self: self.scale * self.nums[1])
+    delta = property(lambda self: self.coefficients()[2:])
 
     def coefficients(self) -> Tuple[Fraction, ...]:
         """Coordinates in the fixed order (lambda, psi, delta_0..delta_{g-1})."""
-        return (self.lam, self.psi) + self.delta
-
-    @classmethod
-    def from_coefficients(cls, coords: Iterable[Fraction]) -> "DivisorClass":
-        """Inverse of :meth:`coefficients`."""
-        lam, psi, *delta = coords
-        return cls(lam, psi, tuple(delta))
+        return tuple(self.scale * x for x in self.nums)
 
     def is_delta_symmetric(self) -> bool:
         """Whether delta_i = delta_{g-i} for all 1 <= i <= g-1."""
-        g = self.g
-        return all(self.delta[i] == self.delta[g - i] for i in range(1, g))
+        delta = self.nums[2:]
+        return delta[1:] == delta[:0:-1]
 
     def __str__(self) -> str:
-        parts = [f"{self.lam}·λ"]
-        if self.psi:
-            parts.append(f"{self.psi}·ψ")
-        for i, x in enumerate(self.delta):
-            if x:
-                parts.append(f"{x}·δ{i}")
-        return " + ".join(parts)
+        """λ always, then each nonzero coordinate, printed by :func:`_times`."""
+        lam, *texts = _times(self.scale.numerator, self.scale.denominator, self.nums)
+        names = ["ψ", *(f"δ{i}" for i in range(self.g))]
+        terms = (f"{x}·{name}" for x, name, n in zip(texts, names, self.nums[1:]) if n)
+        return " + ".join([f"{lam}·λ", *terms])
 
 
 # A bracket is the N-free prefactor of a displayed pushforward formula, as
@@ -372,8 +384,7 @@ def _times(N: int, L: int, ints: Iterable[int]) -> List[str]:
 def push_combo(combo: TautCombo, params: GrdParams) -> DivisorClass:
     """Pushforward of a tautological combination, by linearity."""
     L, ints = per_N_numerators(combo, params)
-    N = params.N
-    return DivisorClass.from_coefficients(Fraction(N * x, L) for x in ints)
+    return DivisorClass.of(params.N, L, ints)
 
 
 def push_a(params: GrdParams) -> DivisorClass:

@@ -371,9 +371,11 @@ class TestPushCommand:
                            "--combo", "2,-1,-8,1")
         assert code == 0
         obj = json.loads(out)
-        coords = (obj["lambda"], obj["psi"], *obj["delta"])
+        coords = [Fraction(x) for x in (obj["lambda"], obj["psi"], *obj["delta"])]
         dc = push_combo(TautCombo.of(2, -1, -8, 1), GrdParams(21, 6, 24))
-        assert DivisorClass.from_coefficients(map(Fraction, coords)) == dc
+        # the printed coordinates, over their own common denominator, are the class
+        L = math.lcm(*(x.denominator for x in coords))
+        assert DivisorClass.of(1, L, [int(x * L) for x in coords]) == dc
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "push", "--g", "6", "--r", "2", "--d", "6", "--class", "b")
@@ -598,14 +600,15 @@ class TestVerifyCommand:
         assert code == 0
 
     def test_reconstruct_failure_names_coordinate(self, capsys, monkeypatch):
-        closed_form = families._per_N_push
+        closed_form = families.per_N_numerators
 
-        def off_at_delta3(which, params):
-            L, ints = closed_form(which, params)
+        def off_at_delta3(combo, params):
+            L, ints = closed_form(combo, params)
+            ints = list(ints)
             ints[2 + 3] += L  # 1/N times the class, plus one at delta_3
-            return L, ints
+            return L, iter(ints)
 
-        monkeypatch.setattr(families, "_per_N_push", off_at_delta3)
+        monkeypatch.setattr(families, "per_N_numerators", off_at_delta3)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
                            "--triples", "10,4,12")
         assert code == 1
@@ -659,14 +662,15 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "7 checks, 2 failures"
 
     def test_bridge_failure_reads_not_proportional(self, capsys, monkeypatch):
-        closed_form = families._per_N_push
+        closed_form = families.per_N_numerators
 
-        def off_at_lambda(which, params):
-            L, ints = closed_form(which, params)
+        def off_at_lambda(combo, params):
+            L, ints = closed_form(combo, params)
+            ints = list(ints)
             ints[0] += L  # 1/N times the class, plus one at lambda
-            return L, ints
+            return L, iter(ints)
 
-        monkeypatch.setattr(families, "_per_N_push", off_at_lambda)
+        monkeypatch.setattr(families, "per_N_numerators", off_at_lambda)
         code, out, _ = run(capsys, "verify", "--suite", "reconstruct",
                            "--triples", "10,4,12")
         assert code == 1

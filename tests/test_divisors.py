@@ -77,14 +77,14 @@ class TestSlope:
         assert slope(dc) == Fraction(2459, 377)
 
     def test_undefined_zero_delta0(self):
-        dc = DivisorClass(Fraction(3), Fraction(0), (Fraction(0),) * 4)
+        dc = DivisorClass.of(1, 1, [3, 0, 0, 0, 0, 0])
         with pytest.raises(SlopeUndefinedError) as err:
             slope(dc)
         assert err.value.lam == 3
         assert err.value.delta0 == 0
 
     def test_undefined_same_sign(self):
-        dc = DivisorClass(Fraction(3), Fraction(0), (Fraction(1),) + (Fraction(0),) * 3)
+        dc = DivisorClass.of(1, 1, [3, 0, 1, 0, 0, 0])
         with pytest.raises(SlopeUndefinedError):
             slope(dc)
 

@@ -19,7 +19,6 @@ from bnslopes.families import (
     _epsilon_report,
     _forward_eliminate,
     _oracle_spec_report,
-    _per_N_push,
     _reach_counts,
     _solve_unique,
     _structure_report,
@@ -46,6 +45,7 @@ from bnslopes.tautpush import (
     ParameterError,
     TautCombo,
     castelnuovo_N,
+    per_N_numerators,
     push,
     push_combo,
     rho_zero_triples,
@@ -124,11 +124,16 @@ def gauss_jordan(a, b, n):
     return [row[n] for row in m[:n]]
 
 
+def per_N_push(which, params):
+    """1/N times the pushforward of a, b or c as the reconstruct suite's
+    closed-form side holds it: (L, a list of its per-N numerators)."""
+    L, ints = per_N_numerators(TautCombo.unit(which), params)
+    return L, list(ints)
+
+
 def per_N_class(which, params):
-    """1/N times the pushforward of a, b or c as a DivisorClass, from the
-    suite's closed-form side."""
-    L, ints = _per_N_push(which, params)
-    return DivisorClass.from_coefficients(Fraction(x, L) for x in ints)
+    """1/N times the pushforward of a, b or c as a DivisorClass."""
+    return DivisorClass.of(1, *per_N_push(which, params))
 
 
 def cofactor_det(m):
@@ -158,12 +163,9 @@ def _aspects(g, r, d):
 
 
 def unit_class(g: int, name: str, i: int = 0) -> DivisorClass:
-    lam = Fraction(1 if name == "lam" else 0)
-    psi = Fraction(1 if name == "psi" else 0)
-    delta = [Fraction(0)] * g
-    if name == "delta":
-        delta[i] = Fraction(1)
-    return DivisorClass(lam, psi, tuple(delta))
+    nums = [0] * (g + 2)
+    nums[{"lam": 0, "psi": 1, "delta": 2 + i}[name]] = 1
+    return DivisorClass.of(1, 1, nums)
 
 
 class TestPullbackTables:
@@ -312,7 +314,7 @@ class TestBridgeQuotient:
                 assert relation_multiple(full.coefficients(), scaled) == params.N * mu, (g, which)
                 # on the ints cross-multiplied to L*D, as the suite compares
                 # them, the multiple is L*D times the per-N one
-                (L, ints), (D, nums) = _per_N_push(which, params), want
+                (L, ints), (D, nums) = per_N_push(which, params), want
                 got_ints = [v * D for v in families._apply(bridge_matrix(g), ints)]
                 assert relation_multiple(got_ints, [y * L for y in nums]) == L * D * mu, (g, which)
 
@@ -397,7 +399,7 @@ class TestClassicalTestCurves:
         for g, r, d in _TRIPLES_3_200:
             params = GrdParams(g, r, d)
             for which in "abc":
-                _, (lam, _, delta0, *delta) = _per_N_push(which, params)
+                _, (lam, _, delta0, *delta) = per_N_push(which, params)
                 assert lam + 12 * delta0 - delta[-1] == 0, (g, r, d, which)
 
     def test_fixed_curve_fiber_of_c_is_the_pluecker_count(self):
@@ -415,7 +417,7 @@ class TestClassicalTestCurves:
         (C(r+1, 2) - psi_c)(2g-2) = (r+1)d + (r+1)r(g-1), which is
         psi_c (2g-2) = -(r+1)d."""
         for g, r, d in _TRIPLES_3_200:
-            L, (_, psi, *_) = _per_N_push("c", GrdParams(g, r, d))
+            L, (_, psi, *_) = per_N_push("c", GrdParams(g, r, d))
             weight = (r + 1) * d + (r + 1) * r * (g - 1)
             assert (comb(r + 1, 2) * L - psi) * (2 * g - 2) == weight * L, (g, r, d)
             assert psi * (2 * g - 2) == -(r + 1) * d * L, (g, r, d)
@@ -441,7 +443,7 @@ class TestClassicalTestCurves:
                 degrees = zip(pencil_degree(params, h), pencil_degree(params, g - h))
                 assert tuple(x + y for x, y in degrees) == fiber, (g, r, d, h)
             for which, value in zip("abc", fiber):
-                L, (_, psi, *_) = _per_N_push(which, params)
+                L, (_, psi, *_) = per_N_push(which, params)
                 assert psi * (2 * g - 2) == value * L, (g, r, d, which)
 
 
@@ -853,13 +855,15 @@ class TestSuites:
     def test_reconstruct_suite_pushes_once(self, monkeypatch):
         calls = []
 
-        def counted(which, params):
-            calls.append((params.g, which))
-            return _per_N_push(which, params)
+        closed_form = families.per_N_numerators
 
-        monkeypatch.setattr(families, "_per_N_push", counted)
+        def counted(combo, params):
+            calls.append((params.g, combo))
+            return closed_form(combo, params)
+
+        monkeypatch.setattr(families, "per_N_numerators", counted)
         reports = suite_reports("reconstruct", triples=[(10, 4, 12), (21, 6, 24)])
-        assert calls == [(g, which) for g in (10, 21) for which in "abc"]
+        assert calls == [(g, TautCombo.unit(which)) for g in (10, 21) for which in "abc"]
         assert len(reports) == 13 and all(r.passed for r in reports)
 
     def test_reconstruct_suite_builds_one_bridge_triple_per_triple(self, monkeypatch):
@@ -881,15 +885,16 @@ class TestSuites:
     def test_perturbed_coordinate_fails_its_own_class_by_name(self, monkeypatch, which, index, name):
         # psi is the last unknown of the system but the second coordinate of
         # a class, so a slip in mapping the solution back would show here
-        closed_form = families._per_N_push
+        closed_form = families.per_N_numerators
 
-        def off_by_one(w, params):
-            L, ints = closed_form(w, params)
-            if w == which:
+        def off_by_one(combo, params):
+            L, ints = closed_form(combo, params)
+            ints = list(ints)
+            if combo == TautCombo.unit(which):
                 ints[index] += L  # 1/N times the class, plus one at that coordinate
-            return L, ints
+            return L, iter(ints)
 
-        monkeypatch.setattr(families, "_per_N_push", off_by_one)
+        monkeypatch.setattr(families, "per_N_numerators", off_by_one)
         reports = suite_reports("reconstruct", triples=[(21, 6, 24)])
         failed = [(r.check, r.params.get("class")) for r in reports if not r.passed]
         # the bridge reads lambda, delta_0, delta_{g-2} and delta_{g-1}, not psi or delta_1
@@ -1255,7 +1260,7 @@ _P626 = GrdParams(6, 2, 6)
         (lambda: tails_matrix(4), "tails family needs g >= 5"),
         (lambda: pencil_degree(_P626, 0), "needs 1 <= h <= g-1; got h=0"),
         (lambda: pencil_degree(_P626, 6), "needs 1 <= h <= g-1; got h=6"),
-        (lambda: _per_N_push("x", _P626), "unknown tautological class 'x'"),
+        (lambda: reconstruct(6, 2, 6, "x"), "unknown tautological class 'x'"),
         (lambda: identity_weierstrass_a(2, 1, 2), "Weierstrass identity for a needs g >= 3"),
         (lambda: identity_weierstrass_a(3, 0, 0), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(3,0,0\)"),
         (lambda: identity_castelnuovo(1, 0, 0), r"need g >= 1 and r >= 1; got \(g,r,d\)=\(1,0,0\)"),

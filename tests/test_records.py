@@ -27,7 +27,7 @@ RECORDS = dict(
     KEYS,
     SchubertIndex=lambda: make_index(GrassmannianSpec(2, 6), (0, 1, 2)),
     ChowClass=lambda: ChowClass(GrassmannianSpec(2, 6), 3, {(0, 1, 2): 1}),
-    DivisorClass=lambda: DivisorClass(1, 0, (2, 3)),
+    DivisorClass=lambda: DivisorClass.of(1, 1, (1, 0, 2, 3)),
     Family=lambda: FAMILIES["gp"],
     SlopeReport=lambda: slope_report(FamilyParams.gp(1, 1)),
     CheckReport=lambda: CheckReport("pieri", {"g": 6}, "1", "1", True, ""),
@@ -63,10 +63,10 @@ def test_copy_and_pickle_rebuild_an_equal_record(name):
         assert type(twin) is type(record) and twin == record
 
 
-# every record but the three that validate: GrdParams, GrassmannianSpec
-# and SchubertIndex
+# every record but the four that validate: GrdParams, GrassmannianSpec,
+# SchubertIndex and DivisorClass
 WITHOUT_INIT = (
-    "TautCombo", "DivisorClass", "SlopeReport", "Family", "CheckReport", "ChowClass", "FamilyParams",
+    "TautCombo", "SlopeReport", "Family", "CheckReport", "ChowClass", "FamilyParams",
 )
 
 

@@ -1,5 +1,8 @@
+import copy
 import itertools
 import math
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -382,6 +385,79 @@ def test_numerators_read_six_bracket_values(monkeypatch):
 _CANONICAL = [(g, g - 1, 2 * g - 2) for g in range(3, 201)]
 
 
+class TestDivisorClass:
+    def test_equal_values_have_equal_fields(self):
+        a, b = DivisorClass.of(2, 4, [2, 0, 6, 0]), DivisorClass.of(1, 1, [1, 0, 3, 0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert (a.scale, a.nums) == (b.scale, b.nums) == (Fraction(1), (1, 0, 3, 0))
+        assert DivisorClass.of(3, 4, [-2, 0, 6, 0]) == DivisorClass(Fraction(3, 2), (-1, 0, 3, 0))
+
+    def test_reconstruction_equals_the_closed_form(self):
+        # the solver's denominator D and the brackets' L differ, the values do not
+        params = GrdParams(21, 6, 24)
+        solved = families._reconstruct(params, families.bridge_pushforward(params))
+        assert [D for D, _ in solved] != [per_N_numerators(TautCombo.unit(w), params)[0] for w in "abc"]
+        for which in "abc":
+            got, want = families.reconstruct(21, 6, 24, which), push(which, params)
+            assert got == want and hash(got) == hash(want), which
+
+    def test_zero_class(self):
+        zero = DivisorClass.of(5, 3, [0, 0, 0, 0])
+        assert (zero.scale, zero.nums) == (0, (0, 0, 0, 0))
+        assert zero == DivisorClass.of(0, 1, [1, 2, 3, 4])
+        assert str(zero) == "0·λ" and zero.coefficients() == (0, 0, 0, 0)
+        pushed = push_combo(TautCombo.of(0, 0, 0, 0), GrdParams(10, 4, 12))
+        assert (pushed.scale, pushed.nums) == (0, (0,) * 12) and str(pushed) == "0·λ"
+
+    @pytest.mark.parametrize(
+        "scale, nums",
+        [
+            (2, (2, 4)),  # an int scale, and numerators with gcd 2
+            (Fraction(1), (2, 0, 4, 0)),
+            (Fraction(-1), (1, 0, 3, 0)),
+            (Fraction(0), (1, 0, 3, 0)),
+            (Fraction(1), (0, 0, 0, 0)),
+            (Fraction(1), [1, 0, 3, 0]),
+        ],
+    )
+    def test_constructor_refuses_a_non_canonical_form(self, scale, nums):
+        with pytest.raises(ValueError, match=r"not in canonical form; DivisorClass\.of reduces"):
+            DivisorClass(scale, nums)
+
+    def test_copy_and_pickle_go_through_the_constructor(self):
+        dc = push("a", GrdParams(21, 6, 24))
+        for twin in (copy.copy(dc), copy.deepcopy(dc), pickle.loads(pickle.dumps(dc))):
+            assert type(twin) is DivisorClass and twin == dc and hash(twin) == hash(dc)
+        bad = object.__new__(DivisorClass)  # fields set past the check
+        object.__setattr__(bad, "scale", Fraction(1))
+        object.__setattr__(bad, "nums", (2, 0, 4, 0))
+        for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            with pytest.raises(ValueError):
+                rebuild(bad)
+
+    def test_reads_are_the_fraction_coordinates(self):
+        dc = push_combo(TautCombo.of(2, -1, -8, 1), GrdParams(21, 6, 24))
+        coords = dc.coefficients()
+        assert all(type(x) is Fraction for x in coords)
+        assert (dc.lam, dc.psi, dc.delta, dc.g) == (coords[0], coords[1], coords[2:], 21)
+
+    def test_prints_under_the_default_digit_cap(self):
+        # the smallest rho = 0 triple whose N has more than 4300 digits
+        params = GrdParams(3162, 50, 3150)
+        dc = push("b", params)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            text = str(dc)
+            sys.set_int_max_str_digits(0)
+            assert len(str(params.N)) > 4300
+            lam, *rest = dc.coefficients()
+            names = ["ψ", *(f"δ{i}" for i in range(params.g))]
+            assert text == " + ".join([f"{lam}·λ", *(f"{x}·{name}" for x, name in zip(rest, names) if x)])
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 class TestCanonicalLine:
     """On the line m = 1 the g^r_d is the canonical series and N = 1, so
     classical results fix the pushforwards without the paper's formulas.
@@ -404,12 +480,10 @@ class TestCanonicalLine:
         C(g, 2) psi - W, on every coordinate: lambda 1, psi -g, delta_0 0
         and delta_i C(g-i+1, 2)."""
         for g, r, d in _CANONICAL:
-            W = DivisorClass(
-                -1, math.comb(g + 1, 2), (0,) + tuple(-math.comb(g - i + 1, 2) for i in range(1, g))
-            )
-            want = [-x for x in W.coefficients()]
+            W = [-1, math.comb(g + 1, 2), 0, *(-math.comb(g - i + 1, 2) for i in range(1, g))]
+            want = [-x for x in W]
             want[1] += math.comb(g, 2)
-            assert list(push_c(GrdParams(g, r, d)).coefficients()) == want, g
+            assert push_c(GrdParams(g, r, d)) == DivisorClass.of(1, 1, want), g  # N = 1 here
 
     def test_a_and_b_agree_with_mumfords_kappa(self):
         """Mumford, *Towards an enumerative geometry of the moduli space of
